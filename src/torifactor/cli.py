@@ -5,8 +5,10 @@ entries given as integers, or as strings once they exceed 53-bit magnitude
 so that no JSON reader can lose precision.  Torsion matrices additionally
 carry ``"moduli"``.  Column and fan indices are 0-based throughout.
 
-Exit codes: 0 success, 1 malformed input, 2 violated mathematical
-precondition (the failed classification conditions are named).
+Exit codes: 0 success, 1 malformed input (including a TORIFACTOR_MAX_PERM
+that is not a positive integer), 2 violated mathematical precondition (the
+failed classification conditions are named) or an equivalence search that
+reached the TORIFACTOR_MAX_PERM cap.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .normal_forms import hnf, snf
 from .pipeline import analyze
 from .reconstruction import (
     QuotientPresentation,
+    SearchLimitExceeded,
+    _max_permutations_from_env,
     fan_matrix_equivalence,
     reconstruct_beta,
     reconstruct_fan_matrix,
@@ -224,30 +228,42 @@ def _run_gamma(job: JobSpec) -> dict:
     return {"Gamma": encode_torsion(torsion_matrix(cd))}
 
 
-def _per_fan_data(job: JobSpec, with_cartier: bool) -> dict:
+def _analyze(job: JobSpec):
     v = decode_matrix(_need(job.payload, "matrix"))
-    res = analyze(v, fan_index=job.fan_index, verify=job.verify)
+    return analyze(v, fan_index=job.fan_index, verify=job.verify)
+
+
+def _fan_entries(res, index_sets: bool, cartier: bool) -> list:
     entries = []
     for fa in res.fans:
         entry = {
             "fan": [list(c) for c in fa.fan.maximal_cones],
-            "index_sets": [list(s) for s in fa.index_sets.sets],
             "B": encode_matrix(fa.picard.B),
             "index": _encode_int(fa.picard.index),
             "delta_sigma": _encode_int(fa.picard.delta_sigma),
         }
-        if with_cartier:
+        if index_sets:
+            entry["index_sets"] = [list(s) for s in fa.index_sets.sets]
+        if cartier:
             entry["C_X"] = encode_matrix(fa.cartier)
         entries.append(entry)
-    return {"fans": entries}
+    return entries
 
 
 def _run_picard(job: JobSpec) -> dict:
-    return _per_fan_data(job, with_cartier=False)
+    return {"fans": _fan_entries(_analyze(job), index_sets=True, cartier=False)}
 
 
 def _run_cartier(job: JobSpec) -> dict:
-    return _per_fan_data(job, with_cartier=True)
+    return {"fans": _fan_entries(_analyze(job), index_sets=True, cartier=True)}
+
+
+def _equivalence(v1: IntMatrix, v2: IntMatrix):
+    try:
+        cap = _max_permutations_from_env()
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
+    return fan_matrix_equivalence(v1, v2, max_permutations=cap)
 
 
 def _run_reconstruct(job: JobSpec) -> dict:
@@ -268,7 +284,7 @@ def _run_reconstruct(job: JobSpec) -> dict:
     }
     if "reference" in job.payload:
         ref = decode_matrix(job.payload["reference"], "reference")
-        witness = fan_matrix_equivalence(ref, v)
+        witness = _equivalence(ref, v)
         if witness is None:
             out["equivalence"] = {"equivalent": False}
         else:
@@ -284,7 +300,7 @@ def _run_reconstruct(job: JobSpec) -> dict:
 def _run_equiv(job: JobSpec) -> dict:
     v1 = decode_matrix(_need(job.payload, "first"), "first")
     v2 = decode_matrix(_need(job.payload, "second"), "second")
-    witness = fan_matrix_equivalence(v1, v2)
+    witness = _equivalence(v1, v2)
     if witness is None:
         return {"equivalent": False}
     r, s = witness
@@ -292,8 +308,7 @@ def _run_equiv(job: JobSpec) -> dict:
 
 
 def _run_pipeline(job: JobSpec) -> dict:
-    v = decode_matrix(_need(job.payload, "matrix"))
-    res = analyze(v, fan_index=job.fan_index, verify=job.verify)
+    res = _analyze(job)
     gens = res.class_group.torsion_generator_rows
     return {
         "Q": encode_matrix(res.Q),
@@ -304,23 +319,8 @@ def _run_pipeline(job: JobSpec) -> dict:
         "torsion_generators": encode_matrix(gens) if gens is not None else None,
         "Gamma": encode_torsion(res.gamma),
         "free_generators": encode_matrix(res.class_group.free_generators),
-        "fans": _per_fan_entries(res),
+        "fans": _fan_entries(res, index_sets=False, cartier=True),
     }
-
-
-def _per_fan_entries(res) -> list:
-    entries = []
-    for fa in res.fans:
-        entries.append(
-            {
-                "fan": [list(c) for c in fa.fan.maximal_cones],
-                "B": encode_matrix(fa.picard.B),
-                "delta_sigma": _encode_int(fa.picard.delta_sigma),
-                "index": _encode_int(fa.picard.index),
-                "C_X": encode_matrix(fa.cartier),
-            }
-        )
-    return entries
 
 
 _HANDLERS = {
@@ -444,6 +444,9 @@ def run(argv: Optional[list[str]] = None) -> int:
             return 1
         except (PreconditionError, ShapeError) as exc:
             print(f"torifactor: precondition violated: {exc}", file=sys.stderr)
+            return 2
+        except SearchLimitExceeded as exc:
+            print(f"torifactor: search limit reached: {exc}", file=sys.stderr)
             return 2
         outputs.append(result)
     for result in outputs:

@@ -11,12 +11,13 @@ residue matrix describing the torsion part of the divisor class map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Optional, Sequence
 
 from .intmat import IntMatrix, PreconditionError, ShapeError, det, rank
 from .gale import gale_dual, require_F
 from .lattices import Lattice
-from .normal_forms import hnf, hnf_pivot_columns, snf, unimodular_inverse
+from .normal_forms import _identity_block_transform, hnf, hnf_pivot_columns, snf, unimodular_inverse
 
 
 @dataclass(frozen=True)
@@ -184,11 +185,16 @@ def covering_decomposition(v: IntMatrix, v_hat: Optional[IntMatrix] = None) -> C
     invariants are sign-normalized to lead with a positive entry.
     """
     require_F(v, reduced=True)
+    saturated = gale_dual(gale_dual(v))
     if v_hat is None:
-        v_hat = universal_covering(v)
-    else:
-        if Lattice.from_matrix(v_hat) != Lattice.from_matrix(gale_dual(gale_dual(v))):
-            raise PreconditionError("v_hat does not span the saturated row lattice of v")
+        v_hat = saturated
+    elif Lattice.from_matrix(v_hat) != Lattice.from_matrix(saturated):
+        raise PreconditionError("v_hat does not span the saturated row lattice of v")
+    return _covering_decomposition(v, v_hat)
+
+
+def _covering_decomposition(v: IntMatrix, v_hat: IntMatrix) -> CoveringData:
+    """Body of ``covering_decomposition`` for an already checked ``v`` and ``v_hat``."""
     beta = beta_factor(v, v_hat)
     res = snf(beta)
     delta, mu, nu = res.D, res.U_left, res.U_right
@@ -235,10 +241,7 @@ def covering_decomposition(v: IntMatrix, v_hat: Optional[IntMatrix] = None) -> C
 
 
 def torsion_order(cd: CoveringData) -> int:
-    order = 1
-    for t in cd.torsion_invariants:
-        order *= t
-    return order
+    return prod(cd.torsion_invariants)
 
 
 def torsion_generators(cd: CoveringData) -> Optional[IntMatrix]:
@@ -270,36 +273,30 @@ def torsion_matrix(cd: CoveringData) -> TorsionMatrix:
     s = len(cd.torsion_invariants)
     if s == 0:
         return TorsionMatrix((), (), width=m)
-    free_rows = cd.V_aligned.top_rows(n - s)
-    w_res = hnf(free_rows.transpose())
-    expected = IntMatrix.identity(n - s).vstack(IntMatrix.zeros(m - (n - s), n - s))
-    if w_res.H != expected:
+    w_u = _identity_block_transform(cd.V_aligned.top_rows(n - s))
+    if w_u is None:
         raise PreconditionError("torsion-free rows are not a saturated block")
-    w_low = w_res.U.bottom_rows(m - (n - s))
+    w_low = w_u.bottom_rows(m - (n - s))
     gens = cd.V_hat_aligned.bottom_rows(s)
-    pairing = gens @ w_low.transpose()
-    g_res = hnf(pairing.transpose())
-    expected = IntMatrix.identity(s).vstack(IntMatrix.zeros(m - (n - s) - s, s))
-    if g_res.H != expected:
+    g_u = _identity_block_transform(gens @ w_low.transpose())
+    if g_u is None:
         raise PreconditionError("generator pairing is not unimodular")
-    gamma = g_res.U.top_rows(s) @ w_low
+    gamma = g_u.top_rows(s) @ w_low
     result = TorsionMatrix(cd.torsion_invariants, gamma.tolist())
-    _check_torsion_congruences(result, cd)
+    _check_torsion_congruences(result, cd.V_aligned, gens)
     return result
 
 
-def _check_torsion_congruences(gamma: TorsionMatrix, cd: CoveringData) -> None:
-    gens = cd.V_hat_aligned.bottom_rows(gamma.rows)
+def _check_torsion_congruences(gamma: TorsionMatrix, v: IntMatrix, gens: IntMatrix) -> None:
+    """Modulo the invariants, ``gamma @ v^T == 0`` and ``gamma @ gens^T == I``."""
     g = gamma.to_int_matrix()
-    against_fan = g @ cd.V_aligned.transpose()
+    against_fan = g @ v.transpose()
+    against_gens = g @ gens.transpose()
     for k, tau in enumerate(gamma.moduli):
         if any(x % tau != 0 for x in against_fan.row(k)):
             raise PreconditionError("torsion matrix does not annihilate the fan rows")
-    against_gens = g @ gens.transpose()
-    for k, tau in enumerate(gamma.moduli):
         for j in range(gamma.rows):
-            want = 1 if j == k else 0
-            if (against_gens[k, j] - want) % tau != 0:
+            if (against_gens[k, j] - (1 if j == k else 0)) % tau != 0:
                 raise PreconditionError("torsion matrix does not normalize the generators")
 
 

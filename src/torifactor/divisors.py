@@ -15,7 +15,7 @@ from .intmat import IntMatrix, PreconditionError, ShapeError, det
 from .fans import PicardIndexFamily
 from .gale import require_W
 from .lattices import Lattice, lattice_intersection
-from .normal_forms import hnf, unimodular_inverse
+from .normal_forms import _identity_block_transform, unimodular_inverse
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,10 @@ class PicardData:
 
 def weight_transform(q: IntMatrix) -> IntMatrix:
     """Unimodular U with ``U @ q^T`` in HNF; requires the HNF to be [I; 0]."""
-    res = hnf(q.transpose())
-    expected = IntMatrix.identity(q.rows).vstack(
-        IntMatrix.zeros(q.cols - q.rows, q.rows)
-    )
-    if res.H != expected:
+    u = _identity_block_transform(q)
+    if u is None:
         raise PreconditionError("row lattice of the weight matrix is not saturated")
-    return res.U
+    return u
 
 
 def free_part_generators(q: IntMatrix) -> ClassGroupData:

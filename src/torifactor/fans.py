@@ -220,6 +220,11 @@ def enumerate_fans(v: IntMatrix) -> tuple[Fan, ...]:
     its unique cone around the generic point.
     """
     require_F(v)
+    return _enumerate_fans(v)
+
+
+def _enumerate_fans(v: IntMatrix) -> tuple[Fan, ...]:
+    """Body of ``enumerate_fans`` for a ``v`` already known to be a fan matrix."""
     n, m = v.shape
     candidates = [c for c in combinations(range(m), n) if det(v.select_cols(c)) != 0]
     compatible: dict[tuple[Cone, Cone], bool] = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .intmat import IntMatrix, PreconditionError, ShapeError, rank, vector_content
 from .lattices import Lattice, kernel_saturation, lattice_intersection
-from .normal_forms import hnf
+from .normal_forms import _identity_block_transform
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def classify_F(v: IntMatrix) -> FMatrixReport:
     if _has_positively_proportional_pair(columns):
         failed.append("d")
     is_f = not failed
-    cf = is_f and _column_lattice_is_full(v)
+    cf = is_f and _identity_block_transform(v) is not None
     if is_f and not cf:
         failed.append("e")
     reduced = all(vector_content(c) == 1 for c in columns)
@@ -117,14 +117,6 @@ def _has_positively_proportional_pair(columns) -> bool:
     return False
 
 
-def _column_lattice_is_full(v: IntMatrix) -> bool:
-    """Whether the columns of ``v`` generate all of Z^n (HNF of v^T is [I; 0])."""
-    h = hnf(v.transpose()).H
-    n = v.rows
-    expected = IntMatrix.identity(n).vstack(IntMatrix.zeros(v.cols - n, n))
-    return h == expected
-
-
 def classify_W(q: IntMatrix) -> WMatrixReport:
     """Test the weight-matrix conditions (a)-(f)."""
     r, m = q.shape
@@ -134,7 +126,7 @@ def classify_W(q: IntMatrix) -> WMatrixReport:
     full_rank = rank(q) == r
     if not full_rank:
         failed.append("a")
-    if not _column_lattice_is_full(q):
+    if _identity_block_transform(q) is None:
         failed.append("b")
     # positivity of the row lattice is dual to completeness of the kernel
     if not (full_rank and positive_span_is_full(gale_dual(q))):

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .intmat import IntMatrix, PreconditionError, ShapeError
 
@@ -185,6 +186,19 @@ def unimodular_inverse(u: IntMatrix) -> IntMatrix:
     res = hnf(u)
     if res.H != IntMatrix.identity(u.rows):
         raise PreconditionError("matrix is not unimodular")
+    return res.U
+
+
+def _identity_block_transform(a: IntMatrix) -> Optional[IntMatrix]:
+    """Transform ``U`` with ``U @ a^T == [I; 0]``, or ``None`` for another HNF.
+
+    ``[I; 0]`` holds iff the columns of ``a`` generate Z^rows; then the top
+    block of ``U`` pairs with ``a`` to I and the lower block is a basis of ker a.
+    """
+    k, m = a.shape
+    res = hnf(a.transpose())
+    if res.H != IntMatrix.identity(k).vstack(IntMatrix.zeros(m - k, k)):
+        return None
     return res.U
 
 

@@ -15,19 +15,20 @@ from .intmat import IntMatrix, PreconditionError, det
 from .covering import (
     CoveringData,
     TorsionMatrix,
-    covering_decomposition,
+    _check_torsion_congruences,
+    _covering_decomposition,
     torsion_generators,
     torsion_matrix,
+    torsion_order,
 )
 from .divisors import (
     ClassGroupData,
     PicardData,
     cartier_basis,
-    free_part_generators,
     picard_basis,
     weight_transform,
 )
-from .fans import Fan, PicardIndexFamily, enumerate_fans, picard_index_sets
+from .fans import Fan, PicardIndexFamily, _enumerate_fans, picard_index_sets
 from .gale import gale_dual, require_F
 from .lattices import Lattice
 
@@ -63,19 +64,18 @@ def analyze(v: IntMatrix, fan_index: Optional[int] = None, verify: bool = True) 
     q = gale_dual(v)
     u_q = weight_transform(q)
     r = q.rows
-    n = v.rows
-    v_hat = u_q.bottom_rows(n)
-    cg = free_part_generators(q)
-    cd = covering_decomposition(v, v_hat=v_hat)
+    # weight_transform's [I; 0] check proves Q @ (top block)^T == I and the lower
+    # block a basis of ker Q, the saturated row lattice of v: no re-check needed.
+    cd = _covering_decomposition(v, u_q.bottom_rows(v.rows))
     gamma = torsion_matrix(cd)
     gens = torsion_generators(cd)
     class_group = ClassGroupData(
         rank=r,
         torsion=cd.torsion_invariants,
-        free_generators=cg.free_generators,
+        free_generators=u_q.top_rows(r),
         torsion_generator_rows=gens,
     )
-    all_fans = enumerate_fans(v)
+    all_fans = _enumerate_fans(v)
     if fan_index is not None:
         if not 0 <= fan_index < len(all_fans):
             raise PreconditionError(
@@ -116,29 +116,15 @@ def verify_result(res: PipelineResult) -> None:
         raise PreconditionError("diagonal form identity failed")
     if cd.V_aligned != cd.Delta @ cd.V_hat_aligned:
         raise PreconditionError("alignment identity failed")
-    order = 1
-    for t in cd.torsion_invariants:
-        order *= t
-    if abs(det(cd.beta)) != order:
+    det_beta = abs(det(cd.beta))
+    if det_beta != torsion_order(cd):
         raise PreconditionError("factor determinant disagrees with the torsion order")
     if q @ res.class_group.free_generators.transpose() != IntMatrix.identity(q.rows):
         raise PreconditionError("free-part generator identity failed")
-    gens = res.class_group.torsion_generator_rows
     if res.gamma.rows:
-        g = res.gamma.to_int_matrix()
-        against_fan = g @ v.transpose()
-        against_gens = g @ gens.transpose()
-        for k, tau in enumerate(res.gamma.moduli):
-            if any(x % tau != 0 for x in against_fan.row(k)):
-                raise PreconditionError("torsion matrix does not annihilate the fan rows")
-            for j in range(res.gamma.rows):
-                if (against_gens[k, j] - (1 if j == k else 0)) % tau != 0:
-                    raise PreconditionError("torsion matrix does not normalize the generators")
-    det_beta = abs(det(cd.beta))
+        _check_torsion_congruences(res.gamma, v, res.class_group.torsion_generator_rows)
     for fa in res.fans:
         pd = fa.picard
-        if pd.index % pd.delta_sigma != 0:
-            raise PreconditionError("divisibility of delta_sigma failed")
         if abs(det(fa.cartier)) != pd.index * det_beta:
             raise PreconditionError("Cartier determinant factorization failed")
         if fa.cartier.bottom_rows(v.rows) != v:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import permutations
+from math import prod
 from typing import Optional
 
 from .intmat import IntMatrix, PreconditionError, ShapeError, det, vector_content
@@ -39,6 +40,16 @@ class QuotientPresentation:
 
 class SearchLimitExceeded(RuntimeError):
     """The equivalence search hit the configured permutation cap."""
+
+
+def _max_permutations_from_env() -> Optional[int]:
+    """The cap set by TORIFACTOR_MAX_PERM; ``None`` when unset or empty."""
+    env = os.environ.get(MAX_PERM_ENV)
+    if not env:
+        return None
+    if not env.isdecimal() or int(env) == 0:
+        raise ValueError(f"{MAX_PERM_ENV} must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _covering_matrix(p: QuotientPresentation, v_hat: Optional[IntMatrix]) -> IntMatrix:
@@ -104,19 +115,12 @@ def reconstruct_fan_matrix(
         for k, tau in enumerate(p.gamma.moduli):
             if any(rel[i, k] % tau != 0 for i in range(rel.rows)):
                 raise PreconditionError("torsion congruences fail on the reconstruction")
-        order = 1
-        for tau in p.gamma.moduli:
-            order *= tau
         sys = reconstruction_system(p, v_hat=vh)
         top = hnf(sys).H.top_rows(p.gamma.rows)
-        subgroup_order = order // abs(det(top))
+        subgroup_order = prod(p.gamma.moduli) // abs(det(top))
         if abs(det(beta)) != subgroup_order:
             raise PreconditionError("factor determinant disagrees with the subgroup order")
     return v
-
-
-def _column_invariant(m: IntMatrix, j: int) -> int:
-    return vector_content(m.col(j))
 
 
 def fan_matrix_equivalence(
@@ -130,16 +134,16 @@ def fan_matrix_equivalence(
     identity first); for each candidate the row HNFs are compared and R is
     recovered from the two transforms.  Column contents prune the search.
     The environment variable TORIFACTOR_MAX_PERM caps the number of
-    permutations tried; exceeding it raises ``SearchLimitExceeded``.
+    permutations tried; exceeding it raises ``SearchLimitExceeded``, and a
+    value that is not a positive integer raises ``ValueError``.
     """
     if v1.shape != v2.shape:
         raise ShapeError("fan matrices must have equal shape")
     if max_permutations is None:
-        env = os.environ.get(MAX_PERM_ENV)
-        max_permutations = int(env) if env else None
+        max_permutations = _max_permutations_from_env()
     m = v1.cols
-    contents1 = [_column_invariant(v1, j) for j in range(m)]
-    contents2 = [_column_invariant(v2, j) for j in range(m)]
+    contents1 = [vector_content(v1.col(j)) for j in range(m)]
+    contents2 = [vector_content(v2.col(j)) for j in range(m)]
     if sorted(contents1) != sorted(contents2):
         return None
     res2 = hnf(v2)

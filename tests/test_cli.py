@@ -1,8 +1,22 @@
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import torifactor
 from torifactor.cli import run
+
+# the CLI subprocesses import the same torifactor as the tests, installed or not
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(torifactor.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 EX1 = {"matrix": {"rows": 3, "cols": 4, "data": [[1, 0, 1, -2], [0, 1, -3, 2], [0, 0, 5, -5]]}}
 EX2 = {
@@ -24,6 +38,7 @@ def invoke(args, payload, tmp_path, name="job.json"):
         [sys.executable, "-m", "torifactor", *args, "--input", str(path)],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     return proc
 
@@ -101,6 +116,7 @@ def test_exit_code_for_malformed_input(tmp_path):
         [sys.executable, "-m", "torifactor", "hnf", "--input", str(path)],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     assert proc.returncode == 1
 
@@ -160,6 +176,7 @@ def test_batch_inputs_preserve_order(tmp_path):
         [sys.executable, "-m", "torifactor", "hnf", "--input", str(p1), "--input", str(p2)],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     lines = proc.stdout.strip().splitlines()
     assert len(lines) == 2
@@ -174,8 +191,6 @@ def test_plain_format(tmp_path):
 
 
 def test_run_entry_point_with_stdin(monkeypatch, capsys):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"matrix": {"data": [[1, 1]]}})))
     code = run(["gale"])
     assert code == 0
@@ -209,3 +224,51 @@ def test_cartier_command(tmp_path):
     assert len(out["fans"]) == 1
     cx = out["fans"][0]["C_X"]["data"]
     assert cx[-3:] == EX1["matrix"]["data"]
+
+
+INEQUIVALENT = {
+    "first": {"data": [[1, 0, -1], [0, 1, -1]]},
+    "second": {"data": [[1, 1, -1], [0, 2, -1]]},
+}
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_bad_permutation_cap_is_an_input_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("TORIFACTOR_MAX_PERM", value)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(INEQUIVALENT)))
+    assert run(["equiv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("torifactor: input error")
+    assert "TORIFACTOR_MAX_PERM" in captured.err
+
+
+def test_reached_permutation_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("TORIFACTOR_MAX_PERM", "1")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(INEQUIVALENT)))
+    assert run(["equiv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("torifactor:")
+
+
+@pytest.mark.parametrize("command", ["cover", "torsion", "gamma"])
+def test_covering_commands_classify_each_input_once(monkeypatch, capsys, tmp_path, command):
+    from torifactor import gale
+
+    calls = []
+    classify_F = gale.classify_F
+
+    def count_F(v):
+        calls.append(v)
+        return classify_F(v)
+
+    monkeypatch.setattr(gale, "classify_F", count_F)
+    paths = []
+    for name, payload in (("ex1.json", EX1), ("ex2.json", EX2)):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        paths += ["--input", str(path)]
+    assert run([command, *paths]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert len(calls) == 2

@@ -139,6 +139,19 @@ def test_covering_decomposition_second_example():
     assert torsion_order(cd) == 45
 
 
+def test_covering_decomposition_rejects_non_fan_matrix():
+    # the columns do not positively span R^2
+    with pytest.raises(PreconditionError):
+        covering_decomposition(IntMatrix([[1, 0, 1], [0, 1, 1]]))
+
+
+def test_covering_decomposition_rejects_unsaturated_v_hat():
+    # V itself has Z/5 torsion, so its row lattice is not saturated
+    with pytest.raises(PreconditionError):
+        covering_decomposition(EX1_V, v_hat=EX1_V)
+    assert covering_decomposition(EX1_V, v_hat=EX1_VHAT).V_hat == EX1_VHAT
+
+
 def test_covering_decomposition_torsion_free():
     v = IntMatrix([[1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]])
     cd = covering_decomposition(v)

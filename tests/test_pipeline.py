@@ -54,3 +54,25 @@ def test_pipeline_verification_random():
         verify_result(res)
         assert res.class_group.rank == r
         assert res.class_group.torsion == res.covering.torsion_invariants
+
+
+def test_analyze_classifies_the_fan_matrix_once(monkeypatch):
+    from torifactor import gale
+
+    calls = {"F": 0, "W": 0}
+    classify_F, classify_W = gale.classify_F, gale.classify_W
+
+    def count_F(v):
+        calls["F"] += 1
+        return classify_F(v)
+
+    def count_W(q):
+        calls["W"] += 1
+        return classify_W(q)
+
+    monkeypatch.setattr(gale, "classify_F", count_F)
+    monkeypatch.setattr(gale, "classify_W", count_W)
+    for v in (EX1_V, EX2_V):
+        calls.update(F=0, W=0)
+        analyze(v)
+        assert calls == {"F": 1, "W": 0}

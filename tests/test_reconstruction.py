@@ -196,6 +196,14 @@ def test_equivalence_search_cap():
         del os.environ["TORIFACTOR_MAX_PERM"]
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "0"])
+def test_equivalence_rejects_bad_cap_from_environment(monkeypatch, value):
+    monkeypatch.setenv("TORIFACTOR_MAX_PERM", value)
+    v = IntMatrix([[1, 0, -1], [0, 1, -1]])
+    with pytest.raises(ValueError, match="positive integer"):
+        fan_matrix_equivalence(v, v)
+
+
 def test_round_trip_on_worked_examples():
     for v in (EX1_V, EX2_V):
         cd = covering_decomposition(v)
