@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, det, rank
+from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, det, rank
 from .gale import gale_dual, require_F
 from .lattices import Lattice
 from .normal_forms import _identity_block_transform, hnf, hnf_pivot_columns, snf, unimodular_inverse
@@ -307,29 +307,7 @@ def is_divisor_of_beta(eta: IntMatrix, beta: IntMatrix) -> bool:
     """
     if not (eta.is_square() and beta.is_square()) or eta.shape != beta.shape:
         raise ShapeError("both matrices must be square of equal size")
-    d = det(eta)
+    d, adj = _det_adjugate(eta)
     if d == 0 or det(beta) == 0:
         raise PreconditionError("matrices must be nonsingular")
-    adj = _adjugate(eta)
-    prod = beta @ adj
-    return all(prod[i, j] % d == 0 for i in range(prod.rows) for j in range(prod.cols))
-
-
-def _adjugate(m: IntMatrix) -> IntMatrix:
-    n = m.rows
-    if n == 1:
-        return IntMatrix([[1]])
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = IntMatrix(
-                [
-                    [m[r, c] for c in range(n) if c != i]
-                    for r in range(n)
-                    if r != j
-                ]
-            )
-            row.append((-1) ** (i + j) * det(minor))
-        rows.append(row)
-    return IntMatrix(rows)
+    return all(x % d == 0 for row in beta @ adj for x in row)

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, det
+from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate
 from .fans import PicardIndexFamily
 from .gale import require_W
-from .lattices import Lattice, lattice_intersection
+from .lattices import Lattice
 from .normal_forms import _identity_block_transform, unimodular_inverse
 
 
@@ -69,28 +69,33 @@ def free_part_generators(q: IntMatrix) -> ClassGroupData:
 def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
     """Canonical basis of the Picard lattice for one fan.
 
-    Intersects the column lattices of the square weight blocks indexed by the
-    complements of the maximal cones; also reports the lcm of their
-    determinants, which divides the index of the Picard lattice.
+    The Picard lattice is the intersection of the column lattices ``Q_I Z^r``
+    of the square weight blocks indexed by the complements of the maximal
+    cones.  It is computed by duality: with ``delta`` the lcm of the
+    ``|det Q_I|``, which divides the index of the Picard lattice, the scaled
+    dual ``delta * Pic^*`` is spanned by the rows of all ``(delta / d_I) adj(Q_I)``;
+    its HNF basis ``M`` gives ``Pic = delta M^{-1} Z^r``.
     """
     r = q.rows
     if not index_family.sets:
         raise PreconditionError("empty index family")
-    current = Lattice.full(r)
-    delta = 1
+    blocks = []
     for idx in index_family.sets:
         if len(idx) != r:
             raise ShapeError("index set size must equal the weight-matrix rank")
-        block = q.select_cols(idx)
-        d = det(block)
+        d, adj = _det_adjugate(q.select_cols(idx))
         if d == 0:
             raise PreconditionError(f"singular weight block at columns {idx}")
-        delta = lcm(delta, abs(d))
-        current = lattice_intersection(current, Lattice.from_matrix(block.transpose()))
-    if current.rank != r:
-        raise PreconditionError("Picard lattice is degenerate")
-    basis = current.basis_matrix()
-    return PicardData(B=basis, index=abs(det(basis)), delta_sigma=delta)
+        blocks.append((d, adj))
+    delta = lcm(*(abs(d) for d, _ in blocks))
+    dual = Lattice(r, [[delta // d * x for x in row] for d, adj in blocks for row in adj])
+    det_m, adj_m = _det_adjugate(dual.basis_matrix())
+    # the rows of delta * adj(M)^T / det M span Pic, which lies in Z^r
+    rows = [[delta * x for x in col] for col in adj_m.transpose()]
+    if any(x % det_m for row in rows for x in row):
+        raise PreconditionError("Picard lattice is not integral")
+    basis = Lattice(r, [[x // det_m for x in row] for row in rows]).basis_matrix()
+    return PicardData(B=basis, index=delta**r // abs(det_m), delta_sigma=delta)
 
 
 def cartier_basis(b: IntMatrix, u_q: IntMatrix, beta: IntMatrix) -> IntMatrix:

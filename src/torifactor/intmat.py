@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import operator
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class ShapeError(ValueError):
@@ -215,6 +215,37 @@ def det(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _det_adjugate(m: IntMatrix) -> tuple[int, Optional[IntMatrix]]:
+    """Determinant and adjugate of a square matrix; ``(0, None)`` if singular.
+
+    One fraction-free Gauss-Jordan pass over ``[m | I]`` (Bareiss) leaves
+    ``p * I`` on the left and ``s * adj(m)`` on the right, where ``s`` is the
+    sign of the row swaps and ``p = s * det(m)``.  Every intermediate entry
+    is a minor of ``[m | I]``, so each division is exact.
+    """
+    if not m.is_square():
+        raise ShapeError("adjugate requires a square matrix")
+    n = m.rows
+    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return sign * prev, IntMatrix([[sign * x for x in row[n:]] for row in a])
 
 
 def rank(m: IntMatrix) -> int:

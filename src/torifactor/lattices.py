@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .intmat import IntMatrix, ShapeError
-from .normal_forms import hnf, hnf_pivot_columns
+from .normal_forms import _hnf_in_place, hnf, hnf_pivot_columns
 
 
 class Lattice:
@@ -18,7 +18,7 @@ class Lattice:
     __slots__ = ("_ambient", "_basis")
 
     def __init__(self, ambient: int, rows: Iterable[Sequence[int]] = ()):
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [[int(x) for x in r] for r in rows]
         if ambient < 1:
             raise ShapeError("ambient dimension must be positive")
         if any(len(r) != ambient for r in rows):
@@ -26,8 +26,8 @@ class Lattice:
         basis: tuple[tuple[int, ...], ...] = ()
         nonzero = [r for r in rows if any(r)]
         if nonzero:
-            h = hnf(IntMatrix(nonzero)).H
-            basis = tuple(r for r in h if any(x != 0 for x in r))
+            _hnf_in_place(nonzero)
+            basis = tuple(tuple(r) for r in nonzero if any(r))
         object.__setattr__(self, "_ambient", ambient)
         object.__setattr__(self, "_basis", basis)
 

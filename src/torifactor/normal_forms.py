@@ -37,26 +37,40 @@ class SnfResult:
 
 def hnf(a: IntMatrix) -> HnfResult:
     """Row Hermite normal form ``H`` of ``a`` with transform ``U @ a == H``."""
-    m, n = a.shape
+    m = a.rows
     h = a.tolist()
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    _hnf_in_place(h, u)
+    return HnfResult(IntMatrix(h), IntMatrix(u))
+
+
+def _hnf_in_place(h: list[list[int]], u: Optional[list[list[int]]] = None) -> None:
+    """Bring the nonempty rows ``h`` to row HNF in place.
+
+    Every row operation is applied to ``u`` as well when it is given, so an
+    identity ``u`` ends as the transform of ``hnf``.
+    """
+    m, n = len(h), len(h[0])
 
     def swap(i, j):
         h[i], h[j] = h[j], h[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def add_multiple(dst, src, q):
         # row_dst -= q * row_src
         hd, hs = h[dst], h[src]
         for k in range(n):
             hd[k] -= q * hs[k]
-        ud, us = u[dst], u[src]
-        for k in range(m):
-            ud[k] -= q * us[k]
+        if u is not None:
+            ud, us = u[dst], u[src]
+            for k in range(m):
+                ud[k] -= q * us[k]
 
     def negate(i):
         h[i] = [-x for x in h[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     row = 0
     for col in range(n):
@@ -83,7 +97,6 @@ def hnf(a: IntMatrix) -> HnfResult:
             if q:
                 add_multiple(i, row, q)
         row += 1
-    return HnfResult(IntMatrix(h), IntMatrix(u))
 
 
 def snf(a: IntMatrix) -> SnfResult:

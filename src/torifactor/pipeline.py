@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intmat import IntMatrix, PreconditionError, det
+from .intmat import IntMatrix, PreconditionError, _det_adjugate, det
 from .covering import (
     CoveringData,
     TorsionMatrix,
@@ -30,7 +30,6 @@ from .divisors import (
 )
 from .fans import Fan, PicardIndexFamily, _enumerate_fans, picard_index_sets
 from .gale import gale_dual, require_F
-from .lattices import Lattice
 
 
 @dataclass(frozen=True)
@@ -119,18 +118,29 @@ def verify_result(res: PipelineResult) -> None:
     det_beta = abs(det(cd.beta))
     if det_beta != torsion_order(cd):
         raise PreconditionError("factor determinant disagrees with the torsion order")
-    if q @ res.class_group.free_generators.transpose() != IntMatrix.identity(q.rows):
+    identity = IntMatrix.identity(q.rows)
+    if q @ res.class_group.free_generators.transpose() != identity:
         raise PreconditionError("free-part generator identity failed")
     if res.gamma.rows:
         _check_torsion_congruences(res.gamma, v, res.class_group.torsion_generator_rows)
+    # (d_I, adj Q_I) per distinct index set; b lies in Q_I Z^r iff adj(Q_I) b == 0 mod d_I
+    blocks: dict[tuple[int, ...], tuple[int, IntMatrix]] = {}
     for fa in res.fans:
         pd = fa.picard
         if abs(det(fa.cartier)) != pd.index * det_beta:
             raise PreconditionError("Cartier determinant factorization failed")
         if fa.cartier.bottom_rows(v.rows) != v:
             raise PreconditionError("Cartier basis does not end in the fan matrix")
-        pic = Lattice.from_matrix(pd.B)
+        b_cols = pd.B.transpose()
         for idx in fa.index_sets.sets:
-            block_cols = Lattice.from_matrix(q.select_cols(idx).transpose())
-            if not pic.is_sublattice_of(block_cols):
+            if idx not in blocks:
+                block = q.select_cols(idx)
+                d, adj = _det_adjugate(block)
+                if d == 0:
+                    raise PreconditionError(f"singular weight block at columns {idx}")
+                if block @ adj != d * identity:
+                    raise PreconditionError("weight block adjugate identity failed")
+                blocks[idx] = (d, adj)
+            d, adj = blocks[idx]
+            if any(x % d for row in adj @ b_cols for x in row):
                 raise PreconditionError("Picard basis escapes a weight block lattice")

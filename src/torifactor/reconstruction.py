@@ -69,9 +69,12 @@ def reconstruction_system(
     ``None`` when there is no torsion.  ``v_hat`` may supply a specific Gale
     dual of the weight matrix; entries of ``K`` depend on that choice.
     """
+    return _reconstruction_system(p, _covering_matrix(p, v_hat))
+
+
+def _reconstruction_system(p: QuotientPresentation, vh: IntMatrix) -> Optional[IntMatrix]:
     if p.gamma.rows == 0:
         return None
-    vh = _covering_matrix(p, v_hat)
     pairing = vh @ p.gamma.to_int_matrix().transpose()
     return pairing.vstack(IntMatrix.diagonal(list(p.gamma.moduli)))
 
@@ -84,16 +87,26 @@ def reconstruct_beta(
     Determined only up to left unimodular action; its absolute determinant
     equals the order of the subgroup generated by the residue pairing.
     """
-    vh = _covering_matrix(p, v_hat)
+    return _reconstruct_beta(p, _covering_matrix(p, v_hat))[0]
+
+
+def _reconstruct_beta(p: QuotientPresentation, vh: IntMatrix) -> tuple[IntMatrix, int]:
+    """Factor matrix and order of the subgroup the residue pairing generates.
+
+    Both come from one HNF of the relation system: the lower rows of the
+    transform solve it, and the upper block of the form spans the pairing
+    rows together with diag(moduli).
+    """
     n = vh.rows
-    k = reconstruction_system(p, v_hat=vh)
+    k = _reconstruction_system(p, vh)
     if k is None:
-        return IntMatrix.identity(n)
+        return IntMatrix.identity(n), 1
     res = hnf(k)
     beta = res.U.bottom_rows(n).select_cols(range(n))
     if det(beta) == 0:
         raise PreconditionError("degenerate torsion data produced a singular factor")
-    return beta
+    subgroup_order = prod(p.gamma.moduli) // abs(det(res.H.top_rows(p.gamma.rows)))
+    return beta, subgroup_order
 
 
 def reconstruct_fan_matrix(
@@ -102,11 +115,12 @@ def reconstruct_fan_matrix(
     """A fan matrix of the quotient: factor times covering fan matrix.
 
     Verifies the defining relations: orthogonality to the weights, the
-    torsion congruences, and that the factor determinant equals the order of
-    the subgroup generated by the residue pairing columns.
+    torsion congruences, that the residue pairing generates the whole
+    torsion group ``Z/moduli``, and that the factor determinant equals the
+    order of that group.
     """
     vh = _covering_matrix(p, v_hat)
-    beta = reconstruct_beta(p, v_hat=vh)
+    beta, subgroup_order = _reconstruct_beta(p, vh)
     v = beta @ vh
     if not (v @ p.Q.transpose()).is_zero():
         raise PreconditionError("reconstructed matrix is not orthogonal to the weights")
@@ -115,9 +129,11 @@ def reconstruct_fan_matrix(
         for k, tau in enumerate(p.gamma.moduli):
             if any(rel[i, k] % tau != 0 for i in range(rel.rows)):
                 raise PreconditionError("torsion congruences fail on the reconstruction")
-        sys = reconstruction_system(p, v_hat=vh)
-        top = hnf(sys).H.top_rows(p.gamma.rows)
-        subgroup_order = prod(p.gamma.moduli) // abs(det(top))
+        order = prod(p.gamma.moduli)
+        if subgroup_order != order:
+            raise PreconditionError(
+                f"the residue pairing generates {subgroup_order} of the {order} torsion classes"
+            )
         if abs(det(beta)) != subgroup_order:
             raise PreconditionError("factor determinant disagrees with the subgroup order")
     return v

@@ -2,9 +2,18 @@
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
-from torifactor import IntMatrix, Lattice, classify_F, det, reduce_F
+from torifactor import (
+    IntMatrix,
+    Lattice,
+    PicardData,
+    PreconditionError,
+    classify_F,
+    det,
+    lattice_intersection,
+    reduce_F,
+)
 
 
 def random_unimodular(rng, n, steps=5):
@@ -29,6 +38,12 @@ def pick_fan_shape(rng, max_dim=4, max_total=7):
     n = rng.randint(1, max_dim)
     r = 1 if n == 1 else rng.randint(1, min(max_total - n, 3))
     return n, r
+
+
+# (n, r) with n + r <= 6; in dimension 1 the only reduced fan matrix is (1 -1)
+SMALL_FAN_SHAPES = tuple(
+    (n, r) for n in range(1, 5) for r in range(1, 4) if n + r <= 6 and (n > 1 or r == 1)
+)
 
 
 def random_cf_matrix(rng, n, r):
@@ -138,3 +153,20 @@ def minor_gcd(v: IntMatrix):
 
 def lattice_from_vectors(ambient, vectors):
     return Lattice(ambient, [list(v) for v in vectors])
+
+
+def chained_picard_basis(q: IntMatrix, index_family) -> PicardData:
+    """Picard lattice as the chained intersection of the block lattices
+    ``Q_I Z^r``, one ``lattice_intersection`` per maximal cone."""
+    r = q.rows
+    current = Lattice.full(r)
+    delta = 1
+    for idx in index_family.sets:
+        block = q.select_cols(idx)
+        d = det(block)
+        if d == 0:
+            raise PreconditionError(f"singular weight block at columns {idx}")
+        delta = lcm(delta, abs(d))
+        current = lattice_intersection(current, Lattice.from_matrix(block.transpose()))
+    basis = current.basis_matrix()
+    return PicardData(B=basis, index=abs(det(basis)), delta_sigma=delta)

@@ -272,3 +272,31 @@ def test_covering_commands_classify_each_input_once(monkeypatch, capsys, tmp_pat
     assert run([command, *paths]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
     assert len(calls) == 2
+
+
+def test_reconstruct_rejects_torsion_the_pairing_does_not_reach(tmp_path):
+    # the moduli claim Z/3, but the residues pair every covering row to 0
+    payload = {
+        "weights": {"data": [[1, 1, 1]]},
+        "torsion": {"moduli": [3], "data": [[1, 1, 1]]},
+    }
+    proc = invoke(["reconstruct"], payload, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("torifactor:")
+
+
+def test_reconstruct_with_covering_computes_few_gale_duals(count_calls, capsys, tmp_path):
+    from torifactor import gale
+
+    calls = count_calls(gale, "gale_dual")
+    payload = {
+        "weights": {"data": [[1, 1, 1, 1]]},
+        "torsion": {"moduli": [5], "data": [[1, 2, 3, 4]]},
+        "covering": {"data": [[1, 0, 1, -2], [0, 1, -3, 2], [0, 0, 1, -1]]},
+    }
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(payload))
+    assert run(["reconstruct", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["beta"]
+    assert len(calls) <= 4

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torifactor import (
     IntMatrix,
@@ -35,7 +36,12 @@ from _exampledata import (
     EX2_UQ,
     EX2_V,
 )
-from _randgen import pick_fan_shape, random_reduced_f_matrix
+from _randgen import (
+    SMALL_FAN_SHAPES,
+    chained_picard_basis,
+    pick_fan_shape,
+    random_reduced_f_matrix,
+)
 
 
 def test_free_part_generators_rank_one():
@@ -210,3 +216,19 @@ def test_picard_identical_from_covering_fans():
         ph = picard_basis(EX2_Q, picard_index_sets(fh))
         assert pv.B == ph.B
         assert pv.delta_sigma == ph.delta_sigma
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_picard_basis_matches_chained_intersection(shape, seed):
+    v = random_reduced_f_matrix(random.Random(seed), *shape)
+    q = gale_dual(v)
+    for fan in enumerate_fans(v):
+        family = picard_index_sets(fan)
+        assert picard_basis(q, family) == chained_picard_basis(q, family)
+
+
+def test_picard_basis_matches_chained_intersection_on_examples():
+    for v, q in ((EX1_V, EX1_Q), (EX2_V, EX2_Q)):
+        for fan in enumerate_fans(v):
+            family = picard_index_sets(fan)
+            assert picard_basis(q, family) == chained_picard_basis(q, family)

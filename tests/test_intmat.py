@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torifactor import IntMatrix, ShapeError, det, rank, vector_content
+from torifactor.intmat import _det_adjugate
 
 from _exampledata import REID_BETA
 
@@ -93,3 +95,30 @@ def test_vector_content():
     assert vector_content((4, 6)) == 2
     assert vector_content((0, 0)) == 0
     assert vector_content((-3, 0, 9)) == 3
+
+
+def _square_matrices(max_n=5, bound=9):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+@given(_square_matrices())
+def test_det_adjugate_matches_sympy(rows):
+    sympy = __import__("sympy")
+    d, adj = _det_adjugate(IntMatrix(rows))
+    theirs = sympy.Matrix(rows)
+    assert d == theirs.det()
+    if d == 0:
+        assert adj is None
+    else:
+        assert adj.tolist() == theirs.adjugate().tolist()
+
+
+def test_det_adjugate_of_singular_and_rectangular():
+    assert _det_adjugate(IntMatrix([[1, 2], [2, 4]])) == (0, None)
+    assert _det_adjugate(IntMatrix([[0, 1], [1, 0]])) == (-1, IntMatrix([[0, -1], [-1, 0]]))
+    with pytest.raises(ShapeError):
+        _det_adjugate(IntMatrix([[1, 2]]))

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, strategies as st
+
 from torifactor import (
     IntMatrix,
     det,
@@ -9,6 +11,7 @@ from torifactor import (
     snf,
     unimodular_inverse,
 )
+from torifactor.normal_forms import _hnf_in_place
 
 from _exampledata import EX2_BETA, EX2_DELTA, EX2_H, EX2_HHAT, EX2_V, EX2_VHAT, EX1_Q, REID_K
 from _randgen import random_matrix, random_unimodular
@@ -160,3 +163,18 @@ def test_unimodular_inverse():
 def test_pivot_columns():
     res = hnf(IntMatrix([[0, 2, 1], [0, 0, 3]]))
     assert hnf_pivot_columns(res.H) == (1, 2)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda m: st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-20, 20), min_size=n, max_size=n), min_size=m, max_size=m
+            )
+        )
+    )
+)
+def test_transform_free_hnf_core_matches_hnf(rows):
+    h = [list(r) for r in rows]
+    _hnf_in_place(h)
+    assert IntMatrix(h) == hnf(IntMatrix(rows)).H

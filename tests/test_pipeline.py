@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torifactor import (
     IntMatrix,
@@ -11,7 +12,12 @@ from torifactor import (
 )
 
 from _exampledata import EX1_V, EX2_V
-from _randgen import pick_fan_shape, random_reduced_f_matrix
+from _randgen import (
+    SMALL_FAN_SHAPES,
+    pick_fan_shape,
+    random_reduced_f_matrix,
+    random_unimodular,
+)
 
 
 def test_pipeline_first_example():
@@ -76,3 +82,43 @@ def test_analyze_classifies_the_fan_matrix_once(monkeypatch):
         calls.update(F=0, W=0)
         analyze(v)
         assert calls == {"F": 1, "W": 0}
+
+
+def test_analyze_intersects_no_lattices(count_calls):
+    from torifactor import lattices
+
+    calls = count_calls(lattices, "lattice_intersection")
+    for v in (EX1_V, EX2_V):
+        analyze(v)
+    assert calls == []
+
+
+def _picard_pairs(res):
+    return sorted((fa.picard.index, fa.picard.delta_sigma) for fa in res.fans)
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_picard_pairs_invariant_under_row_action_and_column_permutation(shape, seed):
+    rng = random.Random(seed)
+    v = random_reduced_f_matrix(rng, *shape)
+    order = list(range(v.cols))
+    rng.shuffle(order)
+    moved = (random_unimodular(rng, v.rows) @ v).select_cols(order)
+    assert _picard_pairs(analyze(moved)) == _picard_pairs(analyze(v))
+
+
+def test_verify_result_rejects_a_basis_outside_a_block_lattice():
+    from dataclasses import replace
+
+    from torifactor import PicardData, cartier_basis
+
+    res = analyze(EX2_V)
+    fa = res.fans[0]
+    full = IntMatrix.identity(res.Q.rows)
+    forged = replace(
+        fa,
+        picard=PicardData(B=full, index=1, delta_sigma=1),
+        cartier=cartier_basis(full, res.U_Q, res.covering.beta),
+    )
+    with pytest.raises(PreconditionError, match="escapes a weight block lattice"):
+        verify_result(replace(res, fans=(forged,) + res.fans[1:]))
