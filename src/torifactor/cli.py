@@ -33,11 +33,10 @@ from .pipeline import analyze
 from .reconstruction import (
     QuotientPresentation,
     SearchLimitExceeded,
+    _covering_matrix,
     _max_permutations_from_env,
+    _reconstruct,
     fan_matrix_equivalence,
-    reconstruct_beta,
-    reconstruct_fan_matrix,
-    reconstruction_system,
 )
 
 COMMANDS = (
@@ -116,8 +115,13 @@ def decode_matrix(obj: Any, what: str = "matrix") -> IntMatrix:
 def decode_torsion(obj: Any, what: str = "torsion") -> TorsionMatrix:
     if not isinstance(obj, dict) or "moduli" not in obj:
         raise InputFormatError(f"{what}: expected an object with a 'moduli' field")
-    moduli = [_decode_int(t) for t in obj["moduli"]]
+    moduli = obj["moduli"]
     data = obj.get("data", [])
+    if not isinstance(moduli, list):
+        raise InputFormatError(f"{what}: 'moduli' must be a list")
+    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+        raise InputFormatError(f"{what}: 'data' must be a list of rows")
+    moduli = [_decode_int(t) for t in moduli]
     rows = [[_decode_int(x) for x in r] for r in data]
     width = obj.get("cols")
     try:
@@ -273,11 +277,10 @@ def _run_reconstruct(job: JobSpec) -> dict:
     v_hat = None
     if "covering" in job.payload:
         v_hat = decode_matrix(job.payload["covering"], "covering")
-    k = reconstruction_system(pres, v_hat=v_hat)
-    beta = reconstruct_beta(pres, v_hat=v_hat)
-    v = reconstruct_fan_matrix(pres, v_hat=v_hat)
+    vh = _covering_matrix(pres, v_hat)
+    k, beta, v = _reconstruct(pres, vh)
     out = {
-        "V_hat": encode_matrix(v_hat if v_hat is not None else gale_dual(q)),
+        "V_hat": encode_matrix(vh),
         "K": encode_matrix(k) if k is not None else None,
         "beta": encode_matrix(beta),
         "fan_matrix": encode_matrix(v),

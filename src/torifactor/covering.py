@@ -60,11 +60,11 @@ class TorsionMatrix:
         rows = [tuple(int(x) for x in row) for row in entries]
         if len(rows) != len(moduli):
             raise ShapeError("one modulus per row required")
+        if any(t <= 1 for t in moduli):
+            raise PreconditionError("moduli must exceed 1")
         for t, u in zip(moduli, moduli[1:]):
             if u % t != 0:
                 raise PreconditionError("moduli must form a divisor chain")
-        if any(t <= 1 for t in moduli):
-            raise PreconditionError("moduli must exceed 1")
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):

@@ -1,9 +1,18 @@
 """Enumeration and validation of the complete simplicial fans on a fan matrix.
 
 Maximal cones are size-n sets of column indices (0-based) with nonsingular
-column blocks.  A collection of such cones is accepted when the cones meet
-pairwise along common faces and every facet of every cone is shared by
-exactly one other cone; together these force the support to be all of R^n.
+column blocks.  One fraction-free pass per cone gives ``s * adj(V_c)`` with
+``s = sign det V_c``: its rows are the cone's facet normals, and its product
+with ``V`` holds the barycentric coordinates of every column in the cone's
+basis, scaled by ``|det V_c|``.  Two cones meet in their common face iff a
+functional vanishes on the shared rays, is positive on the other rays of
+the first cone and negative on those of the second; in the first cone's
+coordinates this is a strict system in one variable per unshared ray,
+decided by Fourier-Motzkin elimination.  A collection is a complete fan when
+its cones meet pairwise in common faces and every facet lies on exactly two
+cones.  The enumeration starts from the cones around a point off every facet
+hyperplane and closes open facets one at a time, taking the candidates for
+each facet from a table built once.
 """
 
 from __future__ import annotations
@@ -12,9 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, det, vector_content
+from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, vector_content
 from .gale import require_F
-from .lattices import kernel_saturation
 
 Cone = tuple[int, ...]
 
@@ -91,64 +99,36 @@ def _strict_system_feasible(constraints: list[tuple[int, ...]]) -> bool:
     return not cons
 
 
-def _orthogonal_complement_rows(v: IntMatrix, indices: Sequence[int]) -> list[tuple[int, ...]]:
-    """Integer basis of the subspace orthogonal to the selected columns."""
-    n = v.rows
-    if not indices:
-        return IntMatrix.identity(n).tolist()
-    block = IntMatrix([v.col(j) for j in indices])
-    return [tuple(r) for r in kernel_saturation(block).basis_rows]
+def _cone_frame(v: IntMatrix, cone: Cone):
+    """``(s * adj(V_c), s * adj(V_c) @ V)`` with ``s = sign det V_c``, the
+    inner facet normals and the scaled barycentric coordinates of every column;
+    ``None`` when ``V_c`` is singular."""
+    d, adj = _det_adjugate(v.select_cols(cone))
+    if d == 0:
+        return None
+    s = 1 if d > 0 else -1
+    inverse = [tuple(s * x for x in row) for row in adj]
+    cols = [v.col(j) for j in range(v.cols)]
+    coords = [tuple(sum(a * x for a, x in zip(row, col)) for col in cols) for row in inverse]
+    return inverse, coords
 
 
-def _cones_meet_in_common_face(v: IntMatrix, a: Cone, b: Cone) -> bool:
-    """Whether two simplicial cones intersect exactly in the face they share.
+def _meet_in_common_face(a: Cone, coords_a: Sequence[Sequence[int]], b: Cone) -> bool:
+    """Whether two distinct simplicial cones intersect exactly in their shared face.
 
-    Searches for a linear functional vanishing on the shared rays and
-    strictly separating the remaining generators; such a functional exists
-    iff the intersection is the common face spanned by the shared rays.
+    The separating functional is fixed by its values ``y > 0`` on the rays of
+    ``a`` outside ``b``; on ray ``j`` it takes ``sum_i y_i * coords_a[i][j]``.
     """
-    shared = sorted(set(a) & set(b))
-    basis = _orthogonal_complement_rows(v, shared)
-    if not basis:
-        return False
-    constraints = []
-    for j in sorted(set(a) - set(shared)):
-        col = v.col(j)
-        constraints.append(tuple(sum(row[k] * col[k] for k in range(len(col))) for row in basis))
-    for j in sorted(set(b) - set(shared)):
-        col = v.col(j)
-        constraints.append(
-            tuple(-sum(row[k] * col[k] for k in range(len(col))) for row in basis)
-        )
+    shared = set(a) & set(b)
+    free = [i for i, j in enumerate(a) if j not in shared]
+    constraints = [tuple(int(i == k) for k in free) for i in free]
+    constraints += [tuple(-coords_a[i][j] for i in free) for j in b if j not in shared]
     return _strict_system_feasible(constraints)
 
 
-def _barycentric_sign_data(v: IntMatrix, cone: Cone, point: Sequence[int]):
-    """Cramer data (det, numerators) for point = V_cone . lambda."""
-    block = v.select_cols(cone)
-    d = det(block)
-    nums = []
-    for i in range(len(cone)):
-        replaced = [
-            list(point) if k == i else list(block.col(k)) for k in range(len(cone))
-        ]
-        nums.append(det(IntMatrix(replaced).transpose()))
-    return d, nums
-
-
-def _interior_point(v: IntMatrix, cone: Cone, point: Sequence[int]) -> bool:
-    d, nums = _barycentric_sign_data(v, cone, point)
-    return all(num * d > 0 for num in nums)
-
-
-def _generic_point(v: IntMatrix) -> tuple[int, ...]:
-    """Integer point avoiding every hyperplane spanned by n-1 columns."""
-    from .gale import _facet_normal_candidates
-
-    n = v.rows
-    if n == 1:
-        return (1,)
-    normals = list(_facet_normal_candidates(v))
+def _generic_point(normals: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Integer point ``(1, t, t^2, ...)`` orthogonal to none of the normals."""
+    n = len(normals[0])
     t = 1
     while True:
         point = tuple(t**k for k in range(n))
@@ -182,14 +162,15 @@ def validate_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> FanValidation:
         problems.append("duplicate maximal cones")
     if problems:
         return FanValidation(False, tuple(problems))
+    frames = {c: _cone_frame(v, c) for c in cone_list}
     for c in cone_list:
-        if det(v.select_cols(c)) == 0:
+        if frames[c] is None:
             problems.append(f"cone {c} is not simplicial (singular column block)")
     if problems:
         return FanValidation(False, tuple(problems))
     distinct = sorted(set(cone_list))
     for a, b in combinations(distinct, 2):
-        if not _cones_meet_in_common_face(v, a, b):
+        if not _meet_in_common_face(a, frames[a][1], b):
             problems.append(f"cones {a} and {b} do not meet in a common face")
     facet_count: dict[Cone, int] = {}
     for c in distinct:
@@ -226,43 +207,56 @@ def enumerate_fans(v: IntMatrix) -> tuple[Fan, ...]:
 def _enumerate_fans(v: IntMatrix) -> tuple[Fan, ...]:
     """Body of ``enumerate_fans`` for a ``v`` already known to be a fan matrix."""
     n, m = v.shape
-    candidates = [c for c in combinations(range(m), n) if det(v.select_cols(c)) != 0]
-    compatible: dict[tuple[Cone, Cone], bool] = {}
+    candidates: list[Cone] = []
+    frames = []
+    for c in combinations(range(m), n):
+        frame = _cone_frame(v, c)
+        if frame is not None:
+            candidates.append(c)
+            frames.append(frame)
+    facets = [_facets(c) for c in candidates]
+    by_facet: dict[Cone, list[int]] = {}
+    for k, cone_facets in enumerate(facets):
+        for f in cone_facets:
+            by_facet.setdefault(f, []).append(k)
+    compatible: dict[tuple[int, int], bool] = {}
 
-    def ok(a: Cone, b: Cone) -> bool:
+    def ok(a: int, b: int) -> bool:
         key = (a, b) if a < b else (b, a)
         if key not in compatible:
-            compatible[key] = _cones_meet_in_common_face(v, key[0], key[1])
+            lo, hi = key
+            compatible[key] = _meet_in_common_face(candidates[lo], frames[lo][1], candidates[hi])
         return compatible[key]
 
-    point = _generic_point(v)
-    seeds = [c for c in candidates if _interior_point(v, c, point)]
+    # Every independent set of n-1 columns extends to a candidate, so the facet
+    # normals of the candidates cover every hyperplane that n-1 columns span.
+    point = _generic_point(list({row for inverse, _ in frames for row in inverse}))
+    seeds = [
+        k
+        for k, (inverse, _) in enumerate(frames)
+        if all(sum(a * x for a, x in zip(row, point)) > 0 for row in inverse)
+    ]
     found: set[tuple[Cone, ...]] = set()
-
-    def grow(chosen: list[Cone], facet_count: dict[Cone, int]) -> None:
-        unpaired = sorted(f for f, cnt in facet_count.items() if cnt == 1)
+    # depth-first over partial fans, with an explicit stack: a recursive closure
+    # would form a reference cycle that keeps these tables alive until a full gc
+    stack = [([seed], {f: 1 for f in facets[seed]}) for seed in seeds]
+    while stack:
+        chosen, facet_count = stack.pop()
+        unpaired = [f for f, cnt in facet_count.items() if cnt == 1]
         if not unpaired:
-            fan_cones = tuple(sorted(chosen))
+            fan_cones = tuple(sorted(candidates[k] for k in chosen))
             if set().union(*fan_cones) == set(range(m)):
                 found.add(fan_cones)
-            return
-        target = unpaired[0]
-        for cand in candidates:
-            if cand in chosen or not set(target) <= set(cand):
+            continue
+        for k in by_facet[min(unpaired)]:
+            if k in chosen or any(facet_count.get(f, 0) >= 2 for f in facets[k]):
                 continue
-            if any(facet_count.get(f, 0) >= 2 for f in _facets(cand)):
-                continue
-            if not all(ok(cand, c) for c in chosen):
+            if not all(ok(k, c) for c in chosen):
                 continue
             next_count = dict(facet_count)
-            for f in _facets(cand):
+            for f in facets[k]:
                 next_count[f] = next_count.get(f, 0) + 1
-            chosen.append(cand)
-            grow(chosen, next_count)
-            chosen.pop()
-
-    for seed in seeds:
-        grow([seed], {f: 1 for f in _facets(seed)})
+            stack.append((chosen + [k], next_count))
     return tuple(Fan(v, cones) for cones in sorted(found))
 
 

@@ -87,18 +87,19 @@ def reconstruct_beta(
     Determined only up to left unimodular action; its absolute determinant
     equals the order of the subgroup generated by the residue pairing.
     """
-    return _reconstruct_beta(p, _covering_matrix(p, v_hat))[0]
+    vh = _covering_matrix(p, v_hat)
+    return _factor_from_system(p, _reconstruction_system(p, vh), vh.rows)[0]
 
 
-def _reconstruct_beta(p: QuotientPresentation, vh: IntMatrix) -> tuple[IntMatrix, int]:
+def _factor_from_system(
+    p: QuotientPresentation, k: Optional[IntMatrix], n: int
+) -> tuple[IntMatrix, int]:
     """Factor matrix and order of the subgroup the residue pairing generates.
 
-    Both come from one HNF of the relation system: the lower rows of the
-    transform solve it, and the upper block of the form spans the pairing
-    rows together with diag(moduli).
+    Both come from one HNF of the relation system ``k``: the lower rows of
+    the transform solve it, and the upper block of the form spans the
+    pairing rows together with diag(moduli).
     """
-    n = vh.rows
-    k = _reconstruction_system(p, vh)
     if k is None:
         return IntMatrix.identity(n), 1
     res = hnf(k)
@@ -119,15 +120,22 @@ def reconstruct_fan_matrix(
     torsion group ``Z/moduli``, and that the factor determinant equals the
     order of that group.
     """
-    vh = _covering_matrix(p, v_hat)
-    beta, subgroup_order = _reconstruct_beta(p, vh)
+    return _reconstruct(p, _covering_matrix(p, v_hat))[2]
+
+
+def _reconstruct(
+    p: QuotientPresentation, vh: IntMatrix
+) -> tuple[Optional[IntMatrix], IntMatrix, IntMatrix]:
+    """Relation system, factor matrix and verified fan matrix for the covering ``vh``."""
+    k = _reconstruction_system(p, vh)
+    beta, subgroup_order = _factor_from_system(p, k, vh.rows)
     v = beta @ vh
     if not (v @ p.Q.transpose()).is_zero():
         raise PreconditionError("reconstructed matrix is not orthogonal to the weights")
     if p.gamma.rows:
         rel = v @ p.gamma.to_int_matrix().transpose()
-        for k, tau in enumerate(p.gamma.moduli):
-            if any(rel[i, k] % tau != 0 for i in range(rel.rows)):
+        for j, tau in enumerate(p.gamma.moduli):
+            if any(rel[i, j] % tau != 0 for i in range(rel.rows)):
                 raise PreconditionError("torsion congruences fail on the reconstruction")
         order = prod(p.gamma.moduli)
         if subgroup_order != order:
@@ -136,7 +144,7 @@ def reconstruct_fan_matrix(
             )
         if abs(det(beta)) != subgroup_order:
             raise PreconditionError("factor determinant disagrees with the subgroup order")
-    return v
+    return k, beta, v
 
 
 def fan_matrix_equivalence(

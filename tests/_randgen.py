@@ -11,9 +11,12 @@ from torifactor import (
     PreconditionError,
     classify_F,
     det,
+    kernel_saturation,
     lattice_intersection,
     reduce_F,
 )
+from torifactor.fans import _strict_system_feasible
+from torifactor.gale import _facet_normal_candidates
 
 
 def random_unimodular(rng, n, steps=5):
@@ -170,3 +173,77 @@ def chained_picard_basis(q: IntMatrix, index_family) -> PicardData:
         current = lattice_intersection(current, Lattice.from_matrix(block.transpose()))
     basis = current.basis_matrix()
     return PicardData(B=basis, index=abs(det(basis)), delta_sigma=delta)
+
+
+def kernel_cones_meet_in_common_face(v: IntMatrix, a, b) -> bool:
+    """Whether two distinct simplicial cones meet in their shared face, decided
+    over an integer basis of the functionals that vanish on the shared rays
+    (one ``kernel_saturation`` per pair)."""
+    shared = sorted(set(a) & set(b))
+    if shared:
+        basis = kernel_saturation(IntMatrix([v.col(j) for j in shared])).basis_rows
+    else:
+        basis = IntMatrix.identity(v.rows).tolist()
+    if not basis:
+        return False
+
+    def values(j, sign):
+        col = v.col(j)
+        return tuple(sign * sum(x * y for x, y in zip(row, col)) for row in basis)
+
+    constraints = [values(j, 1) for j in a if j not in shared]
+    constraints += [values(j, -1) for j in b if j not in shared]
+    return _strict_system_feasible(constraints)
+
+
+def oracle_enumerate_fans(v: IntMatrix):
+    """Sorted maximal-cone tuples of every complete simplicial fan using all
+    columns of ``v``: the growth search with the kernel-based pair test, a
+    generic point checked against saturated facet normals, Cramer's rule for
+    the cones around it, and a scan of all candidates for each open facet."""
+    n, m = v.shape
+    candidates = [c for c in combinations(range(m), n) if det(v.select_cols(c)) != 0]
+    normals = list(_facet_normal_candidates(v)) if n > 1 else [(1,)]
+    t = 1
+    while True:
+        point = tuple(t**k for k in range(n))
+        if all(sum(u * x for u, x in zip(nrm, point)) != 0 for nrm in normals):
+            break
+        t += 1
+
+    def around_point(cone):
+        block = v.select_cols(cone)
+        d = det(block)
+        cols = [list(block.col(k)) for k in range(n)]
+        for i in range(n):
+            replaced = cols[:i] + [list(point)] + cols[i + 1 :]
+            if det(IntMatrix(replaced).transpose()) * d <= 0:
+                return False
+        return True
+
+    def facets(cone):
+        return [tuple(x for x in cone if x != j) for j in cone]
+
+    found = set()
+
+    def grow(chosen, facet_count):
+        unpaired = sorted(f for f, cnt in facet_count.items() if cnt == 1)
+        if not unpaired:
+            if set().union(*chosen) == set(range(m)):
+                found.add(tuple(sorted(chosen)))
+            return
+        for cand in candidates:
+            if cand in chosen or not set(unpaired[0]) <= set(cand):
+                continue
+            if any(facet_count.get(f, 0) >= 2 for f in facets(cand)):
+                continue
+            if not all(kernel_cones_meet_in_common_face(v, cand, c) for c in chosen):
+                continue
+            next_count = dict(facet_count)
+            for f in facets(cand):
+                next_count[f] = next_count.get(f, 0) + 1
+            grow(chosen + [cand], next_count)
+
+    for seed in (c for c in candidates if around_point(c)):
+        grow([seed], {f: 1 for f in facets(seed)})
+    return tuple(sorted(found))

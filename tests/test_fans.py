@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torifactor import (
     IntMatrix,
@@ -17,7 +18,15 @@ from torifactor import (
 )
 
 from _exampledata import EX1_FAN_CONES, EX1_V, EX2_V
-from _randgen import pick_fan_shape, random_reduced_f_matrix, random_unimodular
+from _randgen import (
+    SMALL_FAN_SHAPES,
+    kernel_cones_meet_in_common_face,
+    oracle_enumerate_fans,
+    pick_fan_shape,
+    random_reduced_f_matrix,
+    random_unimodular,
+)
+from torifactor.fans import _cone_frame, _meet_in_common_face
 
 
 def _cone_contains(v, cone, point):
@@ -202,3 +211,54 @@ def test_simplicial_determinants_nonzero():
     for fan in enumerate_fans(EX2_V):
         for cone in fan.maximal_cones:
             assert det(EX2_V.select_cols(cone)) != 0
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_coordinate_pair_test_matches_kernel_oracle(shape, seed):
+    v = random_reduced_f_matrix(random.Random(seed), *shape)
+    frames = {}
+    for c in combinations(range(v.cols), v.rows):
+        frame = _cone_frame(v, c)
+        assert (frame is None) == (det(v.select_cols(c)) == 0)
+        if frame is not None:
+            frames[c] = frame
+    for a, b in combinations(sorted(frames), 2):
+        expected = kernel_cones_meet_in_common_face(v, a, b)
+        assert _meet_in_common_face(a, frames[a][1], b) == expected
+        assert _meet_in_common_face(b, frames[b][1], a) == expected
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_enumerate_fans_matches_oracle_enumeration(shape, seed):
+    v = random_reduced_f_matrix(random.Random(seed), *shape)
+    assert tuple(f.maximal_cones for f in enumerate_fans(v)) == oracle_enumerate_fans(v)
+
+
+def test_enumerate_fans_matches_oracle_enumeration_on_examples():
+    for v in (EX1_V, EX2_V):
+        assert tuple(f.maximal_cones for f in enumerate_fans(v)) == oracle_enumerate_fans(v)
+
+
+def test_cone_frame_holds_scaled_barycentric_coordinates():
+    for c in combinations(range(EX2_V.cols), EX2_V.rows):
+        frame = _cone_frame(EX2_V, c)
+        if frame is None:
+            continue
+        inverse, coords = frame
+        d = abs(det(EX2_V.select_cols(c)))
+        assert IntMatrix(inverse) @ EX2_V.select_cols(c) == d * IntMatrix.identity(EX2_V.rows)
+        assert EX2_V.select_cols(c) @ IntMatrix(coords) == d * EX2_V
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_fans_invariant_under_row_action_and_column_permutation(shape, seed):
+    rng = random.Random(seed)
+    v = random_reduced_f_matrix(rng, *shape)
+    order = list(range(v.cols))
+    rng.shuffle(order)
+    moved = (random_unimodular(rng, v.rows) @ v).select_cols(order)
+    mapped_back = sorted(
+        tuple(sorted(tuple(sorted(order[k] for k in cone)) for cone in fan.maximal_cones))
+        for fan in enumerate_fans(moved)
+    )
+    assert mapped_back == [f.maximal_cones for f in enumerate_fans(v)]
