@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -78,14 +79,16 @@ class JobSpec:
 
 
 def _decode_int(x: Any) -> int:
+    """An int, or a string as ``_encode_int`` writes one: an optional ``-``
+    and ASCII digits, with no ``+``, spaces, underscores or other digits."""
     if isinstance(x, bool):
         raise InputFormatError("booleans are not matrix entries")
     if isinstance(x, int):
         return x
-    if isinstance(x, str):
+    if isinstance(x, str) and re.fullmatch("-?[0-9]+", x):
         try:
-            return int(x, 10)
-        except ValueError as exc:
+            return int(x)
+        except ValueError as exc:  # beyond the interpreter's digit limit
             raise InputFormatError(f"not an integer: {x!r}") from exc
     raise InputFormatError(f"not an integer: {x!r}")
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, det, rank
 from .gale import gale_dual, require_F
 from .lattices import Lattice
-from .normal_forms import _identity_block_transform, hnf, hnf_pivot_columns, snf, unimodular_inverse
+from .normal_forms import _identity_block_transform, snf, unimodular_inverse
 
 
 @dataclass(frozen=True)
@@ -137,40 +137,22 @@ def universal_covering(v: IntMatrix) -> IntMatrix:
 def beta_factor(v: IntMatrix, v_hat: IntMatrix) -> IntMatrix:
     """The unique integer matrix with ``beta @ v_hat == v``.
 
-    Both matrices are brought to HNF after moving the common pivot columns to
-    the front; the factor linking the two triangular forms is rebuilt by back
-    substitution and conjugated back through the (unique) HNF transforms.
+    ``v_hat`` has full row rank, so its Gram matrix ``G = v_hat @ v_hat^T`` is
+    nonsingular and the only candidate is ``v @ v_hat^T @ G^-1``.  One
+    fraction-free pass gives ``(d, A) = (det G, adj G)``, and ``beta`` is
+    ``v @ v_hat^T @ A`` divided exactly by ``d``.  A remainder, or a product
+    ``beta @ v_hat`` other than ``v``, means that the row lattice of ``v`` is
+    not contained in that of ``v_hat``.
     """
     if v.shape != v_hat.shape:
         raise ShapeError("fan matrices must have equal shape")
-    n = v.rows
-    if rank(v_hat) != n or rank(v) != n:
+    d, adj = _det_adjugate(v_hat @ v_hat.transpose())
+    if d == 0 or rank(v) != v.rows:
         raise PreconditionError("both matrices must have full row rank")
-
-    hat_res = hnf(v_hat)
-    pivots = hnf_pivot_columns(hat_res.H)
-    order = list(pivots) + [j for j in range(v.cols) if j not in pivots]
-    vp = v.select_cols(order)
-    vhp = v_hat.select_cols(order)
-    res = hnf(vp)
-    hat_res = hnf(vhp)
-    h, u = res.H, res.U
-    hh, uh = hat_res.H, hat_res.U
-    if hnf_pivot_columns(h) != tuple(range(n)) or hnf_pivot_columns(hh) != tuple(range(n)):
-        raise PreconditionError("row lattices are not aligned (pivot columns differ)")
-
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        if h[i, i] % hh[i, i] != 0:
-            raise PreconditionError("row lattice of v is not contained in that of v_hat")
-        b[i][i] = h[i, i] // hh[i, i]
-        for j in range(i + 1, n):
-            num = h[i, j] - sum(b[i][k] * hh[k, j] for k in range(i, j))
-            if num % hh[j, j] != 0:
-                raise PreconditionError("row lattice of v is not contained in that of v_hat")
-            b[i][j] = num // hh[j, j]
-
-    beta = unimodular_inverse(u) @ IntMatrix(b) @ uh
+    scaled = v @ v_hat.transpose() @ adj
+    if any(x % d for row in scaled for x in row):
+        raise PreconditionError("row lattice of v is not contained in that of v_hat")
+    beta = IntMatrix([[x // d for x in row] for row in scaled])
     if beta @ v_hat != v:
         raise PreconditionError("no integer factor maps v_hat onto v")
     return beta

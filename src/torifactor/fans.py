@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, vector_content
-from .gale import require_F
+from .intmat import IntMatrix, PreconditionError, ShapeError, vector_content
+from .gale import _cone_frame, require_F
 
 Cone = tuple[int, ...]
 
@@ -97,20 +97,6 @@ def _strict_system_feasible(constraints: list[tuple[int, ...]]) -> bool:
         if not cons:
             return True
     return not cons
-
-
-def _cone_frame(v: IntMatrix, cone: Cone):
-    """``(s * adj(V_c), s * adj(V_c) @ V)`` with ``s = sign det V_c``, the
-    inner facet normals and the scaled barycentric coordinates of every column;
-    ``None`` when ``V_c`` is singular."""
-    d, adj = _det_adjugate(v.select_cols(cone))
-    if d == 0:
-        return None
-    s = 1 if d > 0 else -1
-    inverse = [tuple(s * x for x in row) for row in adj]
-    cols = [v.col(j) for j in range(v.cols)]
-    coords = [tuple(sum(a * x for a, x in zip(row, col)) for col in cols) for row in inverse]
-    return inverse, coords
 
 
 def _meet_in_common_face(a: Cone, coords_a: Sequence[Sequence[int]], b: Cone) -> bool:

@@ -5,14 +5,29 @@ positively span R^n, with no zero column and no positively proportional
 column pair.  A weight matrix ("W-matrix") is an r x (n+r) Gale dual of such
 a matrix.  Both notions are invariant under the choice of lattice basis, so
 the predicates below accept any representative.
+
+``classify_W`` reads two weight conditions on the integer kernel ``K`` of
+``Q`` as fan conditions; the rational row space of ``Q`` is ``{x : K x = 0}``:
+
+* W (c), a vector with all entries positive in the row lattice, is F (a)
+  and (b) on ``K``: ``Q`` has full rank and the columns of ``K`` positively span;
+* W (f), no row-lattice vector with exactly two nonzero entries of opposite
+  sign, is F (c) and (d) on ``K`` with one zero column allowed: meeting a
+  coordinate plane, the row lattice has rank 2 iff both columns of ``K``
+  vanish, and a generator of opposite signs iff they are positively
+  proportional.  Both are rational notions, so ``Q`` need not be saturated;
+* W (a), (b), (d) and (e) are read on ``Q``; (e) stays a membership test,
+  since ``2 e_j`` in the row lattice does not put ``e_j`` there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Sequence
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, rank, vector_content
-from .lattices import Lattice, kernel_saturation, lattice_intersection
+from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, rank, vector_content
+from .lattices import Lattice, kernel_saturation
 from .normal_forms import _identity_block_transform
 
 
@@ -48,36 +63,29 @@ def positive_span_is_full(v: IntMatrix) -> bool:
     """Exact test that the columns of ``v`` positively span all of R^n.
 
     The positive hull is full iff ``v`` has full row rank and no hyperplane
-    spanned by n-1 of the columns has all columns on one closed side.
+    spanned by n-1 of the columns has all columns on one closed side.  Every
+    independent (n-1)-set extends to a nonsingular n-subset ``c``, and the
+    rows of ``s * adj(V_c)`` are normals of those hyperplanes with a positive
+    value on the remaining column of ``c``; so the test asks each coordinate
+    row of ``_cone_frame`` for a negative entry.
     """
     n, m = v.shape
-    if rank(v) != n:
-        return False
-    columns = [v.col(j) for j in range(m)]
-    if n == 1:
-        return any(c[0] > 0 for c in columns) and any(c[0] < 0 for c in columns)
-    for normal in _facet_normal_candidates(v):
-        dots = [sum(u * x for u, x in zip(normal, c)) for c in columns]
-        if all(d >= 0 for d in dots) or all(d <= 0 for d in dots):
-            return False
-    return True
+    frames = [frame for c in combinations(range(m), n) if (frame := _cone_frame(v, c))]
+    return bool(frames) and all(min(row) < 0 for _, coords in frames for row in coords)
 
 
-def _facet_normal_candidates(v: IntMatrix):
-    """Normals of all hyperplanes spanned by n-1 linearly independent columns."""
-    from itertools import combinations
-
-    n, m = v.shape
-    seen = set()
-    for subset in combinations(range(m), n - 1):
-        block = IntMatrix([v.col(j) for j in subset])
-        if rank(block) != n - 1:
-            continue
-        normal = kernel_saturation(block).basis_rows[0]
-        key = normal if normal > tuple(-x for x in normal) else tuple(-x for x in normal)
-        if key not in seen:
-            seen.add(key)
-            yield normal
+def _cone_frame(v: IntMatrix, cone: Sequence[int]):
+    """``(s * adj(V_c), s * adj(V_c) @ V)`` with ``s = sign det V_c``, the
+    inner facet normals and the scaled barycentric coordinates of every column;
+    ``None`` when ``V_c`` is singular."""
+    d, adj = _det_adjugate(v.select_cols(cone))
+    if d == 0:
+        return None
+    s = 1 if d > 0 else -1
+    inverse = [tuple(s * x for x in row) for row in adj]
+    cols = [v.col(j) for j in range(v.cols)]
+    coords = [tuple(sum(a * x for a, x in zip(row, col)) for col in cols) for row in inverse]
+    return inverse, coords
 
 
 def classify_F(v: IntMatrix) -> FMatrixReport:
@@ -118,7 +126,8 @@ def _has_positively_proportional_pair(columns) -> bool:
 
 
 def classify_W(q: IntMatrix) -> WMatrixReport:
-    """Test the weight-matrix conditions (a)-(f)."""
+    """Test the weight-matrix conditions (a)-(f); (c) and (f) are read on the
+    integer kernel ``K`` of ``q`` (see the module docstring)."""
     r, m = q.shape
     if r >= m:
         raise ShapeError("a weight matrix must have more columns than rows")
@@ -128,55 +137,19 @@ def classify_W(q: IntMatrix) -> WMatrixReport:
         failed.append("a")
     if _identity_block_transform(q) is None:
         failed.append("b")
-    # positivity of the row lattice is dual to completeness of the kernel
-    if not (full_rank and positive_span_is_full(gale_dual(q))):
+    # r < m, so the kernel is never zero; it is gale_dual(q) when q has full rank
+    kernel = kernel_saturation(q).basis_matrix()
+    if not (full_rank and positive_span_is_full(kernel)):
         failed.append("c")
     if any(not any(q.col(j)) for j in range(m)):
         failed.append("d")
     row_lattice = Lattice.from_matrix(q)
-    if _contains_unit_vector(row_lattice):
+    if any([int(k == j) for k in range(m)] in row_lattice for j in range(m)):
         failed.append("e")
-    if _contains_opposite_sign_pair(row_lattice):
+    columns = [kernel.col(j) for j in range(m)]
+    if sum(not any(c) for c in columns) >= 2 or _has_positively_proportional_pair(columns):
         failed.append("f")
     return WMatrixReport(not failed, tuple(failed))
-
-
-def _contains_unit_vector(lat: Lattice) -> bool:
-    m = lat.ambient_dim
-    for j in range(m):
-        unit = [0] * m
-        unit[j] = 1
-        if unit in lat:
-            return True
-    return False
-
-
-def _contains_opposite_sign_pair(lat: Lattice) -> bool:
-    """Whether the lattice holds a vector with exactly two nonzero entries of
-    opposite sign.
-
-    For each coordinate plane the intersection with the lattice is computed
-    exactly; a rank-2 intersection always contains such a vector, a rank-1
-    intersection does iff its generator has two nonzero entries of opposite
-    sign.
-    """
-    m = lat.ambient_dim
-    for i in range(m):
-        for j in range(i + 1, m):
-            plane_rows = []
-            for axis in (i, j):
-                row = [0] * m
-                row[axis] = 1
-                plane_rows.append(row)
-            plane = Lattice(m, plane_rows)
-            inter = lattice_intersection(lat, plane)
-            if inter.rank == 2:
-                return True
-            if inter.rank == 1:
-                gen = inter.basis_rows[0]
-                if gen[i] * gen[j] < 0:
-                    return True
-    return False
 
 
 def reduce_F(v: IntMatrix) -> IntMatrix:

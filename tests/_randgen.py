@@ -9,14 +9,20 @@ from torifactor import (
     Lattice,
     PicardData,
     PreconditionError,
+    ShapeError,
     classify_F,
     det,
+    gale_dual,
+    hnf,
+    hnf_pivot_columns,
     kernel_saturation,
     lattice_intersection,
+    rank,
     reduce_F,
+    unimodular_inverse,
 )
 from torifactor.fans import _strict_system_feasible
-from torifactor.gale import _facet_normal_candidates
+from torifactor.normal_forms import _identity_block_transform
 
 
 def random_unimodular(rng, n, steps=5):
@@ -175,6 +181,112 @@ def chained_picard_basis(q: IntMatrix, index_family) -> PicardData:
     return PicardData(B=basis, index=abs(det(basis)), delta_sigma=delta)
 
 
+def facet_normal_candidates(v: IntMatrix):
+    """Normals of all hyperplanes spanned by n-1 linearly independent columns,
+    one ``kernel_saturation`` per (n-1)-subset."""
+    n, m = v.shape
+    seen = set()
+    for subset in combinations(range(m), n - 1):
+        block = IntMatrix([v.col(j) for j in subset])
+        if rank(block) != n - 1:
+            continue
+        normal = kernel_saturation(block).basis_rows[0]
+        key = normal if normal > tuple(-x for x in normal) else tuple(-x for x in normal)
+        if key not in seen:
+            seen.add(key)
+            yield normal
+
+
+def oracle_positive_span_is_full(v: IntMatrix) -> bool:
+    """Whether the columns of ``v`` positively span R^n: full rank, and no
+    hyperplane spanned by n-1 columns has every column on one closed side."""
+    n, m = v.shape
+    if rank(v) != n:
+        return False
+    columns = [v.col(j) for j in range(m)]
+    if n == 1:
+        return any(c[0] > 0 for c in columns) and any(c[0] < 0 for c in columns)
+    for normal in facet_normal_candidates(v):
+        dots = [sum(u * x for u, x in zip(normal, c)) for c in columns]
+        if all(d >= 0 for d in dots) or all(d <= 0 for d in dots):
+            return False
+    return True
+
+
+def contains_opposite_sign_pair(lat: Lattice) -> bool:
+    """Whether the lattice holds a vector with exactly two nonzero entries of
+    opposite sign, from its exact intersection with every coordinate plane:
+    a rank-2 intersection always holds one, a rank-1 intersection iff its
+    generator has two nonzero entries of opposite sign."""
+    m = lat.ambient_dim
+    for i in range(m):
+        for j in range(i + 1, m):
+            plane = Lattice(m, [[int(k == axis) for k in range(m)] for axis in (i, j)])
+            inter = lattice_intersection(lat, plane)
+            if inter.rank == 2:
+                return True
+            if inter.rank == 1:
+                gen = inter.basis_rows[0]
+                if gen[i] * gen[j] < 0:
+                    return True
+    return False
+
+
+def oracle_classify_W(q: IntMatrix) -> tuple[str, ...]:
+    """Failed weight-matrix conditions of ``q``, each read on the row lattice
+    of ``q`` (or on its Gale dual for (c)), with lattice intersections for (f)."""
+    r, m = q.shape
+    failed = []
+    full_rank = rank(q) == r
+    if not full_rank:
+        failed.append("a")
+    if _identity_block_transform(q) is None:
+        failed.append("b")
+    if not (full_rank and oracle_positive_span_is_full(gale_dual(q))):
+        failed.append("c")
+    if any(not any(q.col(j)) for j in range(m)):
+        failed.append("d")
+    row_lattice = Lattice.from_matrix(q)
+    if any([int(k == j) for k in range(m)] in row_lattice for j in range(m)):
+        failed.append("e")
+    if contains_opposite_sign_pair(row_lattice):
+        failed.append("f")
+    return tuple(failed)
+
+
+def hnf_beta_factor(v: IntMatrix, v_hat: IntMatrix) -> IntMatrix:
+    """The integer ``beta`` with ``beta @ v_hat == v``, from the HNFs of both
+    matrices with their common pivot columns moved to the front, back
+    substitution between the triangular forms and the HNF transforms."""
+    if v.shape != v_hat.shape:
+        raise ShapeError("fan matrices must have equal shape")
+    n = v.rows
+    if rank(v_hat) != n or rank(v) != n:
+        raise PreconditionError("both matrices must have full row rank")
+    pivots = hnf_pivot_columns(hnf(v_hat).H)
+    order = list(pivots) + [j for j in range(v.cols) if j not in pivots]
+    res = hnf(v.select_cols(order))
+    hat_res = hnf(v_hat.select_cols(order))
+    h, u = res.H, res.U
+    hh, uh = hat_res.H, hat_res.U
+    if hnf_pivot_columns(h) != tuple(range(n)) or hnf_pivot_columns(hh) != tuple(range(n)):
+        raise PreconditionError("row lattices are not aligned (pivot columns differ)")
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if h[i, i] % hh[i, i] != 0:
+            raise PreconditionError("row lattice of v is not contained in that of v_hat")
+        b[i][i] = h[i, i] // hh[i, i]
+        for j in range(i + 1, n):
+            num = h[i, j] - sum(b[i][k] * hh[k, j] for k in range(i, j))
+            if num % hh[j, j] != 0:
+                raise PreconditionError("row lattice of v is not contained in that of v_hat")
+            b[i][j] = num // hh[j, j]
+    beta = unimodular_inverse(u) @ IntMatrix(b) @ uh
+    if beta @ v_hat != v:
+        raise PreconditionError("no integer factor maps v_hat onto v")
+    return beta
+
+
 def kernel_cones_meet_in_common_face(v: IntMatrix, a, b) -> bool:
     """Whether two distinct simplicial cones meet in their shared face, decided
     over an integer basis of the functionals that vanish on the shared rays
@@ -203,7 +315,7 @@ def oracle_enumerate_fans(v: IntMatrix):
     the cones around it, and a scan of all candidates for each open facet."""
     n, m = v.shape
     candidates = [c for c in combinations(range(m), n) if det(v.select_cols(c)) != 0]
-    normals = list(_facet_normal_candidates(v)) if n > 1 else [(1,)]
+    normals = list(facet_normal_candidates(v)) if n > 1 else [(1,)]
     t = 1
     while True:
         point = tuple(t**k for k in range(n))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import torifactor
-from torifactor.cli import COMMANDS, run
+from torifactor import IntMatrix
+from torifactor.cli import COMMANDS, decode_matrix, run
 
 # the CLI subprocesses import the same torifactor as the tests, installed or not
 ENV = {
@@ -333,6 +334,35 @@ def test_malformed_torsion_is_an_input_error(torsion):
     assert err.startswith("torifactor: input error: torsion:")
 
 
+
+LENIENT_INTEGERS = ("1_0", " 2 ", "\u0663", "+1", "1.0", "0x1", "", "-", "--1", "1\n", "\uff11")
+
+
+@pytest.mark.parametrize("entry", LENIENT_INTEGERS)
+def test_integer_strings_other_than_ascii_digits_are_input_errors(entry):
+    code, err = run_in_process("hnf", {"matrix": {"data": [[entry, 1]]}})
+    assert code == 1
+    assert err.startswith("torifactor: input error: not an integer")
+
+
+def test_integer_strings_of_ascii_digits_decode():
+    decoded = decode_matrix({"data": [["1", "-2", str(2**60)]], "cols": "3"})
+    assert decoded == IntMatrix([[1, -2, 2**60]])
+
+
+def test_reconstruct_job_intersects_no_lattices(count_calls):
+    from torifactor import lattices
+
+    calls = count_calls(lattices, "lattice_intersection")
+    payload = {
+        "weights": {"data": [[1, 1, 1, 1]]},
+        "torsion": {"moduli": [5], "data": [[1, 2, 3, 4]]},
+        "covering": {"data": [[1, 0, 1, -2], [0, 1, -3, 2], [0, 0, 1, -1]]},
+        "reference": {"data": [[1, 0, 1, -2], [0, 1, -3, 2], [0, 0, 5, -5]]},
+    }
+    assert run_in_process("reconstruct", payload)[0] == 0
+    assert calls == []
+
 FIELDS = ("matrix", "kind", "weights", "torsion", "covering", "reference", "first", "second")
 SMALL_INT = st.integers(-3, 3)
 JSON_LEAF = st.none() | st.booleans() | SMALL_INT | st.sampled_from(["", "1", "-2", "x", "F", "W"])
@@ -410,6 +440,8 @@ PAYLOAD = weighted(
 @given(payload=PAYLOAD)
 @example(payload={"weights": {"data": [[1, 1, 1]]}, "torsion": BAD_TORSION[0]})
 @example(payload={"weights": {"data": [[1, 1, 1]]}, "torsion": BAD_TORSION[1]})
+@example(payload={"matrix": {"data": [["1_0", " 2 ", "\u0663"]]}})
+@example(payload={"matrix": {"data": [["1", "-2", str(2**60)]], "cols": "+3"}})
 def test_any_json_payload_exits_cleanly(command, payload):
     code, err = run_in_process(command, payload)
     assert code in (0, 1, 2)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torifactor import (
     IntMatrix,
@@ -46,7 +47,15 @@ from _exampledata import (
     EX2_VHAT_ALIGNED,
     EX2_V_ALIGNED,
 )
-from _randgen import pick_fan_shape, random_nonsingular, random_reduced_f_matrix
+from _randgen import (
+    SMALL_FAN_SHAPES,
+    hnf_beta_factor,
+    pick_fan_shape,
+    random_matrix,
+    random_nonsingular,
+    random_reduced_f_matrix,
+    random_unimodular,
+)
 
 
 def _congruences_hold(gamma, v_aligned, generators):
@@ -122,6 +131,50 @@ def test_beta_factor_rejects_non_contained_lattice():
     with pytest.raises(PreconditionError):
         beta_factor(IntMatrix([[1, 0, 0], [0, 0, 1]]), IntMatrix([[1, 0, 0], [0, 1, 0]]))
 
+
+
+def test_beta_factor_rejects_rank_deficient_input():
+    with pytest.raises(PreconditionError):
+        beta_factor(IntMatrix([[1, 0, -1], [2, 0, -2]]), IntMatrix([[1, 0, -1], [0, 1, -1]]))
+    with pytest.raises(PreconditionError):
+        beta_factor(IntMatrix([[1, 0, -1], [0, 1, -1]]), IntMatrix([[1, 1, -1], [1, 1, -1]]))
+
+
+def _beta_or_error(factor, v, v_hat):
+    try:
+        return factor(v, v_hat)
+    except PreconditionError:
+        return "PreconditionError"
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_beta_factor_matches_two_hnf_oracle(shape, seed):
+    rng = random.Random(seed)
+    n, r = shape
+    v = random_reduced_f_matrix(rng, n, r)
+    v_hat = gale_dual(gale_dual(v))
+    doubled = IntMatrix([[2 * x for x in v_hat.row(0)]] + [v_hat.row(i) for i in range(1, n)])
+    collapsed = IntMatrix([v.row(i) for i in range(n - 1)] + [v.row(0)])
+    pairs = [
+        (v, v_hat),
+        (collapsed, v_hat),
+        (v, random_unimodular(rng, n) @ v_hat),
+        (v_hat, v),
+        (v, doubled),
+        (random_matrix(rng, n, n + r), v_hat),
+        (v, random_matrix(rng, n, n + r)),
+    ]
+    for a, b in pairs:
+        assert _beta_or_error(beta_factor, a, b) == _beta_or_error(hnf_beta_factor, a, b)
+
+
+def test_beta_factor_takes_no_hnf(count_calls):
+    from torifactor import normal_forms
+
+    calls = count_calls(normal_forms, "hnf")
+    assert beta_factor(EX1_V, EX1_VHAT) == EX1_BETA
+    assert beta_factor(EX2_V, EX2_VHAT) == EX2_BETA
+    assert calls == []
 
 def test_covering_decomposition_first_example():
     cd = covering_decomposition(EX1_V)

@@ -26,7 +26,8 @@ from _randgen import (
     random_reduced_f_matrix,
     random_unimodular,
 )
-from torifactor.fans import _cone_frame, _meet_in_common_face
+from torifactor.fans import _meet_in_common_face
+from torifactor.gale import _cone_frame
 
 
 def _cone_contains(v, cone, point):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torifactor import (
     IntMatrix,
@@ -10,11 +11,21 @@ from torifactor import (
     classify_F,
     classify_W,
     gale_dual,
+    positive_span_is_full,
     reduce_F,
 )
 
-from _exampledata import EX1_Q, EX1_V, EX1_VHAT, EX2_Q, EX2_VHAT
-from _randgen import minor_gcd, pick_fan_shape, random_cf_matrix, random_reduced_f_matrix
+from _exampledata import EX1_Q, EX1_V, EX1_VHAT, EX2_Q, EX2_V, EX2_VHAT
+from _randgen import (
+    SMALL_FAN_SHAPES,
+    minor_gcd,
+    oracle_classify_W,
+    oracle_positive_span_is_full,
+    pick_fan_shape,
+    random_cf_matrix,
+    random_reduced_f_matrix,
+    random_unimodular,
+)
 
 
 def test_gale_dual_of_first_example():
@@ -161,3 +172,78 @@ def test_double_dual_is_CF_for_non_reduced_input():
     rep = classify_F(v)
     assert rep.is_F and not rep.is_reduced
     assert classify_F(gale_dual(gale_dual(v))).is_CF
+
+
+def test_classify_W_reads_opposite_sign_pairs_on_the_kernel():
+    # two zero kernel columns: the row lattice meets the plane of e_0, e_1 in rank 2
+    assert "f" in classify_W(IntMatrix([[1, 0, 0], [0, 1, 0]])).failed_conditions
+    # positively proportional kernel columns, with an unsaturated row lattice
+    assert "f" in classify_W(IntMatrix([[2, -2, 0, 0], [0, 0, 1, 1]])).failed_conditions
+    # one zero kernel column is not enough: only 2 e_0 is in the row lattice
+    rep = classify_W(IntMatrix([[2, 1, 1], [0, 1, 1]]))
+    assert "f" not in rep.failed_conditions and "e" not in rep.failed_conditions
+
+
+def test_positive_span_in_dimension_one():
+    assert positive_span_is_full(IntMatrix([[1, -2]]))
+    assert not positive_span_is_full(IntMatrix([[1, 2, 0]]))
+    assert not positive_span_is_full(IntMatrix([[0, 0]]))
+
+
+@st.composite
+def small_integer_matrices(draw, wide=True):
+    """Integer matrices of at most 4 rows and 6 columns; some have a row that
+    is a multiple of another (rank deficient) or a row scaled by 2 or 3, and
+    some are mostly zero, so that unit vectors lie in their row space."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(rows + 1 if wide else 1, 6))
+    bound = draw(st.integers(1, 3))
+    value = st.integers(-bound, bound)
+    if draw(st.booleans()):
+        value = st.one_of(st.just(0), st.just(0), value)
+    entries = st.lists(value, min_size=cols, max_size=cols)
+    data = draw(st.lists(entries, min_size=rows, max_size=rows))
+    variant = draw(st.sampled_from(["plain", "deficient", "scaled"]))
+    k = draw(st.integers(0, rows - 1))
+    if variant == "deficient" and rows > 1:
+        data[k] = [draw(st.integers(-2, 2)) * x for x in data[k - 1]]
+    elif variant == "scaled":
+        data[k] = [draw(st.integers(2, 3)) * x for x in data[k]]
+    return IntMatrix(data)
+
+
+@given(small_integer_matrices())
+def test_classify_W_matches_lattice_oracle_on_integer_matrices(q):
+    assert classify_W(q).failed_conditions == oracle_classify_W(q)
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32), st.integers(1, 3))
+def test_classify_W_matches_lattice_oracle_on_gale_duals(shape, seed, scale):
+    rng = random.Random(seed)
+    n, r = shape
+    q = random_unimodular(rng, r) @ gale_dual(random_reduced_f_matrix(rng, n, r))
+    scaled = IntMatrix([[scale * x for x in q.row(0)]] + [q.row(i) for i in range(1, r)])
+    for w in (q, scaled):
+        assert classify_W(w).failed_conditions == oracle_classify_W(w)
+
+
+@given(small_integer_matrices(wide=False), st.booleans())
+def test_positive_span_matches_facet_normal_oracle(v, close):
+    if close:
+        # the negated column sum makes the span positive whenever v has full rank
+        v = IntMatrix([list(v.row(i)) + [-sum(v.row(i))] for i in range(v.rows)])
+    assert positive_span_is_full(v) == oracle_positive_span_is_full(v)
+
+
+def test_classification_intersects_no_lattices_and_takes_no_kernel_for_F(count_calls):
+    from torifactor import lattices
+
+    intersections = count_calls(lattices, "lattice_intersection")
+    kernels = count_calls(lattices, "kernel_saturation")
+    for v in (EX1_V, EX2_V, EX1_VHAT):
+        assert classify_F(v).is_F
+    assert kernels == []
+    for q in (EX1_Q, EX2_Q, IntMatrix([[1, -1, 0], [0, 0, 1]])):
+        classify_W(q)
+    assert intersections == []
+    assert len(kernels) == 3
