@@ -162,7 +162,9 @@ def covering_decomposition(v: IntMatrix, v_hat: Optional[IntMatrix] = None) -> C
     """Full aligned decomposition ``V = beta @ V_hat`` with SNF data.
 
     ``v_hat`` may be any fan matrix of the covering (a basis of the saturated
-    row lattice); by default the canonical one from ``universal_covering``.
+    row lattice); by default the row HNF from ``universal_covering``, where
+    ``analyze`` takes the lower block of ``U_Q``.  For ``V = (1 -1)`` these give
+    ``V_hat = (1 -1), beta = (1)`` and ``V_hat = (-1 1), beta = (-1)``.
     The rows of the aligned covering matrix that correspond to nontrivial
     invariants are sign-normalized to lead with a positive entry.
     """

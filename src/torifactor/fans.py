@@ -4,25 +4,26 @@ Maximal cones are size-n sets of column indices (0-based) with nonsingular
 column blocks.  One fraction-free pass per cone gives ``s * adj(V_c)`` with
 ``s = sign det V_c``: its rows are the cone's facet normals, and its product
 with ``V`` holds the barycentric coordinates of every column in the cone's
-basis, scaled by ``|det V_c|``.  Two cones meet in their common face iff a
-functional vanishes on the shared rays, is positive on the other rays of
-the first cone and negative on those of the second; in the first cone's
-coordinates this is a strict system in one variable per unshared ray,
-decided by Fourier-Motzkin elimination.  A collection is a complete fan when
-its cones meet pairwise in common faces and every facet lies on exactly two
-cones.  The enumeration starts from the cones around a point off every facet
-hyperplane and closes open facets one at a time, taking the candidates for
-each facet from a table built once.
+basis, scaled by ``|det V_c|``.  Each column outside the cone has one relation
+with the cone's columns, read off those coordinates; these relations are the
+signed circuits of ``V``.  Two cones meet in their common face iff no circuit
+has its positive part in the first cone and its negative part in the second
+(De Loera, Rambau, Santos, *Triangulations*, 2010, Section 4.1).  A collection
+is a complete fan when its cones meet pairwise in common faces and every facet
+lies on exactly two cones.  The enumeration starts from the cones around a
+point off every facet hyperplane and closes open facets one at a time, taking
+the candidates for each facet from a table built once.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, vector_content
-from .gale import _cone_frame, require_F
+from .intmat import IntMatrix, PreconditionError, ShapeError
+from .gale import _cone_frames, require_F
 
 Cone = tuple[int, ...]
 
@@ -61,55 +62,33 @@ class FanValidation:
         return self.valid
 
 
-def _normalize_constraint(w: Sequence[int]) -> tuple[int, ...]:
-    g = vector_content(w)
-    return tuple(x // g for x in w) if g > 1 else tuple(w)
+def _circuits(v: IntMatrix, frames: dict[Cone, tuple]) -> set[tuple[int, int]]:
+    """Signed circuits of the columns of ``v`` as ``(positive, negative)``
+    bitmasks, in both orientations.
 
-
-def _strict_system_feasible(constraints: list[tuple[int, ...]]) -> bool:
-    """Feasibility of ``w . y > 0`` for all w, decided by Fourier-Motzkin.
-
-    The system is homogeneous, so everything stays in exact integers: a pair
-    with opposite signs on the pivot coordinate combines with positive
-    multipliers into a constraint free of that coordinate.
+    For a nonsingular ``c`` and a column ``j`` outside it, column ``j`` of the
+    frame's coordinates gives the one relation on ``c + {j}``:
+    ``|det V_c| v_j = sum_i coords[i][j] v_{c_i}``.  Every circuit arises so,
+    because a circuit minus one element extends to a basis.
     """
-    if not constraints:
-        return True
-    dim = len(constraints[0])
-    cons = set()
-    for w in constraints:
-        if not any(w):
-            return False
-        cons.add(_normalize_constraint(w))
-    for coord in range(dim):
-        pos = [w for w in cons if w[coord] > 0]
-        neg = [w for w in cons if w[coord] < 0]
-        keep = {w for w in cons if w[coord] == 0}
-        for wp in pos:
-            for wn in neg:
-                comb = tuple(
-                    -wn[coord] * wp[k] + wp[coord] * wn[k] for k in range(dim)
-                )
-                if not any(comb):
-                    return False
-                keep.add(_normalize_constraint(comb))
-        cons = keep
-        if not cons:
-            return True
-    return not cons
+    circuits = set()
+    for c, (_, coords) in frames.items():
+        for j in set(range(v.cols)).difference(c):
+            pos = 1 << j | _mask(k for k, row in zip(c, coords) if row[j] < 0)
+            neg = _mask(k for k, row in zip(c, coords) if row[j] > 0)
+            circuits.update(((pos, neg), (neg, pos)))
+    return circuits
 
 
-def _meet_in_common_face(a: Cone, coords_a: Sequence[Sequence[int]], b: Cone) -> bool:
-    """Whether two distinct simplicial cones intersect exactly in their shared face.
+def _meet_in_common_face(a: int, b: int, circuits: Iterable[tuple[int, int]]) -> bool:
+    """Whether the simplicial cones with column bitmasks ``a`` and ``b`` meet
+    in their shared face: no signed circuit has its positive part in ``a`` and
+    its negative part in ``b``."""
+    return not any(p & ~a == 0 and q & ~b == 0 for p, q in circuits)
 
-    The separating functional is fixed by its values ``y > 0`` on the rays of
-    ``a`` outside ``b``; on ray ``j`` it takes ``sum_i y_i * coords_a[i][j]``.
-    """
-    shared = set(a) & set(b)
-    free = [i for i, j in enumerate(a) if j not in shared]
-    constraints = [tuple(int(i == k) for k in free) for i in free]
-    constraints += [tuple(-coords_a[i][j] for i in free) for j in b if j not in shared]
-    return _strict_system_feasible(constraints)
+
+def _mask(columns: Iterable[int]) -> int:
+    return sum(1 << j for j in columns)
 
 
 def _generic_point(normals: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -127,6 +106,14 @@ def _facets(cone: Cone) -> list[Cone]:
     return [tuple(x for x in cone if x != j) for j in cone]
 
 
+def _cone_list(cones: Iterable[Sequence[int]]) -> list[Cone]:
+    """Each cone as a sorted tuple of integer column indices."""
+    try:
+        return [tuple(sorted(operator.index(x) for x in c)) for c in cones]
+    except TypeError as exc:
+        raise ShapeError(f"cones must be sequences of integer column indices: {exc}") from None
+
+
 def validate_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> FanValidation:
     """Check the maximal-cone collection against the fan invariants.
 
@@ -136,7 +123,7 @@ def validate_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> FanValidation:
     """
     n, m = v.shape
     problems: list[str] = []
-    cone_list = [tuple(sorted(int(x) for x in c)) for c in cones]
+    cone_list = _cone_list(cones)
     if not cone_list:
         return FanValidation(False, ("no maximal cones given",))
     for c in cone_list:
@@ -148,15 +135,16 @@ def validate_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> FanValidation:
         problems.append("duplicate maximal cones")
     if problems:
         return FanValidation(False, tuple(problems))
-    frames = {c: _cone_frame(v, c) for c in cone_list}
+    frames = _cone_frames(v)
     for c in cone_list:
-        if frames[c] is None:
+        if c not in frames:
             problems.append(f"cone {c} is not simplicial (singular column block)")
     if problems:
         return FanValidation(False, tuple(problems))
-    distinct = sorted(set(cone_list))
+    circuits = _circuits(v, frames)
+    distinct = sorted(cone_list)
     for a, b in combinations(distinct, 2):
-        if not _meet_in_common_face(a, frames[a][1], b):
+        if not _meet_in_common_face(_mask(a), _mask(b), circuits):
             problems.append(f"cones {a} and {b} do not meet in a common face")
     facet_count: dict[Cone, int] = {}
     for c in distinct:
@@ -170,11 +158,11 @@ def validate_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> FanValidation:
 
 def make_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> Fan:
     """Build a validated ``Fan``; raises on any violated invariant."""
-    result = validate_fan(v, cones)
+    cone_list = _cone_list(cones)
+    result = validate_fan(v, cone_list)
     if not result.valid:
         raise PreconditionError("invalid fan: " + "; ".join(result.problems))
-    normalized = tuple(sorted(tuple(sorted(int(x) for x in c)) for c in cones))
-    return Fan(v, normalized)
+    return Fan(v, tuple(sorted(cone_list)))
 
 
 def enumerate_fans(v: IntMatrix) -> tuple[Fan, ...]:
@@ -192,14 +180,11 @@ def enumerate_fans(v: IntMatrix) -> tuple[Fan, ...]:
 
 def _enumerate_fans(v: IntMatrix) -> tuple[Fan, ...]:
     """Body of ``enumerate_fans`` for a ``v`` already known to be a fan matrix."""
-    n, m = v.shape
-    candidates: list[Cone] = []
-    frames = []
-    for c in combinations(range(m), n):
-        frame = _cone_frame(v, c)
-        if frame is not None:
-            candidates.append(c)
-            frames.append(frame)
+    m = v.cols
+    frames = _cone_frames(v)
+    candidates = list(frames)
+    masks = [_mask(c) for c in candidates]
+    circuits = _circuits(v, frames)
     facets = [_facets(c) for c in candidates]
     by_facet: dict[Cone, list[int]] = {}
     for k, cone_facets in enumerate(facets):
@@ -208,18 +193,18 @@ def _enumerate_fans(v: IntMatrix) -> tuple[Fan, ...]:
     compatible: dict[tuple[int, int], bool] = {}
 
     def ok(a: int, b: int) -> bool:
+        # symmetric, since every circuit is stored in both orientations
         key = (a, b) if a < b else (b, a)
         if key not in compatible:
-            lo, hi = key
-            compatible[key] = _meet_in_common_face(candidates[lo], frames[lo][1], candidates[hi])
+            compatible[key] = _meet_in_common_face(masks[a], masks[b], circuits)
         return compatible[key]
 
     # Every independent set of n-1 columns extends to a candidate, so the facet
     # normals of the candidates cover every hyperplane that n-1 columns span.
-    point = _generic_point(list({row for inverse, _ in frames for row in inverse}))
+    point = _generic_point(list({row for inverse, _ in frames.values() for row in inverse}))
     seeds = [
         k
-        for k, (inverse, _) in enumerate(frames)
+        for k, (inverse, _) in enumerate(frames.values())
         if all(sum(a * x for a, x in zip(row, point)) > 0 for row in inverse)
     ]
     found: set[tuple[Cone, ...]] = set()

@@ -69,9 +69,14 @@ def positive_span_is_full(v: IntMatrix) -> bool:
     value on the remaining column of ``c``; so the test asks each coordinate
     row of ``_cone_frame`` for a negative entry.
     """
-    n, m = v.shape
-    frames = [frame for c in combinations(range(m), n) if (frame := _cone_frame(v, c))]
+    frames = _cone_frames(v).values()
     return bool(frames) and all(min(row) < 0 for _, coords in frames for row in coords)
+
+
+def _cone_frames(v: IntMatrix) -> dict[tuple[int, ...], tuple]:
+    """``_cone_frame`` of each nonsingular n-subset of columns, in lexicographic order."""
+    n, m = v.shape
+    return {c: f for c in combinations(range(m), n) if (f := _cone_frame(v, c)) is not None}
 
 
 def _cone_frame(v: IntMatrix, cone: Sequence[int]):

@@ -57,7 +57,9 @@ def analyze(v: IntMatrix, fan_index: Optional[int] = None, verify: bool = True) 
     """Run the whole pipeline on a reduced fan matrix.
 
     ``fan_index`` restricts the per-fan stage to one fan of the deterministic
-    enumeration; by default every fan is processed.
+    enumeration; by default every fan is processed.  ``V_hat`` is the lower
+    block of ``U_Q``, a row action away from ``covering_decomposition``'s row
+    HNF: for ``V = (1 -1)``, ``V_hat = (-1 1)`` and ``beta = (-1)`` here.
     """
     require_F(v, reduced=True)
     q = gale_dual(v)

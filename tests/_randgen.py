@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from typing import Sequence
 
 from torifactor import (
     IntMatrix,
@@ -20,8 +21,8 @@ from torifactor import (
     rank,
     reduce_F,
     unimodular_inverse,
+    vector_content,
 )
-from torifactor.fans import _strict_system_feasible
 from torifactor.normal_forms import _identity_block_transform
 
 
@@ -285,6 +286,44 @@ def hnf_beta_factor(v: IntMatrix, v_hat: IntMatrix) -> IntMatrix:
     if beta @ v_hat != v:
         raise PreconditionError("no integer factor maps v_hat onto v")
     return beta
+
+
+def _normalize_constraint(w: Sequence[int]) -> tuple[int, ...]:
+    g = vector_content(w)
+    return tuple(x // g for x in w) if g > 1 else tuple(w)
+
+
+def _strict_system_feasible(constraints: list[tuple[int, ...]]) -> bool:
+    """Feasibility of ``w . y > 0`` for all w, decided by Fourier-Motzkin.
+
+    The system is homogeneous, so everything stays in exact integers: a pair
+    with opposite signs on the pivot coordinate combines with positive
+    multipliers into a constraint free of that coordinate.
+    """
+    if not constraints:
+        return True
+    dim = len(constraints[0])
+    cons = set()
+    for w in constraints:
+        if not any(w):
+            return False
+        cons.add(_normalize_constraint(w))
+    for coord in range(dim):
+        pos = [w for w in cons if w[coord] > 0]
+        neg = [w for w in cons if w[coord] < 0]
+        keep = {w for w in cons if w[coord] == 0}
+        for wp in pos:
+            for wn in neg:
+                comb = tuple(
+                    -wn[coord] * wp[k] + wp[coord] * wn[k] for k in range(dim)
+                )
+                if not any(comb):
+                    return False
+                keep.add(_normalize_constraint(comb))
+        cons = keep
+        if not cons:
+            return True
+    return not cons
 
 
 def kernel_cones_meet_in_common_face(v: IntMatrix, a, b) -> bool:

@@ -3,7 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import assume, given, strategies as st
 
 from torifactor import (
     IntMatrix,
@@ -14,6 +15,7 @@ from torifactor import (
     fans_correspond,
     make_fan,
     picard_index_sets,
+    rank,
     validate_fan,
 )
 
@@ -23,11 +25,12 @@ from _randgen import (
     kernel_cones_meet_in_common_face,
     oracle_enumerate_fans,
     pick_fan_shape,
+    random_matrix,
     random_reduced_f_matrix,
     random_unimodular,
 )
-from torifactor.fans import _meet_in_common_face
-from torifactor.gale import _cone_frame
+from torifactor.fans import _circuits, _mask, _meet_in_common_face
+from torifactor.gale import _cone_frame, _cone_frames
 
 
 def _cone_contains(v, cone, point):
@@ -122,6 +125,37 @@ def test_validate_rejects_overlapping_cones():
     v = IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]])
     result = validate_fan(v, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 3)])
     assert not result.valid
+
+
+def test_validate_reports_overlap_found_by_circuits():
+    # eight rays winding twice around the origin: every ray lies on exactly
+    # two cones, so only the pair test finds the overlaps
+    v = IntMatrix([[1, 0, -1, 0, 1, -1, -1, 1], [0, 1, 0, -1, 1, 1, -1, -1]])
+    cones = [(k, (k + 1) % 8) for k in range(8)]
+    result = validate_fan(v, cones)
+    assert not result.valid
+    assert "cones (0, 1) and (4, 5) do not meet in a common face" in result.problems
+    assert all("do not meet in a common face" in p for p in result.problems)
+    for a, b in combinations(sorted(tuple(sorted(c)) for c in cones), 2):
+        overlap = f"cones {a} and {b} do not meet in a common face" in result.problems
+        assert overlap != kernel_cones_meet_in_common_face(v, a, b)
+
+
+@pytest.mark.parametrize(
+    "cones", [[(0.9, 1.5), (1, 2), (0, 2)], [(0, 1), (1, "2"), (0, 2)], [0, (1, 2)]]
+)
+def test_non_integer_cone_indices_are_rejected(cones):
+    v = IntMatrix([[1, 0, -1], [0, 1, -1]])
+    with pytest.raises(ShapeError):
+        validate_fan(v, cones)
+    with pytest.raises(ShapeError):
+        make_fan(v, cones)
+
+
+def test_make_fan_reads_cones_once():
+    v = IntMatrix([[1, 0, -1], [0, 1, -1]])
+    fan = make_fan(v, (c for c in [(1, 0), (2, 1), (0, 2)]))
+    assert fan.maximal_cones == ((0, 1), (0, 2), (1, 2))
 
 
 def test_make_fan_raises_on_invalid():
@@ -223,10 +257,54 @@ def test_coordinate_pair_test_matches_kernel_oracle(shape, seed):
         assert (frame is None) == (det(v.select_cols(c)) == 0)
         if frame is not None:
             frames[c] = frame
+    circuits = _circuits(v, frames)
     for a, b in combinations(sorted(frames), 2):
         expected = kernel_cones_meet_in_common_face(v, a, b)
-        assert _meet_in_common_face(a, frames[a][1], b) == expected
-        assert _meet_in_common_face(b, frames[b][1], a) == expected
+        assert _meet_in_common_face(_mask(a), _mask(b), circuits) == expected
+        assert _meet_in_common_face(_mask(b), _mask(a), circuits) == expected
+
+
+def _assert_circuits_match_brute_force(v):
+    """The supports of ``_circuits`` are the minimal dependent column sets, each
+    once in both orientations, signed like the one relation on the set."""
+    m = v.cols
+
+    def independent(s):
+        return not s or rank(v.select_cols(s)) == len(s)
+
+    minimal = {
+        s
+        for size in range(1, v.rows + 2)
+        for s in combinations(range(m), size)
+        if not independent(s) and all(independent(s[:k] + s[k + 1 :]) for k in range(size))
+    }
+    circuits = _circuits(v, _cone_frames(v))
+    supports = {tuple(j for j in range(m) if (p | q) >> j & 1) for p, q in circuits}
+    assert supports == minimal
+    assert len(circuits) == 2 * len(minimal)
+    for p, q in circuits:
+        assert p & q == 0 and (q, p) in circuits
+        s = tuple(j for j in range(m) if (p | q) >> j & 1)
+        (relation,) = sympy.Matrix(v.select_cols(s).tolist()).nullspace()
+        assert len({(x > 0) == bool(p >> j & 1) for j, x in zip(s, relation)}) == 1
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_circuits_are_the_minimal_dependent_sets(shape, seed):
+    _assert_circuits_match_brute_force(random_reduced_f_matrix(random.Random(seed), *shape))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32))
+def test_circuits_of_integer_matrices_are_the_minimal_dependent_sets(n, r, seed):
+    # zero, repeated and proportional columns are allowed here
+    v = random_matrix(random.Random(seed), n, n + r, bound=2)
+    assume(rank(v) == n)
+    _assert_circuits_match_brute_force(v)
+
+
+def test_circuits_of_the_examples_are_the_minimal_dependent_sets():
+    for v in (EX1_V, EX2_V, IntMatrix([[1, -1]])):
+        _assert_circuits_match_brute_force(v)
 
 
 @given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,9 +24,27 @@ from _randgen import (
     oracle_positive_span_is_full,
     pick_fan_shape,
     random_cf_matrix,
+    random_matrix,
     random_reduced_f_matrix,
     random_unimodular,
 )
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32))
+def test_gale_dual_matches_sympy(n, r, seed):
+    # the kernel of a full-rank a, of rank m - n, saturated: its maximal minors are coprime
+    from sympy import Matrix, gcd
+
+    rng = random.Random(seed)
+    while True:
+        a = random_matrix(rng, n, n + r, bound=4)
+        if Matrix(a.tolist()).rank() == n:
+            break
+    g = gale_dual(a)
+    assert (g @ a.transpose()).is_zero()
+    assert g.rows == a.cols - Matrix(a.tolist()).rank() == r
+    minors = [Matrix(g.select_cols(c).tolist()).det() for c in combinations(range(a.cols), r)]
+    assert gcd(minors) == 1
 
 
 def test_gale_dual_of_first_example():

@@ -14,7 +14,7 @@ from torifactor import (
 from torifactor.normal_forms import _hnf_in_place
 
 from _exampledata import EX2_BETA, EX2_DELTA, EX2_H, EX2_HHAT, EX2_V, EX2_VHAT, EX1_Q, REID_K
-from _randgen import random_matrix, random_unimodular
+from _randgen import random_matrix, random_unimodular, rational_membership
 
 
 def _is_row_hnf(h: IntMatrix) -> bool:
@@ -149,6 +149,22 @@ def test_snf_cross_check_against_sympy():
         theirs = smith_normal_form(sympy.Matrix(a.tolist()))
         ref = sorted(abs(theirs[i, i]) for i in range(n))
         assert sorted(ours) == ref
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32))
+def test_hnf_row_lattice_matches_sympy(rows, cols, seed):
+    # sympy's form is column-style: its columns are a basis of the column
+    # lattice, so it is compared as a lattice with the rows of ours
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    a = random_matrix(random.Random(seed), rows, cols, bound=6)
+    ours = [list(r) for r in hnf(a).H.tolist() if any(r)]
+    ref = hermite_normal_form(Matrix(a.transpose().tolist()))
+    theirs = [[int(x) for x in ref.col(k)] for k in range(ref.cols)]
+    assert len(ours) == len(theirs) == Matrix(a.tolist()).rank()
+    assert all(rational_membership(r, theirs) for r in ours)
+    assert all(rational_membership(r, ours) for r in theirs)
 
 
 def test_unimodular_inverse():

@@ -7,6 +7,7 @@ from torifactor import (
     IntMatrix,
     PreconditionError,
     analyze,
+    covering_decomposition,
     det,
     verify_result,
 )
@@ -17,6 +18,7 @@ from _randgen import (
     pick_fan_shape,
     random_reduced_f_matrix,
     random_unimodular,
+    rational_membership,
 )
 
 
@@ -29,6 +31,37 @@ def test_pipeline_first_example():
     assert fa.picard.B == IntMatrix([[1]])
     assert fa.picard.delta_sigma == 1
     assert fa.cartier.bottom_rows(3) == EX1_V
+
+
+def test_covering_sign_convention_on_the_projective_line():
+    # analyze takes V_hat from the weight transform, covering_decomposition
+    # from the row HNF of the saturated row lattice
+    v = IntMatrix([[1, -1]])
+    res = analyze(v)
+    assert (res.covering.V_hat, res.covering.beta) == (IntMatrix([[-1, 1]]), IntMatrix([[-1]]))
+    cd = covering_decomposition(v)
+    assert (cd.V_hat, cd.beta) == (IntMatrix([[1, -1]]), IntMatrix([[1]]))
+
+
+def _assert_coverings_agree(v):
+    ours = analyze(v, verify=False).covering
+    canonical = covering_decomposition(v)
+    rows, canonical_rows = ours.V_hat.tolist(), canonical.V_hat.tolist()
+    assert all(rational_membership(r, canonical_rows) for r in rows)
+    assert all(rational_membership(r, rows) for r in canonical_rows)
+    assert abs(det(ours.beta)) == abs(det(canonical.beta))
+    assert ours.torsion_invariants == canonical.torsion_invariants
+    assert covering_decomposition(v, ours.V_hat).beta == ours.beta
+
+
+def test_coverings_of_analyze_and_covering_decomposition_agree_on_examples():
+    for v in (IntMatrix([[1, -1]]), EX1_V, EX2_V):
+        _assert_coverings_agree(v)
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_coverings_of_analyze_and_covering_decomposition_agree(shape, seed):
+    _assert_coverings_agree(random_reduced_f_matrix(random.Random(seed), *shape))
 
 
 def test_pipeline_second_example():
