@@ -8,7 +8,9 @@ carry ``"moduli"``.  Column and fan indices are 0-based throughout.
 Exit codes: 0 success, 1 malformed input (including a TORIFACTOR_MAX_PERM
 that is not a positive integer), 2 violated mathematical precondition (the
 failed classification conditions are named) or an equivalence search that
-reached the TORIFACTOR_MAX_PERM cap.
+reached the TORIFACTOR_MAX_PERM cap.  The cap counts candidate bases: the
+ordered column tuples of the second matrix, with matching minor invariants,
+that could be the image of one fixed basis of columns of the first.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, det, rank
+from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, _int_tuple, det, rank
 from .gale import gale_dual, require_F
 from .lattices import Lattice
 from .normal_forms import _identity_block_transform, snf, unimodular_inverse
@@ -56,8 +56,8 @@ class TorsionMatrix:
         entries: Sequence[Sequence[int]],
         width: Optional[int] = None,
     ):
-        moduli = tuple(int(t) for t in moduli)
-        rows = [tuple(int(x) for x in row) for row in entries]
+        moduli = _int_tuple(moduli, "moduli")
+        rows = [_int_tuple(row, "torsion entries") for row in entries]
         if len(rows) != len(moduli):
             raise ShapeError("one modulus per row required")
         if any(t <= 1 for t in moduli):

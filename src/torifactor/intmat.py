@@ -271,6 +271,15 @@ def rank(m: IntMatrix) -> int:
     return r
 
 
+def _int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as exact integers; ``ShapeError`` for any non-integer, which
+    ``int`` would truncate silently."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ShapeError(f"{what} must be integers: {exc}") from None
+
+
 def vector_content(v: Sequence[int]) -> int:
     """Gcd of the entries (0 for the zero vector)."""
     g = 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .intmat import IntMatrix, ShapeError
+from .intmat import IntMatrix, ShapeError, _int_tuple
 from .normal_forms import _hnf_in_place, hnf, hnf_pivot_columns
 
 
@@ -18,7 +18,7 @@ class Lattice:
     __slots__ = ("_ambient", "_basis")
 
     def __init__(self, ambient: int, rows: Iterable[Sequence[int]] = ()):
-        rows = [[int(x) for x in r] for r in rows]
+        rows = [list(_int_tuple(r, "lattice rows")) for r in rows]
         if ambient < 1:
             raise ShapeError("ambient dimension must be positive")
         if any(len(r) != ambient for r in rows):
@@ -61,7 +61,7 @@ class Lattice:
         return IntMatrix(self._basis)
 
     def __contains__(self, vector: Sequence[int]) -> bool:
-        v = [int(x) for x in vector]
+        v = list(_int_tuple(vector, "vector entries"))
         if len(v) != self._ambient:
             raise ShapeError("vector length does not match ambient dimension")
         if not self._basis:

@@ -4,23 +4,26 @@ A quotient presentation (weight matrix plus torsion residue matrix)
 determines the covering fan matrix by Gale duality; the integer factor
 carrying it onto a fan matrix of the quotient is rebuilt from the HNF of a
 small relation system.  Equivalence of fan matrices (simultaneous unimodular
-row action and column permutation) is decided by brute-force permutation
-search with HNF canonicalization.
+row action and column permutation) is decided without an HNF: invariants
+of the row action (column contents, the multiset of |maximal minor| and a
+per-column minor signature) reject most inequivalent pairs at once, and
+otherwise R is fixed by where one basis of columns goes, so only the
+candidate images of that basis are tried.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, product
 from math import prod
 from typing import Optional
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, det, vector_content
+from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, det, vector_content
 from .covering import TorsionMatrix
 from .gale import gale_dual, require_W
 from .lattices import Lattice
-from .normal_forms import hnf, unimodular_inverse
+from .normal_forms import hnf
 
 MAX_PERM_ENV = "TORIFACTOR_MAX_PERM"
 
@@ -39,7 +42,7 @@ class QuotientPresentation:
 
 
 class SearchLimitExceeded(RuntimeError):
-    """The equivalence search hit the configured permutation cap."""
+    """The equivalence search hit the configured cap on candidate bases."""
 
 
 def _max_permutations_from_env() -> Optional[int]:
@@ -154,41 +157,98 @@ def fan_matrix_equivalence(
 ) -> Optional[tuple[IntMatrix, IntMatrix]]:
     """Witness (R, S) with ``R @ v1 @ S == v2``, or ``None`` if inequivalent.
 
-    S ranges over column permutation matrices in lexicographic order (the
-    identity first); for each candidate the row HNFs are compared and R is
-    recovered from the two transforms.  Column contents prune the search.
-    The environment variable TORIFACTOR_MAX_PERM caps the number of
-    permutations tried; exceeding it raises ``SearchLimitExceeded``, and a
-    value that is not a positive integer raises ``ValueError``.
+    Column contents, the multiset of ``|maximal minor|`` and each column's
+    signature (content, sorted ``|det|`` of the n-subsets containing it) do
+    not change under the row action, so a mismatch answers ``None`` with no
+    search.  Otherwise R is fixed by where one nonsingular n-subset ``c`` of
+    ``v1`` goes: each ordered n-tuple ``t`` of ``v2`` columns with the same
+    signatures and ``|det v2_t| = |det v1_c|`` is a candidate base, giving
+    ``R = v2_t @ adj(v1_c) / det(v1_c)`` when the division is exact, and R is
+    kept when the columns of ``R @ v1`` are those of ``v2`` as a multiset.
+    S is the lexicographically smallest permutation over all such R, equal
+    columns going smallest source to smallest target, so the witness is the
+    first one a search over all column permutations in lexicographic order
+    would accept.  ``max_permutations``, by default the environment variable
+    TORIFACTOR_MAX_PERM, caps the number of candidate bases tried; exceeding
+    it raises ``SearchLimitExceeded``, and a value that is not a positive
+    integer raises ``ValueError``.
     """
     if v1.shape != v2.shape:
         raise ShapeError("fan matrices must have equal shape")
     if max_permutations is None:
         max_permutations = _max_permutations_from_env()
-    m = v1.cols
-    contents1 = [vector_content(v1.col(j)) for j in range(m)]
-    contents2 = [vector_content(v2.col(j)) for j in range(m)]
-    if sorted(contents1) != sorted(contents2):
+    n, m = v1.shape
+    cols1 = [v1.col(j) for j in range(m)]
+    cols2 = [v2.col(j) for j in range(m)]
+    if sorted(map(vector_content, cols1)) != sorted(map(vector_content, cols2)):
         return None
-    res2 = hnf(v2)
-    if not any(res2.H.row(v1.rows - 1)):
+    minors1, minors2 = _abs_minors(v1), _abs_minors(v2)
+    if not any(minors2.values()):
         raise PreconditionError("fan matrices must have full row rank")
-    u2_inv = unimodular_inverse(res2.U)
+    if sorted(minors1.values()) != sorted(minors2.values()):
+        return None
+    sig1, sig2 = _column_signatures(cols1, minors1), _column_signatures(cols2, minors2)
+    if sorted(sig1) != sorted(sig2):
+        return None
+    by_signature: dict[tuple, list[int]] = {}
+    for j, sig in enumerate(sig2):
+        by_signature.setdefault(sig, []).append(j)
+    c = min(
+        (c for c, d in minors1.items() if d),
+        key=lambda c: prod(len(by_signature[sig1[j]]) for j in c),
+    )
+    d, adj = _det_adjugate(v1.select_cols(c))
+    positions: dict[tuple[int, ...], list[int]] = {}
+    for j, col in enumerate(cols2):
+        positions.setdefault(col, []).append(j)
+    best: Optional[tuple[list[int], IntMatrix]] = None
     tried = 0
-    for perm in permutations(range(m)):
-        if any(contents1[perm[j]] != contents2[j] for j in range(m)):
+    for t in product(*(by_signature[sig1[j]] for j in c)):
+        if len(set(t)) < n or minors2[tuple(sorted(t))] != abs(d):
             continue
         tried += 1
         if max_permutations is not None and tried > max_permutations:
             raise SearchLimitExceeded(
-                f"equivalence search exceeded {max_permutations} permutations"
+                f"equivalence search exceeded {max_permutations} candidate bases"
             )
-        permuted = v1.select_cols(perm)
-        res1 = hnf(permuted)
-        if res1.H != res2.H:
+        scaled = v2.select_cols(t) @ adj
+        if any(x % d for row in scaled for x in row):
             continue
-        r = u2_inv @ res1.U
-        s = IntMatrix.permutation(perm)
-        if r @ v1 @ s == v2:
-            return (r, s)
-    return None
+        r = IntMatrix([[x // d for x in row] for row in scaled])
+        perm = _column_matching(r @ v1, positions)
+        if perm is not None and (best is None or perm < best[0]):
+            best = (perm, r)
+    if best is None:
+        return None
+    r, s = best[1], IntMatrix.permutation(best[0])
+    return (r, s) if r @ v1 @ s == v2 else None
+
+
+def _abs_minors(v: IntMatrix) -> dict[tuple[int, ...], int]:
+    """``|det|`` of every n-subset of columns, keyed by the sorted subset."""
+    return {c: abs(det(v.select_cols(c))) for c in combinations(range(v.cols), v.rows)}
+
+
+def _column_signatures(
+    cols: list[tuple[int, ...]], minors: dict[tuple[int, ...], int]
+) -> list[tuple]:
+    """Per column: its content and the sorted minors of the subsets containing it."""
+    dets: list[list[int]] = [[] for _ in cols]
+    for c, d in minors.items():
+        for j in c:
+            dets[j].append(d)
+    return [(vector_content(col), tuple(sorted(ds))) for col, ds in zip(cols, dets)]
+
+
+def _column_matching(moved: IntMatrix, positions: dict) -> Optional[list[int]]:
+    """Smallest ``perm`` with column ``perm[j]`` of ``moved`` at position ``j``
+    of ``v2`` (``positions``: column to its ascending positions), or ``None``
+    when the column multisets differ."""
+    perm = [0] * moved.cols
+    free = {col: iter(js) for col, js in positions.items()}
+    for i in range(moved.cols):
+        j = next(free.get(moved.col(i), iter(())), None)
+        if j is None:
+            return None
+        perm[j] = i
+    return perm

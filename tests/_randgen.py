@@ -1,15 +1,16 @@
 """Deterministic random instance generators and brute-force oracles."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 from torifactor import (
     IntMatrix,
     Lattice,
     PicardData,
     PreconditionError,
+    SearchLimitExceeded,
     ShapeError,
     classify_F,
     det,
@@ -24,6 +25,7 @@ from torifactor import (
     vector_content,
 )
 from torifactor.normal_forms import _identity_block_transform
+from torifactor.reconstruction import _max_permutations_from_env
 
 
 def random_unimodular(rng, n, steps=5):
@@ -398,3 +400,50 @@ def oracle_enumerate_fans(v: IntMatrix):
     for seed in (c for c in candidates if around_point(c)):
         grow([seed], {f: 1 for f in facets(seed)})
     return tuple(sorted(found))
+
+
+def permutation_fan_matrix_equivalence(
+    v1: IntMatrix,
+    v2: IntMatrix,
+    max_permutations: Optional[int] = None,
+) -> Optional[tuple[IntMatrix, IntMatrix]]:
+    """Witness (R, S) with ``R @ v1 @ S == v2``, or ``None`` if inequivalent.
+
+    S ranges over column permutation matrices in lexicographic order (the
+    identity first); for each candidate the row HNFs are compared and R is
+    recovered from the two transforms.  Column contents prune the search.
+    The environment variable TORIFACTOR_MAX_PERM caps the number of
+    permutations tried; exceeding it raises ``SearchLimitExceeded``, and a
+    value that is not a positive integer raises ``ValueError``.
+    """
+    if v1.shape != v2.shape:
+        raise ShapeError("fan matrices must have equal shape")
+    if max_permutations is None:
+        max_permutations = _max_permutations_from_env()
+    m = v1.cols
+    contents1 = [vector_content(v1.col(j)) for j in range(m)]
+    contents2 = [vector_content(v2.col(j)) for j in range(m)]
+    if sorted(contents1) != sorted(contents2):
+        return None
+    res2 = hnf(v2)
+    if not any(res2.H.row(v1.rows - 1)):
+        raise PreconditionError("fan matrices must have full row rank")
+    u2_inv = unimodular_inverse(res2.U)
+    tried = 0
+    for perm in permutations(range(m)):
+        if any(contents1[perm[j]] != contents2[j] for j in range(m)):
+            continue
+        tried += 1
+        if max_permutations is not None and tried > max_permutations:
+            raise SearchLimitExceeded(
+                f"equivalence search exceeded {max_permutations} permutations"
+            )
+        permuted = v1.select_cols(perm)
+        res1 = hnf(permuted)
+        if res1.H != res2.H:
+            continue
+        r = u2_inv @ res1.U
+        s = IntMatrix.permutation(perm)
+        if r @ v1 @ s == v2:
+            return (r, s)
+    return None

@@ -234,6 +234,12 @@ INEQUIVALENT = {
     "second": {"data": [[1, 1, -1], [0, 2, -1]]},
 }
 
+# equivalent, with equal minor invariants; four candidate bases for R
+CAPPED = {
+    "first": {"data": [[1, 0, -1, -1], [0, 1, -1, -2]]},
+    "second": {"data": [[0, 1, -1, -1], [1, 0, -1, -2]]},
+}
+
 
 @pytest.mark.parametrize("value", ["abc", "-3"])
 def test_bad_permutation_cap_is_an_input_error(monkeypatch, capsys, value):
@@ -248,7 +254,7 @@ def test_bad_permutation_cap_is_an_input_error(monkeypatch, capsys, value):
 
 def test_reached_permutation_cap_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("TORIFACTOR_MAX_PERM", "1")
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(INEQUIVALENT)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(CAPPED)))
     assert run(["equiv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -7,6 +7,7 @@ from torifactor import (
     IntMatrix,
     Lattice,
     PreconditionError,
+    ShapeError,
     TorsionMatrix,
     beta_factor,
     classify_F,
@@ -308,6 +309,14 @@ def test_torsion_matrix_rejects_bad_moduli():
         TorsionMatrix([1], [[0, 0]])
     with pytest.raises(PreconditionError):
         TorsionMatrix([4, 6], [[0, 0], [0, 0]])
+
+
+def test_torsion_matrix_rejects_non_integer_moduli_and_entries():
+    # int() would truncate these to moduli (2,) and entries ((1, 0),)
+    with pytest.raises(ShapeError, match="must be integers"):
+        TorsionMatrix([2.5], [[1.7, 0]])
+    with pytest.raises(ShapeError, match="must be integers"):
+        TorsionMatrix([2], [[1.7, 0]])
 
 
 def test_is_divisor_of_beta():

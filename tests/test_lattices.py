@@ -38,6 +38,18 @@ def test_lattice_membership():
         (1, 2, 3) in lat
 
 
+def test_lattice_rejects_non_integer_basis_rows():
+    # int() would truncate these to the basis ((1, 0), (0, 2))
+    with pytest.raises(ShapeError, match="must be integers"):
+        Lattice(2, [[1.9, 0.5], [0, 2]])
+
+
+def test_lattice_membership_rejects_non_integer_vectors():
+    # int() would truncate (1.5, 0) to the member (1, 0)
+    with pytest.raises(ShapeError, match="must be integers"):
+        [1.5, 0] in Lattice(2, [[1, 0]])
+
+
 def test_zero_and_full_lattices():
     z = Lattice.zero(3)
     assert z.rank == 0

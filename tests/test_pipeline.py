@@ -126,18 +126,25 @@ def test_analyze_intersects_no_lattices(count_calls):
     assert calls == []
 
 
-def _picard_pairs(res):
-    return sorted((fa.picard.index, fa.picard.delta_sigma) for fa in res.fans)
+def _invariants(res):
+    """Torsion, fan count and the multiset of Picard (index, delta_sigma)."""
+    return (
+        res.covering.torsion_invariants,
+        res.gamma.moduli,
+        res.class_group.torsion,
+        len(res.fans),
+        sorted((fa.picard.index, fa.picard.delta_sigma) for fa in res.fans),
+    )
 
 
 @given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
-def test_picard_pairs_invariant_under_row_action_and_column_permutation(shape, seed):
+def test_analyze_invariants_under_row_action_and_column_permutation(shape, seed):
     rng = random.Random(seed)
     v = random_reduced_f_matrix(rng, *shape)
     order = list(range(v.cols))
     rng.shuffle(order)
     moved = (random_unimodular(rng, v.rows) @ v).select_cols(order)
-    assert _picard_pairs(analyze(moved)) == _picard_pairs(analyze(v))
+    assert _invariants(analyze(moved)) == _invariants(analyze(v))
 
 
 def test_verify_result_rejects_a_basis_outside_a_block_lattice():

@@ -1,7 +1,7 @@
-import os
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torifactor import (
     IntMatrix,
@@ -39,7 +39,14 @@ from _exampledata import (
     REID_WITNESS_R,
     REID_WITNESS_S,
 )
-from _randgen import pick_fan_shape, random_reduced_f_matrix
+from _randgen import (
+    SMALL_FAN_SHAPES,
+    permutation_fan_matrix_equivalence,
+    pick_fan_shape,
+    random_matrix,
+    random_reduced_f_matrix,
+    random_unimodular,
+)
 
 
 def test_presentation_validates_inputs():
@@ -147,8 +154,6 @@ def test_equivalence_reflexive():
 
 def test_equivalence_symmetry_and_transitivity():
     rng = random.Random(81)
-    from _randgen import random_unimodular
-
     for _ in range(10):
         n, r = pick_fan_shape(rng, max_dim=3, max_total=6)
         v1 = random_reduced_f_matrix(rng, n, r)
@@ -183,17 +188,90 @@ def test_equivalence_content_pruning():
     assert fan_matrix_equivalence(v1, v2) is None
 
 
-def test_equivalence_search_cap():
+def test_equivalence_search_cap(monkeypatch):
     v1 = IntMatrix([[1, 0, -1, -1], [0, 1, -1, -2]])
     # columns of v1 swapped in front: the identity permutation cannot match
     v2 = IntMatrix([[0, 1, -1, -1], [1, 0, -1, -2]])
     assert fan_matrix_equivalence(v1, v2, max_permutations=30) is not None
-    os.environ["TORIFACTOR_MAX_PERM"] = "1"
+    monkeypatch.setenv("TORIFACTOR_MAX_PERM", "1")
+    with pytest.raises(SearchLimitExceeded):
+        fan_matrix_equivalence(v1, v2)
+
+
+def test_minor_multisets_reject_without_search():
+    # |maximal minors| {1, 1, 1} against {1, 1, 2}: no candidate base is tried
+    v1 = IntMatrix([[1, 0, -1], [0, 1, -1]])
+    v2 = IntMatrix([[1, 1, -1], [0, 2, -1]])
+    assert fan_matrix_equivalence(v1, v2, max_permutations=1) is None
+
+
+def _outcome(equivalence, v1, v2):
+    """The whole witness as lists, ``None``, or the precondition message."""
     try:
-        with pytest.raises(SearchLimitExceeded):
-            fan_matrix_equivalence(v1, v2)
-    finally:
-        del os.environ["TORIFACTOR_MAX_PERM"]
+        witness = equivalence(v1, v2)
+    except PreconditionError as exc:
+        return str(exc)
+    return None if witness is None else (witness[0].tolist(), witness[1].tolist())
+
+
+def _disguise(rng, v):
+    order = list(range(v.cols))
+    rng.shuffle(order)
+    return random_unimodular(rng, v.rows) @ v.select_cols(order)
+
+
+def _assert_matches_permutation_oracle(v1, v2):
+    assert _outcome(fan_matrix_equivalence, v1, v2) == _outcome(
+        permutation_fan_matrix_equivalence, v1, v2
+    )
+
+
+# nontrivial automorphisms (P1 x P1, the hexagon), repeated columns (the rest)
+SYMMETRIC = (
+    IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]]),
+    IntMatrix([[1, 0, -1, -1, 0, 1], [0, 1, 1, 0, -1, -1]]),
+    IntMatrix([[1, 0, 1, -1, -1], [0, 1, 1, -1, -1]]),
+    IntMatrix([[1, 0, 0, -1, -1, 0], [0, 1, 0, -1, -1, 1], [0, 0, 1, -1, -1, 0]]),
+)
+
+
+@pytest.mark.parametrize("v", SYMMETRIC)
+def test_equivalence_witness_on_symmetric_matrices_matches_oracle(v):
+    rng = random.Random(97)
+    for v2 in (v, _disguise(rng, v), _disguise(rng, v), _disguise(rng, v)):
+        _assert_matches_permutation_oracle(v, v2)
+
+
+@pytest.mark.parametrize(
+    "v1, v2",
+    [
+        ([[1, 2, 3], [2, 4, 6]], [[1, 2, 3], [2, 4, 6]]),
+        ([[1, 0, -1], [0, 1, -1]], [[1, 2, 3], [2, 4, 6]]),
+        ([[1, 2, 3], [2, 4, 6]], [[1, 0, -1], [0, 1, -1]]),
+        ([[1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1], [1, 1]]),
+    ],
+)
+def test_rank_deficient_pairs_match_oracle(v1, v2):
+    _assert_matches_permutation_oracle(IntMatrix(v1), IntMatrix(v2))
+
+
+@given(
+    st.sampled_from(["copy", "pair", "integer pair", "repeated column"]),
+    st.sampled_from(SMALL_FAN_SHAPES),
+    st.integers(0, 2**32),
+)
+def test_equivalence_witness_matches_permutation_oracle(kind, shape, seed):
+    # at most 7 columns, so the oracle tries at most 5040 permutations
+    rng = random.Random(seed)
+    n, r = shape
+    if kind == "integer pair":
+        v1, v2 = random_matrix(rng, n, n + r), random_matrix(rng, n, n + r)
+    else:
+        v1 = random_reduced_f_matrix(rng, n, r)
+        if kind == "repeated column":
+            v1 = v1.hstack(v1.select_cols([rng.randrange(v1.cols)]))
+        v2 = random_reduced_f_matrix(rng, n, r) if kind == "pair" else _disguise(rng, v1)
+    _assert_matches_permutation_oracle(v1, v2)
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "0"])
