@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .intmat import IntMatrix, PreconditionError, ShapeError
-from .gale import _cone_frames, require_F
+from .gale import _cone_frames, _require_F
 
 Cone = tuple[int, ...]
 
@@ -174,14 +174,12 @@ def enumerate_fans(v: IntMatrix) -> tuple[Fan, ...]:
     rays used is a complete fan, and each fan is reached exactly once from
     its unique cone around the generic point.
     """
-    require_F(v)
-    return _enumerate_fans(v)
+    return _enumerate_fans(v, _require_F(v)[1])
 
 
-def _enumerate_fans(v: IntMatrix) -> tuple[Fan, ...]:
-    """Body of ``enumerate_fans`` for a ``v`` already known to be a fan matrix."""
+def _enumerate_fans(v: IntMatrix, frames: dict[Cone, tuple]) -> tuple[Fan, ...]:
+    """Body of ``enumerate_fans`` for a fan matrix ``v`` and its ``_cone_frames``."""
     m = v.cols
-    frames = _cone_frames(v)
     candidates = list(frames)
     masks = [_mask(c) for c in candidates]
     circuits = _circuits(v, frames)

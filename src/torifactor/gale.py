@@ -69,8 +69,12 @@ def positive_span_is_full(v: IntMatrix) -> bool:
     value on the remaining column of ``c``; so the test asks each coordinate
     row of ``_cone_frame`` for a negative entry.
     """
-    frames = _cone_frames(v).values()
-    return bool(frames) and all(min(row) < 0 for _, coords in frames for row in coords)
+    return _spans_positively(_cone_frames(v))
+
+
+def _spans_positively(frames: dict[tuple[int, ...], tuple]) -> bool:
+    """``positive_span_is_full`` read off the frames of ``_cone_frames``."""
+    return bool(frames) and all(min(row) < 0 for _, coords in frames.values() for row in coords)
 
 
 def _cone_frames(v: IntMatrix) -> dict[tuple[int, ...], tuple]:
@@ -95,13 +99,21 @@ def _cone_frame(v: IntMatrix, cone: Sequence[int]):
 
 def classify_F(v: IntMatrix) -> FMatrixReport:
     """Test the fan-matrix conditions (a)-(d), the CF condition (e), reducedness."""
+    return _classify_F(v)[0]
+
+
+def _classify_F(v: IntMatrix) -> tuple[FMatrixReport, dict[tuple[int, ...], tuple]]:
+    """``classify_F`` and the ``_cone_frames`` it reads (b) from, for callers
+    that go on to use the frames."""
     n, m = v.shape
     if n >= m:
         raise ShapeError("a fan matrix must have more columns than rows")
     failed = []
-    if rank(v) != n:
+    # v has rank n iff some n-subset of its columns is nonsingular
+    frames = _cone_frames(v)
+    if not frames:
         failed.append("a")
-    if not positive_span_is_full(v):
+    if not _spans_positively(frames):
         failed.append("b")
     columns = [v.col(j) for j in range(m)]
     if any(not any(c) for c in columns):
@@ -113,7 +125,7 @@ def classify_F(v: IntMatrix) -> FMatrixReport:
     if is_f and not cf:
         failed.append("e")
     reduced = all(vector_content(c) == 1 for c in columns)
-    return FMatrixReport(is_f, cf, reduced, tuple(failed))
+    return FMatrixReport(is_f, cf, reduced, tuple(failed)), frames
 
 
 def _has_positively_proportional_pair(columns) -> bool:
@@ -172,14 +184,22 @@ def reduce_F(v: IntMatrix) -> IntMatrix:
 
 def require_F(v: IntMatrix, reduced: bool = False) -> FMatrixReport:
     """Raise ``PreconditionError`` unless ``v`` is an F-matrix (and reduced)."""
-    report = classify_F(v)
+    return _require_F(v, reduced)[0]
+
+
+def _require_F(
+    v: IntMatrix, reduced: bool = False
+) -> tuple[FMatrixReport, dict[tuple[int, ...], tuple]]:
+    """``require_F`` that also returns the ``_cone_frames`` of ``v``, so that
+    fan enumeration need not build them again."""
+    report, frames = _classify_F(v)
     if not report.is_F:
         raise PreconditionError(
             "not a fan matrix; failed conditions: " + ", ".join(report.failed_conditions)
         )
     if reduced and not report.is_reduced:
         raise PreconditionError("fan matrix is not reduced (a column has content > 1)")
-    return report
+    return report, frames
 
 
 def require_W(q: IntMatrix) -> WMatrixReport:

@@ -18,6 +18,7 @@ class Lattice:
     __slots__ = ("_ambient", "_basis")
 
     def __init__(self, ambient: int, rows: Iterable[Sequence[int]] = ()):
+        (ambient,) = _int_tuple((ambient,), "ambient dimension")
         rows = [list(_int_tuple(r, "lattice rows")) for r in rows]
         if ambient < 1:
             raise ShapeError("ambient dimension must be positive")
@@ -37,6 +38,7 @@ class Lattice:
 
     @classmethod
     def full(cls, ambient: int) -> "Lattice":
+        (ambient,) = _int_tuple((ambient,), "ambient dimension")
         return cls(ambient, IntMatrix.identity(ambient).tolist())
 
     @classmethod

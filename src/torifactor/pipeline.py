@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intmat import IntMatrix, PreconditionError, _det_adjugate, det
+from .intmat import IntMatrix, PreconditionError, _det_adjugate, _int_tuple, det
 from .covering import (
     CoveringData,
     TorsionMatrix,
@@ -24,12 +24,12 @@ from .covering import (
 from .divisors import (
     ClassGroupData,
     PicardData,
+    _picard_basis,
     cartier_basis,
-    picard_basis,
     weight_transform,
 )
 from .fans import Fan, PicardIndexFamily, _enumerate_fans, picard_index_sets
-from .gale import gale_dual, require_F
+from .gale import _require_F, gale_dual
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,13 @@ def analyze(v: IntMatrix, fan_index: Optional[int] = None, verify: bool = True) 
     enumeration; by default every fan is processed.  ``V_hat`` is the lower
     block of ``U_Q``, a row action away from ``covering_decomposition``'s row
     HNF: for ``V = (1 -1)``, ``V_hat = (-1 1)`` and ``beta = (-1)`` here.
+    The cone frames of ``V`` are built once, by the validation, and reused by
+    the fan enumeration; the ``(det Q_I, adj Q_I)`` of each distinct index set
+    ``I`` is computed once and shared by all fans and by the verification.
     """
-    require_F(v, reduced=True)
+    if fan_index is not None:
+        (fan_index,) = _int_tuple((fan_index,), "fan index")
+    _, frames = _require_F(v, reduced=True)
     q = gale_dual(v)
     u_q = weight_transform(q)
     r = q.rows
@@ -76,7 +81,7 @@ def analyze(v: IntMatrix, fan_index: Optional[int] = None, verify: bool = True) 
         free_generators=u_q.top_rows(r),
         torsion_generator_rows=gens,
     )
-    all_fans = _enumerate_fans(v)
+    all_fans = _enumerate_fans(v, frames)
     if fan_index is not None:
         if not 0 <= fan_index < len(all_fans):
             raise PreconditionError(
@@ -85,10 +90,11 @@ def analyze(v: IntMatrix, fan_index: Optional[int] = None, verify: bool = True) 
         selected = (all_fans[fan_index],)
     else:
         selected = all_fans
+    blocks: dict[tuple[int, ...], tuple[int, IntMatrix]] = {}
     analyses = []
     for fan in selected:
         family = picard_index_sets(fan)
-        pd = picard_basis(q, family)
+        pd = _picard_basis(q, family, blocks)
         cx = cartier_basis(pd.B, u_q, cd.beta)
         analyses.append(FanAnalysis(fan=fan, index_sets=family, picard=pd, cartier=cx))
     result = PipelineResult(
@@ -101,12 +107,26 @@ def analyze(v: IntMatrix, fan_index: Optional[int] = None, verify: bool = True) 
         fans=tuple(analyses),
     )
     if verify:
-        verify_result(result)
+        _verify_result(result, blocks)
     return result
 
 
 def verify_result(res: PipelineResult) -> None:
-    """Re-check every cross-module identity of a pipeline result."""
+    """Re-check every cross-module identity of a pipeline result.
+
+    Each distinct index set ``I`` of the fans is checked once: ``Q_I`` is
+    taken from ``Q`` again and its ``(d_I, adj Q_I)`` must satisfy
+    ``Q_I adj Q_I == d_I I`` with ``d_I != 0``.  Then a Picard row ``b`` lies in
+    ``Q_I Z^r`` iff ``adj(Q_I) b == 0 mod d_I``, which is checked once for each
+    distinct pair of ``I`` and a row of a fan that has ``I``.
+    """
+    _verify_result(res, {})
+
+
+def _verify_result(res: PipelineResult, blocks: dict[tuple[int, ...], tuple]) -> None:
+    """``verify_result`` that takes the ``(d_I, adj Q_I)`` of any index set
+    ``I`` found in ``blocks``; each entry passes the same identity check as a
+    freshly computed one, so the table need not be trusted."""
     v, q = res.V, res.Q
     if not (q @ v.transpose()).is_zero():
         raise PreconditionError("weights are not orthogonal to the fan matrix")
@@ -125,24 +145,22 @@ def verify_result(res: PipelineResult) -> None:
         raise PreconditionError("free-part generator identity failed")
     if res.gamma.rows:
         _check_torsion_congruences(res.gamma, v, res.class_group.torsion_generator_rows)
-    # (d_I, adj Q_I) per distinct index set; b lies in Q_I Z^r iff adj(Q_I) b == 0 mod d_I
-    blocks: dict[tuple[int, ...], tuple[int, IntMatrix]] = {}
+    rows_by_set: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     for fa in res.fans:
         pd = fa.picard
         if abs(det(fa.cartier)) != pd.index * det_beta:
             raise PreconditionError("Cartier determinant factorization failed")
         if fa.cartier.bottom_rows(v.rows) != v:
             raise PreconditionError("Cartier basis does not end in the fan matrix")
-        b_cols = pd.B.transpose()
         for idx in fa.index_sets.sets:
-            if idx not in blocks:
-                block = q.select_cols(idx)
-                d, adj = _det_adjugate(block)
-                if d == 0:
-                    raise PreconditionError(f"singular weight block at columns {idx}")
-                if block @ adj != d * identity:
-                    raise PreconditionError("weight block adjugate identity failed")
-                blocks[idx] = (d, adj)
-            d, adj = blocks[idx]
-            if any(x % d for row in adj @ b_cols for x in row):
-                raise PreconditionError("Picard basis escapes a weight block lattice")
+            rows_by_set.setdefault(idx, set()).update(pd.B)
+    for idx, rows in rows_by_set.items():
+        block = q.select_cols(idx)
+        d, adj = blocks[idx] if idx in blocks else _det_adjugate(block)
+        if d == 0:
+            raise PreconditionError(f"singular weight block at columns {idx}")
+        if block @ adj != d * identity:
+            raise PreconditionError("weight block adjugate identity failed")
+        # b lies in Q_I Z^r iff adj(Q_I) b == 0 mod d_I
+        if any(x % d for row in adj @ IntMatrix(rows).transpose() for x in row):
+            raise PreconditionError("Picard basis escapes a weight block lattice")

@@ -262,17 +262,11 @@ def test_reached_permutation_cap_exits_2(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["cover", "torsion", "gamma"])
-def test_covering_commands_classify_each_input_once(monkeypatch, capsys, tmp_path, command):
+def test_covering_commands_classify_each_input_once(count_calls, capsys, tmp_path, command):
     from torifactor import gale
 
-    calls = []
-    classify_F = gale.classify_F
-
-    def count_F(v):
-        calls.append(v)
-        return classify_F(v)
-
-    monkeypatch.setattr(gale, "classify_F", count_F)
+    frames = count_calls(gale, "_cone_frames")
+    weights = count_calls(gale, "classify_W")
     paths = []
     for name, payload in (("ex1.json", EX1), ("ex2.json", EX2)):
         path = tmp_path / name
@@ -280,7 +274,8 @@ def test_covering_commands_classify_each_input_once(monkeypatch, capsys, tmp_pat
         paths += ["--input", str(path)]
     assert run([command, *paths]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
-    assert len(calls) == 2
+    assert len(frames) == 2
+    assert weights == []
 
 
 def test_reconstruct_rejects_torsion_the_pairing_does_not_reach(tmp_path):

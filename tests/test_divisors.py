@@ -8,6 +8,7 @@ from torifactor import (
     Lattice,
     PreconditionError,
     PicardIndexFamily,
+    ShapeError,
     cartier_basis,
     covering_decomposition,
     det,
@@ -19,6 +20,9 @@ from torifactor import (
     weight_transform,
     weil_inclusion,
 )
+
+from torifactor.divisors import _picard_basis
+from torifactor.intmat import _det_adjugate
 
 from _exampledata import (
     EX1_CX,
@@ -225,6 +229,36 @@ def test_picard_basis_matches_chained_intersection(shape, seed):
     for fan in enumerate_fans(v):
         family = picard_index_sets(fan)
         assert picard_basis(q, family) == chained_picard_basis(q, family)
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_picard_core_with_one_table_across_fans_matches_picard_basis(shape, seed):
+    v = random_reduced_f_matrix(random.Random(seed), *shape)
+    q = gale_dual(v)
+    table = {}
+    families = [picard_index_sets(fan) for fan in enumerate_fans(v)]
+    for family in families:
+        shared = _picard_basis(q, family, table)
+        assert shared == picard_basis(q, family) == chained_picard_basis(q, family)
+    assert set(table) == {idx for family in families for idx in family.sets}
+    assert all(table[idx] == _det_adjugate(q.select_cols(idx)) for idx in table)
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [((-1, 0),), ((1, 99),), ((1.0, 2),), ((1, 1),), ((0, 1), (0,)), ((0, 1), 3)],
+)
+def test_picard_basis_rejects_malformed_index_sets(sets):
+    q = gale_dual(IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]]))
+    with pytest.raises(ShapeError):
+        picard_basis(q, PicardIndexFamily(sets))
+
+
+def test_picard_basis_reads_index_sets_as_integers():
+    q = gale_dual(IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]]))
+    family = PicardIndexFamily(((0, 1), (2, 1)))
+    listed = PicardIndexFamily(([True, 0], [2, 1]))
+    assert picard_basis(q, listed) == picard_basis(q, family)
 
 
 def test_picard_basis_matches_chained_intersection_on_examples():

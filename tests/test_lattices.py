@@ -50,6 +50,14 @@ def test_lattice_membership_rejects_non_integer_vectors():
         [1.5, 0] in Lattice(2, [[1, 0]])
 
 
+@pytest.mark.parametrize(
+    "build", [lambda: Lattice(2.0, [[1, 0]]), lambda: Lattice.full(2.0), lambda: Lattice.zero("2")]
+)
+def test_lattice_rejects_a_non_integer_ambient_dimension(build):
+    with pytest.raises(ShapeError, match="ambient dimension"):
+        build()
+
+
 def test_zero_and_full_lattices():
     z = Lattice.zero(3)
     assert z.rank == 0

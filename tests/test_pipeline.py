@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from torifactor import (
     IntMatrix,
     PreconditionError,
+    ShapeError,
     analyze,
     covering_decomposition,
     det,
@@ -75,8 +76,14 @@ def test_pipeline_second_example():
 def test_pipeline_fan_selection():
     res = analyze(EX2_V, fan_index=1)
     assert len(res.fans) == 1
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="fan index 5 out of range"):
         analyze(EX2_V, fan_index=5)
+
+
+@pytest.mark.parametrize("fan_index", ["0", 1.5, 1.0])
+def test_pipeline_rejects_a_non_integer_fan_index(fan_index):
+    with pytest.raises(ShapeError, match="fan index"):
+        analyze(EX2_V, fan_index=fan_index)
 
 
 def test_pipeline_rejects_non_reduced():
@@ -95,26 +102,32 @@ def test_pipeline_verification_random():
         assert res.class_group.torsion == res.covering.torsion_invariants
 
 
-def test_analyze_classifies_the_fan_matrix_once(monkeypatch):
+def test_analyze_classifies_the_fan_matrix_once(count_calls):
+    # the validation builds the cone frames and the fan enumeration reuses them
     from torifactor import gale
 
-    calls = {"F": 0, "W": 0}
-    classify_F, classify_W = gale.classify_F, gale.classify_W
-
-    def count_F(v):
-        calls["F"] += 1
-        return classify_F(v)
-
-    def count_W(q):
-        calls["W"] += 1
-        return classify_W(q)
-
-    monkeypatch.setattr(gale, "classify_F", count_F)
-    monkeypatch.setattr(gale, "classify_W", count_W)
+    frames = count_calls(gale, "_cone_frames")
+    weights = count_calls(gale, "classify_W")
     for v in (EX1_V, EX2_V):
-        calls.update(F=0, W=0)
+        frames.clear()
         analyze(v)
-        assert calls == {"F": 1, "W": 0}
+        assert frames == [(v,)]
+    assert weights == []
+
+
+def test_analyze_inverts_each_weight_block_once(count_calls):
+    from torifactor import intmat
+
+    calls = count_calls(intmat, "_det_adjugate")
+    for v in (EX2_V, random_reduced_f_matrix(random.Random(0), 3, 2)):
+        calls.clear()
+        res = analyze(v, verify=True)
+        distinct = {idx for fa in res.fans for idx in fa.index_sets.sets}
+        assert len(distinct) < sum(len(fa.index_sets.sets) for fa in res.fans)
+        blocks = {res.Q.select_cols(idx) for idx in distinct}
+        inverted = [m for (m,) in calls if m in blocks]
+        assert len(inverted) == len(distinct)
+        assert set(inverted) == blocks
 
 
 def test_analyze_intersects_no_lattices(count_calls):
@@ -162,3 +175,49 @@ def test_verify_result_rejects_a_basis_outside_a_block_lattice():
     )
     with pytest.raises(PreconditionError, match="escapes a weight block lattice"):
         verify_result(replace(res, fans=(forged,) + res.fans[1:]))
+
+
+def test_verification_rejects_a_forged_basis_on_the_last_fan(monkeypatch):
+    # rows are pooled per index set, so the last fan's rows must still meet
+    # a block lattice that an earlier fan shares: forge the Picard lattice of
+    # the last fan without one such shared set, which leaves that block alone
+    from torifactor import Lattice, PicardIndexFamily, picard_basis, pipeline
+
+    res = analyze(EX2_V, verify=False)
+    q, families = res.Q, [fa.index_sets.sets for fa in res.fans]
+    *earlier, last = families
+
+    def block_lattices_left(pd):
+        pic = Lattice.from_matrix(pd.B)
+        blocks = {i: Lattice.from_matrix(q.select_cols(i).transpose()) for i in last}
+        return [i for i in last if not pic.is_sublattice_of(blocks[i])]
+
+    idx = next(i for i in last if any(i in f for f in earlier))
+    forged = picard_basis(q, PicardIndexFamily(tuple(i for i in last if i != idx)))
+    assert block_lattices_left(forged) == [idx]
+    calls = []
+    picard = pipeline._picard_basis
+
+    def forge_last(q, family, table):
+        calls.append(family)
+        pd = picard(q, family, table)
+        return forged if len(calls) % len(families) == 0 else pd
+
+    monkeypatch.setattr(pipeline, "_picard_basis", forge_last)
+    with pytest.raises(PreconditionError, match="escapes a weight block lattice"):
+        analyze(EX2_V)
+    res = analyze(EX2_V, verify=False)
+    assert res.fans[-1].picard == forged
+    with pytest.raises(PreconditionError, match="escapes a weight block lattice"):
+        verify_result(res)
+
+
+def test_verification_rechecks_every_table_entry():
+    # a zero "adjugate" would let every row pass the congruence test
+    from torifactor.pipeline import _verify_result
+
+    res = analyze(EX2_V)
+    r = res.Q.rows
+    forged = {idx: (1, IntMatrix.zeros(r, r)) for idx in res.fans[-1].index_sets.sets}
+    with pytest.raises(PreconditionError, match="adjugate identity failed"):
+        _verify_result(res, forged)
