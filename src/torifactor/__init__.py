@@ -6,14 +6,14 @@ Cartier bases per fan, and conversely rebuilds a fan matrix from quotient
 data (weight matrix plus torsion matrix).  All arithmetic is exact.
 """
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, det, rank, vector_content
-from .lattices import Lattice, kernel_saturation, lattice_intersection
+from .intmat import IntMatrix, PreconditionError, ShapeError, det, vector_content
+from .lattices import Lattice, kernel_saturation
 from .normal_forms import (
     HnfResult,
     SnfResult,
     hnf,
     hnf_pivot_columns,
-    is_unimodular,
+    rank,
     snf,
     unimodular_inverse,
 )
@@ -79,13 +79,11 @@ __all__ = [
     "rank",
     "vector_content",
     "kernel_saturation",
-    "lattice_intersection",
     "HnfResult",
     "SnfResult",
     "hnf",
     "snf",
     "hnf_pivot_columns",
-    "is_unimodular",
     "unimodular_inverse",
     "FMatrixReport",
     "WMatrixReport",

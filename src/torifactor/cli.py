@@ -42,22 +42,6 @@ from .reconstruction import (
     fan_matrix_equivalence,
 )
 
-COMMANDS = (
-    "hnf",
-    "snf",
-    "gale",
-    "classify",
-    "fans",
-    "cover",
-    "torsion",
-    "gamma",
-    "picard",
-    "cartier",
-    "reconstruct",
-    "equiv",
-    "pipeline",
-)
-
 _BIG = 1 << 53
 
 
@@ -74,7 +58,6 @@ class JobSpec:
     fan_index: Optional[int]
     count_only: bool
     verify: bool
-    fmt: str
 
 
 # -- JSON (de)serialization --------------------------------------------------
@@ -128,6 +111,8 @@ def decode_torsion(obj: Any, what: str = "torsion") -> TorsionMatrix:
         raise InputFormatError(f"{what}: 'data' must be a list of rows")
     moduli = [_decode_int(t) for t in moduli]
     rows = [[_decode_int(x) for x in r] for r in data]
+    if "rows" in obj and _decode_int(obj["rows"]) != len(moduli):
+        raise InputFormatError(f"{what}: declared row count disagrees with moduli")
     width = obj.get("cols")
     try:
         return TorsionMatrix(moduli, rows, width=None if width is None else _decode_int(width))
@@ -346,6 +331,7 @@ _HANDLERS = {
     "equiv": _run_equiv,
     "pipeline": _run_pipeline,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 # -- plain-text rendering ----------------------------------------------------
@@ -425,6 +411,8 @@ def _load_payload(source: str) -> dict:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid JSON in {source}: {exc}") from exc
+    except RecursionError:
+        raise InputFormatError(f"invalid JSON in {source}: nested too deeply") from None
     if not isinstance(payload, dict):
         raise InputFormatError(f"{source}: top-level JSON value must be an object")
     return payload
@@ -444,7 +432,6 @@ def run(argv: Optional[list[str]] = None) -> int:
                 fan_index=args.fan,
                 count_only=args.count,
                 verify=not args.no_verify,
-                fmt=args.format,
             )
             result = _HANDLERS[args.command](job)
         except InputFormatError as exc:

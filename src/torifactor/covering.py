@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, _int_tuple, det, rank
+from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, _int_tuple, det
 from .gale import gale_dual, require_F
 from .lattices import Lattice
-from .normal_forms import _identity_block_transform, snf, unimodular_inverse
+from .normal_forms import _identity_block_transform, rank, snf, unimodular_inverse
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,8 @@ class TorsionMatrix:
     ):
         moduli = _int_tuple(moduli, "moduli")
         rows = [_int_tuple(row, "torsion entries") for row in entries]
+        if width is not None:
+            (width,) = _int_tuple((width,), "width")
         if len(rows) != len(moduli):
             raise ShapeError("one modulus per row required")
         if any(t <= 1 for t in moduli):
@@ -74,6 +76,8 @@ class TorsionMatrix:
             width = w
         elif width is None:
             raise ShapeError("width required for an empty torsion matrix")
+        if width < 1:
+            raise ShapeError("width must be positive")
         reduced = tuple(
             tuple(x % t for x in row) for t, row in zip(moduli, rows)
         )
@@ -168,8 +172,7 @@ def covering_decomposition(v: IntMatrix, v_hat: Optional[IntMatrix] = None) -> C
     The rows of the aligned covering matrix that correspond to nontrivial
     invariants are sign-normalized to lead with a positive entry.
     """
-    require_F(v, reduced=True)
-    saturated = gale_dual(gale_dual(v))
+    saturated = universal_covering(v)
     if v_hat is None:
         v_hat = saturated
     elif Lattice.from_matrix(v_hat) != Lattice.from_matrix(saturated):
@@ -191,24 +194,15 @@ def _covering_decomposition(v: IntMatrix, v_hat: IntMatrix) -> CoveringData:
     if s and any(c != 1 for c in diag[: n - s]):
         raise PreconditionError("unexpected invariant order in the diagonal form")
 
-    # sign-normalize the generator rows: flipping row i of both aligned
-    # matrices together with row i of mu and column i of nu keeps every
-    # stated identity intact.
-    va = v_aligned.tolist()
-    vha = v_hat_aligned.tolist()
-    mu_rows = mu.tolist()
-    nu_cols = nu.transpose().tolist()
+    # sign-normalize the generator rows to lead with a positive entry: with
+    # E = diag(+-1), E @ E == I and E @ Delta @ E == Delta, so replacing mu by
+    # E @ mu and nu by nu @ E keeps every stated identity intact.
+    signs = [1] * n
     for i in range(n - s, n):
-        lead = next((x for x in vha[i] if x != 0), 0)
-        if lead < 0:
-            vha[i] = [-x for x in vha[i]]
-            va[i] = [-x for x in va[i]]
-            mu_rows[i] = [-x for x in mu_rows[i]]
-            nu_cols[i] = [-x for x in nu_cols[i]]
-    v_aligned = IntMatrix(va)
-    v_hat_aligned = IntMatrix(vha)
-    mu = IntMatrix(mu_rows)
-    nu = IntMatrix(nu_cols).transpose()
+        if next((x for x in v_hat_aligned.row(i) if x != 0), 0) < 0:
+            signs[i] = -1
+    e = IntMatrix.diagonal(signs)
+    v_aligned, v_hat_aligned, mu, nu = e @ v_aligned, e @ v_hat_aligned, e @ mu, nu @ e
 
     if v_aligned != delta @ v_hat_aligned:
         raise PreconditionError("alignment identity failed")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .intmat import IntMatrix, PreconditionError, ShapeError
+from .intmat import IntMatrix, PreconditionError, ShapeError, _int_tuple
 from .gale import _cone_frames, _require_F
 
 Cone = tuple[int, ...]
@@ -242,7 +242,12 @@ def fans_correspond(first: Fan, second: Fan, column_map: Sequence[int]) -> bool:
     """Whether a column relabeling carries the first fan onto the second.
 
     ``column_map[j]`` is the column of the second matrix matching column ``j``
-    of the first.
+    of the first; ``ShapeError`` unless both matrices have m columns and the
+    map is a permutation of ``0..m-1``.
     """
+    m = first.matrix.cols
+    column_map = _int_tuple(column_map, "column map")
+    if second.matrix.cols != m or sorted(column_map) != list(range(m)):
+        raise ShapeError("column map must be a permutation of the columns of both fans")
     mapped = sorted(tuple(sorted(column_map[j] for j in cone)) for cone in first.maximal_cones)
     return mapped == sorted(second.maximal_cones)

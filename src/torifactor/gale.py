@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, rank, vector_content
+from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, vector_content
 from .lattices import Lattice, kernel_saturation
 from .normal_forms import _identity_block_transform
 
@@ -49,11 +49,12 @@ def gale_dual(a: IntMatrix) -> IntMatrix:
     """Canonical HNF basis of the saturated integer kernel of ``a``.
 
     The result G satisfies G @ a^T == 0 and its rows span the full lattice of
-    integer relations among the columns of ``a``.
+    integer relations among the columns of ``a``; ``a`` has full row rank iff
+    that kernel has rank ``cols - rows``.
     """
-    if rank(a) != a.rows:
-        raise PreconditionError("gale_dual requires full row rank")
     ker = kernel_saturation(a)
+    if ker.rank != a.cols - a.rows:
+        raise PreconditionError("gale_dual requires full row rank")
     if ker.rank == 0:
         raise PreconditionError("square full-rank matrix has trivial kernel")
     return ker.basis_matrix()
@@ -149,13 +150,14 @@ def classify_W(q: IntMatrix) -> WMatrixReport:
     if r >= m:
         raise ShapeError("a weight matrix must have more columns than rows")
     failed = []
-    full_rank = rank(q) == r
+    # r < m, so the kernel is never zero; it is gale_dual(q) when q has full rank
+    ker = kernel_saturation(q)
+    full_rank = ker.rank == m - r
     if not full_rank:
         failed.append("a")
     if _identity_block_transform(q) is None:
         failed.append("b")
-    # r < m, so the kernel is never zero; it is gale_dual(q) when q has full rank
-    kernel = kernel_saturation(q).basis_matrix()
+    kernel = ker.basis_matrix()
     if not (full_rank and positive_span_is_full(kernel)):
         failed.append("c")
     if any(not any(q.col(j)) for j in range(m)):

@@ -248,29 +248,6 @@ def _det_adjugate(m: IntMatrix) -> tuple[int, Optional[IntMatrix]]:
     return sign * prev, IntMatrix([[sign * x for x in row[n:]] for row in a])
 
 
-def rank(m: IntMatrix) -> int:
-    """Rank over the rationals, computed by fraction-free row echelon."""
-    a = m.tolist()
-    n_rows, n_cols = m.shape
-    prev = 1
-    r = 0
-    for col in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, n_rows):
-            for j in range(col + 1, n_cols):
-                a[i][j] = (a[i][j] * a[r][col] - a[i][col] * a[r][j]) // prev
-            a[i][col] = 0
-        prev = a[r][col]
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
 def _int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
     """The values as exact integers; ``ShapeError`` for any non-integer, which
     ``int`` would truncate silently."""

@@ -1,4 +1,4 @@
-"""Sublattices of Z^m: canonical bases, saturated kernels, intersections."""
+"""Sublattices of Z^m: canonical bases and saturated kernels."""
 
 from __future__ import annotations
 
@@ -105,27 +105,3 @@ def kernel_saturation(m: IntMatrix) -> Lattice:
     res = hnf(m.transpose())
     zero_rows = [i for i in range(res.H.rows) if not any(res.H.row(i))]
     return Lattice(m.cols, [res.U.row(i) for i in zero_rows])
-
-
-def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
-    """Intersection of two sublattices of the same Z^m.
-
-    Stacks the bases, takes the saturated kernel of ``[A^T | -B^T]`` and maps
-    the solutions back through ``A``.
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise ShapeError("ambient dimensions differ")
-    if a.rank == 0 or b.rank == 0:
-        return Lattice.zero(a.ambient_dim)
-    stacked = a.basis_matrix().vstack(-b.basis_matrix())
-    relations = kernel_saturation(stacked.transpose())
-    gens = []
-    for rel in relations.basis_rows:
-        coeffs = rel[: a.rank]
-        gens.append(
-            tuple(
-                sum(c * row[k] for c, row in zip(coeffs, a.basis_rows))
-                for k in range(a.ambient_dim)
-            )
-        )
-    return Lattice(a.ambient_dim, gens)

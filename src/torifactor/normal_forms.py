@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intmat import IntMatrix, PreconditionError, ShapeError
+from .intmat import IntMatrix, PreconditionError, _det_adjugate
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,14 @@ def hnf(a: IntMatrix) -> HnfResult:
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     _hnf_in_place(h, u)
     return HnfResult(IntMatrix(h), IntMatrix(u))
+
+
+def rank(m: IntMatrix) -> int:
+    """Rank over the rationals: the number of nonzero rows of the row HNF of
+    ``m``, computed in place without a transform."""
+    h = m.tolist()
+    _hnf_in_place(h)
+    return sum(1 for row in h if any(row))
 
 
 def _hnf_in_place(h: list[list[int]], u: Optional[list[list[int]]] = None) -> None:
@@ -182,24 +190,17 @@ def snf(a: IntMatrix) -> SnfResult:
     return SnfResult(IntMatrix(d), IntMatrix(left), IntMatrix(right))
 
 
-def is_unimodular(u: IntMatrix) -> bool:
-    from .intmat import det
-
-    return u.is_square() and abs(det(u)) == 1
-
-
 def unimodular_inverse(u: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular matrix.
+    """Exact inverse of a unimodular matrix: ``d * adj(u)`` with ``d = det(u)``,
+    both from one fraction-free pass of ``_det_adjugate``.
 
-    ``hnf(u)`` reduces a unimodular matrix to the identity, so the recorded
-    transform is the inverse.
+    ``ShapeError`` unless ``u`` is square, ``PreconditionError`` unless ``d``
+    is 1 or -1.
     """
-    if not u.is_square():
-        raise ShapeError("inverse requires a square matrix")
-    res = hnf(u)
-    if res.H != IntMatrix.identity(u.rows):
+    d, adj = _det_adjugate(u)
+    if d not in (1, -1):
         raise PreconditionError("matrix is not unimodular")
-    return res.U
+    return d * adj
 
 
 def _identity_block_transform(a: IntMatrix) -> Optional[IntMatrix]:

@@ -18,7 +18,6 @@ from torifactor import (
     hnf,
     hnf_pivot_columns,
     kernel_saturation,
-    lattice_intersection,
     rank,
     reduce_F,
     unimodular_inverse,
@@ -165,6 +164,30 @@ def minor_gcd(v: IntMatrix):
 
 def lattice_from_vectors(ambient, vectors):
     return Lattice(ambient, [list(v) for v in vectors])
+
+
+def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
+    """Intersection of two sublattices of the same Z^m.
+
+    Stacks the bases, takes the saturated kernel of ``[A^T | -B^T]`` and maps
+    the solutions back through ``A``.
+    """
+    if a.ambient_dim != b.ambient_dim:
+        raise ShapeError("ambient dimensions differ")
+    if a.rank == 0 or b.rank == 0:
+        return Lattice.zero(a.ambient_dim)
+    stacked = a.basis_matrix().vstack(-b.basis_matrix())
+    relations = kernel_saturation(stacked.transpose())
+    gens = []
+    for rel in relations.basis_rows:
+        coeffs = rel[: a.rank]
+        gens.append(
+            tuple(
+                sum(c * row[k] for c, row in zip(coeffs, a.basis_rows))
+                for k in range(a.ambient_dim)
+            )
+        )
+    return Lattice(a.ambient_dim, gens)
 
 
 def chained_picard_basis(q: IntMatrix, index_family) -> PicardData:

@@ -26,7 +26,6 @@ from torifactor import (
     gale_dual,
     hnf,
     kernel_saturation,
-    lattice_intersection,
     picard_basis,
     picard_index_sets,
     reconstruct_beta,
@@ -70,6 +69,7 @@ from _randgen import (
     box_vectors,
     kernel_by_enumeration,
     lattice_from_vectors,
+    lattice_intersection,
     minor_gcd,
     pick_fan_shape,
     random_matrix,

@@ -324,6 +324,8 @@ BAD_TORSION = (
     {"moduli": [3], "data": [1, 1, 1]},
     {"moduli": [0, 5], "data": [[1, 1, 1], [1, 1, 1]]},
     {"moduli": [3], "data": "111"},
+    {"moduli": [], "cols": -1},
+    {"moduli": [5], "rows": 7, "data": [[1, 2, 3]]},
 )
 
 
@@ -334,6 +336,19 @@ def test_malformed_torsion_is_an_input_error(torsion):
     assert code == 1
     assert err.startswith("torifactor: input error: torsion:")
 
+
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "torifactor", "hnf", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        env=ENV,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("torifactor: input error: invalid JSON")
+    assert "Traceback" not in proc.stderr
 
 
 LENIENT_INTEGERS = ("1_0", " 2 ", "\u0663", "+1", "1.0", "0x1", "", "-", "--1", "1\n", "\uff11")
@@ -350,19 +365,6 @@ def test_integer_strings_of_ascii_digits_decode():
     decoded = decode_matrix({"data": [["1", "-2", str(2**60)]], "cols": "3"})
     assert decoded == IntMatrix([[1, -2, 2**60]])
 
-
-def test_reconstruct_job_intersects_no_lattices(count_calls):
-    from torifactor import lattices
-
-    calls = count_calls(lattices, "lattice_intersection")
-    payload = {
-        "weights": {"data": [[1, 1, 1, 1]]},
-        "torsion": {"moduli": [5], "data": [[1, 2, 3, 4]]},
-        "covering": {"data": [[1, 0, 1, -2], [0, 1, -3, 2], [0, 0, 1, -1]]},
-        "reference": {"data": [[1, 0, 1, -2], [0, 1, -3, 2], [0, 0, 5, -5]]},
-    }
-    assert run_in_process("reconstruct", payload)[0] == 0
-    assert calls == []
 
 FIELDS = ("matrix", "kind", "weights", "torsion", "covering", "reference", "first", "second")
 SMALL_INT = st.integers(-3, 3)

@@ -319,6 +319,18 @@ def test_torsion_matrix_rejects_non_integer_moduli_and_entries():
         TorsionMatrix([2], [[1.7, 0]])
 
 
+@pytest.mark.parametrize("width", [2.5, 0, -3, "3"])
+def test_torsion_matrix_rejects_bad_width(width):
+    with pytest.raises(ShapeError):
+        TorsionMatrix((), (), width=width)
+
+
+def test_torsion_matrix_width_matches_entries():
+    assert TorsionMatrix([5], [[1, 2]], width=2).cols == 2
+    with pytest.raises(ShapeError):
+        TorsionMatrix([5], [[]])
+
+
 def test_is_divisor_of_beta():
     beta = IntMatrix.diagonal([1, 1, 5])
     assert is_divisor_of_beta(IntMatrix.identity(3), beta)

@@ -242,6 +242,18 @@ def test_fans_correspond_via_permutation():
     assert not fans_correspond(fan2, enumerate_fans(EX2_V)[1], [0, 1, 2, 3, 4, 5])
 
 
+@pytest.mark.parametrize("column_map", [[0], [0, 0, 0, 0], [0, 1, 2, 3.0], [1, 2, 3, 4], [0, 1, 2, 3, 4]])
+def test_fans_correspond_requires_a_column_permutation(column_map):
+    fan = enumerate_fans(EX1_V)[0]
+    with pytest.raises(ShapeError):
+        fans_correspond(fan, fan, column_map)
+
+
+def test_fans_correspond_requires_equal_column_counts():
+    with pytest.raises(ShapeError):
+        fans_correspond(enumerate_fans(EX1_V)[0], enumerate_fans(EX2_V)[0], [0, 1, 2, 3])
+
+
 def test_simplicial_determinants_nonzero():
     for fan in enumerate_fans(EX2_V):
         for cone in fan.maximal_cones:

@@ -254,15 +254,13 @@ def test_positive_span_matches_facet_normal_oracle(v, close):
     assert positive_span_is_full(v) == oracle_positive_span_is_full(v)
 
 
-def test_classification_intersects_no_lattices_and_takes_no_kernel_for_F(count_calls):
+def test_classification_takes_no_kernel_for_F_and_one_for_W(count_calls):
     from torifactor import lattices
 
-    intersections = count_calls(lattices, "lattice_intersection")
     kernels = count_calls(lattices, "kernel_saturation")
     for v in (EX1_V, EX2_V, EX1_VHAT):
         assert classify_F(v).is_F
     assert kernels == []
     for q in (EX1_Q, EX2_Q, IntMatrix([[1, -1, 0], [0, 0, 1]])):
         classify_W(q)
-    assert intersections == []
     assert len(kernels) == 3

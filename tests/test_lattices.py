@@ -7,7 +7,6 @@ from torifactor import (
     Lattice,
     ShapeError,
     kernel_saturation,
-    lattice_intersection,
     rank,
 )
 
@@ -16,6 +15,7 @@ from _randgen import (
     box_vectors,
     kernel_by_enumeration,
     lattice_from_vectors,
+    lattice_intersection,
     random_matrix,
     rational_membership,
 )

@@ -1,13 +1,17 @@
 import random
 
+import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from torifactor import (
     IntMatrix,
+    PreconditionError,
+    ShapeError,
     det,
     hnf,
     hnf_pivot_columns,
-    is_unimodular,
+    rank,
     snf,
     unimodular_inverse,
 )
@@ -172,8 +176,30 @@ def test_unimodular_inverse():
     for _ in range(30):
         n = rng.randint(1, 5)
         u = random_unimodular(rng, n)
-        assert is_unimodular(u)
-        assert unimodular_inverse(u) @ u == IntMatrix.identity(n)
+        assert abs(det(u)) == 1
+        inverse = unimodular_inverse(u)
+        assert inverse @ u == IntMatrix.identity(n)
+        # the HNF of a unimodular matrix is I, so its transform is the inverse
+        assert inverse == hnf(u).U
+
+
+def test_unimodular_inverse_rejects_other_matrices():
+    for u in (IntMatrix([[2, 0], [0, 1]]), IntMatrix([[1, 1], [1, -1]]), IntMatrix([[0, 0], [0, 1]])):
+        with pytest.raises(PreconditionError):
+            unimodular_inverse(u)
+    with pytest.raises(ShapeError):
+        unimodular_inverse(IntMatrix([[1, 0, 0], [0, 1, 0]]))
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32))
+def test_rank_matches_sympy(rows, cols, k, seed):
+    # a product through an inner dimension k has rank at most k, so it is rank
+    # deficient whenever k < min(rows, cols)
+    rng = random.Random(seed)
+    a = random_matrix(rng, rows, k, bound=4) @ random_matrix(rng, k, cols, bound=4)
+    assert rank(a) == sympy.Matrix(a.tolist()).rank()
+    b = random_matrix(rng, rows, cols, bound=4)
+    assert rank(b) == sympy.Matrix(b.tolist()).rank()
 
 
 def test_pivot_columns():

@@ -130,15 +130,6 @@ def test_analyze_inverts_each_weight_block_once(count_calls):
         assert set(inverted) == blocks
 
 
-def test_analyze_intersects_no_lattices(count_calls):
-    from torifactor import lattices
-
-    calls = count_calls(lattices, "lattice_intersection")
-    for v in (EX1_V, EX2_V):
-        analyze(v)
-    assert calls == []
-
-
 def _invariants(res):
     """Torsion, fan count and the multiset of Picard (index, delta_sigma)."""
     return (
