@@ -60,11 +60,10 @@ from .divisors import (
 )
 from .reconstruction import (
     QuotientPresentation,
+    Reconstruction,
     SearchLimitExceeded,
     fan_matrix_equivalence,
-    reconstruct_beta,
-    reconstruct_fan_matrix,
-    reconstruction_system,
+    reconstruct,
 )
 from .pipeline import FanAnalysis, PipelineResult, analyze, verify_result
 
@@ -119,11 +118,10 @@ __all__ = [
     "weight_transform",
     "weil_inclusion",
     "QuotientPresentation",
+    "Reconstruction",
     "SearchLimitExceeded",
     "fan_matrix_equivalence",
-    "reconstruct_beta",
-    "reconstruct_fan_matrix",
-    "reconstruction_system",
+    "reconstruct",
     "FanAnalysis",
     "PipelineResult",
     "analyze",

@@ -5,18 +5,24 @@ entries given as integers, or as strings once they exceed 53-bit magnitude
 so that no JSON reader can lose precision.  Torsion matrices additionally
 carry ``"moduli"``.  Column and fan indices are 0-based throughout.
 
-Exit codes: 0 success, 1 malformed input (including a TORIFACTOR_MAX_PERM
-that is not a positive integer), 2 violated mathematical precondition (the
-failed classification conditions are named) or an equivalence search that
-reached the TORIFACTOR_MAX_PERM cap.  The cap counts candidate bases: the
-ordered column tuples of the second matrix, with matching minor invariants,
-that could be the image of one fixed basis of columns of the first.
+Exit codes: 0 success, 1 malformed input (including a file that is not
+UTF-8, a JSON number beyond the interpreter's int-to-string digit limit, and
+a TORIFACTOR_MAX_PERM that is not a positive integer), 2 violated
+mathematical precondition (the failed classification conditions are named),
+an equivalence search that reached the TORIFACTOR_MAX_PERM cap, or a result
+entry with more digits than that limit allows in a string (the message names
+the limit; it is left as the interpreter sets it).  The cap counts candidate
+bases: the ordered column tuples of the second matrix, with matching minor
+invariants, that could be the image of one fixed basis of columns of the
+first.  Only this front end reads TORIFACTOR_MAX_PERM; the library takes the
+cap as the ``max_permutations`` argument of ``fan_matrix_equivalence``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -36,17 +42,20 @@ from .pipeline import analyze
 from .reconstruction import (
     QuotientPresentation,
     SearchLimitExceeded,
-    _covering_matrix,
-    _max_permutations_from_env,
-    _reconstruct,
     fan_matrix_equivalence,
+    reconstruct,
 )
 
 _BIG = 1 << 53
+MAX_PERM_ENV = "TORIFACTOR_MAX_PERM"
 
 
 class InputFormatError(ValueError):
     """Malformed job input (bad JSON, schema, or shapes)."""
+
+
+class OutputLimitError(ValueError):
+    """A result entry has more digits than the interpreter converts to a string."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +88,15 @@ def _decode_int(x: Any) -> int:
 
 
 def _encode_int(x: int) -> Any:
-    return str(x) if abs(x) >= _BIG else x
+    if abs(x) < _BIG:
+        return x
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise OutputLimitError(
+            "a result entry exceeds the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer string conversion"
+        ) from exc
 
 
 def decode_matrix(obj: Any, what: str = "matrix") -> IntMatrix:
@@ -253,10 +270,16 @@ def _run_cartier(job: JobSpec) -> dict:
 
 
 def _equivalence(v1: IntMatrix, v2: IntMatrix):
-    try:
-        cap = _max_permutations_from_env()
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
+    """``fan_matrix_equivalence`` capped by TORIFACTOR_MAX_PERM, when set and non-empty."""
+    env = os.environ.get(MAX_PERM_ENV)
+    cap = None
+    if env:
+        try:
+            cap = int(env) if env.isdecimal() else 0
+        except ValueError as exc:  # beyond the interpreter's digit limit
+            raise InputFormatError(str(exc)) from exc
+        if cap == 0:
+            raise InputFormatError(f"{MAX_PERM_ENV} must be a positive integer, got {env!r}")
     return fan_matrix_equivalence(v1, v2, max_permutations=cap)
 
 
@@ -267,17 +290,16 @@ def _run_reconstruct(job: JobSpec) -> dict:
     v_hat = None
     if "covering" in job.payload:
         v_hat = decode_matrix(job.payload["covering"], "covering")
-    vh = _covering_matrix(pres, v_hat)
-    k, beta, v = _reconstruct(pres, vh)
+    rec = reconstruct(pres, v_hat)
     out = {
-        "V_hat": encode_matrix(vh),
-        "K": encode_matrix(k) if k is not None else None,
-        "beta": encode_matrix(beta),
-        "fan_matrix": encode_matrix(v),
+        "V_hat": encode_matrix(rec.V_hat),
+        "K": encode_matrix(rec.K) if rec.K is not None else None,
+        "beta": encode_matrix(rec.beta),
+        "fan_matrix": encode_matrix(rec.V),
     }
     if "reference" in job.payload:
         ref = decode_matrix(job.payload["reference"], "reference")
-        witness = _equivalence(ref, v)
+        witness = _equivalence(ref, rec.V)
         if witness is None:
             out["equivalence"] = {"equivalent": False}
         else:
@@ -405,11 +427,11 @@ def _load_payload(source: str) -> dict:
         else:
             with open(source, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {source}: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a number beyond the interpreter's digit limit
         raise InputFormatError(f"invalid JSON in {source}: {exc}") from exc
     except RecursionError:
         raise InputFormatError(f"invalid JSON in {source}: nested too deeply") from None
@@ -442,6 +464,9 @@ def run(argv: Optional[list[str]] = None) -> int:
             return 2
         except SearchLimitExceeded as exc:
             print(f"torifactor: search limit reached: {exc}", file=sys.stderr)
+            return 2
+        except OutputLimitError as exc:
+            print(f"torifactor: result too large: {exc}", file=sys.stderr)
             return 2
         outputs.append(result)
     for result in outputs:

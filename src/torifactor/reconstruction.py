@@ -3,7 +3,8 @@
 A quotient presentation (weight matrix plus torsion residue matrix)
 determines the covering fan matrix by Gale duality; the integer factor
 carrying it onto a fan matrix of the quotient is rebuilt from the HNF of a
-small relation system.  Equivalence of fan matrices (simultaneous unimodular
+small relation system; ``reconstruct`` returns all three, verified, as one
+``Reconstruction``.  Equivalence of fan matrices (simultaneous unimodular
 row action and column permutation) is decided without an HNF: invariants
 of the row action (column contents, the multiset of |maximal minor| and a
 per-column minor signature) reject most inequivalent pairs at once, and
@@ -13,7 +14,6 @@ candidate images of that basis are tried.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
@@ -24,8 +24,6 @@ from .covering import TorsionMatrix
 from .gale import gale_dual, require_W
 from .lattices import Lattice
 from .normal_forms import hnf
-
-MAX_PERM_ENV = "TORIFACTOR_MAX_PERM"
 
 
 @dataclass(frozen=True)
@@ -45,98 +43,54 @@ class SearchLimitExceeded(RuntimeError):
     """The equivalence search hit the configured cap on candidate bases."""
 
 
-def _max_permutations_from_env() -> Optional[int]:
-    """The cap set by TORIFACTOR_MAX_PERM; ``None`` when unset or empty."""
-    env = os.environ.get(MAX_PERM_ENV)
-    if not env:
-        return None
-    if not env.isdecimal() or int(env) == 0:
-        raise ValueError(f"{MAX_PERM_ENV} must be a positive integer, got {env!r}")
-    return int(env)
+@dataclass(frozen=True)
+class Reconstruction:
+    """A fan matrix ``V == beta @ V_hat`` of a quotient, rebuilt from its presentation.
+
+    ``V_hat`` is a Gale dual of the weights; ``K`` is the relation system,
+    the pairing block ``V_hat @ Gamma^T`` stacked over diag(moduli), or
+    ``None`` when there is no torsion; the rows of ``beta`` span the first
+    ``n`` coordinates of the integer solutions of ``z @ K == 0``.
+    """
+
+    V_hat: IntMatrix
+    K: Optional[IntMatrix]
+    beta: IntMatrix
+    V: IntMatrix
 
 
-def _covering_matrix(p: QuotientPresentation, v_hat: Optional[IntMatrix]) -> IntMatrix:
+def reconstruct(p: QuotientPresentation, v_hat: Optional[IntMatrix] = None) -> Reconstruction:
+    """Covering, relation system, factor and fan matrix of the quotient ``p``.
+
+    ``v_hat`` may supply a specific Gale dual of the weight matrix; ``K`` and
+    ``beta`` depend on that choice, and ``beta`` is determined only up to
+    left unimodular action.  One HNF of ``K`` gives ``beta`` (lower rows of
+    the transform) and the order of the subgroup the residue pairing
+    generates (upper block of the form).  Raises ``PreconditionError``
+    unless ``V`` is orthogonal to the weights, meets the torsion
+    congruences, the pairing generates all of ``Z/moduli`` and
+    ``|det beta|`` equals its order.
+    """
+    dual = gale_dual(p.Q)
     if v_hat is None:
-        return gale_dual(p.Q)
-    if Lattice.from_matrix(v_hat) != Lattice.from_matrix(gale_dual(p.Q)):
+        v_hat = dual
+    elif Lattice.from_matrix(v_hat) != Lattice.from_matrix(dual):
         raise PreconditionError("supplied covering matrix is not a Gale dual of Q")
-    return v_hat
-
-
-def reconstruction_system(
-    p: QuotientPresentation, v_hat: Optional[IntMatrix] = None
-) -> Optional[IntMatrix]:
-    """The relation system ``K``: pairing block stacked over diag(moduli).
-
-    Integer solutions of ``z @ K == 0`` encode the rows of the factor matrix.
-    ``None`` when there is no torsion.  ``v_hat`` may supply a specific Gale
-    dual of the weight matrix; entries of ``K`` depend on that choice.
-    """
-    return _reconstruction_system(p, _covering_matrix(p, v_hat))
-
-
-def _reconstruction_system(p: QuotientPresentation, vh: IntMatrix) -> Optional[IntMatrix]:
-    if p.gamma.rows == 0:
-        return None
-    pairing = vh @ p.gamma.to_int_matrix().transpose()
-    return pairing.vstack(IntMatrix.diagonal(list(p.gamma.moduli)))
-
-
-def reconstruct_beta(
-    p: QuotientPresentation, v_hat: Optional[IntMatrix] = None
-) -> IntMatrix:
-    """A factor matrix whose rows span all solutions of the torsion relations.
-
-    Determined only up to left unimodular action; its absolute determinant
-    equals the order of the subgroup generated by the residue pairing.
-    """
-    vh = _covering_matrix(p, v_hat)
-    return _factor_from_system(p, _reconstruction_system(p, vh), vh.rows)[0]
-
-
-def _factor_from_system(
-    p: QuotientPresentation, k: Optional[IntMatrix], n: int
-) -> tuple[IntMatrix, int]:
-    """Factor matrix and order of the subgroup the residue pairing generates.
-
-    Both come from one HNF of the relation system ``k``: the lower rows of
-    the transform solve it, and the upper block of the form spans the
-    pairing rows together with diag(moduli).
-    """
-    if k is None:
-        return IntMatrix.identity(n), 1
-    res = hnf(k)
-    beta = res.U.bottom_rows(n).select_cols(range(n))
-    if det(beta) == 0:
-        raise PreconditionError("degenerate torsion data produced a singular factor")
-    subgroup_order = prod(p.gamma.moduli) // abs(det(res.H.top_rows(p.gamma.rows)))
-    return beta, subgroup_order
-
-
-def reconstruct_fan_matrix(
-    p: QuotientPresentation, v_hat: Optional[IntMatrix] = None
-) -> IntMatrix:
-    """A fan matrix of the quotient: factor times covering fan matrix.
-
-    Verifies the defining relations: orthogonality to the weights, the
-    torsion congruences, that the residue pairing generates the whole
-    torsion group ``Z/moduli``, and that the factor determinant equals the
-    order of that group.
-    """
-    return _reconstruct(p, _covering_matrix(p, v_hat))[2]
-
-
-def _reconstruct(
-    p: QuotientPresentation, vh: IntMatrix
-) -> tuple[Optional[IntMatrix], IntMatrix, IntMatrix]:
-    """Relation system, factor matrix and verified fan matrix for the covering ``vh``."""
-    k = _reconstruction_system(p, vh)
-    beta, subgroup_order = _factor_from_system(p, k, vh.rows)
-    v = beta @ vh
+    n = v_hat.rows
+    k, beta, subgroup_order = None, IntMatrix.identity(n), 1
+    if p.gamma.rows:
+        residues = p.gamma.to_int_matrix().transpose()
+        k = (v_hat @ residues).vstack(IntMatrix.diagonal(list(p.gamma.moduli)))
+        res = hnf(k)
+        beta = res.U.bottom_rows(n).select_cols(range(n))
+        if det(beta) == 0:
+            raise PreconditionError("degenerate torsion data produced a singular factor")
+        subgroup_order = prod(p.gamma.moduli) // abs(det(res.H.top_rows(p.gamma.rows)))
+    v = beta @ v_hat
     if not (v @ p.Q.transpose()).is_zero():
         raise PreconditionError("reconstructed matrix is not orthogonal to the weights")
     if p.gamma.rows:
-        rel = v @ p.gamma.to_int_matrix().transpose()
+        rel = v @ residues
         for j, tau in enumerate(p.gamma.moduli):
             if any(rel[i, j] % tau != 0 for i in range(rel.rows)):
                 raise PreconditionError("torsion congruences fail on the reconstruction")
@@ -147,7 +101,7 @@ def _reconstruct(
             )
         if abs(det(beta)) != subgroup_order:
             raise PreconditionError("factor determinant disagrees with the subgroup order")
-    return k, beta, v
+    return Reconstruction(v_hat, k, beta, v)
 
 
 def fan_matrix_equivalence(
@@ -168,15 +122,11 @@ def fan_matrix_equivalence(
     S is the lexicographically smallest permutation over all such R, equal
     columns going smallest source to smallest target, so the witness is the
     first one a search over all column permutations in lexicographic order
-    would accept.  ``max_permutations``, by default the environment variable
-    TORIFACTOR_MAX_PERM, caps the number of candidate bases tried; exceeding
-    it raises ``SearchLimitExceeded``, and a value that is not a positive
-    integer raises ``ValueError``.
+    would accept.  ``max_permutations`` caps the number of candidate bases
+    tried (``None``: no cap); exceeding it raises ``SearchLimitExceeded``.
     """
     if v1.shape != v2.shape:
         raise ShapeError("fan matrices must have equal shape")
-    if max_permutations is None:
-        max_permutations = _max_permutations_from_env()
     n, m = v1.shape
     cols1 = [v1.col(j) for j in range(m)]
     cols2 = [v2.col(j) for j in range(m)]

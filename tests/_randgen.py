@@ -24,7 +24,6 @@ from torifactor import (
     vector_content,
 )
 from torifactor.normal_forms import _identity_block_transform
-from torifactor.reconstruction import _max_permutations_from_env
 
 
 def random_unimodular(rng, n, steps=5):
@@ -435,14 +434,11 @@ def permutation_fan_matrix_equivalence(
     S ranges over column permutation matrices in lexicographic order (the
     identity first); for each candidate the row HNFs are compared and R is
     recovered from the two transforms.  Column contents prune the search.
-    The environment variable TORIFACTOR_MAX_PERM caps the number of
-    permutations tried; exceeding it raises ``SearchLimitExceeded``, and a
-    value that is not a positive integer raises ``ValueError``.
+    ``max_permutations`` caps the number of permutations tried (``None``: no
+    cap); exceeding it raises ``SearchLimitExceeded``.
     """
     if v1.shape != v2.shape:
         raise ShapeError("fan matrices must have equal shape")
-    if max_permutations is None:
-        max_permutations = _max_permutations_from_env()
     m = v1.cols
     contents1 = [vector_content(v1.col(j)) for j in range(m)]
     contents2 = [vector_content(v2.col(j)) for j in range(m)]

@@ -28,9 +28,7 @@ from torifactor import (
     kernel_saturation,
     picard_basis,
     picard_index_sets,
-    reconstruct_beta,
-    reconstruct_fan_matrix,
-    reconstruction_system,
+    reconstruct,
     snf,
     torsion_generators,
     torsion_matrix,
@@ -144,10 +142,10 @@ def test_criterion_1_rank_one_example():
 @criterion(2, "rank-1 quotient reconstruction", timed=True)
 def test_criterion_2_reid_reconstruction():
     p = QuotientPresentation(EX1_Q, REID_GAMMA)
-    assert reconstruction_system(p, v_hat=EX1_VHAT) == REID_K
-    beta = reconstruct_beta(p, v_hat=EX1_VHAT)
-    assert Lattice.from_matrix(beta) == Lattice.from_matrix(REID_BETA)
-    v_rec = reconstruct_fan_matrix(p, v_hat=EX1_VHAT)
+    rec = reconstruct(p, v_hat=EX1_VHAT)
+    assert rec.K == REID_K
+    assert Lattice.from_matrix(rec.beta) == Lattice.from_matrix(REID_BETA)
+    v_rec = rec.V
     witness = fan_matrix_equivalence(EX1_V, v_rec)
     assert witness is not None
     r, s = witness
@@ -195,8 +193,9 @@ def test_criterion_3_rank_two_example():
 @criterion(4, "rank-2 quotient reconstruction", timed=True)
 def test_criterion_4_rank_two_reconstruction():
     p = QuotientPresentation(EX2_Q, EX2_GAMMA)
-    assert reconstruction_system(p, v_hat=EX2_VHAT) == EX3_K
-    v_rec = reconstruct_fan_matrix(p, v_hat=EX2_VHAT)
+    rec = reconstruct(p, v_hat=EX2_VHAT)
+    assert rec.K == EX3_K
+    v_rec = rec.V
     assert Lattice.from_matrix(v_rec) == Lattice.from_matrix(EX3_V)
     witness = fan_matrix_equivalence(EX2_V, v_rec)
     assert witness is not None
@@ -204,9 +203,7 @@ def test_criterion_4_rank_two_reconstruction():
     # the identity permutation is admissible and is what the search returns
     assert s == IntMatrix.identity(6)
     assert r @ EX2_V @ s == v_rec
-    assert Lattice.from_matrix(reconstruct_beta(p, v_hat=EX2_VHAT)) == Lattice.from_matrix(
-        EX3_BETA
-    )
+    assert Lattice.from_matrix(rec.beta) == Lattice.from_matrix(EX3_BETA)
 
 
 @criterion(5, "randomized property suite, 220 cases")
@@ -247,7 +244,7 @@ def test_criterion_5_property_suite():
 
         # round trip through the quotient presentation
         p = QuotientPresentation(q, gamma)
-        v_back = reconstruct_fan_matrix(p)
+        v_back = reconstruct(p).V
         witness = fan_matrix_equivalence(v, v_back)
         assert witness is not None
         rw, sw = witness

@@ -241,7 +241,7 @@ CAPPED = {
 }
 
 
-@pytest.mark.parametrize("value", ["abc", "-3"])
+@pytest.mark.parametrize("value", ["abc", "-3", "0"])
 def test_bad_permutation_cap_is_an_input_error(monkeypatch, capsys, value):
     monkeypatch.setenv("TORIFACTOR_MAX_PERM", value)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(INEQUIVALENT)))
@@ -349,6 +349,33 @@ def test_deeply_nested_json_is_an_input_error(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("torifactor: input error: invalid JSON")
     assert "Traceback" not in proc.stderr
+
+
+def test_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "job.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run(["hnf", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("torifactor: input error: cannot read")
+
+
+def test_number_literal_beyond_the_digit_limit_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text('{"matrix": {"data": [[' + "1" * (sys.get_int_max_str_digits() + 1) + "]]}}")
+    assert run(["hnf", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("torifactor: input error: invalid JSON")
+
+
+def test_result_entry_beyond_the_digit_limit_exits_2():
+    # valid input, but the lcm in the Smith form has about 6000 digits
+    big = {"matrix": {"data": [["1" + "0" * 3000 + "1", 0], [0, "1" + "0" * 3000 + "3"]]}}
+    code, err = run_in_process("snf", big)
+    assert code == 2
+    assert err.startswith("torifactor: result too large:")
+    assert f"{sys.get_int_max_str_digits()} digits" in err
 
 
 LENIENT_INTEGERS = ("1_0", " 2 ", "\u0663", "+1", "1.0", "0x1", "", "-", "--1", "1\n", "\uff11")

@@ -1,6 +1,6 @@
 """Static checks on the package source: the public API list matches the
-imports of ``__init__``, and no module keeps an unused import or an
-uncalled private top-level helper."""
+imports of ``__init__``, no module keeps an unused import or an uncalled
+private top-level helper, and the CLI uses only public names."""
 
 import ast
 from pathlib import Path
@@ -67,3 +67,14 @@ def test_every_private_helper_has_a_caller():
         if name.startswith("_") and not name.startswith("__") and name not in referenced
     ]
     assert uncalled == []
+
+
+def test_cli_imports_no_private_name_from_the_package():
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(MODULES["cli"])
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("torifactor"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -14,9 +14,7 @@ from torifactor import (
     det,
     fan_matrix_equivalence,
     gale_dual,
-    reconstruct_beta,
-    reconstruct_fan_matrix,
-    reconstruction_system,
+    reconstruct,
     torsion_matrix,
 )
 
@@ -58,16 +56,15 @@ def test_presentation_validates_inputs():
 
 def test_reid_reconstruction_system():
     p = QuotientPresentation(EX1_Q, REID_GAMMA)
-    k = reconstruction_system(p, v_hat=EX1_VHAT)
-    assert k == REID_K
+    assert reconstruct(p, v_hat=EX1_VHAT).K == REID_K
 
 
 def test_reid_beta_and_fan_matrix():
     p = QuotientPresentation(EX1_Q, REID_GAMMA)
-    beta = reconstruct_beta(p, v_hat=EX1_VHAT)
-    assert Lattice.from_matrix(beta) == Lattice.from_matrix(REID_BETA)
-    assert abs(det(beta)) == 5
-    v = reconstruct_fan_matrix(p, v_hat=EX1_VHAT)
+    rec = reconstruct(p, v_hat=EX1_VHAT)
+    assert Lattice.from_matrix(rec.beta) == Lattice.from_matrix(REID_BETA)
+    assert abs(det(rec.beta)) == 5
+    v = rec.V
     assert Lattice.from_matrix(v) == Lattice.from_matrix(REID_V)
     witness = fan_matrix_equivalence(EX1_V, v)
     assert witness is not None
@@ -81,8 +78,8 @@ def test_reid_reference_witness_verifies():
 
 def test_reconstruction_independent_of_covering_representative():
     p = QuotientPresentation(EX1_Q, REID_GAMMA)
-    default = reconstruct_fan_matrix(p)
-    explicit = reconstruct_fan_matrix(p, v_hat=EX1_VHAT)
+    default = reconstruct(p).V
+    explicit = reconstruct(p, v_hat=EX1_VHAT).V
     assert Lattice.from_matrix(default) == Lattice.from_matrix(explicit)
 
 
@@ -99,7 +96,7 @@ def test_reconstruction_independent_of_residue_representatives():
     rng = random.Random(83)
     p = QuotientPresentation(EX1_Q, REID_GAMMA)
     vhat = gale_dual(EX1_Q)
-    reference = Lattice.from_matrix(reconstruct_beta(p))
+    reference = Lattice.from_matrix(reconstruct(p).beta)
     base = [list(row) for row in REID_GAMMA.entries]
     for _ in range(5):
         shifted = IntMatrix(
@@ -112,11 +109,10 @@ def test_reconstruction_independent_of_residue_representatives():
 
 def test_second_example_reconstruction():
     p = QuotientPresentation(EX2_Q, EX2_GAMMA)
-    k = reconstruction_system(p, v_hat=EX2_VHAT)
-    assert k == EX3_K
-    beta = reconstruct_beta(p, v_hat=EX2_VHAT)
-    assert Lattice.from_matrix(beta) == Lattice.from_matrix(EX3_BETA)
-    v = reconstruct_fan_matrix(p, v_hat=EX2_VHAT)
+    rec = reconstruct(p, v_hat=EX2_VHAT)
+    assert rec.K == EX3_K
+    assert Lattice.from_matrix(rec.beta) == Lattice.from_matrix(EX3_BETA)
+    v = rec.V
     assert Lattice.from_matrix(v) == Lattice.from_matrix(EX3_V)
     witness = fan_matrix_equivalence(EX2_V, v)
     assert witness is not None
@@ -133,16 +129,24 @@ def test_second_example_reference_row_action():
 def test_trivial_torsion_returns_covering():
     q = IntMatrix([[1, 1, 1, 1]])
     p = QuotientPresentation(q, TorsionMatrix((), (), width=4))
-    assert reconstruction_system(p) is None
-    assert reconstruct_beta(p) == IntMatrix.identity(3)
-    v = reconstruct_fan_matrix(p)
+    rec = reconstruct(p)
+    assert rec.K is None
+    assert rec.beta == IntMatrix.identity(3)
+    v = rec.V
     assert Lattice.from_matrix(v) == Lattice.from_matrix(gale_dual(q))
 
 
 def test_reconstruct_rejects_foreign_covering():
     p = QuotientPresentation(EX1_Q, REID_GAMMA)
     with pytest.raises(PreconditionError):
-        reconstruct_beta(p, v_hat=IntMatrix([[1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 2, -2]]))
+        reconstruct(p, v_hat=IntMatrix([[1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 2, -2]]))
+
+
+def test_reconstruct_rejects_torsion_the_pairing_does_not_reach():
+    # the moduli claim Z/3, but the residues pair every covering row to 0
+    p = QuotientPresentation(IntMatrix([[1, 1, 1]]), TorsionMatrix([3], [[1, 1, 1]]))
+    with pytest.raises(PreconditionError, match="generates 1 of the 3 torsion classes"):
+        reconstruct(p)
 
 
 def test_equivalence_reflexive():
@@ -188,14 +192,13 @@ def test_equivalence_content_pruning():
     assert fan_matrix_equivalence(v1, v2) is None
 
 
-def test_equivalence_search_cap(monkeypatch):
+def test_equivalence_search_cap():
     v1 = IntMatrix([[1, 0, -1, -1], [0, 1, -1, -2]])
     # columns of v1 swapped in front: the identity permutation cannot match
     v2 = IntMatrix([[0, 1, -1, -1], [1, 0, -1, -2]])
     assert fan_matrix_equivalence(v1, v2, max_permutations=30) is not None
-    monkeypatch.setenv("TORIFACTOR_MAX_PERM", "1")
     with pytest.raises(SearchLimitExceeded):
-        fan_matrix_equivalence(v1, v2)
+        fan_matrix_equivalence(v1, v2, max_permutations=1)
 
 
 def test_minor_multisets_reject_without_search():
@@ -274,20 +277,12 @@ def test_equivalence_witness_matches_permutation_oracle(kind, shape, seed):
     _assert_matches_permutation_oracle(v1, v2)
 
 
-@pytest.mark.parametrize("value", ["abc", "-3", "0"])
-def test_equivalence_rejects_bad_cap_from_environment(monkeypatch, value):
-    monkeypatch.setenv("TORIFACTOR_MAX_PERM", value)
-    v = IntMatrix([[1, 0, -1], [0, 1, -1]])
-    with pytest.raises(ValueError, match="positive integer"):
-        fan_matrix_equivalence(v, v)
-
-
 def test_round_trip_on_worked_examples():
     for v in (EX1_V, EX2_V):
         cd = covering_decomposition(v)
         gamma = torsion_matrix(cd)
         p = QuotientPresentation(gale_dual(v), gamma)
-        back = reconstruct_fan_matrix(p)
+        back = reconstruct(p).V
         witness = fan_matrix_equivalence(v, back)
         assert witness is not None
         r, s = witness
@@ -297,7 +292,7 @@ def test_round_trip_on_worked_examples():
 def test_factor_determinant_equals_pairing_subgroup_order():
     # |det beta| times the index of the pairing subgroup is the torsion order
     p = QuotientPresentation(EX2_Q, EX2_GAMMA)
-    beta = reconstruct_beta(p)
+    beta = reconstruct(p).beta
     assert abs(det(beta)) == 45
     p2 = QuotientPresentation(EX1_Q, REID_GAMMA)
-    assert abs(det(reconstruct_beta(p2))) == 5
+    assert abs(det(reconstruct(p2).beta)) == 5
