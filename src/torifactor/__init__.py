@@ -12,7 +12,6 @@ from .normal_forms import (
     HnfResult,
     SnfResult,
     hnf,
-    hnf_pivot_columns,
     rank,
     snf,
     unimodular_inverse,
@@ -24,7 +23,6 @@ from .gale import (
     classify_W,
     gale_dual,
     positive_span_is_full,
-    reduce_F,
     require_F,
     require_W,
 )
@@ -43,7 +41,6 @@ from .covering import (
     TorsionMatrix,
     beta_factor,
     covering_decomposition,
-    is_divisor_of_beta,
     torsion_generators,
     torsion_matrix,
     torsion_order,
@@ -82,7 +79,6 @@ __all__ = [
     "SnfResult",
     "hnf",
     "snf",
-    "hnf_pivot_columns",
     "unimodular_inverse",
     "FMatrixReport",
     "WMatrixReport",
@@ -90,7 +86,6 @@ __all__ = [
     "classify_W",
     "gale_dual",
     "positive_span_is_full",
-    "reduce_F",
     "require_F",
     "require_W",
     "Fan",
@@ -105,7 +100,6 @@ __all__ = [
     "TorsionMatrix",
     "beta_factor",
     "covering_decomposition",
-    "is_divisor_of_beta",
     "torsion_generators",
     "torsion_matrix",
     "torsion_order",

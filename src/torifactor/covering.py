@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, _int_tuple, det
+from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, _int_tuple
 from .gale import gale_dual, require_F
 from .lattices import Lattice
 from .normal_forms import _identity_block_transform, rank, snf, unimodular_inverse
@@ -277,15 +277,3 @@ def _check_torsion_congruences(gamma: TorsionMatrix, v: IntMatrix, gens: IntMatr
             if (against_gens[k, j] - (1 if j == k else 0)) % tau != 0:
                 raise PreconditionError("torsion matrix does not normalize the generators")
 
-
-def is_divisor_of_beta(eta: IntMatrix, beta: IntMatrix) -> bool:
-    """Whether ``eta`` divides ``beta``: ``beta @ eta^{-1}`` is integral.
-
-    Both matrices must be square nonsingular of the same size.
-    """
-    if not (eta.is_square() and beta.is_square()) or eta.shape != beta.shape:
-        raise ShapeError("both matrices must be square of equal size")
-    d, adj = _det_adjugate(eta)
-    if d == 0 or det(beta) == 0:
-        raise PreconditionError("matrices must be nonsingular")
-    return all(x % d == 0 for row in beta @ adj for x in row)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, _int_tuple
+from .intmat import IntMatrix, PreconditionError, ShapeError, _cached, _det_adjugate, _int_tuple
 from .fans import PicardIndexFamily
 from .gale import require_W
 from .lattices import Lattice
@@ -75,9 +75,9 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
     ``|det Q_I|``, which divides the index of the Picard lattice, the scaled
     dual ``delta * Pic^*`` is spanned by the rows of all ``(delta / d_I) adj(Q_I)``;
     its HNF basis ``M`` gives ``Pic = delta M^{-1} Z^r``.  Each index set must
-    hold r distinct column indices.  ``analyze`` runs the same computation
-    on every fan with one table of ``(d_I, adj Q_I)``, so each distinct
-    ``I`` is inverted once per fan matrix, not once per fan.
+    hold r distinct column indices.  ``(d_I, adj Q_I)`` is read through
+    ``_weight_block``, so within one ``analyze`` call each distinct ``I`` is
+    inverted once, not once per fan.
     """
     r, m = q.shape
     sets = []
@@ -88,25 +88,14 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
         if len(set(idx)) != r or not all(0 <= j < m for j in idx):
             raise ShapeError(f"index set {idx} is not {r} distinct columns in 0..{m - 1}")
         sets.append(idx)
-    return _picard_basis(q, PicardIndexFamily(tuple(sets)), {})
-
-
-def _picard_basis(
-    q: IntMatrix, index_family: PicardIndexFamily, table: dict[tuple[int, ...], tuple]
-) -> PicardData:
-    """``picard_basis`` for valid index sets; ``table`` maps each ``I`` to
-    ``(d_I, adj Q_I)`` and is filled on first use, so one table can serve
-    every fan of ``q``."""
-    r = q.rows
-    if not index_family.sets:
+    if not sets:
         raise PreconditionError("empty index family")
-    for idx in index_family.sets:
-        if idx not in table:
-            d, adj = _det_adjugate(q.select_cols(idx))
-            if d == 0:
-                raise PreconditionError(f"singular weight block at columns {idx}")
-            table[idx] = (d, adj)
-    blocks = [table[idx] for idx in index_family.sets]
+    blocks = []
+    for idx in sets:
+        d, adj = _weight_block(q, idx)
+        if d == 0:
+            raise PreconditionError(f"singular weight block at columns {idx}")
+        blocks.append((d, adj))
     delta = lcm(*(abs(d) for d, _ in blocks))
     dual = Lattice(r, [[delta // d * x for x in row] for d, adj in blocks for row in adj])
     det_m, adj_m = _det_adjugate(dual.basis_matrix())
@@ -116,6 +105,12 @@ def _picard_basis(
         raise PreconditionError("Picard lattice is not integral")
     basis = Lattice(r, [[x // det_m for x in row] for row in rows]).basis_matrix()
     return PicardData(B=basis, index=delta**r // abs(det_m), delta_sigma=delta)
+
+
+def _weight_block(q: IntMatrix, idx: tuple[int, ...]) -> tuple[int, Optional[IntMatrix]]:
+    """``(det Q_I, adj Q_I)`` of the columns ``idx`` of ``q``, ``(0, None)`` if
+    singular; computed once per ``q`` and ``I`` inside a ``_shared_tables`` block."""
+    return _cached(q, idx, lambda: _det_adjugate(q.select_cols(idx)))
 
 
 def cartier_basis(b: IntMatrix, u_q: IntMatrix, beta: IntMatrix) -> IntMatrix:

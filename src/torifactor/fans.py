@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, _int_tuple
-from .gale import _cone_frames, _require_F
+from .intmat import IntMatrix, PreconditionError, ShapeError, _int_tuple, _shared_tables
+from .gale import _cone_frames, require_F
 
 Cone = tuple[int, ...]
 
@@ -174,11 +174,9 @@ def enumerate_fans(v: IntMatrix) -> tuple[Fan, ...]:
     rays used is a complete fan, and each fan is reached exactly once from
     its unique cone around the generic point.
     """
-    return _enumerate_fans(v, _require_F(v)[1])
-
-
-def _enumerate_fans(v: IntMatrix, frames: dict[Cone, tuple]) -> tuple[Fan, ...]:
-    """Body of ``enumerate_fans`` for a fan matrix ``v`` and its ``_cone_frames``."""
+    with _shared_tables():
+        require_F(v)
+        frames = _cone_frames(v)
     m = v.cols
     candidates = list(frames)
     masks = [_mask(c) for c in candidates]

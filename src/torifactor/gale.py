@@ -26,7 +26,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, vector_content
+from .intmat import (
+    IntMatrix,
+    PreconditionError,
+    ShapeError,
+    _cached,
+    _det_adjugate,
+    _shared_tables,
+    vector_content,
+)
 from .lattices import Lattice, kernel_saturation
 from .normal_forms import _identity_block_transform
 
@@ -70,18 +78,19 @@ def positive_span_is_full(v: IntMatrix) -> bool:
     value on the remaining column of ``c``; so the test asks each coordinate
     row of ``_cone_frame`` for a negative entry.
     """
-    return _spans_positively(_cone_frames(v))
-
-
-def _spans_positively(frames: dict[tuple[int, ...], tuple]) -> bool:
-    """``positive_span_is_full`` read off the frames of ``_cone_frames``."""
+    frames = _cone_frames(v)
     return bool(frames) and all(min(row) < 0 for _, coords in frames.values() for row in coords)
 
 
 def _cone_frames(v: IntMatrix) -> dict[tuple[int, ...], tuple]:
-    """``_cone_frame`` of each nonsingular n-subset of columns, in lexicographic order."""
+    """``_cone_frame`` of each nonsingular n-subset of columns, in lexicographic
+    order; built once per ``v`` inside a ``_shared_tables`` block."""
     n, m = v.shape
-    return {c: f for c in combinations(range(m), n) if (f := _cone_frame(v, c)) is not None}
+    return _cached(
+        v,
+        "cone frames",
+        lambda: {c: f for c in combinations(range(m), n) if (f := _cone_frame(v, c)) is not None},
+    )
 
 
 def _cone_frame(v: IntMatrix, cone: Sequence[int]):
@@ -100,22 +109,16 @@ def _cone_frame(v: IntMatrix, cone: Sequence[int]):
 
 def classify_F(v: IntMatrix) -> FMatrixReport:
     """Test the fan-matrix conditions (a)-(d), the CF condition (e), reducedness."""
-    return _classify_F(v)[0]
-
-
-def _classify_F(v: IntMatrix) -> tuple[FMatrixReport, dict[tuple[int, ...], tuple]]:
-    """``classify_F`` and the ``_cone_frames`` it reads (b) from, for callers
-    that go on to use the frames."""
     n, m = v.shape
     if n >= m:
         raise ShapeError("a fan matrix must have more columns than rows")
     failed = []
-    # v has rank n iff some n-subset of its columns is nonsingular
-    frames = _cone_frames(v)
-    if not frames:
-        failed.append("a")
-    if not _spans_positively(frames):
-        failed.append("b")
+    with _shared_tables():
+        # v has rank n iff some n-subset of its columns is nonsingular
+        if not _cone_frames(v):
+            failed.append("a")
+        if not positive_span_is_full(v):
+            failed.append("b")
     columns = [v.col(j) for j in range(m)]
     if any(not any(c) for c in columns):
         failed.append("c")
@@ -126,7 +129,7 @@ def _classify_F(v: IntMatrix) -> tuple[FMatrixReport, dict[tuple[int, ...], tupl
     if is_f and not cf:
         failed.append("e")
     reduced = all(vector_content(c) == 1 for c in columns)
-    return FMatrixReport(is_f, cf, reduced, tuple(failed)), frames
+    return FMatrixReport(is_f, cf, reduced, tuple(failed))
 
 
 def _has_positively_proportional_pair(columns) -> bool:
@@ -171,37 +174,17 @@ def classify_W(q: IntMatrix) -> WMatrixReport:
     return WMatrixReport(not failed, tuple(failed))
 
 
-def reduce_F(v: IntMatrix) -> IntMatrix:
-    """Divide every column by the gcd of its entries; idempotent."""
-    n, m = v.shape
-    cols = []
-    for j in range(m):
-        c = v.col(j)
-        g = vector_content(c)
-        if g == 0:
-            raise PreconditionError(f"column {j} is zero and cannot be reduced")
-        cols.append(tuple(x // g for x in c))
-    return IntMatrix(cols).transpose()
-
-
 def require_F(v: IntMatrix, reduced: bool = False) -> FMatrixReport:
-    """Raise ``PreconditionError`` unless ``v`` is an F-matrix (and reduced)."""
-    return _require_F(v, reduced)[0]
-
-
-def _require_F(
-    v: IntMatrix, reduced: bool = False
-) -> tuple[FMatrixReport, dict[tuple[int, ...], tuple]]:
-    """``require_F`` that also returns the ``_cone_frames`` of ``v``, so that
-    fan enumeration need not build them again."""
-    report, frames = _classify_F(v)
+    """Raise ``PreconditionError`` unless ``v`` is an F-matrix (and reduced);
+    inside a ``_shared_tables`` block ``v`` is classified once."""
+    report = _cached(v, "F report", lambda: classify_F(v))
     if not report.is_F:
         raise PreconditionError(
             "not a fan matrix; failed conditions: " + ", ".join(report.failed_conditions)
         )
     if reduced and not report.is_reduced:
         raise PreconditionError("fan matrix is not reduced (a column has content > 1)")
-    return report, frames
+    return report
 
 
 def require_W(q: IntMatrix) -> WMatrixReport:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -246,6 +248,46 @@ def _det_adjugate(m: IntMatrix) -> tuple[int, Optional[IntMatrix]]:
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = p
     return sign * prev, IntMatrix([[sign * x for x in row[n:]] for row in a])
+
+
+# (id(m), key) -> (m, value) in the outermost open ``_shared_tables`` block;
+# holding m keeps its id from being reused while the block is open
+_TABLES: ContextVar[Optional[dict]] = ContextVar("torifactor_tables", default=None)
+
+
+@contextmanager
+def _shared_tables():
+    """Block of one call in which ``_cached`` keeps its values; nested blocks
+    share the outermost table, which is dropped when that block exits."""
+    token = _TABLES.set({}) if _TABLES.get() is None else None
+    try:
+        yield
+    finally:
+        if token is not None:
+            _TABLES.reset(token)
+
+
+def _cached(m, key, compute):
+    """``compute()``, once per matrix object ``m`` and ``key`` inside a
+    ``_shared_tables`` block; outside any block it simply computes."""
+    tables = _TABLES.get()
+    if tables is None:
+        return compute()
+    if (id(m), key) not in tables:
+        tables[id(m), key] = (m, compute())
+    return tables[id(m), key][1]
+
+
+def _int_text(x: int) -> str:
+    """``str(x)``, or the digit count of ``x`` when it has more digits than the
+    interpreter converts to a string, so a message never fails to format."""
+    try:
+        return str(x)
+    except ValueError:
+        digits = int((abs(x).bit_length() - 1) * 0.30102999566398120)  # at most the count
+        while abs(x) >= 10**digits:
+            digits += 1
+        return f"{'-' if x < 0 else ''}<integer of {digits} digits>"
 
 
 def _int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:

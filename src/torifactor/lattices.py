@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .intmat import IntMatrix, ShapeError, _int_tuple
-from .normal_forms import _hnf_in_place, hnf, hnf_pivot_columns
+from .normal_forms import _hnf_in_place, hnf
 
 
 class Lattice:
@@ -66,10 +66,8 @@ class Lattice:
         v = list(_int_tuple(vector, "vector entries"))
         if len(v) != self._ambient:
             raise ShapeError("vector length does not match ambient dimension")
-        if not self._basis:
-            return not any(v)
-        pivots = hnf_pivot_columns(IntMatrix(self._basis))
-        for row, p in zip(self._basis, pivots):
+        for row in self._basis:
+            p = next(j for j, x in enumerate(row) if x)  # the HNF pivot of the row
             if v[p] % row[p] != 0:
                 return False
             q = v[p] // row[p]

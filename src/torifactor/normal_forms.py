@@ -214,14 +214,3 @@ def _identity_block_transform(a: IntMatrix) -> Optional[IntMatrix]:
     if res.H != IntMatrix.identity(k).vstack(IntMatrix.zeros(m - k, k)):
         return None
     return res.U
-
-
-def hnf_pivot_columns(h: IntMatrix) -> tuple[int, ...]:
-    """Column index of the leading entry of each nonzero row of an HNF."""
-    pivots = []
-    for i in range(h.rows):
-        row = h.row(i)
-        j = next((k for k, x in enumerate(row) if x != 0), None)
-        if j is not None:
-            pivots.append(j)
-    return tuple(pivots)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intmat import IntMatrix, PreconditionError, _det_adjugate, _int_tuple, det
+from .intmat import IntMatrix, PreconditionError, _int_text, _int_tuple, _shared_tables, det
 from .covering import (
     CoveringData,
     TorsionMatrix,
@@ -24,12 +24,13 @@ from .covering import (
 from .divisors import (
     ClassGroupData,
     PicardData,
-    _picard_basis,
+    _weight_block,
     cartier_basis,
+    picard_basis,
     weight_transform,
 )
-from .fans import Fan, PicardIndexFamily, _enumerate_fans, picard_index_sets
-from .gale import _require_F, gale_dual
+from .fans import Fan, PicardIndexFamily, enumerate_fans, picard_index_sets
+from .gale import gale_dual, require_F
 
 
 @dataclass(frozen=True)
@@ -60,54 +61,55 @@ def analyze(v: IntMatrix, fan_index: Optional[int] = None, verify: bool = True) 
     enumeration; by default every fan is processed.  ``V_hat`` is the lower
     block of ``U_Q``, a row action away from ``covering_decomposition``'s row
     HNF: for ``V = (1 -1)``, ``V_hat = (-1 1)`` and ``beta = (-1)`` here.
-    The cone frames of ``V`` are built once, by the validation, and reused by
-    the fan enumeration; the ``(det Q_I, adj Q_I)`` of each distinct index set
-    ``I`` is computed once and shared by all fans and by the verification.
+    One ``_shared_tables`` block, dropped on return, serves the whole call:
+    ``V`` is classified and its cone frames are built once, for the validation
+    and the fan enumeration, and the ``(det Q_I, adj Q_I)`` of each distinct
+    ``I`` once, for every ``picard_basis`` call and for ``verify_result``.
     """
     if fan_index is not None:
         (fan_index,) = _int_tuple((fan_index,), "fan index")
-    _, frames = _require_F(v, reduced=True)
-    q = gale_dual(v)
-    u_q = weight_transform(q)
-    r = q.rows
-    # weight_transform's [I; 0] check proves Q @ (top block)^T == I and the lower
-    # block a basis of ker Q, the saturated row lattice of v: no re-check needed.
-    cd = _covering_decomposition(v, u_q.bottom_rows(v.rows))
-    gamma = torsion_matrix(cd)
-    gens = torsion_generators(cd)
-    class_group = ClassGroupData(
-        rank=r,
-        torsion=cd.torsion_invariants,
-        free_generators=u_q.top_rows(r),
-        torsion_generator_rows=gens,
-    )
-    all_fans = _enumerate_fans(v, frames)
-    if fan_index is not None:
-        if not 0 <= fan_index < len(all_fans):
-            raise PreconditionError(
-                f"fan index {fan_index} out of range (found {len(all_fans)} fans)"
-            )
-        selected = (all_fans[fan_index],)
-    else:
-        selected = all_fans
-    blocks: dict[tuple[int, ...], tuple[int, IntMatrix]] = {}
-    analyses = []
-    for fan in selected:
-        family = picard_index_sets(fan)
-        pd = _picard_basis(q, family, blocks)
-        cx = cartier_basis(pd.B, u_q, cd.beta)
-        analyses.append(FanAnalysis(fan=fan, index_sets=family, picard=pd, cartier=cx))
-    result = PipelineResult(
-        V=v,
-        Q=q,
-        U_Q=u_q,
-        covering=cd,
-        gamma=gamma,
-        class_group=class_group,
-        fans=tuple(analyses),
-    )
-    if verify:
-        _verify_result(result, blocks)
+    with _shared_tables():
+        require_F(v, reduced=True)
+        q = gale_dual(v)
+        u_q = weight_transform(q)
+        r = q.rows
+        # weight_transform's [I; 0] check proves Q @ (top block)^T == I and the lower
+        # block a basis of ker Q, the saturated row lattice of v: no re-check needed.
+        cd = _covering_decomposition(v, u_q.bottom_rows(v.rows))
+        gamma = torsion_matrix(cd)
+        gens = torsion_generators(cd)
+        class_group = ClassGroupData(
+            rank=r,
+            torsion=cd.torsion_invariants,
+            free_generators=u_q.top_rows(r),
+            torsion_generator_rows=gens,
+        )
+        all_fans = enumerate_fans(v)
+        if fan_index is not None:
+            if not 0 <= fan_index < len(all_fans):
+                raise PreconditionError(
+                    f"fan index {_int_text(fan_index)} out of range (found {len(all_fans)} fans)"
+                )
+            selected = (all_fans[fan_index],)
+        else:
+            selected = all_fans
+        analyses = []
+        for fan in selected:
+            family = picard_index_sets(fan)
+            pd = picard_basis(q, family)
+            cx = cartier_basis(pd.B, u_q, cd.beta)
+            analyses.append(FanAnalysis(fan=fan, index_sets=family, picard=pd, cartier=cx))
+        result = PipelineResult(
+            V=v,
+            Q=q,
+            U_Q=u_q,
+            covering=cd,
+            gamma=gamma,
+            class_group=class_group,
+            fans=tuple(analyses),
+        )
+        if verify:
+            verify_result(result)
     return result
 
 
@@ -118,15 +120,10 @@ def verify_result(res: PipelineResult) -> None:
     taken from ``Q`` again and its ``(d_I, adj Q_I)`` must satisfy
     ``Q_I adj Q_I == d_I I`` with ``d_I != 0``.  Then a Picard row ``b`` lies in
     ``Q_I Z^r`` iff ``adj(Q_I) b == 0 mod d_I``, which is checked once for each
-    distinct pair of ``I`` and a row of a fan that has ``I``.
+    distinct pair of ``I`` and a row of a fan that has ``I``.  Inside
+    ``analyze`` the ``(d_I, adj Q_I)`` are those the Picard bases used, checked
+    all the same, so that shared table need not be trusted.
     """
-    _verify_result(res, {})
-
-
-def _verify_result(res: PipelineResult, blocks: dict[tuple[int, ...], tuple]) -> None:
-    """``verify_result`` that takes the ``(d_I, adj Q_I)`` of any index set
-    ``I`` found in ``blocks``; each entry passes the same identity check as a
-    freshly computed one, so the table need not be trusted."""
     v, q = res.V, res.Q
     if not (q @ v.transpose()).is_zero():
         raise PreconditionError("weights are not orthogonal to the fan matrix")
@@ -156,7 +153,7 @@ def _verify_result(res: PipelineResult, blocks: dict[tuple[int, ...], tuple]) ->
             rows_by_set.setdefault(idx, set()).update(pd.B)
     for idx, rows in rows_by_set.items():
         block = q.select_cols(idx)
-        d, adj = blocks[idx] if idx in blocks else _det_adjugate(block)
+        d, adj = _weight_block(q, idx)
         if d == 0:
             raise PreconditionError(f"singular weight block at columns {idx}")
         if block @ adj != d * identity:

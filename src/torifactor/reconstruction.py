@@ -19,7 +19,15 @@ from itertools import combinations, product
 from math import prod
 from typing import Optional
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, det, vector_content
+from .intmat import (
+    IntMatrix,
+    PreconditionError,
+    ShapeError,
+    _det_adjugate,
+    _int_text,
+    det,
+    vector_content,
+)
 from .covering import TorsionMatrix
 from .gale import gale_dual, require_W
 from .lattices import Lattice
@@ -97,7 +105,8 @@ def reconstruct(p: QuotientPresentation, v_hat: Optional[IntMatrix] = None) -> R
         order = prod(p.gamma.moduli)
         if subgroup_order != order:
             raise PreconditionError(
-                f"the residue pairing generates {subgroup_order} of the {order} torsion classes"
+                f"the residue pairing generates {_int_text(subgroup_order)} "
+                f"of the {_int_text(order)} torsion classes"
             )
         if abs(det(beta)) != subgroup_order:
             raise PreconditionError("factor determinant disagrees with the subgroup order")

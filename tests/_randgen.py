@@ -16,13 +16,12 @@ from torifactor import (
     det,
     gale_dual,
     hnf,
-    hnf_pivot_columns,
     kernel_saturation,
     rank,
-    reduce_F,
     unimodular_inverse,
     vector_content,
 )
+from torifactor.intmat import _det_adjugate
 from torifactor.normal_forms import _identity_block_transform
 
 
@@ -88,6 +87,36 @@ def random_reduced_f_matrix(rng, n, r, torsion_bias=0.7):
     rep = classify_F(v)
     assert rep.is_F and rep.is_reduced
     return v
+
+
+def hnf_pivot_columns(h: IntMatrix) -> tuple[int, ...]:
+    """Column index of the leading entry of each nonzero row of an HNF."""
+    return tuple(next(j for j, x in enumerate(row) if x) for row in h if any(row))
+
+
+def reduce_F(v: IntMatrix) -> IntMatrix:
+    """Divide every column by the gcd of its entries; idempotent."""
+    cols = []
+    for j in range(v.cols):
+        c = v.col(j)
+        g = vector_content(c)
+        if g == 0:
+            raise PreconditionError(f"column {j} is zero and cannot be reduced")
+        cols.append(tuple(x // g for x in c))
+    return IntMatrix(cols).transpose()
+
+
+def is_divisor_of_beta(eta: IntMatrix, beta: IntMatrix) -> bool:
+    """Whether ``eta`` divides ``beta``: ``beta @ eta^{-1}`` is integral.
+
+    Both matrices must be square nonsingular of the same size.
+    """
+    if not (eta.is_square() and beta.is_square()) or eta.shape != beta.shape:
+        raise ShapeError("both matrices must be square of equal size")
+    d, adj = _det_adjugate(eta)
+    if d == 0 or det(beta) == 0:
+        raise PreconditionError("matrices must be nonsingular")
+    return all(x % d == 0 for row in beta @ adj for x in row)
 
 
 def random_matrix(rng, rows, cols, bound=3):

@@ -24,10 +24,11 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(module, name)`` wraps ``module.name`` in every
-    ``torifactor`` namespace that binds it, and returns the list that
-    receives the arguments of each call."""
+    ``torifactor`` namespace that binds it, or with ``everywhere=False`` in
+    ``module`` alone, and returns the list that receives the arguments of
+    each call."""
 
-    def install(module, name):
+    def install(module, name, everywhere=True):
         calls = []
         original = getattr(module, name)
 
@@ -35,8 +36,11 @@ def count_calls(monkeypatch):
             calls.append(args)
             return original(*args, **kwargs)
 
-        for module_name, namespace in list(sys.modules.items()):
-            if module_name.startswith("torifactor") and getattr(namespace, name, None) is original:
+        namespaces = [module]
+        if everywhere:
+            namespaces = [ns for mod, ns in list(sys.modules.items()) if mod.startswith("torifactor")]
+        for namespace in namespaces:
+            if getattr(namespace, name, None) is original:
                 monkeypatch.setattr(namespace, name, counted)
         return calls
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -265,16 +266,19 @@ def test_reached_permutation_cap_exits_2(monkeypatch, capsys):
 def test_covering_commands_classify_each_input_once(count_calls, capsys, tmp_path, command):
     from torifactor import gale
 
-    frames = count_calls(gale, "_cone_frames")
+    frames = count_calls(gale, "_cone_frame")
     weights = count_calls(gale, "classify_W")
-    paths = []
+    paths, subsets = [], []
     for name, payload in (("ex1.json", EX1), ("ex2.json", EX2)):
         path = tmp_path / name
         path.write_text(json.dumps(payload))
         paths += ["--input", str(path)]
+        data = payload["matrix"]["data"]
+        subsets += [(IntMatrix(data), c) for c in combinations(range(len(data[0])), len(data))]
     assert run([command, *paths]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
-    assert len(frames) == 2
+    # one frame per n-subset of the columns of each input
+    assert frames == subsets
     assert weights == []
 
 
@@ -288,6 +292,20 @@ def test_reconstruct_rejects_torsion_the_pairing_does_not_reach(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("torifactor:")
+
+
+def test_reconstruct_rejects_a_torsion_order_beyond_the_digit_limit(tmp_path):
+    # Z/t + Z/10t has an order of 5004 digits, more than a message can print
+    t = 10**2501 + 1
+    payload = {
+        "weights": {"data": [[1, 1, 1]]},
+        "torsion": {"moduli": [str(t), str(10 * t)], "data": [[1, 1, 1], [1, 1, 1]]},
+    }
+    proc = invoke(["reconstruct"], payload, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("torifactor:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_reconstruct_with_covering_computes_few_gale_duals(count_calls, capsys, tmp_path):

@@ -15,7 +15,6 @@ from torifactor import (
     det,
     gale_dual,
     hnf,
-    is_divisor_of_beta,
     snf,
     torsion_generators,
     torsion_matrix,
@@ -51,6 +50,7 @@ from _exampledata import (
 from _randgen import (
     SMALL_FAN_SHAPES,
     hnf_beta_factor,
+    is_divisor_of_beta,
     pick_fan_shape,
     random_matrix,
     random_nonsingular,

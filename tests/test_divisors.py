@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,8 +22,9 @@ from torifactor import (
     weil_inclusion,
 )
 
-from torifactor.divisors import _picard_basis
-from torifactor.intmat import _det_adjugate
+from torifactor import divisors
+from torifactor.divisors import _weight_block
+from torifactor.intmat import _det_adjugate, _shared_tables
 
 from _exampledata import (
     EX1_CX,
@@ -232,16 +234,26 @@ def test_picard_basis_matches_chained_intersection(shape, seed):
 
 
 @given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
-def test_picard_core_with_one_table_across_fans_matches_picard_basis(shape, seed):
+def test_picard_basis_with_one_shared_table_across_fans_matches_picard_basis(shape, seed):
     v = random_reduced_f_matrix(random.Random(seed), *shape)
     q = gale_dual(v)
-    table = {}
     families = [picard_index_sets(fan) for fan in enumerate_fans(v)]
-    for family in families:
-        shared = _picard_basis(q, family, table)
-        assert shared == picard_basis(q, family) == chained_picard_basis(q, family)
-    assert set(table) == {idx for family in families for idx in family.sets}
-    assert all(table[idx] == _det_adjugate(q.select_cols(idx)) for idx in table)
+    alone = [picard_basis(q, family) for family in families]
+    distinct = {idx for family in families for idx in family.sets}
+    inverted = []
+
+    def counted(m):
+        inverted.append(m)
+        return _det_adjugate(m)
+
+    with mock.patch.object(divisors, "_det_adjugate", counted), _shared_tables():
+        for family, pd in zip(families, alone):
+            shared = picard_basis(q, family)
+            assert shared == pd == chained_picard_basis(q, family)
+        # each distinct block once, plus one inversion of the dual basis per fan
+        assert len(inverted) == len(distinct) + len(families)
+        assert all(_weight_block(q, idx) == _det_adjugate(q.select_cols(idx)) for idx in distinct)
+        assert len(inverted) == len(distinct) + len(families)  # read, not computed again
 
 
 @pytest.mark.parametrize(

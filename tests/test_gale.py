@@ -13,7 +13,6 @@ from torifactor import (
     classify_W,
     gale_dual,
     positive_span_is_full,
-    reduce_F,
 )
 
 from _exampledata import EX1_Q, EX1_V, EX1_VHAT, EX2_Q, EX2_V, EX2_VHAT
@@ -27,6 +26,7 @@ from _randgen import (
     random_matrix,
     random_reduced_f_matrix,
     random_unimodular,
+    reduce_F,
 )
 
 

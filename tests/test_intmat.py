@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from torifactor import IntMatrix, ShapeError, det, rank, vector_content
-from torifactor.intmat import _det_adjugate
+from torifactor.intmat import _TABLES, _cached, _det_adjugate, _int_text, _shared_tables
 
 from _exampledata import REID_BETA
 
@@ -122,3 +123,32 @@ def test_det_adjugate_of_singular_and_rectangular():
     assert _det_adjugate(IntMatrix([[0, 1], [1, 0]])) == (-1, IntMatrix([[0, -1], [-1, 0]]))
     with pytest.raises(ShapeError):
         _det_adjugate(IntMatrix([[1, 2]]))
+
+
+def test_cached_values_live_for_the_outermost_block():
+    computed = []
+
+    def compute(tag):
+        computed.append(tag)
+        return tag
+
+    a, b = IntMatrix([[1, 2]]), IntMatrix([[1, 2]])
+    assert _cached(a, "k", lambda: compute(1)) == _cached(a, "k", lambda: compute(2)) - 1
+    with _shared_tables():
+        with _shared_tables():
+            assert _cached(a, "k", lambda: compute(3)) == 3
+        # the inner block shares the outer table; equal matrices do not share entries
+        assert _cached(a, "k", lambda: compute(4)) == 3
+        assert _cached(b, "k", lambda: compute(5)) == 5
+        assert _cached(a, "j", lambda: compute(6)) == 6
+    assert _TABLES.get() is None
+    assert _cached(a, "k", lambda: compute(7)) == 7
+    assert computed == [1, 2, 3, 5, 6, 7]
+
+
+def test_int_text_counts_the_digits_beyond_the_conversion_limit():
+    limit = sys.get_int_max_str_digits()
+    assert _int_text(-123) == "-123"
+    if limit:
+        assert _int_text(10**limit) == f"<integer of {limit + 1} digits>"
+        assert _int_text(-(10 ** (limit + 1) - 1)) == f"-<integer of {limit + 1} digits>"

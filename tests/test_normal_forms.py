@@ -10,7 +10,6 @@ from torifactor import (
     ShapeError,
     det,
     hnf,
-    hnf_pivot_columns,
     rank,
     snf,
     unimodular_inverse,
@@ -18,7 +17,7 @@ from torifactor import (
 from torifactor.normal_forms import _hnf_in_place
 
 from _exampledata import EX2_BETA, EX2_DELTA, EX2_H, EX2_HHAT, EX2_V, EX2_VHAT, EX1_Q, REID_K
-from _randgen import random_matrix, random_unimodular, rational_membership
+from _randgen import hnf_pivot_columns, random_matrix, random_unimodular, rational_membership
 
 
 def _is_row_hnf(h: IntMatrix) -> bool:

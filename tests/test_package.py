@@ -1,8 +1,10 @@
 """Static checks on the package source: the public API list matches the
-imports of ``__init__``, no module keeps an unused import or an uncalled
-private top-level helper, and the CLI uses only public names."""
+imports of ``__init__``, every public name is used in the package or named
+in the README, no module keeps an unused import or an uncalled private
+top-level helper, and the CLI uses only public names."""
 
 import ast
+import re
 from pathlib import Path
 
 import torifactor
@@ -35,6 +37,20 @@ def test_all_lists_exactly_the_imported_names():
     assert len(torifactor.__all__) == len(set(torifactor.__all__))
     assert sorted(torifactor.__all__) == sorted(_imported_names(tree))
     assert all(hasattr(torifactor, name) for name in torifactor.__all__)
+
+
+def test_every_public_name_is_used_in_the_package_or_named_in_the_readme():
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    used = set()
+    for stem, tree in MODULES.items():
+        if stem != "__init__":
+            used |= _loaded_names(tree)
+    unused = [
+        name
+        for name in torifactor.__all__
+        if name not in used and not re.search(rf"`{re.escape(name)}\b", readme)
+    ]
+    assert unused == []
 
 
 def test_no_module_imports_a_name_it_does_not_use():

@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -103,16 +105,51 @@ def test_pipeline_verification_random():
 
 
 def test_analyze_classifies_the_fan_matrix_once(count_calls):
-    # the validation builds the cone frames and the fan enumeration reuses them
+    # the validation builds the cone frames and the fan enumeration reuses them:
+    # one frame per n-subset of columns
     from torifactor import gale
 
-    frames = count_calls(gale, "_cone_frames")
+    frames = count_calls(gale, "_cone_frame")
+    reports = count_calls(gale, "classify_F")
     weights = count_calls(gale, "classify_W")
     for v in (EX1_V, EX2_V):
         frames.clear()
+        reports.clear()
         analyze(v)
-        assert frames == [(v,)]
+        assert frames == [(v, c) for c in combinations(range(v.cols), v.rows)]
+        assert reports == [(v,)]
     assert weights == []
+
+
+def test_analyze_calls_each_public_step(count_calls):
+    # the calls analyze makes itself; enumerate_fans validates V once more
+    from torifactor import pipeline
+
+    steps = ("require_F", "enumerate_fans", "picard_basis", "verify_result")
+    calls = {name: count_calls(pipeline, name, everywhere=False) for name in steps}
+    for fan_index, verify in ((None, True), (None, False), (1, True)):
+        for seen in calls.values():
+            seen.clear()
+        res = analyze(EX2_V, fan_index=fan_index, verify=verify)
+        assert calls["require_F"] == [(EX2_V,)]
+        assert calls["enumerate_fans"] == [(EX2_V,)]
+        assert [family for _, family in calls["picard_basis"]] == [fa.index_sets for fa in res.fans]
+        assert calls["verify_result"] == ([(res,)] if verify else [])
+
+
+def test_no_shared_table_outlives_its_call(count_calls):
+    from torifactor import gale, intmat
+
+    frames = count_calls(gale, "_cone_frame")
+    per_call = comb(EX2_V.cols, EX2_V.rows)
+    analyze(EX2_V)
+    analyze(EX2_V)
+    assert len(frames) == 2 * per_call
+    assert intmat._TABLES.get() is None
+    with pytest.raises(PreconditionError, match="out of range"):
+        analyze(EX2_V, fan_index=99)
+    assert intmat._TABLES.get() is None
+    assert len(frames) == 3 * per_call
 
 
 def test_analyze_inverts_each_weight_block_once(count_calls):
@@ -187,14 +224,13 @@ def test_verification_rejects_a_forged_basis_on_the_last_fan(monkeypatch):
     forged = picard_basis(q, PicardIndexFamily(tuple(i for i in last if i != idx)))
     assert block_lattices_left(forged) == [idx]
     calls = []
-    picard = pipeline._picard_basis
 
-    def forge_last(q, family, table):
+    def forge_last(q, family):
         calls.append(family)
-        pd = picard(q, family, table)
+        pd = picard_basis(q, family)
         return forged if len(calls) % len(families) == 0 else pd
 
-    monkeypatch.setattr(pipeline, "_picard_basis", forge_last)
+    monkeypatch.setattr(pipeline, "picard_basis", forge_last)
     with pytest.raises(PreconditionError, match="escapes a weight block lattice"):
         analyze(EX2_V)
     res = analyze(EX2_V, verify=False)
@@ -203,12 +239,20 @@ def test_verification_rejects_a_forged_basis_on_the_last_fan(monkeypatch):
         verify_result(res)
 
 
-def test_verification_rechecks_every_table_entry():
-    # a zero "adjugate" would let every row pass the congruence test
-    from torifactor.pipeline import _verify_result
+def test_verification_rechecks_every_table_entry(monkeypatch):
+    # a zero "adjugate" would let every row pass the congruence test: plant one
+    # in analyze's shared table, under the key _weight_block reads, before the
+    # first Picard basis; the other blocks of each fan still give its basis
+    from torifactor import pipeline
+    from torifactor.intmat import _cached
 
-    res = analyze(EX2_V)
-    r = res.Q.rows
-    forged = {idx: (1, IntMatrix.zeros(r, r)) for idx in res.fans[-1].index_sets.sets}
+    idx = analyze(EX2_V, verify=False).fans[-1].index_sets.sets[-1]
+    picard = pipeline.picard_basis
+
+    def plant_then_solve(q, family):
+        _cached(q, idx, lambda: (1, IntMatrix.zeros(q.rows, q.rows)))
+        return picard(q, family)
+
+    monkeypatch.setattr(pipeline, "picard_basis", plant_then_solve)
     with pytest.raises(PreconditionError, match="adjugate identity failed"):
-        _verify_result(res, forged)
+        analyze(EX2_V)
