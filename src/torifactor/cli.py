@@ -7,15 +7,18 @@ carry ``"moduli"``.  Column and fan indices are 0-based throughout.
 
 Exit codes: 0 success, 1 malformed input (including a file that is not
 UTF-8, a JSON number beyond the interpreter's int-to-string digit limit, and
-a TORIFACTOR_MAX_PERM that is not a positive integer), 2 violated
-mathematical precondition (the failed classification conditions are named),
-an equivalence search that reached the TORIFACTOR_MAX_PERM cap, or a result
-entry with more digits than that limit allows in a string (the message names
-the limit; it is left as the interpreter sets it).  The cap counts candidate
-bases: the ordered column tuples of the second matrix, with matching minor
-invariants, that could be the image of one fixed basis of columns of the
-first.  Only this front end reads TORIFACTOR_MAX_PERM; the library takes the
-cap as the ``max_permutations`` argument of ``fan_matrix_equivalence``.
+a TORIFACTOR_MAX_PERM or TORIFACTOR_MAX_PARTIAL_FANS that is not a positive
+integer), 2 violated mathematical precondition (the failed classification
+conditions are named), a search that reached its cap, or a result entry with
+more digits than that limit allows in a string (the message names the limit;
+it is left as the interpreter sets it).  TORIFACTOR_MAX_PERM caps the
+equivalence search by candidate bases: the ordered column tuples of the
+second matrix, with matching minor invariants, that could be the image of
+one fixed basis of columns of the first.  TORIFACTOR_MAX_PARTIAL_FANS caps
+the fan search of ``fans``, ``picard``, ``cartier`` and ``pipeline`` by the
+partial fans it pushes.  Only this front end reads them; the library takes
+the caps as the ``max_permutations`` argument of ``fan_matrix_equivalence``
+and the ``max_partial_fans`` argument of ``enumerate_fans`` and ``analyze``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .intmat import IntMatrix, PreconditionError, ShapeError
+from .intmat import IntMatrix, PreconditionError, SearchLimitExceeded, ShapeError
 from .covering import (
     TorsionMatrix,
     covering_decomposition,
@@ -41,13 +44,13 @@ from .normal_forms import hnf, snf
 from .pipeline import analyze
 from .reconstruction import (
     QuotientPresentation,
-    SearchLimitExceeded,
     fan_matrix_equivalence,
     reconstruct,
 )
 
 _BIG = 1 << 53
 MAX_PERM_ENV = "TORIFACTOR_MAX_PERM"
+MAX_PARTIAL_FANS_ENV = "TORIFACTOR_MAX_PARTIAL_FANS"
 
 
 class InputFormatError(ValueError):
@@ -203,8 +206,25 @@ def _run_classify(job: JobSpec) -> dict:
     raise InputFormatError("field 'kind' must be 'F' or 'W'")
 
 
+def _env_cap(name: str) -> Optional[int]:
+    """The search cap in environment variable ``name``; ``None`` when it is
+    unset or empty, and an input error unless it is a positive integer in
+    ASCII digits."""
+    env = os.environ.get(name)
+    if not env:
+        return None
+    try:
+        cap = int(env) if re.fullmatch("[0-9]+", env) else 0
+    except ValueError as exc:  # beyond the interpreter's digit limit
+        raise InputFormatError(f"{name}: {exc}") from exc
+    if cap == 0:
+        raise InputFormatError(f"{name} must be a positive integer, got {env!r}")
+    return cap
+
+
 def _run_fans(job: JobSpec) -> dict:
-    fans = enumerate_fans(decode_matrix(_need(job.payload, "matrix")))
+    v = decode_matrix(_need(job.payload, "matrix"))
+    fans = enumerate_fans(v, max_partial_fans=_env_cap(MAX_PARTIAL_FANS_ENV))
     out: dict = {"count": len(fans)}
     if not job.count_only:
         out["fans"] = [[list(c) for c in fan.maximal_cones] for fan in fans]
@@ -241,7 +261,12 @@ def _run_gamma(job: JobSpec) -> dict:
 
 def _analyze(job: JobSpec):
     v = decode_matrix(_need(job.payload, "matrix"))
-    return analyze(v, fan_index=job.fan_index, verify=job.verify)
+    return analyze(
+        v,
+        fan_index=job.fan_index,
+        verify=job.verify,
+        max_partial_fans=_env_cap(MAX_PARTIAL_FANS_ENV),
+    )
 
 
 def _fan_entries(res, index_sets: bool, cartier: bool) -> list:
@@ -269,20 +294,6 @@ def _run_cartier(job: JobSpec) -> dict:
     return {"fans": _fan_entries(_analyze(job), index_sets=True, cartier=True)}
 
 
-def _equivalence(v1: IntMatrix, v2: IntMatrix):
-    """``fan_matrix_equivalence`` capped by TORIFACTOR_MAX_PERM, when set and non-empty."""
-    env = os.environ.get(MAX_PERM_ENV)
-    cap = None
-    if env:
-        try:
-            cap = int(env) if env.isdecimal() else 0
-        except ValueError as exc:  # beyond the interpreter's digit limit
-            raise InputFormatError(str(exc)) from exc
-        if cap == 0:
-            raise InputFormatError(f"{MAX_PERM_ENV} must be a positive integer, got {env!r}")
-    return fan_matrix_equivalence(v1, v2, max_permutations=cap)
-
-
 def _run_reconstruct(job: JobSpec) -> dict:
     q = decode_matrix(_need(job.payload, "weights"), "weights")
     gamma = decode_torsion(_need(job.payload, "torsion"))
@@ -299,7 +310,7 @@ def _run_reconstruct(job: JobSpec) -> dict:
     }
     if "reference" in job.payload:
         ref = decode_matrix(job.payload["reference"], "reference")
-        witness = _equivalence(ref, rec.V)
+        witness = fan_matrix_equivalence(ref, rec.V, max_permutations=_env_cap(MAX_PERM_ENV))
         if witness is None:
             out["equivalence"] = {"equivalent": False}
         else:
@@ -315,7 +326,7 @@ def _run_reconstruct(job: JobSpec) -> dict:
 def _run_equiv(job: JobSpec) -> dict:
     v1 = decode_matrix(_need(job.payload, "first"), "first")
     v2 = decode_matrix(_need(job.payload, "second"), "second")
-    witness = _equivalence(v1, v2)
+    witness = fan_matrix_equivalence(v1, v2, max_permutations=_env_cap(MAX_PERM_ENV))
     if witness is None:
         return {"equivalent": False}
     r, s = witness

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, _det_adjugate, _int_tuple
+from .intmat import (
+    IntMatrix,
+    PreconditionError,
+    ShapeError,
+    _det_adjugate,
+    _int_list_text,
+    _int_tuple,
+)
 from .gale import gale_dual, require_F
 from .lattices import Lattice
 from .normal_forms import _identity_block_transform, rank, snf, unimodular_inverse
@@ -123,8 +130,8 @@ class TorsionMatrix:
 
     def __repr__(self) -> str:
         return (
-            f"TorsionMatrix(moduli={list(self._moduli)}, "
-            f"entries={[list(r) for r in self._entries]}, width={self._width})"
+            f"TorsionMatrix(moduli={_int_list_text(self._moduli)}, "
+            f"entries={_int_list_text(self._entries)}, width={self._width})"
         )
 
 
@@ -201,8 +208,9 @@ def _covering_decomposition(v: IntMatrix, v_hat: IntMatrix) -> CoveringData:
     for i in range(n - s, n):
         if next((x for x in v_hat_aligned.row(i) if x != 0), 0) < 0:
             signs[i] = -1
-    e = IntMatrix.diagonal(signs)
-    v_aligned, v_hat_aligned, mu, nu = e @ v_aligned, e @ v_hat_aligned, e @ mu, nu @ e
+    if -1 in signs:
+        e = IntMatrix.diagonal(signs)
+        v_aligned, v_hat_aligned, mu, nu = e @ v_aligned, e @ v_hat_aligned, e @ mu, nu @ e
 
     if v_aligned != delta @ v_hat_aligned:
         raise PreconditionError("alignment identity failed")

@@ -8,11 +8,14 @@ basis, scaled by ``|det V_c|``.  Each column outside the cone has one relation
 with the cone's columns, read off those coordinates; these relations are the
 signed circuits of ``V``.  Two cones meet in their common face iff no circuit
 has its positive part in the first cone and its negative part in the second
-(De Loera, Rambau, Santos, *Triangulations*, 2010, Section 4.1).  A collection
-is a complete fan when its cones meet pairwise in common faces and every facet
-lies on exactly two cones.  The enumeration starts from the cones around a
-point off every facet hyperplane and closes open facets one at a time, taking
-the candidates for each facet from a table built once.
+(De Loera, Rambau, Santos, *Triangulations*, 2010, Section 4.1); one conflict
+bitmask per candidate cone, built once from the circuits, holds the candidates
+it does not meet so.  A collection is a complete fan when its cones meet
+pairwise in common faces and every facet lies on exactly two cones.  The
+enumeration starts from the cones around a point off every facet hyperplane
+and closes open facets one at a time, taking the candidates for each facet
+from a table built once; a partial fan is four bitmasks: its cones, the
+facets on one of them, the facets on two, and the rays used.
 """
 
 from __future__ import annotations
@@ -20,9 +23,16 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, _int_tuple, _shared_tables
+from .intmat import (
+    IntMatrix,
+    PreconditionError,
+    SearchLimitExceeded,
+    ShapeError,
+    _int_tuple,
+    _shared_tables,
+)
 from .gale import _cone_frames, require_F
 
 Cone = tuple[int, ...]
@@ -80,15 +90,44 @@ def _circuits(v: IntMatrix, frames: dict[Cone, tuple]) -> set[tuple[int, int]]:
     return circuits
 
 
-def _meet_in_common_face(a: int, b: int, circuits: Iterable[tuple[int, int]]) -> bool:
-    """Whether the simplicial cones with column bitmasks ``a`` and ``b`` meet
-    in their shared face: no signed circuit has its positive part in ``a`` and
-    its negative part in ``b``."""
-    return not any(p & ~a == 0 and q & ~b == 0 for p, q in circuits)
+def _conflicts(masks: Sequence[int], circuits: Iterable[tuple[int, int]]) -> list[int]:
+    """For each candidate cone, given by its column bitmask, the bitmask of the
+    candidates it does not meet in a common face.
+
+    Bit ``b`` of ``conflict[a]`` is set iff some signed circuit has its positive
+    part in cone ``a`` and its negative part in cone ``b``; every circuit is
+    stored in both orientations, so the table is symmetric.
+    """
+    holders: dict[int, int] = {}  # column -> the candidates that contain it
+    for k, mask in enumerate(masks):
+        for j in _bits(mask):
+            holders[j] = holders.get(j, 0) | 1 << k
+
+    def containing(part: int) -> int:
+        acc = (1 << len(masks)) - 1
+        for j in _bits(part):
+            acc &= holders.get(j, 0)
+        return acc
+
+    conflict = [0] * len(masks)
+    for pos, neg in circuits:
+        clash = containing(neg)
+        if clash:
+            for k in _bits(containing(pos)):
+                conflict[k] |= clash
+    return conflict
 
 
 def _mask(columns: Iterable[int]) -> int:
     return sum(1 << j for j in columns)
+
+
+def _bits(mask: int) -> Iterable[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _generic_point(normals: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -141,10 +180,12 @@ def validate_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> FanValidation:
             problems.append(f"cone {c} is not simplicial (singular column block)")
     if problems:
         return FanValidation(False, tuple(problems))
-    circuits = _circuits(v, frames)
+    candidates = list(frames)
+    conflict = _conflicts([_mask(c) for c in candidates], _circuits(v, frames))
+    index = {c: k for k, c in enumerate(candidates)}
     distinct = sorted(cone_list)
     for a, b in combinations(distinct, 2):
-        if not _meet_in_common_face(_mask(a), _mask(b), circuits):
+        if conflict[index[a]] >> index[b] & 1:
             problems.append(f"cones {a} and {b} do not meet in a common face")
     facet_count: dict[Cone, int] = {}
     for c in distinct:
@@ -165,35 +206,31 @@ def make_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> Fan:
     return Fan(v, tuple(sorted(cone_list)))
 
 
-def enumerate_fans(v: IntMatrix) -> tuple[Fan, ...]:
+def enumerate_fans(v: IntMatrix, max_partial_fans: Optional[int] = None) -> tuple[Fan, ...]:
     """All complete simplicial fans whose rays are exactly the columns of ``v``.
 
     Candidate cones are the nonsingular size-n column subsets.  Starting from
     each cone whose interior contains a fixed generic point, unpaired facets
-    are resolved one at a time; a collection with every facet paired and all
-    rays used is a complete fan, and each fan is reached exactly once from
-    its unique cone around the generic point.
+    are resolved one at a time, lowest first; a collection with every facet
+    paired and all rays used is a complete fan, and each fan is reached
+    exactly once from its unique cone around the generic point.  The search
+    is exhaustive.  ``max_partial_fans`` caps the partial fans it pushes,
+    the starting cones included (``None``: no cap); exceeding it raises
+    ``SearchLimitExceeded``.
     """
     with _shared_tables():
         require_F(v)
         frames = _cone_frames(v)
-    m = v.cols
     candidates = list(frames)
     masks = [_mask(c) for c in candidates]
-    circuits = _circuits(v, frames)
+    conflict = _conflicts(masks, _circuits(v, frames))
     facets = [_facets(c) for c in candidates]
-    by_facet: dict[Cone, list[int]] = {}
+    facet_id = {f: i for i, f in enumerate(sorted({f for fs in facets for f in fs}))}
+    facet_masks = [_mask(facet_id[f] for f in fs) for fs in facets]
+    by_facet: list[list[int]] = [[] for _ in facet_id]
     for k, cone_facets in enumerate(facets):
         for f in cone_facets:
-            by_facet.setdefault(f, []).append(k)
-    compatible: dict[tuple[int, int], bool] = {}
-
-    def ok(a: int, b: int) -> bool:
-        # symmetric, since every circuit is stored in both orientations
-        key = (a, b) if a < b else (b, a)
-        if key not in compatible:
-            compatible[key] = _meet_in_common_face(masks[a], masks[b], circuits)
-        return compatible[key]
+            by_facet[facet_id[f]].append(k)
 
     # Every independent set of n-1 columns extends to a candidate, so the facet
     # normals of the candidates cover every hyperplane that n-1 columns span.
@@ -203,28 +240,30 @@ def enumerate_fans(v: IntMatrix) -> tuple[Fan, ...]:
         for k, (inverse, _) in enumerate(frames.values())
         if all(sum(a * x for a, x in zip(row, point)) > 0 for row in inverse)
     ]
-    found: set[tuple[Cone, ...]] = set()
-    # depth-first over partial fans, with an explicit stack: a recursive closure
+    all_rays = (1 << v.cols) - 1
+    found: set[int] = set()
+    # depth-first over partial fans (chosen cones, facets on one chosen cone,
+    # facets on two, rays used), with an explicit stack: a recursive closure
     # would form a reference cycle that keeps these tables alive until a full gc
-    stack = [([seed], {f: 1 for f in facets[seed]}) for seed in seeds]
+    stack = [(1 << k, facet_masks[k], 0, masks[k]) for k in seeds]
+    pushed = len(stack)
+    limit = float("inf") if max_partial_fans is None else max_partial_fans
     while stack:
-        chosen, facet_count = stack.pop()
-        unpaired = [f for f, cnt in facet_count.items() if cnt == 1]
-        if not unpaired:
-            fan_cones = tuple(sorted(candidates[k] for k in chosen))
-            if set().union(*fan_cones) == set(range(m)):
-                found.add(fan_cones)
+        if pushed > limit:
+            raise SearchLimitExceeded(f"fan search exceeded {max_partial_fans} partial fans")
+        chosen, once, twice, rays = stack.pop()
+        if not once:
+            if rays == all_rays:
+                found.add(chosen)
             continue
-        for k in by_facet[min(unpaired)]:
-            if k in chosen or any(facet_count.get(f, 0) >= 2 for f in facets[k]):
+        for k in by_facet[(once & -once).bit_length() - 1]:
+            f = facet_masks[k]
+            if chosen >> k & 1 or f & twice or conflict[k] & chosen:
                 continue
-            if not all(ok(k, c) for c in chosen):
-                continue
-            next_count = dict(facet_count)
-            for f in facets[k]:
-                next_count[f] = next_count.get(f, 0) + 1
-            stack.append((chosen + [k], next_count))
-    return tuple(Fan(v, cones) for cones in sorted(found))
+            stack.append((chosen | 1 << k, once ^ f, twice | once & f, rays | masks[k]))
+            pushed += 1
+    fans = sorted(tuple(candidates[k] for k in _bits(chosen)) for chosen in found)
+    return tuple(Fan(v, cones) for cones in fans)
 
 
 def picard_index_sets(fan: Fan) -> PicardIndexFamily:

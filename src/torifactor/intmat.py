@@ -17,6 +17,11 @@ class PreconditionError(ValueError):
     """A mathematical precondition on the input is violated."""
 
 
+class SearchLimitExceeded(RuntimeError):
+    """A search hit its configured cap: candidate bases of the fan-matrix
+    equivalence, or partial fans of the fan enumeration."""
+
+
 class IntMatrix:
     """Immutable row-major matrix of Python integers.
 
@@ -193,7 +198,7 @@ class IntMatrix:
         return hash(self._rows)
 
     def __repr__(self) -> str:
-        return f"IntMatrix({self.tolist()!r})"
+        return f"IntMatrix({_int_list_text(self._rows)})"
 
 
 def det(m: IntMatrix) -> int:
@@ -288,6 +293,14 @@ def _int_text(x: int) -> str:
         while abs(x) >= 10**digits:
             digits += 1
         return f"{'-' if x < 0 else ''}<integer of {digits} digits>"
+
+
+def _int_list_text(values) -> str:
+    """The ``repr`` of ``values``, nested sequences of integers, as lists, with
+    each integer written by ``_int_text``."""
+    if isinstance(values, int):
+        return _int_text(values)
+    return "[" + ", ".join(map(_int_list_text, values)) + "]"
 
 
 def _int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .intmat import IntMatrix, ShapeError, _int_tuple
+from .intmat import IntMatrix, ShapeError, _int_list_text, _int_tuple
 from .normal_forms import _hnf_in_place, hnf
 
 
@@ -90,7 +90,7 @@ class Lattice:
         return hash((self._ambient, self._basis))
 
     def __repr__(self) -> str:
-        return f"Lattice(ambient={self._ambient}, basis={[list(r) for r in self._basis]})"
+        return f"Lattice(ambient={self._ambient}, basis={_int_list_text(self._basis)})"
 
 
 def kernel_saturation(m: IntMatrix) -> Lattice:

@@ -54,11 +54,17 @@ class PipelineResult:
     fans: tuple[FanAnalysis, ...]
 
 
-def analyze(v: IntMatrix, fan_index: Optional[int] = None, verify: bool = True) -> PipelineResult:
+def analyze(
+    v: IntMatrix,
+    fan_index: Optional[int] = None,
+    verify: bool = True,
+    max_partial_fans: Optional[int] = None,
+) -> PipelineResult:
     """Run the whole pipeline on a reduced fan matrix.
 
     ``fan_index`` restricts the per-fan stage to one fan of the deterministic
-    enumeration; by default every fan is processed.  ``V_hat`` is the lower
+    enumeration; by default every fan is processed.  ``max_partial_fans``
+    caps the fan search as in ``enumerate_fans``.  ``V_hat`` is the lower
     block of ``U_Q``, a row action away from ``covering_decomposition``'s row
     HNF: for ``V = (1 -1)``, ``V_hat = (-1 1)`` and ``beta = (-1)`` here.
     One ``_shared_tables`` block, dropped on return, serves the whole call:
@@ -84,7 +90,7 @@ def analyze(v: IntMatrix, fan_index: Optional[int] = None, verify: bool = True) 
             free_generators=u_q.top_rows(r),
             torsion_generator_rows=gens,
         )
-        all_fans = enumerate_fans(v)
+        all_fans = enumerate_fans(v, max_partial_fans=max_partial_fans)
         if fan_index is not None:
             if not 0 <= fan_index < len(all_fans):
                 raise PreconditionError(

@@ -22,6 +22,7 @@ from typing import Optional
 from .intmat import (
     IntMatrix,
     PreconditionError,
+    SearchLimitExceeded,
     ShapeError,
     _det_adjugate,
     _int_text,
@@ -45,10 +46,6 @@ class QuotientPresentation:
         require_W(self.Q)
         if self.gamma.cols != self.Q.cols:
             raise ShapeError("torsion matrix width must match the weight matrix")
-
-
-class SearchLimitExceeded(RuntimeError):
-    """The equivalence search hit the configured cap on candidate bases."""
 
 
 @dataclass(frozen=True)

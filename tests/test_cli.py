@@ -242,7 +242,7 @@ CAPPED = {
 }
 
 
-@pytest.mark.parametrize("value", ["abc", "-3", "0"])
+@pytest.mark.parametrize("value", ["abc", "-3", "0", "\u0663"])
 def test_bad_permutation_cap_is_an_input_error(monkeypatch, capsys, value):
     monkeypatch.setenv("TORIFACTOR_MAX_PERM", value)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(INEQUIVALENT)))
@@ -260,6 +260,33 @@ def test_reached_permutation_cap_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("torifactor:")
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0", "\u0663"])
+@pytest.mark.parametrize("command", ["fans", "pipeline"])
+def test_bad_partial_fan_cap_is_an_input_error(monkeypatch, capsys, command, value):
+    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", value)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EX2)))
+    assert run([command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("torifactor: input error")
+    assert "TORIFACTOR_MAX_PARTIAL_FANS" in captured.err
+
+
+# the fan search pushes 26 partial fans on the second example
+@pytest.mark.parametrize("command", ["fans", "picard", "cartier", "pipeline"])
+def test_partial_fan_cap_exits_2_once_reached(monkeypatch, capsys, command):
+    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", "26")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EX2)))
+    assert run([command, "--fan", "0"]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", "25")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EX2)))
+    assert run([command, "--fan", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("torifactor: search limit reached: fan search exceeded 25")
 
 
 @pytest.mark.parametrize("command", ["cover", "torsion", "gamma"])

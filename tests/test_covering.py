@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -376,3 +377,14 @@ def test_covering_factorization_random():
         cd2 = covering_decomposition(v, v_hat=v_hat_rep)
         assert cd2.torsion_invariants == cd.torsion_invariants
         assert cd2.beta @ v_hat_rep == v
+
+
+def test_torsion_matrix_repr_writes_entries_beyond_the_digit_limit_by_their_digit_count():
+    tm = TorsionMatrix([3], [[4, 2]])
+    assert repr(tm) == "TorsionMatrix(moduli=[3], entries=[[1, 2]], width=2)"
+    assert repr(TorsionMatrix([], [], width=2)) == "TorsionMatrix(moduli=[], entries=[], width=2)"
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        big = f"<integer of {limit + 1} digits>"
+        tm = TorsionMatrix([10**limit + 1], [[10**limit, 1]])
+        assert repr(tm) == f"TorsionMatrix(moduli=[{big}], entries=[[{big}, 1]], width=2)"

@@ -9,6 +9,7 @@ from hypothesis import assume, given, strategies as st
 from torifactor import (
     IntMatrix,
     PreconditionError,
+    SearchLimitExceeded,
     ShapeError,
     det,
     enumerate_fans,
@@ -29,7 +30,7 @@ from _randgen import (
     random_reduced_f_matrix,
     random_unimodular,
 )
-from torifactor.fans import _circuits, _mask, _meet_in_common_face
+from torifactor.fans import _circuits, _conflicts, _mask
 from torifactor.gale import _cone_frame, _cone_frames
 
 
@@ -269,11 +270,15 @@ def test_coordinate_pair_test_matches_kernel_oracle(shape, seed):
         assert (frame is None) == (det(v.select_cols(c)) == 0)
         if frame is not None:
             frames[c] = frame
-    circuits = _circuits(v, frames)
-    for a, b in combinations(sorted(frames), 2):
-        expected = kernel_cones_meet_in_common_face(v, a, b)
-        assert _meet_in_common_face(_mask(a), _mask(b), circuits) == expected
-        assert _meet_in_common_face(_mask(b), _mask(a), circuits) == expected
+    candidates = list(frames)
+    conflict = _conflicts([_mask(c) for c in candidates], _circuits(v, frames))
+    assert len(conflict) == len(candidates)
+    for a, row in enumerate(conflict):
+        assert row >> len(candidates) == 0 and not row >> a & 1
+    for a, b in combinations(range(len(candidates)), 2):
+        clash = conflict[a] >> b & 1
+        assert clash == conflict[b] >> a & 1
+        assert bool(clash) != kernel_cones_meet_in_common_face(v, candidates[a], candidates[b])
 
 
 def _assert_circuits_match_brute_force(v):
@@ -353,3 +358,23 @@ def test_fans_invariant_under_row_action_and_column_permutation(shape, seed):
         for fan in enumerate_fans(moved)
     )
     assert mapped_back == [f.maximal_cones for f in enumerate_fans(v)]
+
+
+# partial fans pushed by the search on each matrix, starting cones included
+PUSHED_PARTIAL_FANS = [(IntMatrix([[1, -1]]), 2), (EX1_V, 4), (EX2_V, 26)]
+
+
+@pytest.mark.parametrize("v, pushed", PUSHED_PARTIAL_FANS)
+def test_partial_fan_cap_counts_every_pushed_partial_fan(v, pushed):
+    assert enumerate_fans(v, max_partial_fans=pushed) == enumerate_fans(v)
+    with pytest.raises(SearchLimitExceeded, match=f"exceeded {pushed - 1} partial fans"):
+        enumerate_fans(v, max_partial_fans=pushed - 1)
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_partial_fan_cap_below_the_fan_count_is_reached(shape, seed):
+    # a search pushes every fan it finds, so a cap below the fan count is reached
+    v = random_reduced_f_matrix(random.Random(seed), *shape)
+    fans = enumerate_fans(v)
+    with pytest.raises(SearchLimitExceeded):
+        enumerate_fans(v, max_partial_fans=len(fans) - 1)

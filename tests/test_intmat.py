@@ -152,3 +152,11 @@ def test_int_text_counts_the_digits_beyond_the_conversion_limit():
     if limit:
         assert _int_text(10**limit) == f"<integer of {limit + 1} digits>"
         assert _int_text(-(10 ** (limit + 1) - 1)) == f"-<integer of {limit + 1} digits>"
+
+
+def test_repr_writes_entries_beyond_the_digit_limit_by_their_digit_count():
+    assert repr(IntMatrix([[1, -2], [3, 4]])) == "IntMatrix([[1, -2], [3, 4]])"
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        big = f"<integer of {limit + 1} digits>"
+        assert repr(IntMatrix([[10**limit, -1]])) == f"IntMatrix([[{big}, -1]])"

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -219,3 +220,12 @@ def test_intersection_of_picard_blocks():
 def test_intersection_rejects_mixed_ambient():
     with pytest.raises(ShapeError):
         lattice_intersection(Lattice.full(2), Lattice.full(3))
+
+
+def test_repr_writes_entries_beyond_the_digit_limit_by_their_digit_count():
+    assert repr(Lattice(2, [[2, 0], [0, 3]])) == "Lattice(ambient=2, basis=[[2, 0], [0, 3]])"
+    assert repr(Lattice.zero(3)) == "Lattice(ambient=3, basis=[])"
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        big = f"<integer of {limit + 1} digits>"
+        assert repr(Lattice(2, [[10**limit, 1]])) == f"Lattice(ambient=2, basis=[[{big}, 1]])"

@@ -94,3 +94,10 @@ def test_cli_imports_no_private_name_from_the_package():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_search_limit_is_one_class_from_intmat():
+    from torifactor import intmat, reconstruction
+
+    assert torifactor.SearchLimitExceeded is intmat.SearchLimitExceeded
+    assert reconstruction.SearchLimitExceeded is intmat.SearchLimitExceeded

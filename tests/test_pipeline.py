@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from torifactor import (
     IntMatrix,
     PreconditionError,
+    SearchLimitExceeded,
     ShapeError,
     analyze,
     covering_decomposition,
@@ -256,3 +257,11 @@ def test_verification_rechecks_every_table_entry(monkeypatch):
     monkeypatch.setattr(pipeline, "picard_basis", plant_then_solve)
     with pytest.raises(PreconditionError, match="adjugate identity failed"):
         analyze(EX2_V)
+
+
+def test_analyze_passes_the_partial_fan_cap_to_the_search():
+    # the search pushes 26 partial fans on the second example (tests/test_fans.py)
+    res = analyze(EX2_V, fan_index=0, max_partial_fans=26)
+    assert res.fans[0].fan == analyze(EX2_V, fan_index=0).fans[0].fan
+    with pytest.raises(SearchLimitExceeded, match="exceeded 25 partial fans"):
+        analyze(EX2_V, max_partial_fans=25)
