@@ -21,10 +21,11 @@ from .intmat import (
     _det_adjugate,
     _int_list_text,
     _int_tuple,
+    det,
 )
 from .gale import gale_dual, require_F
 from .lattices import Lattice
-from .normal_forms import _identity_block_transform, rank, snf, unimodular_inverse
+from .normal_forms import _identity_block_transform, snf, unimodular_inverse
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def beta_factor(v: IntMatrix, v_hat: IntMatrix) -> IntMatrix:
     if v.shape != v_hat.shape:
         raise ShapeError("fan matrices must have equal shape")
     d, adj = _det_adjugate(v_hat @ v_hat.transpose())
-    if d == 0 or rank(v) != v.rows:
+    if d == 0:
         raise PreconditionError("both matrices must have full row rank")
     scaled = v @ v_hat.transpose() @ adj
     if any(x % d for row in scaled for x in row):
@@ -166,6 +167,8 @@ def beta_factor(v: IntMatrix, v_hat: IntMatrix) -> IntMatrix:
     beta = IntMatrix([[x // d for x in row] for row in scaled])
     if beta @ v_hat != v:
         raise PreconditionError("no integer factor maps v_hat onto v")
+    if det(beta) == 0:
+        raise PreconditionError("both matrices must have full row rank")
     return beta
 
 

@@ -81,11 +81,13 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
     """
     r, m = q.shape
     sets = []
+    columns = set(range(m))
     for idx in index_family.sets:
         idx = _int_tuple(idx, "index set entries")
         if len(idx) != r:
             raise ShapeError("index set size must equal the weight-matrix rank")
-        if len(set(idx)) != r or not all(0 <= j < m for j in idx):
+        s = set(idx)
+        if len(s) != r or not s <= columns:
             raise ShapeError(f"index set {idx} is not {r} distinct columns in 0..{m - 1}")
         sets.append(idx)
     if not sets:

@@ -1,19 +1,19 @@
 """Enumeration and validation of the complete simplicial fans on a fan matrix.
 
 Maximal cones are size-n sets of column indices (0-based) with nonsingular
-column blocks.  One fraction-free pass per cone gives ``s * adj(V_c)`` with
-``s = sign det V_c``: its rows are the cone's facet normals, and its product
-with ``V`` holds the barycentric coordinates of every column in the cone's
-basis, scaled by ``|det V_c|``.  Each column outside the cone has one relation
-with the cone's columns, read off those coordinates; these relations are the
+column blocks.  Every cone test reads the signs of the maximal minors of
+``V``, one table per ``V`` (``gale._minors``): the candidate cones are the
+n-subsets with a nonzero minor; each (n+1)-subset of rank n carries one linear
+relation whose coefficients are signed minors (Cramer's rule), and these are the
 signed circuits of ``V``.  Two cones meet in their common face iff no circuit
 has its positive part in the first cone and its negative part in the second
 (De Loera, Rambau, Santos, *Triangulations*, 2010, Section 4.1); one conflict
 bitmask per candidate cone, built once from the circuits, holds the candidates
 it does not meet so.  A collection is a complete fan when its cones meet
 pairwise in common faces and every facet lies on exactly two cones.  The
-enumeration starts from the cones around a point off every facet hyperplane
-and closes open facets one at a time, taking the candidates for each facet
+enumeration starts from the cones around a generic point, read off the
+cocircuits ``det[V_h | v_j]`` of the hyperplanes spanned by n-1 columns, and
+closes open facets one at a time, taking the candidates for each facet
 from a table built once; a partial fan is four bitmasks: its cones, the
 facets on one of them, the facets on two, and the rays used.
 """
@@ -33,7 +33,7 @@ from .intmat import (
     _int_tuple,
     _shared_tables,
 )
-from .gale import _cone_frames, require_F
+from .gale import _cocircuits, _minors, require_F
 
 Cone = tuple[int, ...]
 
@@ -72,20 +72,22 @@ class FanValidation:
         return self.valid
 
 
-def _circuits(v: IntMatrix, frames: dict[Cone, tuple]) -> set[tuple[int, int]]:
+def _circuits(v: IntMatrix) -> set[tuple[int, int]]:
     """Signed circuits of the columns of ``v`` as ``(positive, negative)``
     bitmasks, in both orientations.
 
-    For a nonsingular ``c`` and a column ``j`` outside it, column ``j`` of the
-    frame's coordinates gives the one relation on ``c + {j}``:
-    ``|det V_c| v_j = sum_i coords[i][j] v_{c_i}``.  Every circuit arises so,
-    because a circuit minus one element extends to a basis.
+    For sorted columns ``s`` of size n+1, Cramer's rule gives the relation
+    ``sum_k (-1)^k det V_{s - s_k} v_{s_k} = 0``, the only one on ``s`` when
+    nonzero, so its support is a circuit.  Every circuit arises so, because a
+    circuit minus one element extends to a basis.
     """
+    minors = _minors(v)
     circuits = set()
-    for c, (_, coords) in frames.items():
-        for j in set(range(v.cols)).difference(c):
-            pos = 1 << j | _mask(k for k, row in zip(c, coords) if row[j] < 0)
-            neg = _mask(k for k, row in zip(c, coords) if row[j] > 0)
+    for s in combinations(range(v.cols), v.rows + 1):
+        coeffs = [(-1) ** k * minors[s[:k] + s[k + 1 :]] for k in range(len(s))]
+        pos = _mask(j for j, x in zip(s, coeffs) if x > 0)
+        neg = _mask(j for j, x in zip(s, coeffs) if x < 0)
+        if pos | neg:
             circuits.update(((pos, neg), (neg, pos)))
     return circuits
 
@@ -130,14 +132,15 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _generic_point(normals: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Integer point ``(1, t, t^2, ...)`` orthogonal to none of the normals."""
-    n = len(normals[0])
+def _generic_sides(cocircuits: dict[Cone, list[int]]) -> dict[Cone, int]:
+    """``det[V_h | p]`` for each cocircuit row, at ``p = sum_j t^j v_j`` with the
+    smallest positive integer ``t`` that puts ``p`` on no hyperplane; ``p`` moves
+    with the rows of ``V``, so a row action keeps the sides."""
     t = 1
     while True:
-        point = tuple(t**k for k in range(n))
-        if all(sum(u * x for u, x in zip(nrm, point)) != 0 for nrm in normals):
-            return point
+        sides = {h: sum(x * t**j for j, x in enumerate(row)) for h, row in cocircuits.items()}
+        if all(sides.values()):
+            return sides
         t += 1
 
 
@@ -174,14 +177,15 @@ def validate_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> FanValidation:
         problems.append("duplicate maximal cones")
     if problems:
         return FanValidation(False, tuple(problems))
-    frames = _cone_frames(v)
+    with _shared_tables():
+        minors, circuits = _minors(v), _circuits(v)
     for c in cone_list:
-        if c not in frames:
+        if not minors[c]:
             problems.append(f"cone {c} is not simplicial (singular column block)")
     if problems:
         return FanValidation(False, tuple(problems))
-    candidates = list(frames)
-    conflict = _conflicts([_mask(c) for c in candidates], _circuits(v, frames))
+    candidates = [c for c, d in minors.items() if d]
+    conflict = _conflicts([_mask(c) for c in candidates], circuits)
     index = {c: k for k, c in enumerate(candidates)}
     distinct = sorted(cone_list)
     for a, b in combinations(distinct, 2):
@@ -220,10 +224,10 @@ def enumerate_fans(v: IntMatrix, max_partial_fans: Optional[int] = None) -> tupl
     """
     with _shared_tables():
         require_F(v)
-        frames = _cone_frames(v)
-    candidates = list(frames)
+        candidates = [c for c, d in _minors(v).items() if d]
+        circuits, cocircuits = _circuits(v), _cocircuits(v)
     masks = [_mask(c) for c in candidates]
-    conflict = _conflicts(masks, _circuits(v, frames))
+    conflict = _conflicts(masks, circuits)
     facets = [_facets(c) for c in candidates]
     facet_id = {f: i for i, f in enumerate(sorted({f for fs in facets for f in fs}))}
     facet_masks = [_mask(facet_id[f] for f in fs) for fs in facets]
@@ -232,13 +236,12 @@ def enumerate_fans(v: IntMatrix, max_partial_fans: Optional[int] = None) -> tupl
         for f in cone_facets:
             by_facet[facet_id[f]].append(k)
 
-    # Every independent set of n-1 columns extends to a candidate, so the facet
-    # normals of the candidates cover every hyperplane that n-1 columns span.
-    point = _generic_point(list({row for inverse, _ in frames.values() for row in inverse}))
+    # a seed has the generic point on the side of c_i of each facet c - c_i
+    sides = _generic_sides(cocircuits)
     seeds = [
         k
-        for k, (inverse, _) in enumerate(frames.values())
-        if all(sum(a * x for a, x in zip(row, point)) > 0 for row in inverse)
+        for k, c in enumerate(candidates)
+        if all(sides[h] * cocircuits[h][j] > 0 for h, j in zip(facets[k], c))
     ]
     all_rays = (1 << v.cols) - 1
     found: set[int] = set()

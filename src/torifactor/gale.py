@@ -24,15 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 from .intmat import (
     IntMatrix,
     PreconditionError,
     ShapeError,
     _cached,
-    _det_adjugate,
     _shared_tables,
+    det,
     vector_content,
 )
 from .lattices import Lattice, kernel_saturation
@@ -72,39 +71,34 @@ def positive_span_is_full(v: IntMatrix) -> bool:
     """Exact test that the columns of ``v`` positively span all of R^n.
 
     The positive hull is full iff ``v`` has full row rank and no hyperplane
-    spanned by n-1 of the columns has all columns on one closed side.  Every
-    independent (n-1)-set extends to a nonsingular n-subset ``c``, and the
-    rows of ``s * adj(V_c)`` are normals of those hyperplanes with a positive
-    value on the remaining column of ``c``; so the test asks each coordinate
-    row of ``_cone_frame`` for a negative entry.
+    spanned by n-1 of the columns has all columns on one closed side: the
+    cocircuit table is nonempty and each of its rows has both signs.
     """
-    frames = _cone_frames(v)
-    return bool(frames) and all(min(row) < 0 for _, coords in frames.values() for row in coords)
+    rows = _cocircuits(v).values()
+    return bool(rows) and all(min(row) < 0 < max(row) for row in rows)
 
 
-def _cone_frames(v: IntMatrix) -> dict[tuple[int, ...], tuple]:
-    """``_cone_frame`` of each nonsingular n-subset of columns, in lexicographic
-    order; built once per ``v`` inside a ``_shared_tables`` block."""
+def _minors(v: IntMatrix) -> dict[tuple[int, ...], int]:
+    """``det V_c`` of every n-subset ``c`` of columns, keyed by the sorted
+    subset in lexicographic order; built once per ``v`` inside a
+    ``_shared_tables`` block.  Every cone test on ``v`` is read off it."""
     n, m = v.shape
     return _cached(
-        v,
-        "cone frames",
-        lambda: {c: f for c in combinations(range(m), n) if (f := _cone_frame(v, c)) is not None},
+        v, "minors", lambda: {c: det(v.select_cols(c)) for c in combinations(range(m), n)}
     )
 
 
-def _cone_frame(v: IntMatrix, cone: Sequence[int]):
-    """``(s * adj(V_c), s * adj(V_c) @ V)`` with ``s = sign det V_c``, the
-    inner facet normals and the scaled barycentric coordinates of every column;
-    ``None`` when ``V_c`` is singular."""
-    d, adj = _det_adjugate(v.select_cols(cone))
-    if d == 0:
-        return None
-    s = 1 if d > 0 else -1
-    inverse = [tuple(s * x for x in row) for row in adj]
-    cols = [v.col(j) for j in range(v.cols)]
-    coords = [tuple(sum(a * x for a, x in zip(row, col)) for col in cols) for row in inverse]
-    return inverse, coords
+def _cocircuits(v: IntMatrix) -> dict[tuple[int, ...], list[int]]:
+    """For each (n-1)-subset ``h`` of columns spanning a hyperplane, the row
+    ``det[V_h | v_j]`` over all columns ``j``, whose signs are the sides of the
+    columns: ``(-1)^(n-1-i) det V_c`` for ``h = c - c_i`` and ``j = c_i``."""
+    n, m = v.shape
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for c, d in _minors(v).items():
+        if d:
+            for i, j in enumerate(c):
+                rows.setdefault(c[:i] + c[i + 1 :], [0] * m)[j] = (-1) ** (n - 1 - i) * d
+    return rows
 
 
 def classify_F(v: IntMatrix) -> FMatrixReport:
@@ -115,7 +109,7 @@ def classify_F(v: IntMatrix) -> FMatrixReport:
     failed = []
     with _shared_tables():
         # v has rank n iff some n-subset of its columns is nonsingular
-        if not _cone_frames(v):
+        if not any(_minors(v).values()):
             failed.append("a")
         if not positive_span_is_full(v):
             failed.append("b")

@@ -68,7 +68,7 @@ def analyze(
     block of ``U_Q``, a row action away from ``covering_decomposition``'s row
     HNF: for ``V = (1 -1)``, ``V_hat = (-1 1)`` and ``beta = (-1)`` here.
     One ``_shared_tables`` block, dropped on return, serves the whole call:
-    ``V`` is classified and its cone frames are built once, for the validation
+    ``V`` is classified and its maximal minors computed once, for the validation
     and the fan enumeration, and the ``(det Q_I, adj Q_I)`` of each distinct
     ``I`` once, for every ``picard_basis`` call and for ``verify_result``.
     """

@@ -15,7 +15,7 @@ candidate images of that basis are tried.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import prod
 from typing import Optional
 
@@ -30,7 +30,7 @@ from .intmat import (
     vector_content,
 )
 from .covering import TorsionMatrix
-from .gale import gale_dual, require_W
+from .gale import _minors, gale_dual, require_W
 from .lattices import Lattice
 from .normal_forms import hnf
 
@@ -138,7 +138,7 @@ def fan_matrix_equivalence(
     cols2 = [v2.col(j) for j in range(m)]
     if sorted(map(vector_content, cols1)) != sorted(map(vector_content, cols2)):
         return None
-    minors1, minors2 = _abs_minors(v1), _abs_minors(v2)
+    minors1, minors2 = ({c: abs(d) for c, d in _minors(v).items()} for v in (v1, v2))
     if not any(minors2.values()):
         raise PreconditionError("fan matrices must have full row rank")
     if sorted(minors1.values()) != sorted(minors2.values()):
@@ -178,11 +178,6 @@ def fan_matrix_equivalence(
         return None
     r, s = best[1], IntMatrix.permutation(best[0])
     return (r, s) if r @ v1 @ s == v2 else None
-
-
-def _abs_minors(v: IntMatrix) -> dict[tuple[int, ...], int]:
-    """``|det|`` of every n-subset of columns, keyed by the sorted subset."""
-    return {c: abs(det(v.select_cols(c))) for c in combinations(range(v.cols), v.rows)}
 
 
 def _column_signatures(

@@ -274,26 +274,26 @@ def test_bad_partial_fan_cap_is_an_input_error(monkeypatch, capsys, command, val
     assert "TORIFACTOR_MAX_PARTIAL_FANS" in captured.err
 
 
-# the fan search pushes 26 partial fans on the second example
+# the fan search pushes 28 partial fans on the second example
 @pytest.mark.parametrize("command", ["fans", "picard", "cartier", "pipeline"])
 def test_partial_fan_cap_exits_2_once_reached(monkeypatch, capsys, command):
-    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", "26")
+    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", "28")
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EX2)))
     assert run([command, "--fan", "0"]) == 0
     assert capsys.readouterr().err == ""
-    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", "25")
+    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", "27")
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EX2)))
     assert run([command, "--fan", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("torifactor: search limit reached: fan search exceeded 25")
+    assert captured.err.startswith("torifactor: search limit reached: fan search exceeded 27")
 
 
 @pytest.mark.parametrize("command", ["cover", "torsion", "gamma"])
 def test_covering_commands_classify_each_input_once(count_calls, capsys, tmp_path, command):
     from torifactor import gale
 
-    frames = count_calls(gale, "_cone_frame")
+    minors = count_calls(gale, "det", everywhere=False)
     weights = count_calls(gale, "classify_W")
     paths, subsets = [], []
     for name, payload in (("ex1.json", EX1), ("ex2.json", EX2)):
@@ -301,11 +301,12 @@ def test_covering_commands_classify_each_input_once(count_calls, capsys, tmp_pat
         path.write_text(json.dumps(payload))
         paths += ["--input", str(path)]
         data = payload["matrix"]["data"]
-        subsets += [(IntMatrix(data), c) for c in combinations(range(len(data[0])), len(data))]
+        v = IntMatrix(data)
+        subsets += [(v.select_cols(c),) for c in combinations(range(v.cols), v.rows)]
     assert run([command, *paths]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
-    # one frame per n-subset of the columns of each input
-    assert frames == subsets
+    # one determinant per n-subset of the columns of each input
+    assert minors == subsets
     assert weights == []
 
 

@@ -174,9 +174,11 @@ def test_beta_factor_takes_no_hnf(count_calls):
     from torifactor import normal_forms
 
     calls = count_calls(normal_forms, "hnf")
+    ranks = count_calls(normal_forms, "rank")
     assert beta_factor(EX1_V, EX1_VHAT) == EX1_BETA
     assert beta_factor(EX2_V, EX2_VHAT) == EX2_BETA
     assert calls == []
+    assert ranks == []
 
 def test_covering_decomposition_first_example():
     cd = covering_decomposition(EX1_V)

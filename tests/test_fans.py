@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 import sympy
@@ -31,7 +32,7 @@ from _randgen import (
     random_unimodular,
 )
 from torifactor.fans import _circuits, _conflicts, _mask
-from torifactor.gale import _cone_frame, _cone_frames
+from torifactor.gale import _cocircuits, _minors
 
 
 def _cone_contains(v, cone, point):
@@ -264,14 +265,8 @@ def test_simplicial_determinants_nonzero():
 @given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
 def test_coordinate_pair_test_matches_kernel_oracle(shape, seed):
     v = random_reduced_f_matrix(random.Random(seed), *shape)
-    frames = {}
-    for c in combinations(range(v.cols), v.rows):
-        frame = _cone_frame(v, c)
-        assert (frame is None) == (det(v.select_cols(c)) == 0)
-        if frame is not None:
-            frames[c] = frame
-    candidates = list(frames)
-    conflict = _conflicts([_mask(c) for c in candidates], _circuits(v, frames))
+    candidates = [c for c, d in _minors(v).items() if d]
+    conflict = _conflicts([_mask(c) for c in candidates], _circuits(v))
     assert len(conflict) == len(candidates)
     for a, row in enumerate(conflict):
         assert row >> len(candidates) == 0 and not row >> a & 1
@@ -295,7 +290,7 @@ def _assert_circuits_match_brute_force(v):
         for s in combinations(range(m), size)
         if not independent(s) and all(independent(s[:k] + s[k + 1 :]) for k in range(size))
     }
-    circuits = _circuits(v, _cone_frames(v))
+    circuits = _circuits(v)
     supports = {tuple(j for j in range(m) if (p | q) >> j & 1) for p, q in circuits}
     assert supports == minimal
     assert len(circuits) == 2 * len(minimal)
@@ -335,15 +330,32 @@ def test_enumerate_fans_matches_oracle_enumeration_on_examples():
         assert tuple(f.maximal_cones for f in enumerate_fans(v)) == oracle_enumerate_fans(v)
 
 
-def test_cone_frame_holds_scaled_barycentric_coordinates():
-    for c in combinations(range(EX2_V.cols), EX2_V.rows):
-        frame = _cone_frame(EX2_V, c)
-        if frame is None:
-            continue
-        inverse, coords = frame
-        d = abs(det(EX2_V.select_cols(c)))
-        assert IntMatrix(inverse) @ EX2_V.select_cols(c) == d * IntMatrix.identity(EX2_V.rows)
-        assert EX2_V.select_cols(c) @ IntMatrix(coords) == d * EX2_V
+def _assert_cocircuits_match_sympy(v):
+    """``_cocircuits`` has one row per (n-1)-subset spanning a hyperplane, zero
+    on the subset, nonzero, and equal to the sympy determinants of ``[V_h | v_j]``."""
+    n, m = v.shape
+    rows = _cocircuits(v)
+    spanning = {
+        h
+        for h in combinations(range(m), n - 1)
+        if sympy.Matrix(n, len(h), lambda i, k: v[i, h[k]]).rank() == n - 1
+    }
+    assert set(rows) == spanning
+    for h, row in rows.items():
+        assert any(row) and all(row[j] == 0 for j in h)
+        for j in range(m):
+            block = sympy.Matrix([[v[i, k] for k in h] + [v[i, j]] for i in range(n)])
+            assert row[j] == block.det()
+
+
+def test_cocircuits_of_the_second_example_are_the_hyperplane_determinants():
+    _assert_cocircuits_match_sympy(EX2_V)
+    assert len(_cocircuits(EX2_V)) == comb(EX2_V.cols, EX2_V.rows - 1)
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_cocircuits_are_the_hyperplane_determinants(shape, seed):
+    _assert_cocircuits_match_sympy(random_reduced_f_matrix(random.Random(seed), *shape))
 
 
 @given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
@@ -361,14 +373,17 @@ def test_fans_invariant_under_row_action_and_column_permutation(shape, seed):
 
 
 # partial fans pushed by the search on each matrix, starting cones included
-PUSHED_PARTIAL_FANS = [(IntMatrix([[1, -1]]), 2), (EX1_V, 4), (EX2_V, 26)]
+PUSHED_PARTIAL_FANS = [(IntMatrix([[1, -1]]), 2), (EX1_V, 4), (EX2_V, 28)]
 
 
 @pytest.mark.parametrize("v, pushed", PUSHED_PARTIAL_FANS)
 def test_partial_fan_cap_counts_every_pushed_partial_fan(v, pushed):
-    assert enumerate_fans(v, max_partial_fans=pushed) == enumerate_fans(v)
-    with pytest.raises(SearchLimitExceeded, match=f"exceeded {pushed - 1} partial fans"):
-        enumerate_fans(v, max_partial_fans=pushed - 1)
+    # the generic point moves with the rows, so a row action keeps the count
+    rng = random.Random(58)
+    for w in (v, random_unimodular(rng, v.rows) @ v, random_unimodular(rng, v.rows) @ v):
+        assert enumerate_fans(w, max_partial_fans=pushed) == enumerate_fans(w)
+        with pytest.raises(SearchLimitExceeded, match=f"exceeded {pushed - 1} partial fans"):
+            enumerate_fans(w, max_partial_fans=pushed - 1)
 
 
 @given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))

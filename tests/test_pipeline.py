@@ -106,18 +106,18 @@ def test_pipeline_verification_random():
 
 
 def test_analyze_classifies_the_fan_matrix_once(count_calls):
-    # the validation builds the cone frames and the fan enumeration reuses them:
-    # one frame per n-subset of columns
+    # the validation builds the table of maximal minors and the fan enumeration
+    # reuses it: one determinant per n-subset of columns
     from torifactor import gale
 
-    frames = count_calls(gale, "_cone_frame")
+    minors = count_calls(gale, "det", everywhere=False)
     reports = count_calls(gale, "classify_F")
     weights = count_calls(gale, "classify_W")
     for v in (EX1_V, EX2_V):
-        frames.clear()
+        minors.clear()
         reports.clear()
         analyze(v)
-        assert frames == [(v, c) for c in combinations(range(v.cols), v.rows)]
+        assert minors == [(v.select_cols(c),) for c in combinations(range(v.cols), v.rows)]
         assert reports == [(v,)]
     assert weights == []
 
@@ -141,16 +141,16 @@ def test_analyze_calls_each_public_step(count_calls):
 def test_no_shared_table_outlives_its_call(count_calls):
     from torifactor import gale, intmat
 
-    frames = count_calls(gale, "_cone_frame")
+    minors = count_calls(gale, "det", everywhere=False)
     per_call = comb(EX2_V.cols, EX2_V.rows)
     analyze(EX2_V)
     analyze(EX2_V)
-    assert len(frames) == 2 * per_call
+    assert len(minors) == 2 * per_call
     assert intmat._TABLES.get() is None
     with pytest.raises(PreconditionError, match="out of range"):
         analyze(EX2_V, fan_index=99)
     assert intmat._TABLES.get() is None
-    assert len(frames) == 3 * per_call
+    assert len(minors) == 3 * per_call
 
 
 def test_analyze_inverts_each_weight_block_once(count_calls):
@@ -260,8 +260,8 @@ def test_verification_rechecks_every_table_entry(monkeypatch):
 
 
 def test_analyze_passes_the_partial_fan_cap_to_the_search():
-    # the search pushes 26 partial fans on the second example (tests/test_fans.py)
-    res = analyze(EX2_V, fan_index=0, max_partial_fans=26)
+    # the search pushes 28 partial fans on the second example (tests/test_fans.py)
+    res = analyze(EX2_V, fan_index=0, max_partial_fans=28)
     assert res.fans[0].fan == analyze(EX2_V, fan_index=0).fans[0].fan
-    with pytest.raises(SearchLimitExceeded, match="exceeded 25 partial fans"):
-        analyze(EX2_V, max_partial_fans=25)
+    with pytest.raises(SearchLimitExceeded, match="exceeded 27 partial fans"):
+        analyze(EX2_V, max_partial_fans=27)
