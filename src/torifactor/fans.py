@@ -11,11 +11,10 @@ has its positive part in the first cone and its negative part in the second
 bitmask per candidate cone, built once from the circuits, holds the candidates
 it does not meet so.  A collection is a complete fan when its cones meet
 pairwise in common faces and every facet lies on exactly two cones.  The
-enumeration starts from the cones around a generic point, read off the
-cocircuits ``det[V_h | v_j]`` of the hyperplanes spanned by n-1 columns, and
-closes open facets one at a time, taking the candidates for each facet
-from a table built once; a partial fan is four bitmasks: its cones, the
-facets on one of them, the facets on two, and the rays used.
+enumeration roots one search at each candidate and admits only later ones, so
+a fan is reached from its smallest cone only; it closes open facets one at a
+time from a table built once, and a partial fan is four bitmasks: its cones,
+the facets on one of them, the facets on two, and the rays used.
 """
 
 from __future__ import annotations
@@ -31,9 +30,10 @@ from .intmat import (
     SearchLimitExceeded,
     ShapeError,
     _int_tuple,
+    _search_cap,
     _shared_tables,
 )
-from .gale import _cocircuits, _minors, require_F
+from .gale import _minors, require_F
 
 Cone = tuple[int, ...]
 
@@ -132,18 +132,6 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _generic_sides(cocircuits: dict[Cone, list[int]]) -> dict[Cone, int]:
-    """``det[V_h | p]`` for each cocircuit row, at ``p = sum_j t^j v_j`` with the
-    smallest positive integer ``t`` that puts ``p`` on no hyperplane; ``p`` moves
-    with the rows of ``V``, so a row action keeps the sides."""
-    t = 1
-    while True:
-        sides = {h: sum(x * t**j for j, x in enumerate(row)) for h, row in cocircuits.items()}
-        if all(sides.values()):
-            return sides
-        t += 1
-
-
 def _facets(cone: Cone) -> list[Cone]:
     return [tuple(x for x in cone if x != j) for j in cone]
 
@@ -213,19 +201,20 @@ def make_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> Fan:
 def enumerate_fans(v: IntMatrix, max_partial_fans: Optional[int] = None) -> tuple[Fan, ...]:
     """All complete simplicial fans whose rays are exactly the columns of ``v``.
 
-    Candidate cones are the nonsingular size-n column subsets.  Starting from
-    each cone whose interior contains a fixed generic point, unpaired facets
-    are resolved one at a time, lowest first; a collection with every facet
-    paired and all rays used is a complete fan, and each fan is reached
-    exactly once from its unique cone around the generic point.  The search
-    is exhaustive.  ``max_partial_fans`` caps the partial fans it pushes,
-    the starting cones included (``None``: no cap); exceeding it raises
+    Candidate cones are the nonsingular size-n column subsets, in
+    lexicographic order.  A search from each candidate admits only later
+    candidates and resolves unpaired facets one at a time, lowest first; a
+    collection with every facet paired and all rays used is a complete fan.
+    The search is exhaustive and reaches each fan once, from its smallest cone.
+    ``max_partial_fans`` (at least 1; ``None``: no cap) caps the partial fans
+    pushed, the starting cones included; exceeding it raises
     ``SearchLimitExceeded``.
     """
+    max_partial_fans = _search_cap(max_partial_fans, "max_partial_fans")
     with _shared_tables():
         require_F(v)
         candidates = [c for c, d in _minors(v).items() if d]
-        circuits, cocircuits = _circuits(v), _cocircuits(v)
+        circuits = _circuits(v)
     masks = [_mask(c) for c in candidates]
     conflict = _conflicts(masks, circuits)
     facets = [_facets(c) for c in candidates]
@@ -236,32 +225,26 @@ def enumerate_fans(v: IntMatrix, max_partial_fans: Optional[int] = None) -> tupl
         for f in cone_facets:
             by_facet[facet_id[f]].append(k)
 
-    # a seed has the generic point on the side of c_i of each facet c - c_i
-    sides = _generic_sides(cocircuits)
-    seeds = [
-        k
-        for k, c in enumerate(candidates)
-        if all(sides[h] * cocircuits[h][j] > 0 for h, j in zip(facets[k], c))
-    ]
     all_rays = (1 << v.cols) - 1
     found: set[int] = set()
     # depth-first over partial fans (chosen cones, facets on one chosen cone,
     # facets on two, rays used), with an explicit stack: a recursive closure
     # would form a reference cycle that keeps these tables alive until a full gc
-    stack = [(1 << k, facet_masks[k], 0, masks[k]) for k in seeds]
+    stack = [(1 << k, facet_masks[k], 0, masks[k]) for k in range(len(candidates))]
     pushed = len(stack)
-    limit = float("inf") if max_partial_fans is None else max_partial_fans
     while stack:
-        if pushed > limit:
+        if max_partial_fans is not None and pushed > max_partial_fans:
             raise SearchLimitExceeded(f"fan search exceeded {max_partial_fans} partial fans")
         chosen, once, twice, rays = stack.pop()
         if not once:
             if rays == all_rays:
                 found.add(chosen)
             continue
+        # the root is the smallest chosen cone: no cone below it may join
+        banned = (chosen & -chosen) - 1
         for k in by_facet[(once & -once).bit_length() - 1]:
             f = facet_masks[k]
-            if chosen >> k & 1 or f & twice or conflict[k] & chosen:
+            if (chosen | banned) >> k & 1 or f & twice or conflict[k] & chosen:
                 continue
             stack.append((chosen | 1 << k, once ^ f, twice | once & f, rays | masks[k]))
             pushed += 1

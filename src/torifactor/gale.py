@@ -108,8 +108,9 @@ def classify_F(v: IntMatrix) -> FMatrixReport:
         raise ShapeError("a fan matrix must have more columns than rows")
     failed = []
     with _shared_tables():
+        minors = _minors(v).values()
         # v has rank n iff some n-subset of its columns is nonsingular
-        if not any(_minors(v).values()):
+        if not any(minors):
             failed.append("a")
         if not positive_span_is_full(v):
             failed.append("b")
@@ -119,7 +120,8 @@ def classify_F(v: IntMatrix) -> FMatrixReport:
     if _has_positively_proportional_pair(columns):
         failed.append("d")
     is_f = not failed
-    cf = is_f and _identity_block_transform(v) is not None
+    # (e): for rank n, the gcd of the maximal minors is the index of the column lattice
+    cf = is_f and vector_content(minors) == 1
     if is_f and not cf:
         failed.append("e")
     reduced = all(vector_content(c) == 1 for c in columns)

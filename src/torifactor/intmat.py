@@ -312,6 +312,16 @@ def _int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
         raise ShapeError(f"{what} must be integers: {exc}") from None
 
 
+def _search_cap(cap: Optional[int], what: str) -> Optional[int]:
+    """A search cap as an exact integer (``ShapeError``) of at least 1
+    (``PreconditionError``), or ``None`` for no cap."""
+    if cap is not None:
+        (cap,) = _int_tuple((cap,), what)
+        if cap < 1:
+            raise PreconditionError(f"{what} must be at least 1, got {_int_text(cap)}")
+    return cap
+
+
 def vector_content(v: Sequence[int]) -> int:
     """Gcd of the entries (0 for the zero vector)."""
     g = 0

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intmat import IntMatrix, PreconditionError, _int_text, _int_tuple, _shared_tables, det
+from .intmat import IntMatrix, PreconditionError, _int_text, _int_tuple, _search_cap
+from .intmat import _shared_tables, det
 from .covering import (
     CoveringData,
     TorsionMatrix,
@@ -74,6 +75,7 @@ def analyze(
     """
     if fan_index is not None:
         (fan_index,) = _int_tuple((fan_index,), "fan index")
+    max_partial_fans = _search_cap(max_partial_fans, "max_partial_fans")
     with _shared_tables():
         require_F(v, reduced=True)
         q = gale_dual(v)

@@ -26,6 +26,7 @@ from .intmat import (
     ShapeError,
     _det_adjugate,
     _int_text,
+    _search_cap,
     det,
     vector_content,
 )
@@ -128,9 +129,10 @@ def fan_matrix_equivalence(
     S is the lexicographically smallest permutation over all such R, equal
     columns going smallest source to smallest target, so the witness is the
     first one a search over all column permutations in lexicographic order
-    would accept.  ``max_permutations`` caps the number of candidate bases
-    tried (``None``: no cap); exceeding it raises ``SearchLimitExceeded``.
+    would accept.  ``max_permutations`` (at least 1; ``None``: no cap) caps
+    the candidate bases tried; exceeding it raises ``SearchLimitExceeded``.
     """
+    max_permutations = _search_cap(max_permutations, "max_permutations")
     if v1.shape != v2.shape:
         raise ShapeError("fan matrices must have equal shape")
     n, m = v1.shape

@@ -274,19 +274,19 @@ def test_bad_partial_fan_cap_is_an_input_error(monkeypatch, capsys, command, val
     assert "TORIFACTOR_MAX_PARTIAL_FANS" in captured.err
 
 
-# the fan search pushes 28 partial fans on the second example
+# the fan search pushes 41 partial fans on the second example
 @pytest.mark.parametrize("command", ["fans", "picard", "cartier", "pipeline"])
 def test_partial_fan_cap_exits_2_once_reached(monkeypatch, capsys, command):
-    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", "28")
+    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", "41")
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EX2)))
     assert run([command, "--fan", "0"]) == 0
     assert capsys.readouterr().err == ""
-    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", "27")
+    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", "40")
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EX2)))
     assert run([command, "--fan", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("torifactor: search limit reached: fan search exceeded 27")
+    assert captured.err.startswith("torifactor: search limit reached: fan search exceeded 40")
 
 
 @pytest.mark.parametrize("command", ["cover", "torsion", "gamma"])

@@ -28,6 +28,7 @@ from _randgen import (
     random_unimodular,
     reduce_F,
 )
+from torifactor.normal_forms import _identity_block_transform
 
 
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32))
@@ -158,7 +159,7 @@ def test_double_dual_is_CF():
 
 
 def test_cf_iff_coprime_maximal_minors():
-    # HNF-based CF test against direct minor enumeration
+    # CF against the gcd of the minors by cofactor expansion
     rng = random.Random(43)
     for _ in range(50):
         n, r = pick_fan_shape(rng)
@@ -166,6 +167,28 @@ def test_cf_iff_coprime_maximal_minors():
         assert classify_F(v).is_CF == (minor_gcd(v) == 1)
     assert minor_gcd(EX1_V) == 5
     assert not classify_F(EX1_V).is_CF
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32), st.integers(1, 3))
+def test_cf_matches_the_identity_hnf_oracle(shape, seed, scale):
+    # the columns generate Z^n iff the HNF of V^T is [I; 0]; scaling a row keeps
+    # V a fan matrix and makes torsion, as the first worked example has
+    rng = random.Random(seed)
+    v = random_unimodular(rng, shape[0]) @ random_reduced_f_matrix(rng, *shape)
+    scaled = IntMatrix([[scale * x for x in v.row(0)]] + [v.row(i) for i in range(1, v.rows)])
+    for w in (v, scaled, EX1_V, EX1_VHAT):
+        rep = classify_F(w)
+        assert rep.is_F
+        assert rep.is_CF == (_identity_block_transform(w) is not None)
+
+
+def test_classify_F_takes_no_hnf(count_calls):
+    from torifactor import normal_forms
+
+    calls = count_calls(normal_forms, "hnf")
+    for v in (EX1_V, EX2_V, EX1_VHAT):
+        classify_F(v)
+    assert calls == []
 
 
 def test_weight_duality_on_random_instances():

@@ -13,6 +13,8 @@ from torifactor import (
     analyze,
     covering_decomposition,
     det,
+    enumerate_fans,
+    fan_matrix_equivalence,
     verify_result,
 )
 
@@ -120,6 +122,17 @@ def test_analyze_classifies_the_fan_matrix_once(count_calls):
         assert minors == [(v.select_cols(c),) for c in combinations(range(v.cols), v.rows)]
         assert reports == [(v,)]
     assert weights == []
+
+
+def test_analyze_builds_the_cocircuits_once(count_calls):
+    # the positive-span test reads the cocircuits; the fan search does not
+    from torifactor import gale
+
+    cocircuits = count_calls(gale, "_cocircuits")
+    for v in (EX1_V, EX2_V):
+        cocircuits.clear()
+        analyze(v)
+        assert cocircuits == [(v,)]
 
 
 def test_analyze_calls_each_public_step(count_calls):
@@ -260,8 +273,31 @@ def test_verification_rechecks_every_table_entry(monkeypatch):
 
 
 def test_analyze_passes_the_partial_fan_cap_to_the_search():
-    # the search pushes 28 partial fans on the second example (tests/test_fans.py)
-    res = analyze(EX2_V, fan_index=0, max_partial_fans=28)
+    # the search pushes 41 partial fans on the second example (tests/test_fans.py)
+    res = analyze(EX2_V, fan_index=0, max_partial_fans=41)
     assert res.fans[0].fan == analyze(EX2_V, fan_index=0).fans[0].fan
-    with pytest.raises(SearchLimitExceeded, match="exceeded 27 partial fans"):
-        analyze(EX2_V, max_partial_fans=27)
+    with pytest.raises(SearchLimitExceeded, match="exceeded 40 partial fans"):
+        analyze(EX2_V, max_partial_fans=40)
+
+
+SEARCHES = {
+    "enumerate_fans": lambda cap: enumerate_fans(EX2_V, max_partial_fans=cap),
+    "analyze": lambda cap: analyze(EX2_V, max_partial_fans=cap),
+    "fan_matrix_equivalence": lambda cap: fan_matrix_equivalence(
+        EX2_V, EX2_V, max_permutations=cap
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cap, error",
+    [("abc", ShapeError), (2.5, ShapeError), (-3, PreconditionError), (0, PreconditionError)],
+)
+@pytest.mark.parametrize("search", SEARCHES)
+def test_bad_search_cap_is_rejected_before_any_search(count_calls, search, cap, error):
+    from torifactor import gale
+
+    minors = count_calls(gale, "_minors")
+    with pytest.raises(error, match="max_partial_fans|max_permutations"):
+        SEARCHES[search](cap)
+    assert minors == []
