@@ -14,8 +14,7 @@ from typing import Optional
 from .intmat import IntMatrix, PreconditionError, ShapeError, _cached, _det_adjugate, _int_tuple
 from .fans import PicardIndexFamily
 from .gale import require_W
-from .lattices import Lattice
-from .normal_forms import _identity_block_transform, unimodular_inverse
+from .normal_forms import _identity_block_transform, _modular_hnf, unimodular_inverse
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,14 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
     of the square weight blocks indexed by the complements of the maximal
     cones.  It is computed by duality: with ``delta`` the lcm of the
     ``|det Q_I|``, which divides the index of the Picard lattice, the scaled
-    dual ``delta * Pic^*`` is spanned by the rows of all ``(delta / d_I) adj(Q_I)``;
-    its HNF basis ``M`` gives ``Pic = delta M^{-1} Z^r``.  Each index set must
-    hold r distinct column indices.  ``(d_I, adj Q_I)`` is read through
-    ``_weight_block``, so within one ``analyze`` call each distinct ``I`` is
-    inverted once, not once per fan.
+    dual ``delta * Pic^*`` is spanned by the rows of all ``(delta / |d_I|) adj(Q_I)``
+    and contains ``delta Z^r``, so its HNF basis ``M`` is a modular fold
+    (``_modular_hnf``) of those rows into ``delta I``; then
+    ``Pic = delta M^{-1} Z^r``, which contains ``delta Z^r`` as well, and its
+    basis is the modular HNF of the rows of ``delta adj(M)^T / det M``.  Each
+    index set must hold r distinct column indices.  The rows of each ``I`` are
+    read through ``_dual_rows``, so within one ``analyze`` call each distinct
+    ``I`` is inverted and reduced once, not once per fan.
     """
     r, m = q.shape
     sets = []
@@ -94,19 +96,21 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
         raise PreconditionError("empty index family")
     blocks = []
     for idx in sets:
-        d, adj = _weight_block(q, idx)
+        d, rows = _dual_rows(q, idx)
         if d == 0:
             raise PreconditionError(f"singular weight block at columns {idx}")
-        blocks.append((d, adj))
-    delta = lcm(*(abs(d) for d, _ in blocks))
-    dual = Lattice(r, [[delta // d * x for x in row] for d, adj in blocks for row in adj])
-    det_m, adj_m = _det_adjugate(dual.basis_matrix())
+        blocks.append((d, rows))
+    delta = lcm(*(d for d, _ in blocks))
+    dual = _modular_hnf(
+        ([delta // d * x for x in row] for d, rows in blocks for row in rows), r, delta
+    )
+    det_m, adj_m = _det_adjugate(IntMatrix(dual))
     # the rows of delta * adj(M)^T / det M span Pic, which lies in Z^r
     rows = [[delta * x for x in col] for col in adj_m.transpose()]
     if any(x % det_m for row in rows for x in row):
         raise PreconditionError("Picard lattice is not integral")
-    basis = Lattice(r, [[x // det_m for x in row] for row in rows]).basis_matrix()
-    return PicardData(B=basis, index=delta**r // abs(det_m), delta_sigma=delta)
+    basis = _modular_hnf(([x // det_m for x in row] for row in rows), r, delta)
+    return PicardData(B=IntMatrix(basis), index=delta**r // abs(det_m), delta_sigma=delta)
 
 
 def _weight_block(q: IntMatrix, idx: tuple[int, ...]) -> tuple[int, Optional[IntMatrix]]:
@@ -115,18 +119,45 @@ def _weight_block(q: IntMatrix, idx: tuple[int, ...]) -> tuple[int, Optional[Int
     return _cached(q, idx, lambda: _det_adjugate(q.select_cols(idx)))
 
 
+def _dual_rows(q: IntMatrix, idx: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(|d_I|, rows)``: the rows of the HNF of the row lattice of ``adj Q_I``,
+    which contains ``|d_I| Z^r``, other than the ``|d_I| e_k``; ``(0, ())`` if
+    ``Q_I`` is singular.  Computed once per ``q`` and ``I`` inside a
+    ``_shared_tables`` block, beside ``_weight_block``."""
+
+    def compute():
+        d, adj = _weight_block(q, idx)
+        if d == 0:
+            return 0, ()
+        d = abs(d)
+        # a row with pivot |d_I| is |d_I| e_k, already in the fold's start delta I
+        h = _modular_hnf(adj, q.rows, d)
+        return d, tuple(tuple(row) for k, row in enumerate(h) if row[k] != d)
+
+    return _cached(q, ("dual", idx), compute)
+
+
 def cartier_basis(b: IntMatrix, u_q: IntMatrix, beta: IntMatrix) -> IntMatrix:
     """Basis of the locally principal divisors inside the Weil group.
 
-    ``blockdiag(b, beta) @ u_q``: the top block expresses the Picard basis in
-    the prime-divisor coordinates, the bottom block reproduces the fan matrix.
-    With ``beta`` the identity this is the Cartier basis of the covering.
+    ``blockdiag(b, beta) @ u_q``, computed block by block as
+    ``b @ (top r rows of u_q)`` over ``beta @ (bottom n rows of u_q)``: the top
+    block expresses the Picard basis in the prime-divisor coordinates, the
+    bottom block reproduces the fan matrix.  With ``beta`` the identity this is
+    the Cartier basis of the covering.  The bottom block does not depend on
+    ``b``, so inside a ``_shared_tables`` block it is computed once per
+    ``u_q`` and ``beta``, not once per fan.
     """
     if not b.is_square() or not beta.is_square():
         raise ShapeError("b and beta must be square")
     if not u_q.is_square() or u_q.rows != b.rows + beta.rows:
         raise ShapeError("transform size must equal rank + dimension")
-    return IntMatrix.block_diagonal([b, beta]) @ u_q
+    top, bottom = _cached(
+        u_q,
+        ("cartier blocks", beta),
+        lambda: (u_q.top_rows(b.rows), beta @ u_q.bottom_rows(beta.rows)),
+    )
+    return (b @ top).vstack(bottom)
 
 
 def weil_inclusion(u_q: IntMatrix, beta: IntMatrix) -> IntMatrix:

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .intmat import IntMatrix, PreconditionError, _det_adjugate
 
@@ -105,6 +105,40 @@ def _hnf_in_place(h: list[list[int]], u: Optional[list[list[int]]] = None) -> No
             if q:
                 add_multiple(i, row, q)
         row += 1
+
+
+def _modular_hnf(rows: Iterable[Sequence[int]], r: int, delta: int) -> list[list[int]]:
+    """Row HNF of ``span(rows) + delta Z^r``, ``delta >= 1``, as r rows of length r.
+
+    Modular HNF (Domich-Kannan-Trotter 1987; Cohen, GTM 138, Alg. 2.4.8): the
+    basis ``w`` starts as ``delta * I`` and each row ``x`` is folded in, one
+    column at a time, keeping ``w`` upper triangular.  At column k a multiple
+    of the pivot row is subtracted from ``x``; when the pivot does not divide
+    ``x[k]``, the two rows swap and the subtraction repeats, an extended gcd
+    carried out on the rows.  Rows ``w[k:]`` always span every ``delta e_j``
+    with ``j >= k``, so all entries may be reduced mod ``delta``; the pivots
+    stay positive and divide ``delta``.  The entries above each pivot are
+    reduced last, in ascending column order, which gives the canonical form
+    of ``hnf``.
+    """
+    w = [[delta if i == j else 0 for j in range(r)] for i in range(r)]
+    for row in rows:
+        x = [v % delta for v in row]
+        for k in range(r):
+            while x[k]:
+                wk = w[k]
+                c = x[k] // wk[k]
+                x = [(v - c * u) % delta for u, v in zip(wk, x)]
+                if x[k]:
+                    w[k], x = x, wk
+    for j in range(1, r):
+        wj = w[j]
+        p = wj[j]
+        for i in range(j):
+            c = w[i][j] // p
+            if c:
+                w[i] = [u - c * v for u, v in zip(w[i], wj)]
+    return w
 
 
 def snf(a: IntMatrix) -> SnfResult:

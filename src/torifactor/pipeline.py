@@ -71,7 +71,9 @@ def analyze(
     One ``_shared_tables`` block, dropped on return, serves the whole call:
     ``V`` is classified and its maximal minors computed once, for the validation
     and the fan enumeration, and the ``(det Q_I, adj Q_I)`` of each distinct
-    ``I`` once, for every ``picard_basis`` call and for ``verify_result``.
+    ``I`` once, for every ``picard_basis`` call and for ``verify_result``, with
+    the dual HNF rows that ``picard_basis`` folds; the fan-independent bottom
+    block of the Cartier bases is computed once as well.
     """
     if fan_index is not None:
         (fan_index,) = _int_tuple((fan_index,), "fan index")
@@ -150,12 +152,13 @@ def verify_result(res: PipelineResult) -> None:
         raise PreconditionError("free-part generator identity failed")
     if res.gamma.rows:
         _check_torsion_congruences(res.gamma, v, res.class_group.torsion_generator_rows)
+    v_rows = tuple(v)
     rows_by_set: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     for fa in res.fans:
         pd = fa.picard
         if abs(det(fa.cartier)) != pd.index * det_beta:
             raise PreconditionError("Cartier determinant factorization failed")
-        if fa.cartier.bottom_rows(v.rows) != v:
+        if tuple(fa.cartier)[-v.rows :] != v_rows:
             raise PreconditionError("Cartier basis does not end in the fan matrix")
         for idx in fa.index_sets.sets:
             rows_by_set.setdefault(idx, set()).update(pd.B)
@@ -167,5 +170,5 @@ def verify_result(res: PipelineResult) -> None:
         if block @ adj != d * identity:
             raise PreconditionError("weight block adjugate identity failed")
         # b lies in Q_I Z^r iff adj(Q_I) b == 0 mod d_I
-        if any(x % d for row in adj @ IntMatrix(rows).transpose() for x in row):
+        if any(sum(a * x for a, x in zip(arow, b)) % d for arow in adj for b in rows):
             raise PreconditionError("Picard basis escapes a weight block lattice")

@@ -10,6 +10,7 @@ from torifactor import (
     PreconditionError,
     PicardIndexFamily,
     ShapeError,
+    analyze,
     cartier_basis,
     covering_decomposition,
     det,
@@ -157,6 +158,36 @@ def test_cartier_basis_second_example():
     assert cx == EX2_CX1
     assert cx.bottom_rows(4) == EX2_V
     assert abs(det(cx)) == abs(det(b1)) * 45
+
+
+def _assert_cartier_is_the_block_diagonal_product(v):
+    res = analyze(v, verify=False)
+    # one table for every fan and both factors: the cached bottom block is keyed by beta
+    with _shared_tables():
+        for fa in res.fans:
+            b = fa.picard.B
+            for beta in (res.covering.beta, IntMatrix.identity(v.rows)):
+                # the m x m product that cartier_basis computes block by block
+                oracle = IntMatrix.block_diagonal([b, beta]) @ res.U_Q
+                assert cartier_basis(b, res.U_Q, beta) == oracle
+            assert fa.cartier == IntMatrix.block_diagonal([b, res.covering.beta]) @ res.U_Q
+
+
+def test_cartier_basis_is_the_block_diagonal_product_on_examples():
+    from _exampledata import EX2_BETA
+
+    for b, u_q, beta in (
+        (IntMatrix([[1]]), EX1_UQ, IntMatrix.diagonal([1, 1, 5])),
+        (EX2_B1, EX2_UQ, EX2_BETA),
+    ):
+        assert cartier_basis(b, u_q, beta) == IntMatrix.block_diagonal([b, beta]) @ u_q
+    _assert_cartier_is_the_block_diagonal_product(EX1_V)
+    _assert_cartier_is_the_block_diagonal_product(EX2_V)
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_cartier_basis_is_the_block_diagonal_product(shape, seed):
+    _assert_cartier_is_the_block_diagonal_product(random_reduced_f_matrix(random.Random(seed), *shape))
 
 
 def test_cartier_determinant_factorization_random():

@@ -2,10 +2,11 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from torifactor import (
     IntMatrix,
+    Lattice,
     PreconditionError,
     ShapeError,
     det,
@@ -14,7 +15,7 @@ from torifactor import (
     snf,
     unimodular_inverse,
 )
-from torifactor.normal_forms import _hnf_in_place
+from torifactor.normal_forms import _hnf_in_place, _modular_hnf
 
 from _exampledata import EX2_BETA, EX2_DELTA, EX2_H, EX2_HHAT, EX2_V, EX2_VHAT, EX1_Q, REID_K
 from _randgen import hnf_pivot_columns, random_matrix, random_unimodular, rational_membership
@@ -219,3 +220,26 @@ def test_transform_free_hnf_core_matches_hnf(rows):
     h = [list(r) for r in rows]
     _hnf_in_place(h)
     assert IntMatrix(h) == hnf(IntMatrix(rows)).H
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.integers(1, 30),
+            st.lists(st.lists(st.integers(-70, 70), min_size=r, max_size=r), max_size=5),
+        )
+    )
+)
+@example((3, 1, [[4, -7, 2]]))
+@example((2, 12, []))
+def test_modular_hnf_matches_the_lattice_oracle(case):
+    r, delta, drawn = case
+    # duplicate rows and a zero row ride along; entries are negative and beyond delta
+    rows = drawn + drawn[:2] + [[0] * r]
+    scaled = [[delta if i == j else 0 for j in range(r)] for i in range(r)]
+    h = _modular_hnf(rows, r, delta)
+    assert tuple(map(tuple, h)) == Lattice(r, rows + scaled).basis_rows
+    assert IntMatrix(h) == hnf(IntMatrix(rows + scaled)).H.top_rows(r)
+    assert _is_row_hnf(IntMatrix(h))
+    assert all(h[k][k] > 0 and delta % h[k][k] == 0 for k in range(r))

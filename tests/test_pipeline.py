@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -167,11 +168,13 @@ def test_no_shared_table_outlives_its_call(count_calls):
 
 
 def test_analyze_inverts_each_weight_block_once(count_calls):
-    from torifactor import intmat
+    from torifactor import intmat, normal_forms
 
     calls = count_calls(intmat, "_det_adjugate")
+    folds = count_calls(normal_forms, "_modular_hnf")
     for v in (EX2_V, random_reduced_f_matrix(random.Random(0), 3, 2)):
         calls.clear()
+        folds.clear()
         res = analyze(v, verify=True)
         distinct = {idx for fa in res.fans for idx in fa.index_sets.sets}
         assert len(distinct) < sum(len(fa.index_sets.sets) for fa in res.fans)
@@ -179,6 +182,10 @@ def test_analyze_inverts_each_weight_block_once(count_calls):
         inverted = [m for (m,) in calls if m in blocks]
         assert len(inverted) == len(distinct)
         assert set(inverted) == blocks
+        # one dual-row HNF of adj Q_I per distinct I, modulo |d_I|
+        adjugates = Counter((abs(d), adj) for d, adj in map(intmat._det_adjugate, blocks))
+        dual_hnfs = Counter((d, rows) for rows, _, d in folds if (d, rows) in adjugates)
+        assert dual_hnfs == adjugates
 
 
 def _invariants(res):
