@@ -8,13 +8,20 @@ basis fixed by the HNF transform of the transposed weight matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
-from typing import Optional
+from math import lcm, prod
+from operator import mul
+from typing import Iterator, Optional
 
 from .intmat import IntMatrix, PreconditionError, ShapeError, _cached, _det_adjugate, _int_tuple
 from .fans import PicardIndexFamily
 from .gale import require_W
-from .normal_forms import _identity_block_transform, _modular_hnf, unimodular_inverse
+from .normal_forms import (
+    _hnf_fold,
+    _hnf_reduce,
+    _identity_block_transform,
+    _modular_hnf,
+    unimodular_inverse,
+)
 
 
 @dataclass(frozen=True)
@@ -74,43 +81,79 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
     ``|det Q_I|``, which divides the index of the Picard lattice, the scaled
     dual ``delta * Pic^*`` is spanned by the rows of all ``(delta / |d_I|) adj(Q_I)``
     and contains ``delta Z^r``, so its HNF basis ``M`` is a modular fold
-    (``_modular_hnf``) of those rows into ``delta I``; then
-    ``Pic = delta M^{-1} Z^r``, which contains ``delta Z^r`` as well, and its
-    basis is the modular HNF of the rows of ``delta adj(M)^T / det M``.  Each
-    index set must hold r distinct column indices.  The rows of each ``I`` are
-    read through ``_dual_rows``, so within one ``analyze`` call each distinct
-    ``I`` is inverted and reduced once, not once per fan.
+    (``_hnf_fold``) of those rows into ``delta I``.  The fold runs one index
+    set at a time with the lcm ``delta_k`` of the sets so far: when it grows
+    to ``delta_k'``, the state is scaled by ``delta_k' / delta_k`` first.  Then
+    ``Pic = delta M^{-1} Z^r``, which contains ``delta Z^r`` as well: ``M`` is
+    upper triangular with pivots dividing ``delta``, so the columns of
+    ``delta M^{-1}`` come by back substitution, ``det M`` is the product of the
+    pivots, and the basis is the modular HNF of those columns.
+
+    Each index set must hold r distinct column indices.  Inside a
+    ``_shared_tables`` block, such as one ``analyze`` call, the table keeps for
+    ``q`` the dual rows of each distinct ``I`` (inverted and reduced once, by
+    ``_dual_rows``), so the length, distinctness and range of ``I`` are checked
+    once too, and the fold states after each index set of the previous family.
+    The next family folds only its index sets after the longest common prefix
+    with that one.  Outside a block nothing is kept.
     """
     r, m = q.shape
+    # for q: the dual rows of each checked I, and the fold stack of the last family,
+    # folds[k] = (I_k, delta_k, state after I_0 .. I_k); both fresh outside a table
+    blocks, folds = _cached(q, "picard sweep", lambda: ({}, []))
     sets = []
-    columns = set(range(m))
     for idx in index_family.sets:
         idx = _int_tuple(idx, "index set entries")
-        if len(idx) != r:
-            raise ShapeError("index set size must equal the weight-matrix rank")
-        s = set(idx)
-        if len(s) != r or not s <= columns:
-            raise ShapeError(f"index set {idx} is not {r} distinct columns in 0..{m - 1}")
+        if idx not in blocks:
+            if len(idx) != r:
+                raise ShapeError("index set size must equal the weight-matrix rank")
+            if len(set(idx)) != r or not all(0 <= j < m for j in idx):
+                raise ShapeError(f"index set {idx} is not {r} distinct columns in 0..{m - 1}")
+            blocks[idx] = _dual_rows(q, idx)
         sets.append(idx)
     if not sets:
         raise PreconditionError("empty index family")
-    blocks = []
-    for idx in sets:
-        d, rows = _dual_rows(q, idx)
+    shared = 0
+    while shared < min(len(folds), len(sets)) and folds[shared][0] == sets[shared]:
+        shared += 1
+    del folds[shared:]
+    if folds:
+        _, delta, w = folds[-1]
+    else:
+        delta, w = 1, [[int(i == j) for j in range(r)] for i in range(r)]
+    for idx in sets[shared:]:
+        d, rows = blocks[idx]
         if d == 0:
             raise PreconditionError(f"singular weight block at columns {idx}")
-        blocks.append((d, rows))
-    delta = lcm(*(d for d, _ in blocks))
-    dual = _modular_hnf(
-        ([delta // d * x for x in row] for d, rows in blocks for row in rows), r, delta
-    )
-    det_m, adj_m = _det_adjugate(IntMatrix(dual))
-    # the rows of delta * adj(M)^T / det M span Pic, which lies in Z^r
-    rows = [[delta * x for x in col] for col in adj_m.transpose()]
-    if any(x % det_m for row in rows for x in row):
-        raise PreconditionError("Picard lattice is not integral")
-    basis = _modular_hnf(([x // det_m for x in row] for row in rows), r, delta)
-    return PicardData(B=IntMatrix(basis), index=delta**r // abs(det_m), delta_sigma=delta)
+        grown = lcm(delta, d)
+        # w is a triangular basis of L, which contains delta Z^r: c * w is one of
+        # c * L, which contains grown Z^r
+        c = grown // delta
+        w = [[c * x for x in row] for row in w] if c != 1 else list(w)
+        delta = grown
+        _hnf_fold(w, ([delta // d * x for x in row] for row in rows), delta)
+        folds.append((idx, delta, w))
+    # reduced in place, the stored state still spans the same lattice
+    _hnf_reduce(w)
+    basis = _modular_hnf(_scaled_inverse_columns(w, delta), r, delta)
+    det_m = prod(row[k] for k, row in enumerate(w))
+    return PicardData(B=IntMatrix(basis), index=delta**r // det_m, delta_sigma=delta)
+
+
+def _scaled_inverse_columns(m: list[list[int]], delta: int) -> Iterator[list[int]]:
+    """The columns of ``delta m^{-1}`` for an upper triangular ``m``, by back
+    substitution in ``m x = delta e_j``; ``PreconditionError`` unless every
+    division is exact."""
+    r = len(m)
+    for j in range(r):
+        x = [0] * r
+        for i in range(j, -1, -1):
+            mi = m[i]
+            s = delta if i == j else 0
+            x[i], rest = divmod(s - sum(map(mul, mi[i + 1 : j + 1], x[i + 1 : j + 1])), mi[i])
+            if rest:
+                raise PreconditionError("Picard lattice is not integral")
+        yield x
 
 
 def _weight_block(q: IntMatrix, idx: tuple[int, ...]) -> tuple[int, Optional[IntMatrix]]:
@@ -122,19 +165,14 @@ def _weight_block(q: IntMatrix, idx: tuple[int, ...]) -> tuple[int, Optional[Int
 def _dual_rows(q: IntMatrix, idx: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``(|d_I|, rows)``: the rows of the HNF of the row lattice of ``adj Q_I``,
     which contains ``|d_I| Z^r``, other than the ``|d_I| e_k``; ``(0, ())`` if
-    ``Q_I`` is singular.  Computed once per ``q`` and ``I`` inside a
-    ``_shared_tables`` block, beside ``_weight_block``."""
-
-    def compute():
-        d, adj = _weight_block(q, idx)
-        if d == 0:
-            return 0, ()
-        d = abs(d)
-        # a row with pivot |d_I| is |d_I| e_k, already in the fold's start delta I
-        h = _modular_hnf(adj, q.rows, d)
-        return d, tuple(tuple(row) for k, row in enumerate(h) if row[k] != d)
-
-    return _cached(q, ("dual", idx), compute)
+    ``Q_I`` is singular.  ``picard_basis`` keeps them in its table entry for ``q``."""
+    d, adj = _weight_block(q, idx)
+    if d == 0:
+        return 0, ()
+    d = abs(d)
+    # a row with pivot |d_I| is |d_I| e_k, already in the fold's start delta I
+    h = _modular_hnf(adj, q.rows, d)
+    return d, tuple(tuple(row) for k, row in enumerate(h) if row[k] != d)
 
 
 def cartier_basis(b: IntMatrix, u_q: IntMatrix, beta: IntMatrix) -> IntMatrix:

@@ -152,10 +152,8 @@ class IntMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = other.transpose()._rows
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in self._rows]
-        )
+        cols = list(zip(*other._rows))
+        return IntMatrix([[sum(map(operator.mul, r, c)) for c in cols] for r in self._rows])
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):

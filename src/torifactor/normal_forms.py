@@ -111,17 +111,30 @@ def _modular_hnf(rows: Iterable[Sequence[int]], r: int, delta: int) -> list[list
     """Row HNF of ``span(rows) + delta Z^r``, ``delta >= 1``, as r rows of length r.
 
     Modular HNF (Domich-Kannan-Trotter 1987; Cohen, GTM 138, Alg. 2.4.8): the
-    basis ``w`` starts as ``delta * I`` and each row ``x`` is folded in, one
-    column at a time, keeping ``w`` upper triangular.  At column k a multiple
+    rows are folded into ``delta * I`` by ``_hnf_fold`` and the entries above
+    the pivots reduced by ``_hnf_reduce``, which gives the canonical form of
+    ``hnf``.
+    """
+    w = [[delta if i == j else 0 for j in range(r)] for i in range(r)]
+    _hnf_fold(w, rows, delta)
+    _hnf_reduce(w)
+    return w
+
+
+def _hnf_fold(w: list[list[int]], rows: Iterable[Sequence[int]], delta: int) -> None:
+    """Fold ``rows`` into ``w`` in place: ``w`` is an upper triangular basis
+    with positive pivots of a lattice containing ``delta Z^r`` and ends as one
+    of that lattice plus ``span(rows)``.
+
+    Each row ``x`` is folded in one column at a time.  At column k a multiple
     of the pivot row is subtracted from ``x``; when the pivot does not divide
     ``x[k]``, the two rows swap and the subtraction repeats, an extended gcd
     carried out on the rows.  Rows ``w[k:]`` always span every ``delta e_j``
     with ``j >= k``, so all entries may be reduced mod ``delta``; the pivots
-    stay positive and divide ``delta``.  The entries above each pivot are
-    reduced last, in ascending column order, which gives the canonical form
-    of ``hnf``.
+    stay positive and divide ``delta``.  Rows of ``w`` are replaced, never
+    changed in place, so a shallow copy of ``w`` keeps the state before.
     """
-    w = [[delta if i == j else 0 for j in range(r)] for i in range(r)]
+    r = len(w)
     for row in rows:
         x = [v % delta for v in row]
         for k in range(r):
@@ -131,14 +144,19 @@ def _modular_hnf(rows: Iterable[Sequence[int]], r: int, delta: int) -> list[list
                 x = [(v - c * u) % delta for u, v in zip(wk, x)]
                 if x[k]:
                     w[k], x = x, wk
-    for j in range(1, r):
+
+
+def _hnf_reduce(w: list[list[int]]) -> None:
+    """Reduce the entries above each pivot of the upper triangular ``w`` into
+    ``[0, pivot)`` in place, in ascending column order, which gives the row
+    HNF of the lattice ``w`` spans; rows are replaced as in ``_hnf_fold``."""
+    for j in range(1, len(w)):
         wj = w[j]
         p = wj[j]
         for i in range(j):
             c = w[i][j] // p
             if c:
                 w[i] = [u - c * v for u, v in zip(w[i], wj)]
-    return w
 
 
 def snf(a: IntMatrix) -> SnfResult:

@@ -9,6 +9,7 @@ in its bottom rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .intmat import IntMatrix, PreconditionError, _int_text, _int_tuple, _search_cap
@@ -72,8 +73,13 @@ def analyze(
     ``V`` is classified and its maximal minors computed once, for the validation
     and the fan enumeration, and the ``(det Q_I, adj Q_I)`` of each distinct
     ``I`` once, for every ``picard_basis`` call and for ``verify_result``, with
-    the dual HNF rows that ``picard_basis`` folds; the fan-independent bottom
-    block of the Cartier bases is computed once as well.
+    the dual HNF rows that ``picard_basis`` folds, each ``I`` checked once.  The
+    fans come in sorted order, so consecutive index families share long
+    prefixes: the table keeps the fold states of the last family, and each
+    ``picard_basis`` call folds only the index sets after the common prefix.
+    No fan inverts a matrix: ``M`` is triangular and solved by back
+    substitution.  The fan-independent bottom block of the Cartier bases is
+    computed once as well.
     """
     if fan_index is not None:
         (fan_index,) = _int_tuple((fan_index,), "fan index")
@@ -170,5 +176,5 @@ def verify_result(res: PipelineResult) -> None:
         if block @ adj != d * identity:
             raise PreconditionError("weight block adjugate identity failed")
         # b lies in Q_I Z^r iff adj(Q_I) b == 0 mod d_I
-        if any(sum(a * x for a, x in zip(arow, b)) % d for arow in adj for b in rows):
+        if any(sum(map(mul, arow, b)) % d for arow in adj for b in rows):
             raise PreconditionError("Picard basis escapes a weight block lattice")

@@ -1,3 +1,4 @@
+import math
 import random
 from unittest import mock
 
@@ -281,10 +282,61 @@ def test_picard_basis_with_one_shared_table_across_fans_matches_picard_basis(sha
         for family, pd in zip(families, alone):
             shared = picard_basis(q, family)
             assert shared == pd == chained_picard_basis(q, family)
-        # each distinct block once, plus one inversion of the dual basis per fan
-        assert len(inverted) == len(distinct) + len(families)
+        # each distinct block once; the dual basis of a fan is inverted by back substitution
+        assert len(inverted) == len(distinct)
         assert all(_weight_block(q, idx) == _det_adjugate(q.select_cols(idx)) for idx in distinct)
-        assert len(inverted) == len(distinct) + len(families)  # read, not computed again
+        assert len(inverted) == len(distinct)  # read, not computed again
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_picard_basis_sweep_in_any_fan_order_matches_fresh_calls(shape, seed):
+    rng = random.Random(seed)
+    v = random_reduced_f_matrix(rng, *shape)
+    q = gale_dual(v)
+    families = [picard_index_sets(fan) for fan in enumerate_fans(v)]
+    alone = [picard_basis(q, family) for family in families]
+    assert alone == [chained_picard_basis(q, family) for family in families]
+    shuffled = list(range(len(families)))
+    rng.shuffle(shuffled)
+    for order in (range(len(families)), reversed(range(len(families))), shuffled):
+        with _shared_tables():
+            for k in order:
+                assert picard_basis(q, families[k]) == alone[k]
+
+
+def test_picard_sweep_rescales_the_fold_state_when_delta_grows_in_the_prefix(count_calls):
+    # fans 1 and 2 of the second example share their first six index sets, along
+    # which the lcm of the |d_I| grows from 29 to 5805800
+    families = [picard_index_sets(fan) for fan in enumerate_fans(EX2_V)]
+    first, second = families[1].sets, families[2].sets
+    assert first[:6] == second[:6] and first[6] != second[6]
+    running = [divisors._dual_rows(EX2_Q, idx)[0] for idx in first[:6]]
+    for k in range(1, 6):
+        running[k] = math.lcm(running[k - 1], running[k])
+    assert running == [29, 203, 2639, 65975, 527800, 5805800]
+    folds = count_calls(divisors, "_hnf_fold", everywhere=False)
+    with _shared_tables():
+        pds = [picard_basis(EX2_Q, family) for family in families[:2]]
+        assert len(folds) == len(families[0].sets) + len(first)  # fan 1 shares nothing with fan 0
+        folds.clear()
+        pds.append(picard_basis(EX2_Q, families[2]))
+        assert len(folds) == len(second) - 6
+    assert [(pd.index, pd.delta_sigma) for pd in pds] == [
+        (975063375, 17728425),
+        (319319000, 5805800),
+        (5805800, 5805800),
+    ]
+    assert pds == [chained_picard_basis(EX2_Q, family) for family in families]
+
+
+def test_picard_basis_in_a_table_still_rejects_a_non_integer_equal_to_a_checked_set():
+    q = gale_dual(IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]]))
+    with _shared_tables():
+        picard_basis(q, PicardIndexFamily(((0, 1),)))
+        with pytest.raises(ShapeError, match="must be integers"):
+            picard_basis(q, PicardIndexFamily(((0, 1.0),)))
+        with pytest.raises(ShapeError, match="must be integers"):
+            picard_basis(q, PicardIndexFamily(((0, 1), (0, 1.0))))
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from torifactor import (
     snf,
     unimodular_inverse,
 )
-from torifactor.normal_forms import _hnf_in_place, _modular_hnf
+from torifactor.normal_forms import _hnf_fold, _hnf_in_place, _hnf_reduce, _modular_hnf
 
 from _exampledata import EX2_BETA, EX2_DELTA, EX2_H, EX2_HHAT, EX2_V, EX2_VHAT, EX1_Q, REID_K
 from _randgen import hnf_pivot_columns, random_matrix, random_unimodular, rational_membership
@@ -243,3 +243,36 @@ def test_modular_hnf_matches_the_lattice_oracle(case):
     assert IntMatrix(h) == hnf(IntMatrix(rows + scaled)).H.top_rows(r)
     assert _is_row_hnf(IntMatrix(h))
     assert all(h[k][k] > 0 and delta % h[k][k] == 0 for k in range(r))
+
+
+_ROW_LISTS = st.integers(1, 5).flatmap(
+    lambda r: st.tuples(
+        st.just(r),
+        st.integers(1, 30),
+        st.integers(1, 6),
+        *[st.lists(st.lists(st.integers(-70, 70), min_size=r, max_size=r), max_size=4)] * 2,
+        st.booleans(),
+    )
+)
+
+
+@given(_ROW_LISTS)
+@example((2, 6, 5, [[1, 4]], [[3, 9]], False))
+@example((3, 1, 1, [], [[4, -7, 2]], True))
+def test_fold_into_an_existing_state_matches_one_modular_hnf(case):
+    r, delta, c, first, second, reduced = case
+    # the state after the first rows, reduced above the pivots or as the fold left it
+    w = [[delta if i == j else 0 for j in range(r)] for i in range(r)]
+    _hnf_fold(w, first, delta)
+    if reduced:
+        _hnf_reduce(w)
+    before, copied = list(w), [list(row) for row in w]
+    _hnf_fold(w, second, delta)
+    _hnf_reduce(w)
+    assert before == copied  # rows are replaced, never changed in place
+    assert w == _modular_hnf(first + second, r, delta)
+    # c * w is a start state for the modulus c * delta: the HNF of c * L
+    start = [[c * x for x in row] for row in before]
+    _hnf_fold(start, second, c * delta)
+    _hnf_reduce(start)
+    assert start == _modular_hnf([[c * x for x in row] for row in first] + second, r, c * delta)

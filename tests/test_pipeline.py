@@ -186,6 +186,12 @@ def test_analyze_inverts_each_weight_block_once(count_calls):
         adjugates = Counter((abs(d), adj) for d, adj in map(intmat._det_adjugate, blocks))
         dual_hnfs = Counter((d, rows) for rows, _, d in folds if (d, rows) in adjugates)
         assert dual_hnfs == adjugates
+        # and nothing per fan: the other inversions are as many as in a one-fan call
+        others = len(calls) - len(blocks) - len(inverted)
+        calls.clear()
+        one = analyze(v, fan_index=0, verify=True)
+        one_blocks = {res.Q.select_cols(idx) for idx in one.fans[0].index_sets.sets}
+        assert len(calls) - sum(m in one_blocks for (m,) in calls) == others
 
 
 def _invariants(res):
