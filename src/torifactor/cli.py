@@ -8,8 +8,9 @@ carry ``"moduli"``.  Column and fan indices are 0-based throughout.
 Exit codes: 0 success, 1 malformed input (including a file that is not
 UTF-8, a JSON number beyond the interpreter's int-to-string digit limit, and
 a TORIFACTOR_MAX_PERM or TORIFACTOR_MAX_PARTIAL_FANS that is not a positive
-integer), 2 violated mathematical precondition (the failed classification
-conditions are named), a search that reached its cap, or a result entry with
+integer) or a standard output that its reader closed, 2 violated
+mathematical precondition (the failed classification conditions are
+named), a search that reached its cap, or a result entry with
 more digits than that limit allows in a string (the message names the limit;
 it is left as the interpreter sets it).  TORIFACTOR_MAX_PERM caps the
 equivalence search by candidate bases: the ordered column tuples of the
@@ -29,6 +30,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Optional
 
 from .intmat import IntMatrix, PreconditionError, SearchLimitExceeded, ShapeError
@@ -407,7 +409,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="torifactor",
         description=(
@@ -480,11 +484,19 @@ def run(argv: Optional[list[str]] = None) -> int:
             print(f"torifactor: result too large: {exc}", file=sys.stderr)
             return 2
         outputs.append(result)
-    for result in outputs:
-        if args.format == "json":
-            print(json.dumps(result, sort_keys=True, separators=(",", ":")))
-        else:
-            print("\n".join(_render_plain(result)))
+    try:
+        for result in outputs:
+            if args.format == "json":
+                print(json.dumps(result, sort_keys=True, separators=(",", ":")))
+            else:
+                print("\n".join(_render_plain(result)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the flush at exit would fail again, so point
+        # the descriptor at os.devnull (the SIGPIPE note of the signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("torifactor: output error: stdout was closed", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -21,6 +21,7 @@ from .intmat import (
     _det_adjugate,
     _int_list_text,
     _int_tuple,
+    _shared_tables,
     det,
 )
 from .gale import gale_dual, require_F
@@ -140,10 +141,12 @@ def universal_covering(v: IntMatrix) -> IntMatrix:
     """Fan matrix of the universal 1-covering: the double Gale dual of ``v``.
 
     Returned in canonical HNF; its row lattice is the saturation of the row
-    lattice of ``v`` and its column lattice is all of Z^n.
+    lattice of ``v`` and its column lattice is all of Z^n.  The validation and
+    the first dual share the kernel of ``v``.
     """
-    require_F(v, reduced=True)
-    return gale_dual(gale_dual(v))
+    with _shared_tables():
+        require_F(v, reduced=True)
+        return gale_dual(gale_dual(v))
 
 
 def beta_factor(v: IntMatrix, v_hat: IntMatrix) -> IntMatrix:

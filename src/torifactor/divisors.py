@@ -12,7 +12,14 @@ from math import lcm, prod
 from operator import mul
 from typing import Iterator, Optional
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, _cached, _det_adjugate, _int_tuple
+from .intmat import (
+    IntMatrix,
+    PreconditionError,
+    ShapeError,
+    _cached,
+    _det_adjugate_rows,
+    _int_tuple,
+)
 from .fans import PicardIndexFamily
 from .gale import require_W
 from .normal_forms import (
@@ -156,10 +163,18 @@ def _scaled_inverse_columns(m: list[list[int]], delta: int) -> Iterator[list[int
         yield x
 
 
-def _weight_block(q: IntMatrix, idx: tuple[int, ...]) -> tuple[int, Optional[IntMatrix]]:
-    """``(det Q_I, adj Q_I)`` of the columns ``idx`` of ``q``, ``(0, None)`` if
-    singular; computed once per ``q`` and ``I`` inside a ``_shared_tables`` block."""
-    return _cached(q, idx, lambda: _det_adjugate(q.select_cols(idx)))
+def _weight_block(
+    q: IntMatrix, idx: tuple[int, ...]
+) -> tuple[int, Optional[tuple[tuple[int, ...], ...]]]:
+    """``(det Q_I, adj Q_I)`` of the columns ``idx`` of ``q``, the adjugate as
+    plain rows, ``(0, None)`` if singular; computed once per ``q`` and ``I``
+    inside a ``_shared_tables`` block."""
+    return _cached(q, idx, lambda: _det_adjugate_rows(_block_rows(q, idx)))
+
+
+def _block_rows(q: IntMatrix, idx: tuple[int, ...]) -> list[list[int]]:
+    """The rows of ``Q_I``, the columns ``idx`` of ``q``, as plain lists."""
+    return [[row[j] for j in idx] for row in q]
 
 
 def _dual_rows(q: IntMatrix, idx: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -6,6 +6,13 @@ column pair.  A weight matrix ("W-matrix") is an r x (n+r) Gale dual of such
 a matrix.  Both notions are invariant under the choice of lattice basis, so
 the predicates below accept any representative.
 
+Every cone test on a fan matrix ``V`` reads one table of its maximal minors,
+``_minors``, built from the smaller side of the Gale pair: on ``V`` itself
+when ``r >= n``, otherwise from the r x r minors of the saturated kernel
+``Q`` of ``V``, the one ``gale_dual`` returns, with one n x n minor of ``V``
+to fix their common factor.  A kernel of rank other than r means ``V`` has
+rank below n, and then every minor is 0.
+
 ``classify_W`` reads two weight conditions on the integer kernel ``K`` of
 ``Q`` as fan conditions; the rational row space of ``Q`` is ``{x : K x = 0}``:
 
@@ -30,8 +37,8 @@ from .intmat import (
     PreconditionError,
     ShapeError,
     _cached,
+    _det_rows,
     _shared_tables,
-    det,
     vector_content,
 )
 from .lattices import Lattice, kernel_saturation
@@ -57,14 +64,20 @@ def gale_dual(a: IntMatrix) -> IntMatrix:
 
     The result G satisfies G @ a^T == 0 and its rows span the full lattice of
     integer relations among the columns of ``a``; ``a`` has full row rank iff
-    that kernel has rank ``cols - rows``.
+    that kernel has rank ``cols - rows``.  Inside a ``_shared_tables`` block the
+    kernel is the one ``_minors`` reads.
     """
-    ker = kernel_saturation(a)
+    ker = _kernel(a)
     if ker.rank != a.cols - a.rows:
         raise PreconditionError("gale_dual requires full row rank")
     if ker.rank == 0:
         raise PreconditionError("square full-rank matrix has trivial kernel")
     return ker.basis_matrix()
+
+
+def _kernel(a: IntMatrix) -> Lattice:
+    """``kernel_saturation(a)``, once per ``a`` inside a ``_shared_tables`` block."""
+    return _cached(a, "kernel", lambda: kernel_saturation(a))
 
 
 def positive_span_is_full(v: IntMatrix) -> bool:
@@ -82,10 +95,53 @@ def _minors(v: IntMatrix) -> dict[tuple[int, ...], int]:
     """``det V_c`` of every n-subset ``c`` of columns, keyed by the sorted
     subset in lexicographic order; built once per ``v`` inside a
     ``_shared_tables`` block.  Every cone test on ``v`` is read off it."""
+    return _cached(v, "minors", lambda: _minor_table(v))
+
+
+def _minor_table(v: IntMatrix) -> dict[tuple[int, ...], int]:
+    """The table of ``_minors``, from the smaller side of the Gale pair, with
+    each determinant taken by ``_det_rows`` on plain column tuples.
+
+    For ``m = n + r`` columns with ``r >= n`` each ``det V_c`` is an n x n
+    determinant.  For ``r < n`` the saturated kernel ``Q`` of ``V`` is read
+    first (``_kernel``, shared with ``gale_dual``).  If its rank is not r,
+    ``V`` has rank below n and every minor is 0, with no determinant taken.
+    Otherwise the r x r minors of ``Q`` give them all: for every n-subset ``c``
+    with complement ``cbar``, ``det V_c = lam (-1)^(sum c + n(n-1)/2) det Q_cbar``
+    with ``|lam| = |det beta|`` (Bjorner-Las Vergnas-Sturmfels-White-Ziegler,
+    Oriented Matroids, 3.4), and one n x n ``det V_c``, at the first ``c``
+    whose ``det Q_cbar`` is nonzero, fixes ``lam`` by an exact division.
+    Taking complements reverses the lexicographic order of the subsets, so
+    the r-subsets are walked in that order and their list reversed.
+    """
     n, m = v.shape
-    return _cached(
-        v, "minors", lambda: {c: det(v.select_cols(c)) for c in combinations(range(m), n)}
-    )
+    r = m - n
+    v_cols = list(zip(*v))
+    if r >= n:
+        return dict(zip(combinations(range(m), n), _column_minors(v_cols, n)))
+    ker = _kernel(v)
+    if ker.rank != r:
+        return dict.fromkeys(combinations(range(m), n), 0)
+    q_cols = [tuple(row[j] for row in ker.basis_rows) for j in range(m)]
+    # (-1)^(sum c + n(n-1)/2), with sum c = m(m-1)/2 - sum cbar
+    base = (m * (m - 1) // 2 + n * (n - 1) // 2) % 2
+    signed = [
+        -d if (base + sum(cbar)) % 2 else d
+        for cbar, d in zip(combinations(range(m), r), _column_minors(q_cols, r))
+    ]
+    signed.reverse()
+    table = dict(zip(combinations(range(m), n), signed))
+    c, d = next((c, d) for c, d in table.items() if d)
+    lam, rest = divmod(_det_rows([list(v_cols[j]) for j in c]), d)
+    if rest:
+        raise PreconditionError("maximal minors of a Gale pair are not proportional")
+    return {c: lam * d for c, d in table.items()}
+
+
+def _column_minors(cols: list[tuple[int, ...]], k: int) -> list[int]:
+    """The determinant of the columns ``c`` of ``cols`` (plain tuples, one per
+    column) for every k-subset ``c``, in lexicographic order."""
+    return [_det_rows([list(cols[j]) for j in c]) for c in combinations(range(len(cols)), k)]
 
 
 def _cocircuits(v: IntMatrix) -> dict[tuple[int, ...], list[int]]:

@@ -203,8 +203,18 @@ def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not m.is_square():
         raise ShapeError("determinant requires a square matrix")
-    n = m.rows
-    a = m.tolist()
+    return _det_rows(m.tolist())
+
+
+def _det_rows(a: list[list[int]]) -> int:
+    """``det`` of the square matrix with rows ``a``, a list of lists that the
+    Bareiss elimination overwrites; 1 for no rows, and two rows expanded
+    directly."""
+    n = len(a)
+    if n == 0:
+        return 1
+    if n == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -223,17 +233,26 @@ def det(m: IntMatrix) -> int:
 
 
 def _det_adjugate(m: IntMatrix) -> tuple[int, Optional[IntMatrix]]:
-    """Determinant and adjugate of a square matrix; ``(0, None)`` if singular.
+    """Determinant and adjugate of a square matrix; ``(0, None)`` if singular."""
+    if not m.is_square():
+        raise ShapeError("adjugate requires a square matrix")
+    d, adj = _det_adjugate_rows(m.tolist())
+    return d, None if adj is None else IntMatrix(adj)
+
+
+def _det_adjugate_rows(
+    rows: Sequence[Sequence[int]],
+) -> tuple[int, Optional[tuple[tuple[int, ...], ...]]]:
+    """``(det, adj)`` of the square matrix with rows ``rows``, the adjugate as
+    a tuple of row tuples; ``(0, None)`` if singular.
 
     One fraction-free Gauss-Jordan pass over ``[m | I]`` (Bareiss) leaves
     ``p * I`` on the left and ``s * adj(m)`` on the right, where ``s`` is the
     sign of the row swaps and ``p = s * det(m)``.  Every intermediate entry
     is a minor of ``[m | I]``, so each division is exact.
     """
-    if not m.is_square():
-        raise ShapeError("adjugate requires a square matrix")
-    n = m.rows
-    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
+    n = len(rows)
+    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
     sign = 1
     prev = 1
     for k in range(n):
@@ -250,7 +269,7 @@ def _det_adjugate(m: IntMatrix) -> tuple[int, Optional[IntMatrix]]:
                 f = a[i][k]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = p
-    return sign * prev, IntMatrix([[sign * x for x in row[n:]] for row in a])
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 # (id(m), key) -> (m, value) in the outermost open ``_shared_tables`` block;

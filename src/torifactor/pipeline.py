@@ -26,6 +26,7 @@ from .covering import (
 from .divisors import (
     ClassGroupData,
     PicardData,
+    _block_rows,
     _weight_block,
     cartier_basis,
     picard_basis,
@@ -169,11 +170,15 @@ def verify_result(res: PipelineResult) -> None:
         for idx in fa.index_sets.sets:
             rows_by_set.setdefault(idx, set()).update(pd.B)
     for idx, rows in rows_by_set.items():
-        block = q.select_cols(idx)
         d, adj = _weight_block(q, idx)
         if d == 0:
             raise PreconditionError(f"singular weight block at columns {idx}")
-        if block @ adj != d * identity:
+        adj_cols = list(zip(*adj))
+        if any(
+            sum(map(mul, qrow, acol)) != (d if i == k else 0)
+            for i, qrow in enumerate(_block_rows(q, idx))
+            for k, acol in enumerate(adj_cols)
+        ):
             raise PreconditionError("weight block adjugate identity failed")
         # b lies in Q_I Z^r iff adj(Q_I) b == 0 mod d_I
         if any(sum(map(mul, arow, b)) % d for arow in adj for b in rows):

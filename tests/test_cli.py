@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -293,21 +292,64 @@ def test_partial_fan_cap_exits_2_once_reached(monkeypatch, capsys, command):
 def test_covering_commands_classify_each_input_once(count_calls, capsys, tmp_path, command):
     from torifactor import gale
 
-    minors = count_calls(gale, "det", everywhere=False)
+    tables = count_calls(gale, "_minor_table", everywhere=False)
     weights = count_calls(gale, "classify_W")
-    paths, subsets = [], []
+    paths, inputs = [], []
     for name, payload in (("ex1.json", EX1), ("ex2.json", EX2)):
         path = tmp_path / name
         path.write_text(json.dumps(payload))
         paths += ["--input", str(path)]
-        data = payload["matrix"]["data"]
-        v = IntMatrix(data)
-        subsets += [(v.select_cols(c),) for c in combinations(range(v.cols), v.rows)]
+        inputs.append((IntMatrix(payload["matrix"]["data"]),))
     assert run([command, *paths]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
-    # one determinant per n-subset of the columns of each input
-    assert minors == subsets
+    # one table of maximal minors per input
+    assert tables == inputs
     assert weights == []
+
+
+def test_parser_is_built_once_and_runs_do_not_see_each_others_arguments(capsys, tmp_path):
+    from torifactor import cli
+
+    paths = []
+    for name, payload in (("ex1.json", EX1), ("ex2.json", EX2)):
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text(json.dumps(payload))
+    first = ["pipeline", "--input", paths[0], "--fan", "0", "--no-verify", "--format", "plain"]
+    second = ["pipeline", "--input", paths[1]]
+    assert cli.build_parser() is cli.build_parser()
+    outputs = []
+    for argv in (first, second):
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    # the same runs on freshly built parsers, in the other order
+    cli.build_parser.cache_clear()
+    assert run(second) == 0
+    assert capsys.readouterr().out == outputs[1]
+    cli.build_parser.cache_clear()
+    assert run(first) == 0
+    assert capsys.readouterr().out == outputs[0]
+    assert len(json.loads(outputs[1])["fans"]) == 3
+
+
+def test_closed_stdout_exits_1_with_a_message_and_no_traceback(tmp_path):
+    # the read end of the pipe is closed before the process starts, so every
+    # write to stdout fails with EPIPE
+    path = tmp_path / "ex2.json"
+    path.write_text(json.dumps(EX2))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "torifactor", "pipeline", "--input", str(path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=ENV,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "torifactor: output error: stdout was closed\n"
 
 
 def test_reconstruct_rejects_torsion_the_pairing_does_not_reach(tmp_path):

@@ -11,9 +11,11 @@ from torifactor import (
     ShapeError,
     classify_F,
     classify_W,
+    det,
     gale_dual,
     positive_span_is_full,
 )
+from torifactor.gale import _minors
 
 from _exampledata import EX1_Q, EX1_V, EX1_VHAT, EX2_Q, EX2_V, EX2_VHAT
 from _randgen import (
@@ -182,13 +184,42 @@ def test_cf_matches_the_identity_hnf_oracle(shape, seed, scale):
         assert rep.is_CF == (_identity_block_transform(w) is not None)
 
 
-def test_classify_F_takes_no_hnf(count_calls):
+def test_classify_F_takes_no_hnf_when_r_is_at_least_n(count_calls):
+    # the minors come from V itself
     from torifactor import normal_forms
 
     calls = count_calls(normal_forms, "hnf")
-    for v in (EX1_V, EX2_V, EX1_VHAT):
-        classify_F(v)
+    rng = random.Random(8)
+    for shape in ((1, 1), (2, 2), (2, 3), (3, 3), (3, 4)):
+        assert classify_F(random_reduced_f_matrix(rng, *shape)).is_F
     assert calls == []
+
+
+def test_classify_F_takes_one_kernel_when_r_is_below_n(count_calls):
+    # the minors come from the saturated kernel of V, read once
+    from torifactor import lattices
+
+    kernels = count_calls(lattices, "kernel_saturation")
+    for v in (EX1_V, EX2_V, EX1_VHAT):
+        kernels.clear()
+        assert classify_F(v).is_F
+        assert kernels == [(v,)]
+
+
+@pytest.mark.parametrize("seed_shape", [None, (6, 3), (4, 4)])
+def test_analyze_takes_four_hnf_as_gale_dual_reuses_the_minor_kernel(count_calls, seed_shape):
+    from torifactor import normal_forms
+    from torifactor.pipeline import analyze
+
+    calls = count_calls(normal_forms, "hnf")
+    if seed_shape is None:
+        matrices = (EX1_V, EX2_V)
+    else:
+        matrices = (random_reduced_f_matrix(random.Random(3), *seed_shape),)
+    for v in matrices:
+        calls.clear()
+        analyze(v)
+        assert len(calls) == 4
 
 
 def test_weight_duality_on_random_instances():
@@ -277,13 +308,52 @@ def test_positive_span_matches_facet_normal_oracle(v, close):
     assert positive_span_is_full(v) == oracle_positive_span_is_full(v)
 
 
-def test_classification_takes_no_kernel_for_F_and_one_for_W(count_calls):
+def test_classify_W_takes_one_kernel_and_one_more_when_it_is_the_taller_side(count_calls):
+    # the positive-span test of (c) reads the maximal minors of the kernel K,
+    # which come from the kernel of K when K has more rows than its corank
     from torifactor import lattices
 
     kernels = count_calls(lattices, "kernel_saturation")
-    for v in (EX1_V, EX2_V, EX1_VHAT):
-        assert classify_F(v).is_F
-    assert kernels == []
     for q in (EX1_Q, EX2_Q, IntMatrix([[1, -1, 0], [0, 0, 1]])):
+        k = gale_dual(q)
+        kernels.clear()
         classify_W(q)
-    assert len(kernels) == 3
+        assert kernels[0] == (q,)
+        assert len(kernels) == (2 if 2 * k.rows > k.cols else 1)
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32), st.integers(2, 3))
+def test_minor_table_matches_column_determinants(shape, seed, scale):
+    # under a GL_n(Z) row action, and with a row scaled so that |lambda| > 1
+    rng = random.Random(seed)
+    v = random_unimodular(rng, shape[0]) @ random_reduced_f_matrix(rng, *shape)
+    scaled = IntMatrix([[scale * x for x in v.row(0)]] + [v.row(i) for i in range(1, v.rows)])
+    for w in (v, scaled, EX1_V, EX1_VHAT):
+        assert list(_minors(w).items()) == _oracle_minors(w)
+
+
+def _oracle_minors(v):
+    return [(c, det(v.select_cols(c))) for c in combinations(range(v.cols), v.rows)]
+
+
+def test_minor_table_of_a_rank_deficient_matrix_is_zero_with_no_determinant(count_calls):
+    from torifactor import gale
+
+    dets = count_calls(gale, "_det_rows", everywhere=False)
+    # row 2 is twice row 0 plus row 1
+    tall = IntMatrix([[1, 2, 0, -1, 3], [0, 1, 1, 2, -2], [2, 5, 1, 0, 4]])
+    assert list(_minors(tall).items()) == _oracle_minors(tall)
+    assert set(_minors(tall).values()) == {0}
+    assert dets == []
+    wide = IntMatrix([[1, -2, 3, 0], [-2, 4, -6, 0]])
+    assert list(_minors(wide).items()) == _oracle_minors(wide)
+    assert set(_minors(wide).values()) == {0}
+
+
+def test_positive_span_of_a_square_matrix_reads_an_empty_kernel_minor():
+    # r = 0 < n: the one r x r minor of the kernel is the empty determinant, 1
+    squares = ([[2, 1], [1, 3]], [[-3]], [[1, 0, 2], [0, 1, 0], [1, 1, 1]])
+    for v in map(IntMatrix, squares):
+        assert list(_minors(v).items()) == _oracle_minors(v)
+        assert not positive_span_is_full(v)
+        assert not oracle_positive_span_is_full(v)

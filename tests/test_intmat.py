@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torifactor import IntMatrix, ShapeError, det, rank, vector_content
-from torifactor.intmat import _TABLES, _cached, _det_adjugate, _int_text, _shared_tables
+from torifactor.intmat import (
+    _TABLES,
+    _cached,
+    _det_adjugate,
+    _det_adjugate_rows,
+    _det_rows,
+    _int_text,
+    _shared_tables,
+)
 
 from _exampledata import REID_BETA
 
@@ -116,6 +124,27 @@ def test_det_adjugate_matches_sympy(rows):
         assert adj is None
     else:
         assert adj.tolist() == theirs.adjugate().tolist()
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_det_rows_matches_det_and_sympy(n):
+    # 0 rows give the empty determinant; some matrices have a repeated row or a
+    # zero leading column, so that elimination swaps rows or stops early
+    sympy = __import__("sympy")
+    rng = random.Random(n)
+    for variant in ("plain", "repeated", "zero column"):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if variant == "repeated" and n > 1:
+            rows[-1] = list(rows[0])
+        elif variant == "zero column":
+            for row in rows[: n - 1]:
+                row[0] = 0
+        want = sympy.Matrix(n, n, [x for row in rows for x in row]).det()
+        assert _det_rows([list(row) for row in rows]) == want
+        if n:
+            assert det(IntMatrix(rows)) == want
+            d, adj = _det_adjugate_rows(rows)
+            assert d == want and (adj is None) == (want == 0)
 
 
 def test_det_adjugate_of_singular_and_rectangular():

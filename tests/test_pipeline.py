@@ -1,7 +1,5 @@
 import random
 from collections import Counter
-from itertools import combinations
-from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -110,17 +108,17 @@ def test_pipeline_verification_random():
 
 def test_analyze_classifies_the_fan_matrix_once(count_calls):
     # the validation builds the table of maximal minors and the fan enumeration
-    # reuses it: one determinant per n-subset of columns
+    # reuses it
     from torifactor import gale
 
-    minors = count_calls(gale, "det", everywhere=False)
+    tables = count_calls(gale, "_minor_table", everywhere=False)
     reports = count_calls(gale, "classify_F")
     weights = count_calls(gale, "classify_W")
     for v in (EX1_V, EX2_V):
-        minors.clear()
+        tables.clear()
         reports.clear()
         analyze(v)
-        assert minors == [(v.select_cols(c),) for c in combinations(range(v.cols), v.rows)]
+        assert tables == [(v,)]
         assert reports == [(v,)]
     assert weights == []
 
@@ -155,43 +153,48 @@ def test_analyze_calls_each_public_step(count_calls):
 def test_no_shared_table_outlives_its_call(count_calls):
     from torifactor import gale, intmat
 
-    minors = count_calls(gale, "det", everywhere=False)
-    per_call = comb(EX2_V.cols, EX2_V.rows)
+    tables = count_calls(gale, "_minor_table", everywhere=False)
     analyze(EX2_V)
     analyze(EX2_V)
-    assert len(minors) == 2 * per_call
+    assert tables == [(EX2_V,)] * 2
     assert intmat._TABLES.get() is None
     with pytest.raises(PreconditionError, match="out of range"):
         analyze(EX2_V, fan_index=99)
     assert intmat._TABLES.get() is None
-    assert len(minors) == 3 * per_call
+    assert tables == [(EX2_V,)] * 3
 
 
 def test_analyze_inverts_each_weight_block_once(count_calls):
     from torifactor import intmat, normal_forms
 
-    calls = count_calls(intmat, "_det_adjugate")
+    # every inversion, of plain rows or of an IntMatrix, runs _det_adjugate_rows
+    calls = count_calls(intmat, "_det_adjugate_rows")
     folds = count_calls(normal_forms, "_modular_hnf")
+
+    def block(q, idx):
+        return tuple(q.select_cols(idx))
+
     for v in (EX2_V, random_reduced_f_matrix(random.Random(0), 3, 2)):
         calls.clear()
         folds.clear()
         res = analyze(v, verify=True)
         distinct = {idx for fa in res.fans for idx in fa.index_sets.sets}
         assert len(distinct) < sum(len(fa.index_sets.sets) for fa in res.fans)
-        blocks = {res.Q.select_cols(idx) for idx in distinct}
-        inverted = [m for (m,) in calls if m in blocks]
+        blocks = {block(res.Q, idx) for idx in distinct}
+        seen = [tuple(map(tuple, m)) for (m,) in calls]
+        inverted = [m for m in seen if m in blocks]
         assert len(inverted) == len(distinct)
         assert set(inverted) == blocks
         # one dual-row HNF of adj Q_I per distinct I, modulo |d_I|
-        adjugates = Counter((abs(d), adj) for d, adj in map(intmat._det_adjugate, blocks))
+        adjugates = Counter((abs(d), adj) for d, adj in map(intmat._det_adjugate_rows, blocks))
         dual_hnfs = Counter((d, rows) for rows, _, d in folds if (d, rows) in adjugates)
         assert dual_hnfs == adjugates
         # and nothing per fan: the other inversions are as many as in a one-fan call
-        others = len(calls) - len(blocks) - len(inverted)
+        others = len(seen) - len(inverted)
         calls.clear()
         one = analyze(v, fan_index=0, verify=True)
-        one_blocks = {res.Q.select_cols(idx) for idx in one.fans[0].index_sets.sets}
-        assert len(calls) - sum(m in one_blocks for (m,) in calls) == others
+        one_blocks = {block(res.Q, idx) for idx in one.fans[0].index_sets.sets}
+        assert len(calls) - sum(tuple(map(tuple, m)) in one_blocks for (m,) in calls) == others
 
 
 def _invariants(res):
