@@ -87,14 +87,19 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
     cones.  It is computed by duality: with ``delta`` the lcm of the
     ``|det Q_I|``, which divides the index of the Picard lattice, the scaled
     dual ``delta * Pic^*`` is spanned by the rows of all ``(delta / |d_I|) adj(Q_I)``
-    and contains ``delta Z^r``, so its HNF basis ``M`` is a modular fold
-    (``_hnf_fold``) of those rows into ``delta I``.  The fold runs one index
-    set at a time with the lcm ``delta_k`` of the sets so far: when it grows
-    to ``delta_k'``, the state is scaled by ``delta_k' / delta_k`` first.  Then
-    ``Pic = delta M^{-1} Z^r``, which contains ``delta Z^r`` as well: ``M`` is
-    upper triangular with pivots dividing ``delta``, so the columns of
-    ``delta M^{-1}`` come by back substitution, ``det M`` is the product of the
-    pivots, and the basis is the modular HNF of those columns.
+    and contains ``delta Z^r``.  Those rows, each reversed, are folded into
+    ``delta I`` (``_hnf_fold``), so the state ``M`` is an upper triangular
+    basis of ``delta Pic^*`` in reversed coordinates, with pivots dividing
+    ``delta``.  The fold runs one index set at a time with the lcm ``delta_k``
+    of the sets so far: when it grows to ``delta_k'``, the state is scaled by
+    ``delta_k' / delta_k`` first.  Then ``Pic`` is spanned by the columns of
+    ``delta M^{-1}``, reversed; they come by back substitution
+    (``_scaled_inverse_columns``), and ``det M`` is the product of the pivots.
+    ``delta M^{-1}`` is upper triangular with pivots ``delta / M_kk``, so the
+    reversed columns taken last to first are already an upper triangular basis
+    of ``Pic``, and reducing the entries above its pivots (``_hnf_reduce``)
+    gives its HNF.  They are not reduced mod ``delta``: a pivot equal to
+    ``delta`` would become 0.
 
     Each index set must hold r distinct column indices.  Inside a
     ``_shared_tables`` block, such as one ``analyze`` call, the table keeps for
@@ -105,9 +110,7 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
     with that one.  Outside a block nothing is kept.
     """
     r, m = q.shape
-    # for q: the dual rows of each checked I, and the fold stack of the last family,
-    # folds[k] = (I_k, delta_k, state after I_0 .. I_k); both fresh outside a table
-    blocks, folds = _cached(q, "picard sweep", lambda: ({}, []))
+    blocks, folds = _picard_table(q)
     sets = []
     for idx in index_family.sets:
         idx = _int_tuple(idx, "index set entries")
@@ -138,19 +141,32 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
         c = grown // delta
         w = [[c * x for x in row] for row in w] if c != 1 else list(w)
         delta = grown
-        _hnf_fold(w, ([delta // d * x for x in row] for row in rows), delta)
+        _hnf_fold(w, ([delta // d * x for x in reversed(row)] for row in rows), delta)
         folds.append((idx, delta, w))
     # reduced in place, the stored state still spans the same lattice
     _hnf_reduce(w)
-    basis = _modular_hnf(_scaled_inverse_columns(w, delta), r, delta)
+    basis = [x[::-1] for x in _scaled_inverse_columns(w, delta)]
+    basis.reverse()
+    _hnf_reduce(basis)
     det_m = prod(row[k] for k, row in enumerate(w))
-    return PicardData(B=IntMatrix(basis), index=delta**r // det_m, delta_sigma=delta)
+    return PicardData(
+        B=IntMatrix._of(tuple(map(tuple, basis))), index=delta**r // det_m, delta_sigma=delta
+    )
+
+
+def _picard_table(q: IntMatrix) -> tuple[dict, list]:
+    """``picard_basis``'s table for ``q``: the ``(|d_I|, dual rows)`` of each
+    checked ``I``, and the fold stack of the last family, ``folds[k] = (I_k,
+    delta_k, state after I_0 .. I_k)``; both fresh outside a table."""
+    return _cached(q, "picard sweep", lambda: ({}, []))
 
 
 def _scaled_inverse_columns(m: list[list[int]], delta: int) -> Iterator[list[int]]:
     """The columns of ``delta m^{-1}`` for an upper triangular ``m``, by back
     substitution in ``m x = delta e_j``; ``PreconditionError`` unless every
-    division is exact."""
+    division is exact.  Column ``j`` is zero below row ``j`` and has
+    ``delta / m_jj`` in row ``j``, so the columns form an upper triangular
+    matrix; ``picard_basis`` reads them reversed as the rows of one."""
     r = len(m)
     for j in range(r):
         x = [0] * r

@@ -29,6 +29,7 @@ from .intmat import (
     PreconditionError,
     SearchLimitExceeded,
     ShapeError,
+    _cached,
     _int_tuple,
     _search_cap,
     _shared_tables,
@@ -253,12 +254,18 @@ def enumerate_fans(v: IntMatrix, max_partial_fans: Optional[int] = None) -> tupl
 
 
 def picard_index_sets(fan: Fan) -> PicardIndexFamily:
-    """Size-r complements of the maximal cones, in cone order."""
+    """Size-r complements of the maximal cones, in cone order.  Inside a
+    ``_shared_tables`` block each cone's complement is computed once per
+    fan matrix, for all its fans; outside one, once per call."""
     m = fan.matrix.cols
-    sets = tuple(
-        tuple(j for j in range(m) if j not in cone) for cone in fan.maximal_cones
-    )
-    return PicardIndexFamily(sets)
+    complements = _cached(fan.matrix, "complements", dict)
+    sets = []
+    for cone in fan.maximal_cones:
+        comp = complements.get(cone)
+        if comp is None:
+            comp = complements[cone] = tuple(j for j in range(m) if j not in cone)
+        sets.append(comp)
+    return PicardIndexFamily(tuple(sets))
 
 
 def fans_correspond(first: Fan, second: Fan, column_map: Sequence[int]) -> bool:

@@ -200,7 +200,9 @@ def _has_positively_proportional_pair(columns) -> bool:
 
 def classify_W(q: IntMatrix) -> WMatrixReport:
     """Test the weight-matrix conditions (a)-(f); (c) and (f) are read on the
-    integer kernel ``K`` of ``q`` (see the module docstring)."""
+    integer kernel ``K`` of ``q`` (see the module docstring).  When (b) holds,
+    the row lattice of ``q`` is saturated, so it is the kernel of ``K`` that the
+    minor table of (c) reads: ``q`` takes one kernel then, not two."""
     r, m = q.shape
     if r >= m:
         raise ShapeError("a weight matrix must have more columns than rows")
@@ -210,14 +212,19 @@ def classify_W(q: IntMatrix) -> WMatrixReport:
     full_rank = ker.rank == m - r
     if not full_rank:
         failed.append("a")
-    if _identity_block_transform(q) is None:
+    saturated = _identity_block_transform(q) is not None
+    if not saturated:
         failed.append("b")
     kernel = ker.basis_matrix()
-    if not (full_rank and positive_span_is_full(kernel)):
-        failed.append("c")
+    row_lattice = Lattice.from_matrix(q)
+    with _shared_tables():
+        if saturated:
+            # the kernel of K is the saturation of the row lattice of q, which (b) gives
+            _cached(kernel, "kernel", lambda: row_lattice)
+        if not (full_rank and positive_span_is_full(kernel)):
+            failed.append("c")
     if any(not any(q.col(j)) for j in range(m)):
         failed.append("d")
-    row_lattice = Lattice.from_matrix(q)
     if any([int(k == j) for k in range(m)] in row_lattice for j in range(m)):
         failed.append("e")
     columns = [kernel.col(j) for j in range(m)]

@@ -26,7 +26,11 @@ class IntMatrix:
     """Immutable row-major matrix of Python integers.
 
     Every constructed matrix has at least one row and one column and all
-    arithmetic is exact; there is no floating point anywhere.
+    arithmetic is exact; there is no floating point anywhere.  The public
+    constructor checks its data: exact integers, a nonempty shape, rows of
+    equal length.  Results built from matrices that passed those checks,
+    such as products, transposes, stacks and normal forms, go through
+    ``_of`` and skip them.
     """
 
     __slots__ = ("_rows",)
@@ -39,6 +43,15 @@ class IntMatrix:
         if any(len(r) != width for r in rows):
             raise ShapeError("rows have inconsistent lengths")
         object.__setattr__(self, "_rows", rows)
+
+    @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """The matrix with ``rows``, unchecked: a nonempty tuple of int tuples
+        of equal nonzero length, for internal results whose shape cannot be
+        empty."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "_rows", rows)
+        return m
 
     # -- construction helpers ------------------------------------------------
 
@@ -135,17 +148,17 @@ class IntMatrix:
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if other.cols != self.cols:
             raise ShapeError("column counts differ")
-        return IntMatrix(self._rows + other._rows)
+        return IntMatrix._of(self._rows + other._rows)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if other.rows != self.rows:
             raise ShapeError("row counts differ")
-        return IntMatrix([a + b for a, b in zip(self._rows, other._rows)])
+        return IntMatrix._of(tuple(a + b for a, b in zip(self._rows, other._rows)))
 
     # -- arithmetic ----------------------------------------------------------
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self._rows)))
+        return IntMatrix._of(tuple(zip(*self._rows)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -153,7 +166,9 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         cols = list(zip(*other._rows))
-        return IntMatrix([[sum(map(operator.mul, r, c)) for c in cols] for r in self._rows])
+        return IntMatrix._of(
+            tuple(tuple([sum(map(operator.mul, r, c)) for c in cols]) for r in self._rows)
+        )
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -174,11 +189,11 @@ class IntMatrix:
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in r] for r in self._rows])
+        return IntMatrix._of(tuple(tuple([-x for x in r]) for r in self._rows))
 
     def __mul__(self, scalar: int) -> "IntMatrix":
         k = operator.index(scalar)
-        return IntMatrix([[k * x for x in r] for r in self._rows])
+        return IntMatrix._of(tuple(tuple([k * x for x in r]) for r in self._rows))
 
     __rmul__ = __mul__
 
@@ -237,7 +252,7 @@ def _det_adjugate(m: IntMatrix) -> tuple[int, Optional[IntMatrix]]:
     if not m.is_square():
         raise ShapeError("adjugate requires a square matrix")
     d, adj = _det_adjugate_rows(m.tolist())
-    return d, None if adj is None else IntMatrix(adj)
+    return d, None if adj is None else IntMatrix._of(adj)
 
 
 def _det_adjugate_rows(

@@ -41,7 +41,7 @@ def hnf(a: IntMatrix) -> HnfResult:
     h = a.tolist()
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     _hnf_in_place(h, u)
-    return HnfResult(IntMatrix(h), IntMatrix(u))
+    return HnfResult(IntMatrix._of(tuple(map(tuple, h))), IntMatrix._of(tuple(map(tuple, u))))
 
 
 def rank(m: IntMatrix) -> int:
@@ -239,7 +239,7 @@ def snf(a: IntMatrix) -> SnfResult:
             d[t] = [-x for x in d[t]]
             left[t] = [-x for x in left[t]]
         t += 1
-    return SnfResult(IntMatrix(d), IntMatrix(left), IntMatrix(right))
+    return SnfResult(*(IntMatrix._of(tuple(map(tuple, x))) for x in (d, left, right)))
 
 
 def unimodular_inverse(u: IntMatrix) -> IntMatrix:

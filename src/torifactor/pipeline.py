@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-from .intmat import IntMatrix, PreconditionError, _int_text, _int_tuple, _search_cap
-from .intmat import _shared_tables, det
+from .intmat import IntMatrix, PreconditionError, ShapeError, _int_text, _int_tuple
+from .intmat import _det_rows, _search_cap, _shared_tables, det
 from .covering import (
     CoveringData,
     TorsionMatrix,
@@ -26,8 +26,8 @@ from .covering import (
 from .divisors import (
     ClassGroupData,
     PicardData,
-    _block_rows,
-    _weight_block,
+    _dual_rows,
+    _picard_table,
     cartier_basis,
     picard_basis,
     weight_transform,
@@ -72,15 +72,17 @@ def analyze(
     HNF: for ``V = (1 -1)``, ``V_hat = (-1 1)`` and ``beta = (-1)`` here.
     One ``_shared_tables`` block, dropped on return, serves the whole call:
     ``V`` is classified and its maximal minors computed once, for the validation
-    and the fan enumeration, and the ``(det Q_I, adj Q_I)`` of each distinct
-    ``I`` once, for every ``picard_basis`` call and for ``verify_result``, with
-    the dual HNF rows that ``picard_basis`` folds, each ``I`` checked once.  The
-    fans come in sorted order, so consecutive index families share long
-    prefixes: the table keeps the fold states of the last family, and each
-    ``picard_basis`` call folds only the index sets after the common prefix.
-    No fan inverts a matrix: ``M`` is triangular and solved by back
-    substitution.  The fan-independent bottom block of the Cartier bases is
-    computed once as well.
+    and the fan enumeration, each cone's complement once, for every
+    ``picard_index_sets`` call, and the ``(det Q_I, adj Q_I)`` of each distinct
+    ``I`` once, with the dual HNF rows that every ``picard_basis`` call folds and
+    that ``verify_result`` certifies, each ``I`` checked once.  The fans come in
+    sorted order, so consecutive index families share long prefixes: the table
+    keeps the fold states of the last family, and each ``picard_basis`` call
+    folds only the index sets after the common prefix.  No fan inverts a matrix
+    or runs a second HNF: the fold state is triangular, solved by back
+    substitution, and its reversed solution is already triangular.  The
+    fan-independent bottom block of the Cartier bases is computed once as
+    well, and so is the one m x m determinant that ``verify_result`` takes.
     """
     if fan_index is not None:
         (fan_index,) = _int_tuple((fan_index,), "fan index")
@@ -133,13 +135,27 @@ def analyze(
 def verify_result(res: PipelineResult) -> None:
     """Re-check every cross-module identity of a pipeline result.
 
-    Each distinct index set ``I`` of the fans is checked once: ``Q_I`` is
-    taken from ``Q`` again and its ``(d_I, adj Q_I)`` must satisfy
-    ``Q_I adj Q_I == d_I I`` with ``d_I != 0``.  Then a Picard row ``b`` lies in
-    ``Q_I Z^r`` iff ``adj(Q_I) b == 0 mod d_I``, which is checked once for each
-    distinct pair of ``I`` and a row of a fan that has ``I``.  Inside
-    ``analyze`` the ``(d_I, adj Q_I)`` are those the Picard bases used, checked
-    all the same, so that shared table need not be trusted.
+    No value is taken on trust from the table that ``analyze`` shares with
+    ``picard_basis``; each check below rests on ``Q``, ``V`` and the result.
+
+    * Cartier bases.  Each ``C = [C_top; B']`` must be square with bottom
+      block ``B' = V``, and ``|det C| = index |det beta|``.  With ``V Q^T = 0``
+      and ``F Q^T = I`` checked first (``F`` the free-part generators),
+      ``|det C| = |det(C_top Q^T)| |det [F; V]|``: extend ``Q^T`` to a
+      unimodular ``W`` and expand ``C W`` and ``[F; V] W`` by blocks.  So one
+      m x m determinant serves the call, and each fan takes an r x r one.
+    * Weight blocks.  For each distinct index set ``I`` of the fans,
+      ``d = |det Q_I|`` is taken afresh and must be nonzero.  The dual rows
+      ``H`` of ``I`` come from ``picard_basis``'s table, or from
+      ``_dual_rows`` outside one, and are certified: strictly increasing
+      pivot columns, positive pivots, ``prod pivots * d^(r - |H|) = d^(r-1)``
+      and ``h Q_I == 0 mod d`` for each row ``h``.  Then ``H`` and the
+      ``d e_k`` span ``L = {x : x Q_I == 0 mod d} = rowspan(adj Q_I)``: they
+      lie in ``L``, and as a triangular basis of their span they give it
+      index ``d^(r-1)``, which is the index of ``L``.  A Picard row ``b`` lies
+      in ``Q_I Z^r`` iff ``x b == 0 mod d`` for every ``x`` in ``L``, so it is
+      tested against the rows of ``H`` alone, once for each distinct pair of
+      ``I`` and a row of a fan that has ``I``.
     """
     v, q = res.V, res.Q
     if not (q @ v.transpose()).is_zero():
@@ -154,32 +170,53 @@ def verify_result(res: PipelineResult) -> None:
     det_beta = abs(det(cd.beta))
     if det_beta != torsion_order(cd):
         raise PreconditionError("factor determinant disagrees with the torsion order")
-    identity = IntMatrix.identity(q.rows)
-    if q @ res.class_group.free_generators.transpose() != identity:
+    free = res.class_group.free_generators
+    r = q.rows
+    if q @ free.transpose() != IntMatrix.identity(r):
         raise PreconditionError("free-part generator identity failed")
     if res.gamma.rows:
         _check_torsion_congruences(res.gamma, v, res.class_group.torsion_generator_rows)
-    v_rows = tuple(v)
+    v_rows, q_rows = tuple(v), tuple(q)
+    det_fv = abs(det(free.vstack(v)))
     rows_by_set: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     for fa in res.fans:
         pd = fa.picard
-        if abs(det(fa.cartier)) != pd.index * det_beta:
-            raise PreconditionError("Cartier determinant factorization failed")
-        if tuple(fa.cartier)[-v.rows :] != v_rows:
+        if not fa.cartier.is_square():
+            raise ShapeError("determinant requires a square matrix")
+        c_rows = tuple(fa.cartier)
+        if c_rows[-v.rows :] != v_rows:
             raise PreconditionError("Cartier basis does not end in the fan matrix")
+        top = [[sum(map(mul, c, qk)) for qk in q_rows] for c in c_rows[:r]]
+        if abs(_det_rows(top)) * det_fv != pd.index * det_beta:
+            raise PreconditionError("Cartier determinant factorization failed")
         for idx in fa.index_sets.sets:
             rows_by_set.setdefault(idx, set()).update(pd.B)
+    q_cols = tuple(zip(*q_rows))
+    tabled, _ = _picard_table(q)
     for idx, rows in rows_by_set.items():
-        d, adj = _weight_block(q, idx)
+        cols = [q_cols[j] for j in idx]
+        d = abs(_det_rows([list(c) for c in cols]))
         if d == 0:
             raise PreconditionError(f"singular weight block at columns {idx}")
-        adj_cols = list(zip(*adj))
-        if any(
-            sum(map(mul, qrow, acol)) != (d if i == k else 0)
-            for i, qrow in enumerate(_block_rows(q, idx))
-            for k, acol in enumerate(adj_cols)
-        ):
+        h = tabled[idx][1] if idx in tabled else _dual_rows(q, idx)[1]
+        if not _spans_block_duals(h, cols, d):
             raise PreconditionError("weight block adjugate identity failed")
-        # b lies in Q_I Z^r iff adj(Q_I) b == 0 mod d_I
-        if any(sum(map(mul, arow, b)) % d for arow in adj for b in rows):
+        # b lies in Q_I Z^r iff h b == 0 mod d for each h in H
+        if any(sum(map(mul, hrow, b)) % d for hrow in h for b in rows):
             raise PreconditionError("Picard basis escapes a weight block lattice")
+
+
+def _spans_block_duals(h, cols, d: int) -> bool:
+    """Whether the rows ``h`` and the ``d e_k`` span ``{x : x Q_I == 0 mod d}``,
+    for ``Q_I`` with columns ``cols`` and ``d = |det Q_I| > 0``, by the
+    certificate of ``verify_result``."""
+    r = len(cols)
+    last, pivots = -1, 1
+    for row in h:
+        k = next((k for k, x in enumerate(row) if x), r)
+        if len(row) != r or k <= last or k == r or row[k] < 0:
+            return False
+        last, pivots = k, pivots * row[k]
+    if pivots * d ** (r - len(h)) != d ** (r - 1):
+        return False
+    return not any(sum(map(mul, row, c)) % d for row in h for c in cols)

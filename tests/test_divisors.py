@@ -1,9 +1,10 @@
+import functools
 import math
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from torifactor import (
     IntMatrix,
@@ -18,6 +19,7 @@ from torifactor import (
     enumerate_fans,
     free_part_generators,
     gale_dual,
+    kernel_saturation,
     picard_basis,
     picard_index_sets,
     weight_transform,
@@ -47,6 +49,7 @@ from _exampledata import (
 from _randgen import (
     SMALL_FAN_SHAPES,
     chained_picard_basis,
+    lattice_intersection,
     pick_fan_shape,
     random_reduced_f_matrix,
 )
@@ -365,3 +368,56 @@ def test_picard_basis_matches_chained_intersection_on_examples():
         for fan in enumerate_fans(v):
             family = picard_index_sets(fan)
             assert picard_basis(q, family) == chained_picard_basis(q, family)
+
+
+def _congruence_oracle(q, family):
+    """The Picard lattice as ``{x : Q_I^{-1} x integral for every I}``, with the
+    inverses from sympy: the first r coordinates of the kernel of
+    ``[delta Q_I^{-1} ... | delta I]``, where ``delta`` clears every denominator."""
+    from sympy import Matrix, ilcm
+
+    r = q.rows
+    inverses = [Matrix(q.select_cols(idx).tolist()).inv() for idx in set(family.sets)]
+    delta = ilcm(*(x.q for inv in inverses for x in inv))
+    rows = [[int(x * delta) for x in inv.row(i)] for inv in inverses for i in range(r)]
+    stacked = [row + [delta * (i == k) for k in range(len(rows))] for i, row in enumerate(rows)]
+    return Lattice(r, [rel[:r] for rel in kernel_saturation(IntMatrix(stacked)).basis_rows])
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+@example((1, 1), 0)
+@example((3, 1), 5)
+@example((2, 2), 1)
+def test_picard_basis_matches_the_lattice_oracles(shape, seed):
+    # with r = 1 the Picard lattice is delta Z, so B = [[delta]] has its pivot at delta
+    v = random_reduced_f_matrix(random.Random(seed), *shape)
+    q = gale_dual(v)
+    with _shared_tables():
+        for fan in enumerate_fans(v):
+            family = picard_index_sets(fan)
+            pd = picard_basis(q, family)
+            blocks = [Lattice.from_matrix(q.select_cols(idx).transpose()) for idx in family.sets]
+            intersection = functools.reduce(lattice_intersection, blocks)
+            congruences = _congruence_oracle(q, family)
+            assert pd.B == intersection.basis_matrix() == congruences.basis_matrix()
+            assert pd == chained_picard_basis(q, family)
+            if q.rows == 1:
+                assert pd.B == IntMatrix([[pd.delta_sigma]])
+
+
+def test_picard_basis_keeps_a_pivot_equal_to_delta():
+    # the pivots of B are delta / M_kk for the fold state M; one equal to delta must
+    # not be reduced mod delta to 0
+    p112 = IntMatrix([[1, -1, 0], [-1, -1, 1]])  # weights (1, 1, 2)
+    cases = [
+        (EX1_V, 0, [[1]], 1),
+        (p112, 0, [[2]], 2),
+        (EX2_V, 2, [[1, 1157202], [0, 5805800]], 5805800),
+    ]
+    for v, k, basis, delta in cases:
+        q = gale_dual(v)
+        family = picard_index_sets(enumerate_fans(v)[k])
+        pd = picard_basis(q, family)
+        assert (pd.B, pd.delta_sigma) == (IntMatrix(basis), delta)
+        assert pd.B[q.rows - 1, q.rows - 1] == delta
+        assert pd == chained_picard_basis(q, family)

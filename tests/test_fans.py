@@ -182,6 +182,27 @@ def test_picard_index_sets_are_complements():
         assert sorted(cone + comp) == list(range(6))
 
 
+def test_picard_index_sets_take_each_complement_once_inside_a_table():
+    from torifactor.intmat import _TABLES, _shared_tables
+
+    fans = enumerate_fans(EX2_V)
+    direct = [
+        tuple(tuple(j for j in range(EX2_V.cols) if j not in c) for c in f.maximal_cones)
+        for f in fans
+    ]
+    with _shared_tables():
+        families = [picard_index_sets(f) for f in fans + fans]
+    assert [f.sets for f in families] == direct * 2
+    # one complement per distinct cone, shared by every fan that has the cone
+    seen = {}
+    for fam, fan in zip(families, fans * 2):
+        for cone, comp in zip(fan.maximal_cones, fam.sets):
+            assert seen.setdefault(cone, comp) is comp
+    assert len(seen) < sum(len(f.maximal_cones) for f in fans)
+    assert _TABLES.get() is None
+    assert [picard_index_sets(f).sets for f in fans] == direct
+
+
 def test_line_picard_index_sets():
     fan = enumerate_fans(IntMatrix([[1, -1]]))[0]
     assert picard_index_sets(fan).sets == ((1,), (0,))

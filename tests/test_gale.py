@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from torifactor import (
     det,
     gale_dual,
     positive_span_is_full,
+    require_W,
 )
 from torifactor.gale import _minors
 
@@ -308,18 +310,61 @@ def test_positive_span_matches_facet_normal_oracle(v, close):
     assert positive_span_is_full(v) == oracle_positive_span_is_full(v)
 
 
-def test_classify_W_takes_one_kernel_and_one_more_when_it_is_the_taller_side(count_calls):
-    # the positive-span test of (c) reads the maximal minors of the kernel K,
-    # which come from the kernel of K when K has more rows than its corank
-    from torifactor import lattices
+def _classify_W_counting_kernels(q):
+    """``classify_W(q)`` and the number of kernels it takes."""
+    from torifactor import gale
 
-    kernels = count_calls(lattices, "kernel_saturation")
+    kernels = []
+    original = gale.kernel_saturation
+
+    def counted(m):
+        kernels.append(m)
+        return original(m)
+
+    with mock.patch.object(gale, "kernel_saturation", counted):
+        report = classify_W(q)
+    assert kernels[0] is q
+    return report, len(kernels)
+
+
+def _scale_row_0(q, scale):
+    return IntMatrix([[scale * x for x in q.row(0)]] + [q.row(i) for i in range(1, q.rows)])
+
+
+def test_classify_W_takes_one_kernel_when_b_holds():
+    # when (b) holds the kernel of K is the row lattice of q, which (e) builds anyway;
+    # otherwise the positive-span test of (c) takes the kernel of K when K has more
+    # rows than its corank, as for EX2_Q with a row scaled
     for q in (EX1_Q, EX2_Q, IntMatrix([[1, -1, 0], [0, 0, 1]])):
-        k = gale_dual(q)
-        kernels.clear()
-        classify_W(q)
-        assert kernels[0] == (q,)
-        assert len(kernels) == (2 if 2 * k.rows > k.cols else 1)
+        assert _classify_W_counting_kernels(q) == (classify_W(q), 1)
+    report, kernels = _classify_W_counting_kernels(_scale_row_0(EX2_Q, 2))
+    assert (report.failed_conditions, kernels) == (("b",), 2)
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32), st.integers(1, 3))
+def test_classify_W_reports_and_kernel_counts_on_random_weight_matrices(shape, seed, scale):
+    rng = random.Random(seed)
+    n, r = shape
+    q = random_unimodular(rng, r) @ gale_dual(random_reduced_f_matrix(rng, n, r))
+    q = _scale_row_0(q, scale)
+    report, kernels = _classify_W_counting_kernels(q)
+    assert report.failed_conditions == oracle_classify_W(q)
+    saturated = "b" not in report.failed_conditions
+    assert saturated == (scale == 1)
+    assert kernels == (1 if saturated or r >= n else 2)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [[[1, 0]], [[1, 0, 0], [0, 1, 0]], [[2, -2, 0, 0], [0, 0, 1, 1]], [[2, 1, 1], [0, 1, 1]]],
+)
+def test_require_W_message_on_non_weight_matrices(q):
+    q = IntMatrix(q)
+    failed = oracle_classify_W(q)
+    assert failed and classify_W(q).failed_conditions == failed
+    with pytest.raises(PreconditionError) as err:
+        require_W(q)
+    assert str(err.value) == "not a weight matrix; failed conditions: " + ", ".join(failed)
 
 
 @given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32), st.integers(2, 3))

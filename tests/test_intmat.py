@@ -15,7 +15,7 @@ from torifactor.intmat import (
     _shared_tables,
 )
 
-from _exampledata import REID_BETA
+from _exampledata import EX2_Q, EX2_V, REID_BETA
 
 
 def test_constructor_rejects_empty_and_ragged():
@@ -25,6 +25,45 @@ def test_constructor_rejects_empty_and_ragged():
         IntMatrix([[]])
     with pytest.raises(ShapeError):
         IntMatrix([[1, 2], [3]])
+
+
+def test_empty_slices_still_raise_shape_error():
+    a = IntMatrix([[1, 2], [3, 4]])
+    for empty in (lambda: a.top_rows(0), lambda: a.bottom_rows(0), lambda: a.select_rows([])):
+        with pytest.raises(ShapeError):
+            empty()
+
+
+def _matrices(max_rows=4, max_cols=4):
+    return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.integers(-9, 9) | st.booleans(), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
+    )
+
+
+@given(_matrices(), _matrices(), st.integers(-3, 3))
+def test_internal_results_are_tuples_of_int_tuples(rows, other, k):
+    # results built unchecked by IntMatrix._of hold what the checked constructor would
+    from torifactor import enumerate_fans, hnf, picard_basis, picard_index_sets, snf
+
+    a, b = IntMatrix(rows), IntMatrix(other)
+    h, s = hnf(a), snf(a)
+    results = [a @ a.transpose(), a.transpose(), a.vstack(a), a.hstack(a), -a, k * a, a * k]
+    results += [b.transpose() @ b, b.vstack(b.top_rows(1)), a.hstack(a.select_cols([0]))]
+    results += [h.H, h.U, s.D, s.U_left, s.U_right]
+    # positive definite, so never singular
+    results.append(_det_adjugate(a @ a.transpose() + IntMatrix.identity(a.rows))[1])
+    fan = enumerate_fans(EX2_V)[a.rows % 3]
+    results.append(picard_basis(EX2_Q, picard_index_sets(fan)).B)
+    for m in results:
+        assert type(m._rows) is tuple and m._rows
+        assert all(type(row) is tuple and len(row) == m.cols for row in m._rows)
+        assert all(type(x) is int for row in m._rows for x in row)
+        checked = IntMatrix(m.tolist())
+        assert m == checked and hash(m) == hash(checked)
 
 
 def test_constructor_rejects_floats():

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -317,3 +318,86 @@ def test_bad_search_cap_is_rejected_before_any_search(count_calls, search, cap, 
     with pytest.raises(error, match="max_partial_fans|max_permutations"):
         SEARCHES[search](cap)
     assert minors == []
+
+
+def test_verification_rejects_a_cartier_basis_with_a_doubled_top_row():
+    from dataclasses import replace
+
+    for v in (EX1_V, EX2_V):
+        res = analyze(v)
+        fa = res.fans[-1]
+        rows = fa.cartier.tolist()
+        rows[0] = [2 * x for x in rows[0]]
+        forged = replace(fa, cartier=IntMatrix(rows))
+        with pytest.raises(PreconditionError, match="Cartier determinant factorization failed"):
+            verify_result(replace(res, fans=res.fans[:-1] + (forged,)))
+
+
+def test_verification_checks_the_cartier_bottom_block_before_the_determinant():
+    # a doubled bottom row breaks both identities; the bottom block is read first
+    from dataclasses import replace
+
+    res = analyze(EX2_V)
+    fa = res.fans[0]
+    rows = fa.cartier.tolist()
+    rows[-1] = [2 * x for x in rows[-1]]
+    forged = replace(fa, cartier=IntMatrix(rows))
+    assert abs(det(forged.cartier)) != fa.picard.index * abs(det(res.covering.beta))
+    with pytest.raises(PreconditionError, match="Cartier basis does not end in the fan matrix"):
+        verify_result(replace(res, fans=(forged,) + res.fans[1:]))
+    with pytest.raises(ShapeError, match="square"):
+        verify_result(replace(res, fans=(replace(fa, cartier=fa.cartier.top_rows(5)),)))
+
+
+# forged dual rows for the block of EX2_V at columns (1, 4), d = 8, whose true
+# rows are ((2, 3), (0, 4)): L = {x : x Q_I == 0 mod 8} has index 8
+FORGED_DUAL_ROWS = {
+    "empty": (),
+    "outside": ((2, 4), (0, 4)),  # (2, 4) is not in L; pivots as before
+    "pivot": ((10, 3), (0, 4)),  # (10, 3) is in L, but the pivots multiply to 40
+    "zero": ((2, 3), (0, 4), (0, 0)),
+    "repeated pivot column": ((2, 3), (4, 6)),  # in L, pivots multiply to 8, index 16
+    "negative pivots": ((-2, -3), (0, -4)),
+    "long row": ((2, 3), (0, 0, 0, 4)),  # read as (0, 0) by the dot products
+}
+
+
+@pytest.mark.parametrize("forgery", FORGED_DUAL_ROWS)
+def test_verification_rechecks_every_dual_row_table_entry(monkeypatch, forgery):
+    # plant forged dual rows in analyze's shared table, in the entry that
+    # picard_basis filled and verify_result reads, after the Picard bases are
+    # built from the true ones
+    from torifactor import divisors, pipeline
+
+    idx, forged = (1, 4), FORGED_DUAL_ROWS[forgery]
+    verify = pipeline.verify_result
+
+    def plant_then_verify(res):
+        blocks, _ = divisors._picard_table(res.Q)
+        assert blocks[idx] == (8, ((2, 3), (0, 4)))
+        cols = [res.Q.col(j) for j in idx]
+        outside = [any(sum(map(mul, h, c)) % 8 for c in cols) for h in forged]
+        assert any(outside) == (forgery == "outside")
+        blocks[idx] = (8, forged)
+        verify(res)
+
+    monkeypatch.setattr(pipeline, "verify_result", plant_then_verify)
+    with pytest.raises(PreconditionError, match="weight block adjugate identity failed"):
+        analyze(EX2_V)
+
+
+def test_analyze_takes_no_modular_hnf_and_no_m_by_m_determinant_per_fan(count_calls):
+    from torifactor import intmat, normal_forms
+
+    hnfs = count_calls(normal_forms, "_modular_hnf")
+    dets = count_calls(intmat, "_det_rows")
+    for v, fans in ((EX1_V, 1), (EX2_V, 3), (random_reduced_f_matrix(random.Random(3), 4, 4), 25)):
+        for fan_index in (None, 0):
+            hnfs.clear()
+            dets.clear()
+            res = analyze(v, fan_index=fan_index)
+            assert len(res.fans) == (fans if fan_index is None else 1)
+            distinct = {idx for fa in res.fans for idx in fa.index_sets.sets}
+            # one dual-row HNF per distinct index set, and one m x m determinant in all
+            assert len(hnfs) == len(distinct)
+            assert sum(len(a) == v.cols for (a,) in dets) == 1
