@@ -151,8 +151,9 @@ def verify_result(res: PipelineResult) -> None:
       pivot columns, positive pivots, ``prod pivots * d^(r - |H|) = d^(r-1)``
       and ``h Q_I == 0 mod d`` for each row ``h``.  Then ``H`` and the
       ``d e_k`` span ``L = {x : x Q_I == 0 mod d} = rowspan(adj Q_I)``: they
-      lie in ``L``, and as a triangular basis of their span they give it
-      index ``d^(r-1)``, which is the index of ``L``.  A Picard row ``b`` lies
+      lie in ``L``, and ``H`` with the ``d e_k`` at the columns that are no
+      pivot of ``H`` is a triangular matrix of determinant ``d^(r-1)``, whose
+      rows span a sublattice of ``L`` of index ``d^(r-1)``, the index of ``L``.  A Picard row ``b`` lies
       in ``Q_I Z^r`` iff ``x b == 0 mod d`` for every ``x`` in ``L``, so it is
       tested against the rows of ``H`` alone, once for each distinct pair of
       ``I`` and a row of a fan that has ``I``.
