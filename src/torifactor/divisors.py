@@ -17,10 +17,11 @@ from .intmat import (
     PreconditionError,
     ShapeError,
     _cached,
-    _det_adjugate_rows,
     _int_tuple,
+    _laplace_minors,
+    _shared_tables,
 )
-from .fans import PicardIndexFamily
+from .fans import PicardIndexFamily, _mask
 from .gale import require_W
 from .normal_forms import (
     _hnf_fold,
@@ -103,24 +104,27 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
 
     Each index set must hold r distinct column indices.  Inside a
     ``_shared_tables`` block, such as one ``analyze`` call, the table keeps for
-    ``q`` the dual rows of each distinct ``I`` (inverted and reduced once, by
-    ``_dual_rows``), so the length, distinctness and range of ``I`` are checked
-    once too, and the fold states after each index set of the previous family.
-    The next family folds only its index sets after the longest common prefix
-    with that one.  Outside a block nothing is kept.
+    ``q`` the dual rows of each distinct ``I`` (read off the cofactor tables of
+    ``q`` and reduced once, by ``_dual_rows``), so the length, distinctness and
+    range of ``I`` are checked once too, and the fold states after each index
+    set of the previous family.  The next family folds only its index sets
+    after the longest common prefix with that one.  Outside a block nothing
+    outlives the call, and the cofactor tables are built once for it.
     """
     r, m = q.shape
-    blocks, folds = _picard_table(q)
     sets = []
-    for idx in index_family.sets:
-        idx = _int_tuple(idx, "index set entries")
-        if idx not in blocks:
-            if len(idx) != r:
-                raise ShapeError("index set size must equal the weight-matrix rank")
-            if len(set(idx)) != r or not all(0 <= j < m for j in idx):
-                raise ShapeError(f"index set {idx} is not {r} distinct columns in 0..{m - 1}")
-            blocks[idx] = _dual_rows(q, idx)
-        sets.append(idx)
+    # outside a block, one for this call: the cofactor tables are built once
+    with _shared_tables():
+        blocks, folds = _picard_table(q)
+        for idx in index_family.sets:
+            idx = _int_tuple(idx, "index set entries")
+            if idx not in blocks:
+                if len(idx) != r:
+                    raise ShapeError("index set size must equal the weight-matrix rank")
+                if len(set(idx)) != r or not all(0 <= j < m for j in idx):
+                    raise ShapeError(f"index set {idx} is not {r} distinct columns in 0..{m - 1}")
+                blocks[idx] = _dual_rows(q, idx)
+            sets.append(idx)
     if not sets:
         raise PreconditionError("empty index family")
     shared = 0
@@ -182,15 +186,37 @@ def _scaled_inverse_columns(m: list[list[int]], delta: int) -> Iterator[list[int
 def _weight_block(
     q: IntMatrix, idx: tuple[int, ...]
 ) -> tuple[int, Optional[tuple[tuple[int, ...], ...]]]:
-    """``(det Q_I, adj Q_I)`` of the columns ``idx`` of ``q``, the adjugate as
-    plain rows, ``(0, None)`` if singular; computed once per ``q`` and ``I``
-    inside a ``_shared_tables`` block."""
-    return _cached(q, idx, lambda: _det_adjugate_rows(_block_rows(q, idx)))
+    """``(det Q_I, adj Q_I)`` of the columns ``idx`` of ``q``, taken in
+    ascending order, the adjugate as plain rows; ``(0, None)`` if singular.
+
+    Both are read off the cofactor tables of ``q`` (``_cofactor_tables``):
+    with ``T_b`` the (r-1)-minors of ``q`` without row b,
+    ``adj(Q_I)[a][b] = (-1)^(a+b) T_b[I - I_a]``, and ``det Q_I`` is the
+    expansion along the last row, ``sum_a q[r-1][I_a] adj(Q_I)[a][r-1]``.  So
+    no block is eliminated, and the blocks of one ``q`` share their minors.
+    """
+    idx = sorted(idx)
+    tables = _cofactor_tables(q)
+    full = _mask(idx)
+    adj = tuple(
+        tuple(-t[full ^ 1 << j] if (a + b) % 2 else t[full ^ 1 << j] for b, t in enumerate(tables))
+        for a, j in enumerate(idx)
+    )
+    last = q.row(len(idx) - 1)
+    d = sum(last[j] * row[-1] for j, row in zip(idx, adj))
+    return (d, adj) if d else (0, None)
 
 
-def _block_rows(q: IntMatrix, idx: tuple[int, ...]) -> list[list[int]]:
-    """The rows of ``Q_I``, the columns ``idx`` of ``q``, as plain lists."""
-    return [[row[j] for j in idx] for row in q]
+def _cofactor_tables(q: IntMatrix) -> list[dict[int, int]]:
+    """For each row b of ``q``, the (r-1)-minors of ``q`` without row b, keyed
+    by column bitmask (``_laplace_minors``); built once per ``q`` inside a
+    ``_shared_tables`` block."""
+
+    def build():
+        rows = tuple(q)
+        return [_laplace_minors(rows[:b] + rows[b + 1 :], q.cols) for b in range(len(rows))]
+
+    return _cached(q, "cofactor tables", build)
 
 
 def _dual_rows(q: IntMatrix, idx: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -14,13 +14,17 @@ pairwise in common faces and every facet lies on exactly two cones.  The
 enumeration roots one search at each candidate and admits only later ones, so
 a fan is reached from its smallest cone only; it closes open facets one at a
 time from a table built once, and a partial fan is four bitmasks: its cones,
-the facets on one of them, the facets on two, and the rays used.
+the facets on one of them, the facets on two, and the rays used.  The table
+numbers the facets in lexicographic order with no facet tuple built: a facet
+is a bit-reversed column mask, and the descending order of those masks is the
+lexicographic order of the facet tuples.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -85,9 +89,13 @@ def _circuits(v: IntMatrix) -> set[tuple[int, int]]:
     minors = _minors(v)
     circuits = set()
     for s in combinations(range(v.cols), v.rows + 1):
-        coeffs = [(-1) ** k * minors[s[:k] + s[k + 1 :]] for k in range(len(s))]
-        pos = _mask(j for j, x in zip(s, coeffs) if x > 0)
-        neg = _mask(j for j, x in zip(s, coeffs) if x < 0)
+        pos = neg = 0
+        for k, j in enumerate(s):
+            x = minors[s[:k] + s[k + 1 :]]
+            if x and (x > 0) == (k % 2 == 0):
+                pos |= 1 << j
+            elif x:
+                neg |= 1 << j
         if pos | neg:
             circuits.update(((pos, neg), (neg, pos)))
     return circuits
@@ -101,20 +109,27 @@ def _conflicts(masks: Sequence[int], circuits: Iterable[tuple[int, int]]) -> lis
     part in cone ``a`` and its negative part in cone ``b``; every circuit is
     stored in both orientations, so the table is symmetric.
     """
-    holders: dict[int, int] = {}  # column -> the candidates that contain it
+    holders: dict[int, int] = {}  # column bit -> the candidates that contain it
     for k, mask in enumerate(masks):
-        for j in _bits(mask):
-            holders[j] = holders.get(j, 0) | 1 << k
+        while mask:
+            low = mask & -mask
+            holders[low] = holders.get(low, 0) | 1 << k
+            mask ^= low
 
+    @cache
     def containing(part: int) -> int:
         acc = (1 << len(masks)) - 1
-        for j in _bits(part):
-            acc &= holders.get(j, 0)
+        while part and acc:
+            low = part & -part
+            acc &= holders.get(low, 0)
+            part ^= low
         return acc
 
-    conflict = [0] * len(masks)
+    clashes: dict[int, int] = {}  # positive part -> the candidates holding a negative part
     for pos, neg in circuits:
-        clash = containing(neg)
+        clashes[pos] = clashes.get(pos, 0) | containing(neg)
+    conflict = [0] * len(masks)
+    for pos, clash in clashes.items():
         if clash:
             for k in _bits(containing(pos)):
                 conflict[k] |= clash
@@ -125,12 +140,14 @@ def _mask(columns: Iterable[int]) -> int:
     return sum(1 << j for j in columns)
 
 
-def _bits(mask: int) -> Iterable[int]:
+def _bits(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, lowest first."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def _facets(cone: Cone) -> list[Cone]:
@@ -218,13 +235,7 @@ def enumerate_fans(v: IntMatrix, max_partial_fans: Optional[int] = None) -> tupl
         circuits = _circuits(v)
     masks = [_mask(c) for c in candidates]
     conflict = _conflicts(masks, circuits)
-    facets = [_facets(c) for c in candidates]
-    facet_id = {f: i for i, f in enumerate(sorted({f for fs in facets for f in fs}))}
-    facet_masks = [_mask(facet_id[f] for f in fs) for fs in facets]
-    by_facet: list[list[int]] = [[] for _ in facet_id]
-    for k, cone_facets in enumerate(facets):
-        for f in cone_facets:
-            by_facet[facet_id[f]].append(k)
+    facet_masks, by_facet = _facet_tables(candidates, v.cols)
 
     all_rays = (1 << v.cols) - 1
     found: set[int] = set()
@@ -242,15 +253,37 @@ def enumerate_fans(v: IntMatrix, max_partial_fans: Optional[int] = None) -> tupl
                 found.add(chosen)
             continue
         # the root is the smallest chosen cone: no cone below it may join
-        banned = (chosen & -chosen) - 1
+        blocked = chosen | ((chosen & -chosen) - 1)
         for k in by_facet[(once & -once).bit_length() - 1]:
             f = facet_masks[k]
-            if (chosen | banned) >> k & 1 or f & twice or conflict[k] & chosen:
+            if blocked >> k & 1 or f & twice or conflict[k] & chosen:
                 continue
             stack.append((chosen | 1 << k, once ^ f, twice | once & f, rays | masks[k]))
             pushed += 1
     fans = sorted(tuple(candidates[k] for k in _bits(chosen)) for chosen in found)
     return tuple(Fan(v, cones) for cones in fans)
+
+
+def _facet_tables(candidates: Sequence[Cone], m: int) -> tuple[list[int], list[list[int]]]:
+    """The facet table of the fan search: for each candidate cone the bitmask
+    of its facet ids, and for each facet id the candidates on it, in order.
+    The ids follow the descending order of the bit-reversed facet masks, column
+    j at bit m-1-j, which is the lexicographic order of the facet tuples: the
+    smallest column where two facets differ is the highest bit where they do."""
+    facets = []
+    for c in candidates:
+        bits = [1 << m - 1 - j for j in c]
+        cone = sum(bits)
+        facets.append([cone ^ b for b in bits])
+    facet_id = {f: i for i, f in enumerate(sorted({f for fs in facets for f in fs}, reverse=True))}
+    facet_masks = []
+    by_facet: list[list[int]] = [[] for _ in facet_id]
+    for k, cone_facets in enumerate(facets):
+        ids = [facet_id[f] for f in cone_facets]
+        facet_masks.append(sum(1 << i for i in ids))
+        for i in ids:
+            by_facet[i].append(k)
+    return facet_masks, by_facet
 
 
 def picard_index_sets(fan: Fan) -> PicardIndexFamily:

@@ -38,6 +38,7 @@ from .intmat import (
     ShapeError,
     _cached,
     _det_rows,
+    _laplace_minors,
     _shared_tables,
     vector_content,
 )
@@ -100,14 +101,16 @@ def _minors(v: IntMatrix) -> dict[tuple[int, ...], int]:
 
 def _minor_table(v: IntMatrix) -> dict[tuple[int, ...], int]:
     """The table of ``_minors``, from the smaller side of the Gale pair, with
-    each determinant taken by ``_det_rows`` on plain column tuples.
+    all minors of one side taken by ``_laplace_minors`` on plain rows: level t
+    holds the t x t minors of the first t rows, each expanded along row t from
+    the level before.
 
-    For ``m = n + r`` columns with ``r >= n`` each ``det V_c`` is an n x n
-    determinant.  For ``r < n`` the saturated kernel ``Q`` of ``V`` is read
-    first (``_kernel``, shared with ``gale_dual``).  If its rank is not r,
-    ``V`` has rank below n and every minor is 0, with no determinant taken.
-    Otherwise the r x r minors of ``Q`` give them all: for every n-subset ``c``
-    with complement ``cbar``, ``det V_c = lam (-1)^(sum c + n(n-1)/2) det Q_cbar``
+    For ``m = n + r`` columns with ``r >= n`` the n x n minors of ``V`` are the
+    table.  For ``r < n`` the saturated kernel ``Q`` of ``V`` is read first
+    (``_kernel``, shared with ``gale_dual``).  If its rank is not r, ``V`` has
+    rank below n and every minor is 0, with no determinant taken.  Otherwise
+    the r x r minors of ``Q`` give them all: for every n-subset ``c`` with
+    complement ``cbar``, ``det V_c = lam (-1)^(sum c + n(n-1)/2) det Q_cbar``
     with ``|lam| = |det beta|`` (Bjorner-Las Vergnas-Sturmfels-White-Ziegler,
     Oriented Matroids, 3.4), and one n x n ``det V_c``, at the first ``c``
     whose ``det Q_cbar`` is nonzero, fixes ``lam`` by an exact division.
@@ -116,32 +119,24 @@ def _minor_table(v: IntMatrix) -> dict[tuple[int, ...], int]:
     """
     n, m = v.shape
     r = m - n
-    v_cols = list(zip(*v))
     if r >= n:
-        return dict(zip(combinations(range(m), n), _column_minors(v_cols, n)))
+        return dict(zip(combinations(range(m), n), _laplace_minors(tuple(v), m).values()))
     ker = _kernel(v)
     if ker.rank != r:
         return dict.fromkeys(combinations(range(m), n), 0)
-    q_cols = [tuple(row[j] for row in ker.basis_rows) for j in range(m)]
     # (-1)^(sum c + n(n-1)/2), with sum c = m(m-1)/2 - sum cbar
     base = (m * (m - 1) // 2 + n * (n - 1) // 2) % 2
+    q_minors = _laplace_minors(ker.basis_rows, m).values()
     signed = [
-        -d if (base + sum(cbar)) % 2 else d
-        for cbar, d in zip(combinations(range(m), r), _column_minors(q_cols, r))
+        -d if (base + sum(cbar)) % 2 else d for cbar, d in zip(combinations(range(m), r), q_minors)
     ]
     signed.reverse()
     table = dict(zip(combinations(range(m), n), signed))
     c, d = next((c, d) for c, d in table.items() if d)
-    lam, rest = divmod(_det_rows([list(v_cols[j]) for j in c]), d)
+    lam, rest = divmod(_det_rows([[row[j] for j in c] for row in v]), d)
     if rest:
         raise PreconditionError("maximal minors of a Gale pair are not proportional")
     return {c: lam * d for c, d in table.items()}
-
-
-def _column_minors(cols: list[tuple[int, ...]], k: int) -> list[int]:
-    """The determinant of the columns ``c`` of ``cols`` (plain tuples, one per
-    column) for every k-subset ``c``, in lexicographic order."""
-    return [_det_rows([list(cols[j]) for j in c]) for c in combinations(range(len(cols)), k)]
 
 
 def _cocircuits(v: IntMatrix) -> dict[tuple[int, ...], list[int]]:
@@ -200,19 +195,22 @@ def _has_positively_proportional_pair(columns) -> bool:
 
 def classify_W(q: IntMatrix) -> WMatrixReport:
     """Test the weight-matrix conditions (a)-(f); (c) and (f) are read on the
-    integer kernel ``K`` of ``q`` (see the module docstring).  When (b) holds,
-    the row lattice of ``q`` is saturated, so it is the kernel of ``K`` that the
-    minor table of (c) reads: ``q`` takes one kernel then, not two."""
+    integer kernel ``K`` of ``q`` (see the module docstring).  ``K`` and the
+    ``[I; 0]`` test of (b) read one HNF of ``q^T``.  When (b) holds, the row
+    lattice of ``q`` is saturated, so it is the kernel of ``K`` that the minor
+    table of (c) reads: ``q`` takes one kernel then, not two."""
     r, m = q.shape
     if r >= m:
         raise ShapeError("a weight matrix must have more columns than rows")
     failed = []
-    # r < m, so the kernel is never zero; it is gale_dual(q) when q has full rank
-    ker = kernel_saturation(q)
+    with _shared_tables():
+        # one HNF of q^T gives both; r < m, so the kernel is never zero, and it
+        # is gale_dual(q) when q has full rank
+        ker = kernel_saturation(q)
+        saturated = _identity_block_transform(q) is not None
     full_rank = ker.rank == m - r
     if not full_rank:
         failed.append("a")
-    saturated = _identity_block_transform(q) is not None
     if not saturated:
         failed.append("b")
     kernel = ker.basis_matrix()

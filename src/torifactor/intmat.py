@@ -5,6 +5,7 @@ from __future__ import annotations
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -245,6 +246,35 @@ def _det_rows(a: list[list[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _laplace_minors(rows: Sequence[Sequence[int]], m: int) -> dict[int, int]:
+    """The k x k minors of the k x m matrix with rows ``rows``, keyed by the
+    bitmask of their columns, in the lexicographic order of the column subsets.
+
+    Level t holds the minors of rows 0..t-1 on every t-subset of columns.  A
+    (t+1)-subset ``s`` expands along row t, ``sum_i (-1)^(t+i) rows[t][s_i]
+    level_t[s - s_i]``, so the subsets share their sub-minors and no division
+    is taken.  No rows give the one empty minor, 1.
+    """
+    level = {0: 1}
+    for t, row in enumerate(rows):
+        nxt = {}
+        for s in combinations(range(m), t + 1):
+            mask = 0
+            for j in s:
+                mask |= 1 << j
+            acc, neg = 0, t & 1
+            for j in s:
+                x = row[j]
+                if x:
+                    d = level[mask ^ 1 << j]
+                    if d:
+                        acc += -x * d if neg else x * d
+                neg ^= 1
+            nxt[mask] = acc
+        level = nxt
+    return level
 
 
 def _det_adjugate(m: IntMatrix) -> tuple[int, Optional[IntMatrix]]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .intmat import IntMatrix, ShapeError, _int_list_text, _int_tuple
-from .normal_forms import _hnf_in_place, hnf
+from .normal_forms import _hnf_in_place, _transposed_hnf
 
 
 class Lattice:
@@ -100,6 +100,6 @@ def kernel_saturation(m: IntMatrix) -> Lattice:
     the HNF transform of ``m^T`` that align with zero rows of the form are a
     basis of it.
     """
-    res = hnf(m.transpose())
+    res = _transposed_hnf(m)
     zero_rows = [i for i in range(res.H.rows) if not any(res.H.row(i))]
     return Lattice(m.cols, [res.U.row(i) for i in zero_rows])

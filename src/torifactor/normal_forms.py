@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .intmat import IntMatrix, PreconditionError, _det_adjugate
+from .intmat import IntMatrix, PreconditionError, _cached, _det_adjugate
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,13 @@ def _identity_block_transform(a: IntMatrix) -> Optional[IntMatrix]:
     block of ``U`` pairs with ``a`` to I and the lower block is a basis of ker a.
     """
     k, m = a.shape
-    res = hnf(a.transpose())
+    res = _transposed_hnf(a)
     if res.H != IntMatrix.identity(k).vstack(IntMatrix.zeros(m - k, k)):
         return None
     return res.U
+
+
+def _transposed_hnf(a: IntMatrix) -> HnfResult:
+    """``hnf(a^T)``, once per ``a`` inside a ``_shared_tables`` block: the
+    kernel of ``a`` and the ``[I; 0]`` test read the same form."""
+    return _cached(a, "transposed hnf", lambda: hnf(a.transpose()))

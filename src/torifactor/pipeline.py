@@ -73,9 +73,10 @@ def analyze(
     One ``_shared_tables`` block, dropped on return, serves the whole call:
     ``V`` is classified and its maximal minors computed once, for the validation
     and the fan enumeration, each cone's complement once, for every
-    ``picard_index_sets`` call, and the ``(det Q_I, adj Q_I)`` of each distinct
-    ``I`` once, with the dual HNF rows that every ``picard_basis`` call folds and
-    that ``verify_result`` certifies, each ``I`` checked once.  The fans come in
+    ``picard_index_sets`` call, the cofactor tables of ``Q`` once, and off them
+    the ``(det Q_I, adj Q_I)`` of each distinct ``I`` once, with the dual HNF
+    rows that every ``picard_basis`` call folds and that ``verify_result``
+    certifies, each ``I`` checked once.  The fans come in
     sorted order, so consecutive index families share long prefixes: the table
     keeps the fold states of the last family, and each ``picard_basis`` call
     folds only the index sets after the common prefix.  No fan inverts a matrix
@@ -147,7 +148,8 @@ def verify_result(res: PipelineResult) -> None:
     * Weight blocks.  For each distinct index set ``I`` of the fans,
       ``d = |det Q_I|`` is taken afresh and must be nonzero.  The dual rows
       ``H`` of ``I`` come from ``picard_basis``'s table, or from
-      ``_dual_rows`` outside one, and are certified: strictly increasing
+      ``_dual_rows`` outside one (on cofactor tables of ``Q`` built once for
+      the call), and are certified: strictly increasing
       pivot columns, positive pivots, ``prod pivots * d^(r - |H|) = d^(r-1)``
       and ``h Q_I == 0 mod d`` for each row ``h``.  Then ``H`` and the
       ``d e_k`` span ``L = {x : x Q_I == 0 mod d} = rowspan(adj Q_I)``: they
@@ -193,18 +195,20 @@ def verify_result(res: PipelineResult) -> None:
         for idx in fa.index_sets.sets:
             rows_by_set.setdefault(idx, set()).update(pd.B)
     q_cols = tuple(zip(*q_rows))
-    tabled, _ = _picard_table(q)
-    for idx, rows in rows_by_set.items():
-        cols = [q_cols[j] for j in idx]
-        d = abs(_det_rows([list(c) for c in cols]))
-        if d == 0:
-            raise PreconditionError(f"singular weight block at columns {idx}")
-        h = tabled[idx][1] if idx in tabled else _dual_rows(q, idx)[1]
-        if not _spans_block_duals(h, cols, d):
-            raise PreconditionError("weight block adjugate identity failed")
-        # b lies in Q_I Z^r iff h b == 0 mod d for each h in H
-        if any(sum(map(mul, hrow, b)) % d for hrow in h for b in rows):
-            raise PreconditionError("Picard basis escapes a weight block lattice")
+    # outside a block, one for this call: the cofactor tables are built once
+    with _shared_tables():
+        tabled, _ = _picard_table(q)
+        for idx, rows in rows_by_set.items():
+            cols = [q_cols[j] for j in idx]
+            d = abs(_det_rows([list(c) for c in cols]))
+            if d == 0:
+                raise PreconditionError(f"singular weight block at columns {idx}")
+            h = tabled[idx][1] if idx in tabled else _dual_rows(q, idx)[1]
+            if not _spans_block_duals(h, cols, d):
+                raise PreconditionError("weight block adjugate identity failed")
+            # b lies in Q_I Z^r iff h b == 0 mod d for each h in H
+            if any(sum(map(mul, hrow, b)) % d for hrow in h for b in rows):
+                raise PreconditionError("Picard basis escapes a weight block lattice")
 
 
 def _spans_block_duals(h, cols, d: int) -> bool:

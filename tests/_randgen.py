@@ -21,6 +21,8 @@ from torifactor import (
     unimodular_inverse,
     vector_content,
 )
+from torifactor.fans import _circuits, _conflicts
+from torifactor.gale import _minors
 from torifactor.intmat import _det_adjugate
 from torifactor.normal_forms import _identity_block_transform
 
@@ -451,6 +453,45 @@ def oracle_enumerate_fans(v: IntMatrix):
     for seed in (c for c in candidates if around_point(c)):
         grow([seed], {f: 1 for f in facets(seed)})
     return tuple(sorted(found))
+
+
+def tuple_facet_tables(candidates):
+    """The facet tables of the fan search built from facet tuples: for each
+    candidate cone the bitmask of its facet ids, with the facets numbered in
+    lexicographic order, and for each facet id the candidates on it, in order."""
+    facets = [[tuple(x for x in c if x != j) for j in c] for c in candidates]
+    facet_id = {f: i for i, f in enumerate(sorted({f for fs in facets for f in fs}))}
+    by_facet = [[] for _ in facet_id]
+    for k, fs in enumerate(facets):
+        for f in fs:
+            by_facet[facet_id[f]].append(k)
+    return [sum(1 << facet_id[f] for f in fs) for fs in facets], by_facet
+
+
+def tuple_table_search(v: IntMatrix):
+    """The sorted fans of ``enumerate_fans`` and the number of partial fans its
+    search pushes, starting cones included, by the same depth-first search on
+    ``tuple_facet_tables``."""
+    candidates = [c for c, d in _minors(v).items() if d]
+    masks = [sum(1 << j for j in c) for c in candidates]
+    conflict = _conflicts(masks, _circuits(v))
+    facet_masks, by_facet = tuple_facet_tables(candidates)
+    stack = [(1 << k, facet_masks[k], 0, masks[k]) for k in range(len(candidates))]
+    pushed, found = len(stack), set()
+    while stack:
+        chosen, once, twice, rays = stack.pop()
+        if not once:
+            if rays == (1 << v.cols) - 1:
+                found.add(tuple(c for k, c in enumerate(candidates) if chosen >> k & 1))
+            continue
+        root = chosen & -chosen
+        for k in by_facet[(once & -once).bit_length() - 1]:
+            f = facet_masks[k]
+            if k < root.bit_length() or chosen >> k & 1 or f & twice or conflict[k] & chosen:
+                continue
+            stack.append((chosen | 1 << k, once ^ f, twice | once & f, rays | masks[k]))
+            pushed += 1
+    return tuple(sorted(found)), pushed
 
 
 def permutation_fan_matrix_equivalence(

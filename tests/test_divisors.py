@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -28,7 +29,7 @@ from torifactor import (
 
 from torifactor import divisors
 from torifactor.divisors import _weight_block
-from torifactor.intmat import _det_adjugate, _det_adjugate_rows, _shared_tables
+from torifactor.intmat import _det_adjugate, _det_adjugate_rows, _laplace_minors, _shared_tables
 
 from _exampledata import (
     EX1_CX,
@@ -51,6 +52,7 @@ from _randgen import (
     chained_picard_basis,
     lattice_intersection,
     pick_fan_shape,
+    random_matrix,
     random_reduced_f_matrix,
 )
 
@@ -273,26 +275,55 @@ def test_picard_basis_with_one_shared_table_across_fans_matches_picard_basis(sha
     v = random_reduced_f_matrix(random.Random(seed), *shape)
     q = gale_dual(v)
     families = [picard_index_sets(fan) for fan in enumerate_fans(v)]
-    alone = [picard_basis(q, family) for family in families]
     distinct = {idx for family in families for idx in family.sets}
-    inverted = []
+    builds = []
 
-    def counted(rows):
-        inverted.append(rows)
-        return _det_adjugate_rows(rows)
+    def counted(rows, m):
+        builds.append(rows)
+        return _laplace_minors(rows, m)
 
     def public(idx):
         d, adj = _det_adjugate(q.select_cols(idx))
         return d, None if adj is None else tuple(adj)
 
-    with mock.patch.object(divisors, "_det_adjugate_rows", counted), _shared_tables():
-        for family, pd in zip(families, alone):
-            shared = picard_basis(q, family)
-            assert shared == pd == chained_picard_basis(q, family)
-        # each distinct block once; the dual basis of a fan is inverted by back substitution
-        assert len(inverted) == len(distinct)
-        assert all(_weight_block(q, idx) == public(idx) for idx in distinct)
-        assert len(inverted) == len(distinct)  # read, not computed again
+    with mock.patch.object(divisors, "_laplace_minors", counted):
+        alone = []
+        for family in families:
+            builds.clear()
+            alone.append(picard_basis(q, family))
+            # outside a table, one build of the cofactor tables (one per row of q) per call
+            assert len(builds) == q.rows
+        builds.clear()
+        with _shared_tables():
+            for family, pd in zip(families, alone):
+                shared = picard_basis(q, family)
+                assert shared == pd == chained_picard_basis(q, family)
+            # one build for all fans; the dual basis of a fan is inverted by back substitution
+            assert len(builds) == q.rows
+            assert all(_weight_block(q, idx) == public(idx) for idx in distinct)
+            assert len(builds) == q.rows  # read, not computed again
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32))
+def test_weight_blocks_from_the_cofactor_tables_match_the_adjugate(r, n, seed):
+    # every r-subset of a random r x (r + n) matrix with small entries, so that
+    # singular blocks occur; r = 1 and r > n included
+    rng = random.Random(seed)
+    q = random_matrix(rng, r, r + n, bound=2)
+    with _shared_tables():
+        for idx in combinations(range(q.cols), r):
+            want = _det_adjugate_rows([[row[j] for j in idx] for row in q])
+            assert _weight_block(q, idx) == want
+            # the columns are taken in ascending order
+            assert _weight_block(q, idx[::-1]) == want
+
+
+def test_weight_blocks_of_rank_one_and_of_a_gale_dual():
+    q = IntMatrix([[2, -3, 0]])
+    assert [_weight_block(q, (j,)) for j in range(3)] == [(2, ((1,),)), (-3, ((1,),)), (0, None)]
+    for idx in combinations(range(EX2_Q.cols), EX2_Q.rows):
+        d, adj = _det_adjugate(EX2_Q.select_cols(idx))
+        assert _weight_block(EX2_Q, idx) == (d, None if adj is None else tuple(adj))
 
 
 @given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))

@@ -30,8 +30,10 @@ from _randgen import (
     random_matrix,
     random_reduced_f_matrix,
     random_unimodular,
+    tuple_facet_tables,
+    tuple_table_search,
 )
-from torifactor.fans import _circuits, _conflicts, _mask
+from torifactor.fans import _circuits, _conflicts, _facet_tables, _mask
 from torifactor.gale import _cocircuits, _minors
 
 
@@ -411,6 +413,26 @@ def test_partial_fan_cap_counts_every_pushed_partial_fan(v, pushed):
         assert enumerate_fans(w, max_partial_fans=pushed) == enumerate_fans(w)
         with pytest.raises(SearchLimitExceeded, match=f"exceeded {pushed - 1} partial fans"):
             enumerate_fans(w, max_partial_fans=pushed - 1)
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_facet_tables_from_reversed_masks_match_the_tuple_tables(shape, seed):
+    # the same facet ids, by_facet lists and so search order: the same pushed count
+    v = random_reduced_f_matrix(random.Random(seed), *shape)
+    candidates = [c for c, d in _minors(v).items() if d]
+    assert _facet_tables(candidates, v.cols) == tuple_facet_tables(candidates)
+    fans, pushed = tuple_table_search(v)
+    assert enumerate_fans(v, max_partial_fans=pushed) == enumerate_fans(v)
+    assert tuple(f.maximal_cones for f in enumerate_fans(v)) == fans
+    if pushed > 1:
+        with pytest.raises(SearchLimitExceeded, match=f"exceeded {pushed - 1} partial fans"):
+            enumerate_fans(v, max_partial_fans=pushed - 1)
+
+
+def test_tuple_table_search_pushes_the_counts_of_the_examples():
+    for param in PUSHED_PARTIAL_FANS:
+        v, pushed = param.values
+        assert tuple_table_search(v) == (oracle_enumerate_fans(v), pushed)
 
 
 @given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))

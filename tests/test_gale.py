@@ -341,6 +341,17 @@ def test_classify_W_takes_one_kernel_when_b_holds():
     assert (report.failed_conditions, kernels) == (("b",), 2)
 
 
+def test_classify_W_takes_one_hnf(count_calls):
+    # the kernel of q and the [I; 0] test of (b) read one HNF of q^T
+    from torifactor import normal_forms
+
+    calls = count_calls(normal_forms, "hnf")
+    for q in (EX1_Q, EX2_Q):
+        calls.clear()
+        assert classify_W(q).is_W
+        assert calls == [(q.transpose(),)]
+
+
 @given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32), st.integers(1, 3))
 def test_classify_W_reports_and_kernel_counts_on_random_weight_matrices(shape, seed, scale):
     rng = random.Random(seed)

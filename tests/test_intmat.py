@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from torifactor.intmat import (
     _det_adjugate_rows,
     _det_rows,
     _int_text,
+    _laplace_minors,
     _shared_tables,
 )
 
@@ -184,6 +186,33 @@ def test_det_rows_matches_det_and_sympy(n):
             assert det(IntMatrix(rows)) == want
             d, adj = _det_adjugate_rows(rows)
             assert d == want and (adj is None) == (want == 0)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_laplace_minors_match_det_and_sympy(k):
+    # every k x k minor of a k x m matrix, keyed by column mask in lexicographic
+    # order; some matrices have a zero column, or a last row that is the sum of
+    # the others, which makes every minor 0
+    sympy = __import__("sympy")
+    rng = random.Random(k)
+    for m in (k, k + 1, k + 3):
+        for variant in ("plain", "zero column", "dependent row"):
+            rows = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(k)]
+            if variant == "zero column":
+                for row in rows:
+                    row[m // 2] = 0
+            elif variant == "dependent row":
+                rows[-1] = [sum(col[:-1]) for col in zip(*rows)]
+            subsets = list(combinations(range(m), k))
+            minors = _laplace_minors(rows, m)
+            assert list(minors) == [sum(1 << j for j in c) for c in subsets]
+            v = IntMatrix(rows)
+            assert list(minors.values()) == [det(v.select_cols(c)) for c in subsets]
+            for c, d in zip(subsets, minors.values()):
+                assert d == sympy.Matrix([[row[j] for j in c] for row in rows]).det()
+            if variant == "dependent row":
+                assert set(minors.values()) == {0}
+    assert _laplace_minors([], 3) == {0: 1}
 
 
 def test_det_adjugate_of_singular_and_rectangular():

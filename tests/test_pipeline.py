@@ -166,10 +166,11 @@ def test_no_shared_table_outlives_its_call(count_calls):
 
 
 def test_analyze_inverts_each_weight_block_once(count_calls):
-    from torifactor import intmat, normal_forms
+    from torifactor import divisors, intmat, normal_forms
 
     # every inversion, of plain rows or of an IntMatrix, runs _det_adjugate_rows
     calls = count_calls(intmat, "_det_adjugate_rows")
+    tables = count_calls(divisors, "_laplace_minors", everywhere=False)
     folds = count_calls(normal_forms, "_modular_hnf")
 
     def block(q, idx):
@@ -177,25 +178,37 @@ def test_analyze_inverts_each_weight_block_once(count_calls):
 
     for v in (EX2_V, random_reduced_f_matrix(random.Random(0), 3, 2)):
         calls.clear()
+        tables.clear()
         folds.clear()
         res = analyze(v, verify=True)
         distinct = {idx for fa in res.fans for idx in fa.index_sets.sets}
         assert len(distinct) < sum(len(fa.index_sets.sets) for fa in res.fans)
         blocks = {block(res.Q, idx) for idx in distinct}
         seen = [tuple(map(tuple, m)) for (m,) in calls]
-        inverted = [m for m in seen if m in blocks]
-        assert len(inverted) == len(distinct)
-        assert set(inverted) == blocks
+        # no weight block is inverted: det Q_I and adj Q_I are read off the
+        # cofactor tables of Q, built once per call, one table per row of Q
+        assert not blocks & set(seen)
+        assert len(tables) == res.Q.rows
         # one dual-row HNF of adj Q_I per distinct I, modulo |d_I|
         adjugates = Counter((abs(d), adj) for d, adj in map(intmat._det_adjugate_rows, blocks))
         dual_hnfs = Counter((d, rows) for rows, _, d in folds if (d, rows) in adjugates)
         assert dual_hnfs == adjugates
-        # and nothing per fan: the other inversions are as many as in a one-fan call
-        others = len(seen) - len(inverted)
+        # and nothing per fan: the inversions are as many as in a one-fan call
         calls.clear()
-        one = analyze(v, fan_index=0, verify=True)
-        one_blocks = {block(res.Q, idx) for idx in one.fans[0].index_sets.sets}
-        assert len(calls) - sum(tuple(map(tuple, m)) in one_blocks for (m,) in calls) == others
+        tables.clear()
+        analyze(v, fan_index=0, verify=True)
+        assert len(calls) == len(seen)
+        assert len(tables) == res.Q.rows
+
+
+def test_verify_result_outside_a_table_builds_the_cofactor_tables_once(count_calls):
+    from torifactor import divisors
+
+    for v in (EX1_V, EX2_V):
+        res = analyze(v)
+        tables = count_calls(divisors, "_laplace_minors", everywhere=False)
+        verify_result(res)
+        assert len(tables) == res.Q.rows
 
 
 def _invariants(res):
@@ -271,20 +284,26 @@ def test_verification_rejects_a_forged_basis_on_the_last_fan(monkeypatch):
 
 
 def test_verification_rechecks_every_table_entry(monkeypatch):
-    # a zero "adjugate" would let every row pass the congruence test: plant one
-    # in analyze's shared table, under the key _weight_block reads, before the
-    # first Picard basis; the other blocks of each fan still give its basis
+    # a sign error in the cofactor tables of Q, the table of row 0 negated,
+    # leaves every det Q_I as it is and negates column 0 of every adj Q_I:
+    # plant it in analyze's shared table, under the key _weight_block reads,
+    # before the first Picard basis, which then folds the wrong dual rows
     from torifactor import pipeline
-    from torifactor.intmat import _cached
+    from torifactor.intmat import _cached, _laplace_minors
 
-    idx = analyze(EX2_V, verify=False).fans[-1].index_sets.sets[-1]
     picard = pipeline.picard_basis
 
     def plant_then_solve(q, family):
-        _cached(q, idx, lambda: (1, IntMatrix.zeros(q.rows, q.rows)))
+        rows = tuple(q)
+        tables = [_laplace_minors(rows[:b] + rows[b + 1 :], q.cols) for b in range(q.rows)]
+        tables[0] = {cols: -minor for cols, minor in tables[0].items()}
+        _cached(q, "cofactor tables", lambda: tables)
         return picard(q, family)
 
+    true = analyze(EX2_V)
     monkeypatch.setattr(pipeline, "picard_basis", plant_then_solve)
+    forged = analyze(EX2_V, verify=False)
+    assert [fa.picard for fa in forged.fans] != [fa.picard for fa in true.fans]
     with pytest.raises(PreconditionError, match="adjugate identity failed"):
         analyze(EX2_V)
 
