@@ -331,6 +331,24 @@ def test_parser_is_built_once_and_runs_do_not_see_each_others_arguments(capsys, 
     assert len(json.loads(outputs[1])["fans"]) == 3
 
 
+# every command on both worked examples, with the stdout each printed when
+# recorded: JSON and plain, nulls, booleans, and entries beyond 53 bits
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["name"] for case in GOLDEN])
+def test_stdout_is_byte_identical_to_the_recorded_output(monkeypatch, capsys, case):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(case["payload"])))
+    assert run(case["args"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == case["stdout"]
+
+
+def test_recorded_outputs_cover_every_command():
+    assert {case["args"][0] for case in GOLDEN} == set(COMMANDS)
+
+
 def test_closed_stdout_exits_1_with_a_message_and_no_traceback(tmp_path):
     # the read end of the pipe is closed before the process starts, so every
     # write to stdout fails with EPIPE
