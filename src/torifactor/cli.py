@@ -3,7 +3,9 @@
 Matrices travel as ``{"rows": r, "cols": c, "data": [[...], ...]}`` with
 entries given as integers, or as strings once they exceed 53-bit magnitude
 so that no JSON reader can lose precision.  Torsion matrices additionally
-carry ``"moduli"``.  Column and fan indices are 0-based throughout.
+carry ``"moduli"``.  Column and fan indices are 0-based throughout.  Each
+command prints its result record by field name, and every integer in the
+output, a matrix entry or not, goes through the same 53-bit string rule.
 
 Exit codes: 0 success, 1 malformed input (including a file that is not
 UTF-8, a JSON number beyond the interpreter's int-to-string digit limit, and
@@ -29,12 +31,13 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import fields, is_dataclass
 from functools import lru_cache
 from typing import Any, Optional
 
 from .intmat import IntMatrix, PreconditionError, SearchLimitExceeded, ShapeError
 from .covering import (
+    CoveringData,
     TorsionMatrix,
     covering_decomposition,
     torsion_generators,
@@ -42,13 +45,9 @@ from .covering import (
 )
 from .fans import enumerate_fans
 from .gale import classify_F, classify_W, gale_dual
-from .normal_forms import hnf, snf
-from .pipeline import analyze
-from .reconstruction import (
-    QuotientPresentation,
-    fan_matrix_equivalence,
-    reconstruct,
-)
+from .normal_forms import HnfResult, SnfResult, hnf, snf
+from .pipeline import PipelineResult, analyze
+from .reconstruction import QuotientPresentation, fan_matrix_equivalence, reconstruct
 
 _BIG = 1 << 53
 MAX_PERM_ENV = "TORIFACTOR_MAX_PERM"
@@ -61,17 +60,6 @@ class InputFormatError(ValueError):
 
 class OutputLimitError(ValueError):
     """A result entry has more digits than the interpreter converts to a string."""
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One parsed CLI invocation: a command, its payload, and options."""
-
-    command: str
-    payload: dict
-    fan_index: Optional[int]
-    count_only: bool
-    verify: bool
 
 
 # -- JSON (de)serialization --------------------------------------------------
@@ -159,6 +147,30 @@ def encode_torsion(t: TorsionMatrix) -> dict:
     }
 
 
+def _fields(record: Any) -> dict:
+    """The fields of a result record by name."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+def _encode(value: Any) -> Any:
+    """The JSON value of a result: matrices and torsion matrices as objects,
+    integers by the 53-bit rule, tuples as lists, and a result record as an
+    object of its fields."""
+    if isinstance(value, IntMatrix):
+        return encode_matrix(value)
+    if isinstance(value, TorsionMatrix):
+        return encode_torsion(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return _encode_int(value)
+    if isinstance(value, (list, tuple)):
+        return [_encode(x) for x in value]
+    if isinstance(value, dict):
+        return {key: _encode(x) for key, x in value.items()}
+    if is_dataclass(value):
+        return _encode(_fields(value))
+    return value
+
+
 # -- command handlers --------------------------------------------------------
 
 
@@ -168,43 +180,29 @@ def _need(payload: dict, field: str) -> Any:
     return payload[field]
 
 
-def _run_hnf(job: JobSpec) -> dict:
-    res = hnf(decode_matrix(_need(job.payload, "matrix")))
-    return {"H": encode_matrix(res.H), "U": encode_matrix(res.U)}
+def _matrix(payload: dict) -> IntMatrix:
+    return decode_matrix(_need(payload, "matrix"))
 
 
-def _run_snf(job: JobSpec) -> dict:
-    res = snf(decode_matrix(_need(job.payload, "matrix")))
-    return {
-        "D": encode_matrix(res.D),
-        "U_left": encode_matrix(res.U_left),
-        "U_right": encode_matrix(res.U_right),
-    }
+def _run_hnf(payload: dict, args: argparse.Namespace) -> HnfResult:
+    return hnf(_matrix(payload))
 
 
-def _run_gale(job: JobSpec) -> dict:
-    return {"dual": encode_matrix(gale_dual(decode_matrix(_need(job.payload, "matrix"))))}
+def _run_snf(payload: dict, args: argparse.Namespace) -> SnfResult:
+    return snf(_matrix(payload))
 
 
-def _run_classify(job: JobSpec) -> dict:
-    m = decode_matrix(_need(job.payload, "matrix"))
-    kind = _need(job.payload, "kind")
+def _run_gale(payload: dict, args: argparse.Namespace) -> dict:
+    return {"dual": gale_dual(_matrix(payload))}
+
+
+def _run_classify(payload: dict, args: argparse.Namespace) -> dict:
+    m = _matrix(payload)
+    kind = _need(payload, "kind")
     if kind == "F":
-        rep = classify_F(m)
-        return {
-            "kind": "F",
-            "is_F": rep.is_F,
-            "is_CF": rep.is_CF,
-            "is_reduced": rep.is_reduced,
-            "failed_conditions": list(rep.failed_conditions),
-        }
+        return {"kind": "F", **_fields(classify_F(m))}
     if kind == "W":
-        rep = classify_W(m)
-        return {
-            "kind": "W",
-            "is_W": rep.is_W,
-            "failed_conditions": list(rep.failed_conditions),
-        }
+        return {"kind": "W", **_fields(classify_W(m))}
     raise InputFormatError("field 'kind' must be 'F' or 'W'")
 
 
@@ -224,129 +222,94 @@ def _env_cap(name: str) -> Optional[int]:
     return cap
 
 
-def _run_fans(job: JobSpec) -> dict:
-    v = decode_matrix(_need(job.payload, "matrix"))
-    fans = enumerate_fans(v, max_partial_fans=_env_cap(MAX_PARTIAL_FANS_ENV))
-    out: dict = {"count": len(fans)}
-    if not job.count_only:
-        out["fans"] = [[list(c) for c in fan.maximal_cones] for fan in fans]
-    return out
+def _run_fans(payload: dict, args: argparse.Namespace) -> dict:
+    fans = enumerate_fans(_matrix(payload), max_partial_fans=_env_cap(MAX_PARTIAL_FANS_ENV))
+    if args.count:
+        return {"count": len(fans)}
+    return {"count": len(fans), "fans": [fan.maximal_cones for fan in fans]}
 
 
-def _run_cover(job: JobSpec) -> dict:
-    cd = covering_decomposition(decode_matrix(_need(job.payload, "matrix")))
-    return {
-        "V_hat": encode_matrix(cd.V_hat),
-        "beta": encode_matrix(cd.beta),
-        "Delta": encode_matrix(cd.Delta),
-        "mu": encode_matrix(cd.mu),
-        "nu": encode_matrix(cd.nu),
-        "V_aligned": encode_matrix(cd.V_aligned),
-        "V_hat_aligned": encode_matrix(cd.V_hat_aligned),
-        "torsion_invariants": [_encode_int(t) for t in cd.torsion_invariants],
-    }
+def _run_cover(payload: dict, args: argparse.Namespace) -> CoveringData:
+    return covering_decomposition(_matrix(payload))
 
 
-def _run_torsion(job: JobSpec) -> dict:
-    cd = covering_decomposition(decode_matrix(_need(job.payload, "matrix")))
-    gens = torsion_generators(cd)
-    return {
-        "torsion_invariants": [_encode_int(t) for t in cd.torsion_invariants],
-        "generators": encode_matrix(gens) if gens is not None else None,
-    }
+def _run_torsion(payload: dict, args: argparse.Namespace) -> dict:
+    cd = covering_decomposition(_matrix(payload))
+    return {"torsion_invariants": cd.torsion_invariants, "generators": torsion_generators(cd)}
 
 
-def _run_gamma(job: JobSpec) -> dict:
-    cd = covering_decomposition(decode_matrix(_need(job.payload, "matrix")))
-    return {"Gamma": encode_torsion(torsion_matrix(cd))}
+def _run_gamma(payload: dict, args: argparse.Namespace) -> dict:
+    return {"Gamma": torsion_matrix(covering_decomposition(_matrix(payload)))}
 
 
-def _analyze(job: JobSpec):
-    v = decode_matrix(_need(job.payload, "matrix"))
+def _analyze(payload: dict, args: argparse.Namespace) -> PipelineResult:
     return analyze(
-        v,
-        fan_index=job.fan_index,
-        verify=job.verify,
+        _matrix(payload),
+        fan_index=args.fan,
+        verify=not args.no_verify,
         max_partial_fans=_env_cap(MAX_PARTIAL_FANS_ENV),
     )
 
 
-def _fan_entries(res, index_sets: bool, cartier: bool) -> list:
+def _fan_entries(res: PipelineResult, index_sets: bool, cartier: bool) -> list:
     entries = []
     for fa in res.fans:
-        entry = {
-            "fan": [list(c) for c in fa.fan.maximal_cones],
-            "B": encode_matrix(fa.picard.B),
-            "index": _encode_int(fa.picard.index),
-            "delta_sigma": _encode_int(fa.picard.delta_sigma),
-        }
+        entry = {"fan": fa.fan.maximal_cones, **_fields(fa.picard)}
         if index_sets:
-            entry["index_sets"] = [list(s) for s in fa.index_sets.sets]
+            entry["index_sets"] = fa.index_sets.sets
         if cartier:
-            entry["C_X"] = encode_matrix(fa.cartier)
+            entry["C_X"] = fa.cartier
         entries.append(entry)
     return entries
 
 
-def _run_picard(job: JobSpec) -> dict:
-    return {"fans": _fan_entries(_analyze(job), index_sets=True, cartier=False)}
+def _run_picard(payload: dict, args: argparse.Namespace) -> dict:
+    return {"fans": _fan_entries(_analyze(payload, args), index_sets=True, cartier=False)}
 
 
-def _run_cartier(job: JobSpec) -> dict:
-    return {"fans": _fan_entries(_analyze(job), index_sets=True, cartier=True)}
+def _run_cartier(payload: dict, args: argparse.Namespace) -> dict:
+    return {"fans": _fan_entries(_analyze(payload, args), index_sets=True, cartier=True)}
 
 
-def _run_reconstruct(job: JobSpec) -> dict:
-    q = decode_matrix(_need(job.payload, "weights"), "weights")
-    gamma = decode_torsion(_need(job.payload, "torsion"))
-    pres = QuotientPresentation(q, gamma)
-    v_hat = None
-    if "covering" in job.payload:
-        v_hat = decode_matrix(job.payload["covering"], "covering")
-    rec = reconstruct(pres, v_hat)
-    out = {
-        "V_hat": encode_matrix(rec.V_hat),
-        "K": encode_matrix(rec.K) if rec.K is not None else None,
-        "beta": encode_matrix(rec.beta),
-        "fan_matrix": encode_matrix(rec.V),
-    }
-    if "reference" in job.payload:
-        ref = decode_matrix(job.payload["reference"], "reference")
-        witness = fan_matrix_equivalence(ref, rec.V, max_permutations=_env_cap(MAX_PERM_ENV))
-        if witness is None:
-            out["equivalence"] = {"equivalent": False}
-        else:
-            r, s = witness
-            out["equivalence"] = {
-                "equivalent": True,
-                "R": encode_matrix(r),
-                "S": encode_matrix(s),
-            }
-    return out
-
-
-def _run_equiv(job: JobSpec) -> dict:
-    v1 = decode_matrix(_need(job.payload, "first"), "first")
-    v2 = decode_matrix(_need(job.payload, "second"), "second")
+def _witness(v1: IntMatrix, v2: IntMatrix) -> dict:
+    """Whether ``v1`` and ``v2`` are equivalent fan matrices, with the witness
+    ``R``, ``S`` when they are."""
     witness = fan_matrix_equivalence(v1, v2, max_permutations=_env_cap(MAX_PERM_ENV))
     if witness is None:
         return {"equivalent": False}
     r, s = witness
-    return {"equivalent": True, "R": encode_matrix(r), "S": encode_matrix(s)}
+    return {"equivalent": True, "R": r, "S": s}
 
 
-def _run_pipeline(job: JobSpec) -> dict:
-    res = _analyze(job)
-    gens = res.class_group.torsion_generator_rows
+def _run_reconstruct(payload: dict, args: argparse.Namespace) -> dict:
+    q = decode_matrix(_need(payload, "weights"), "weights")
+    gamma = decode_torsion(_need(payload, "torsion"))
+    pres = QuotientPresentation(q, gamma)
+    v_hat = decode_matrix(payload["covering"], "covering") if "covering" in payload else None
+    rec = reconstruct(pres, v_hat)
+    out = {"V_hat": rec.V_hat, "K": rec.K, "beta": rec.beta, "fan_matrix": rec.V}
+    if "reference" in payload:
+        out["equivalence"] = _witness(decode_matrix(payload["reference"], "reference"), rec.V)
+    return out
+
+
+def _run_equiv(payload: dict, args: argparse.Namespace) -> dict:
+    v1 = decode_matrix(_need(payload, "first"), "first")
+    v2 = decode_matrix(_need(payload, "second"), "second")
+    return _witness(v1, v2)
+
+
+def _run_pipeline(payload: dict, args: argparse.Namespace) -> dict:
+    res = _analyze(payload, args)
     return {
-        "Q": encode_matrix(res.Q),
-        "V_hat": encode_matrix(res.covering.V_hat),
-        "beta": encode_matrix(res.covering.beta),
-        "Delta": encode_matrix(res.covering.Delta),
-        "torsion_invariants": [_encode_int(t) for t in res.covering.torsion_invariants],
-        "torsion_generators": encode_matrix(gens) if gens is not None else None,
-        "Gamma": encode_torsion(res.gamma),
-        "free_generators": encode_matrix(res.class_group.free_generators),
+        "Q": res.Q,
+        "V_hat": res.covering.V_hat,
+        "beta": res.covering.beta,
+        "Delta": res.covering.Delta,
+        "torsion_invariants": res.covering.torsion_invariants,
+        "torsion_generators": res.class_group.torsion_generator_rows,
+        "Gamma": res.gamma,
+        "free_generators": res.class_group.free_generators,
         "fans": _fan_entries(res, index_sets=False, cartier=True),
     }
 
@@ -463,14 +426,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     for source in sources:
         try:
             payload = _load_payload(source)
-            job = JobSpec(
-                command=args.command,
-                payload=payload,
-                fan_index=args.fan,
-                count_only=args.count,
-                verify=not args.no_verify,
-            )
-            result = _HANDLERS[args.command](job)
+            result = _encode(_HANDLERS[args.command](payload, args))
         except InputFormatError as exc:
             print(f"torifactor: input error: {exc}", file=sys.stderr)
             return 1

@@ -147,8 +147,14 @@ def _cocircuits(v: IntMatrix) -> dict[tuple[int, ...], list[int]]:
     rows: dict[tuple[int, ...], list[int]] = {}
     for c, d in _minors(v).items():
         if d:
+            sign_d = d if n % 2 else -d  # (-1)^(n-1-i) d at i = 0, flipping with i
             for i, j in enumerate(c):
-                rows.setdefault(c[:i] + c[i + 1 :], [0] * m)[j] = (-1) ** (n - 1 - i) * d
+                h = c[:i] + c[i + 1 :]
+                row = rows.get(h)
+                if row is None:
+                    row = rows[h] = [0] * m
+                row[j] = sign_d
+                sign_d = -sign_d
     return rows
 
 

@@ -139,6 +139,8 @@ def verify_result(res: PipelineResult) -> None:
     No value is taken on trust from the table that ``analyze`` shares with
     ``picard_basis``; each check below rests on ``Q``, ``V`` and the result.
 
+    * Index sets.  Each fan's family must be the complements of its cones,
+      every set of ``r`` columns.
     * Cartier bases.  Each ``C = [C_top; B']`` must be square with bottom
       block ``B' = V``, and ``|det C| = index |det beta|``.  With ``V Q^T = 0``
       and ``F Q^T = I`` checked first (``F`` the free-part generators),
@@ -183,6 +185,10 @@ def verify_result(res: PipelineResult) -> None:
     det_fv = abs(det(free.vstack(v)))
     rows_by_set: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     for fa in res.fans:
+        if fa.index_sets != picard_index_sets(fa.fan):
+            raise PreconditionError("index sets are not the complements of the fan's cones")
+        if any(len(idx) != r for idx in fa.index_sets.sets):
+            raise PreconditionError(f"index sets must hold r = {r} columns")
         pd = fa.picard
         if not fa.cartier.is_square():
             raise ShapeError("determinant requires a square matrix")

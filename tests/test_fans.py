@@ -348,6 +348,15 @@ def test_enumerate_fans_matches_oracle_enumeration(shape, seed):
     assert tuple(f.maximal_cones for f in enumerate_fans(v)) == oracle_enumerate_fans(v)
 
 
+# the tall shapes of the benchmark's enumeration ladder, beyond n + r <= 6;
+# (7, 3) is left out, as the oracle takes seconds per instance there
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("shape", [(5, 3), (6, 3)], ids=["5x3", "6x3"])
+def test_enumerate_fans_matches_oracle_enumeration_on_tall_shapes(shape, seed):
+    v = random_reduced_f_matrix(random.Random(seed), *shape)
+    assert tuple(f.maximal_cones for f in enumerate_fans(v)) == oracle_enumerate_fans(v)
+
+
 def test_enumerate_fans_matches_oracle_enumeration_on_examples():
     for v in (EX1_V, EX2_V):
         assert tuple(f.maximal_cones for f in enumerate_fans(v)) == oracle_enumerate_fans(v)

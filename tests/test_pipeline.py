@@ -368,6 +368,37 @@ def test_verification_checks_the_cartier_bottom_block_before_the_determinant():
         verify_result(replace(res, fans=(replace(fa, cartier=fa.cartier.top_rows(5)),)))
 
 
+# the first fan's last index set replaced: too short, too long, and a
+# well-shaped set the family already holds
+@pytest.mark.parametrize("index_set", [(1,), (1, 2, 3), (3, 5)])
+def test_verification_rejects_a_forged_index_set(index_set):
+    from dataclasses import replace
+
+    from torifactor import PicardIndexFamily
+
+    res = analyze(EX2_V)
+    fa = res.fans[0]
+    assert index_set == (3, 5) or len(index_set) != res.Q.rows
+    forged = replace(fa, index_sets=PicardIndexFamily(fa.index_sets.sets[:-1] + (index_set,)))
+    with pytest.raises(PreconditionError, match="complements of the fan's cones"):
+        verify_result(replace(res, fans=(forged,) + res.fans[1:]))
+
+
+def test_verification_rejects_the_complements_of_a_cone_of_the_wrong_size():
+    from dataclasses import replace
+
+    from torifactor import Fan, picard_index_sets
+
+    res = analyze(EX2_V)
+    fa = res.fans[0]
+    cones = fa.fan.maximal_cones
+    fan = Fan(fa.fan.matrix, cones[:-1] + ((0,) + cones[-1],))
+    assert 0 not in cones[-1]
+    forged = replace(fa, fan=fan, index_sets=picard_index_sets(fan))
+    with pytest.raises(PreconditionError, match="r = 2 columns"):
+        verify_result(replace(res, fans=(forged,) + res.fans[1:]))
+
+
 # forged dual rows for the block of EX2_V at columns (1, 4), d = 8, whose true
 # rows are ((2, 3), (0, 4)): L = {x : x Q_I == 0 mod 8} has index 8
 FORGED_DUAL_ROWS = {

@@ -208,6 +208,52 @@ def test_minor_multisets_reject_without_search():
     assert fan_matrix_equivalence(v1, v2, max_permutations=1) is None
 
 
+def _row_action_invariants(v):
+    """Sorted column contents, sorted ``|maximal minors|``, and the sorted
+    column signatures: content and sorted ``|det|`` of the subsets holding
+    the column."""
+    from itertools import combinations
+    from math import gcd
+
+    contents = [gcd(*v.col(j)) for j in range(v.cols)]
+    minors = {c: abs(det(v.select_cols(c))) for c in combinations(range(v.cols), v.rows)}
+    signatures = [
+        (contents[j], sorted(d for c, d in minors.items() if j in c)) for j in range(v.cols)
+    ]
+    return sorted(contents), sorted(minors.values()), sorted(signatures)
+
+
+def test_equivalence_rejects_on_column_signatures_without_search(count_calls):
+    # equal contents and |minor| multisets {1, 1, 1, 2, 3, 5}; column 2 of the
+    # first lies in the subsets of minors 2, 3 and 5, and no column of the
+    # second lies in all three
+    from torifactor import reconstruction
+
+    v1 = IntMatrix([[-2, -1, -1, 1], [-1, -1, 2, 0]])
+    v2 = IntMatrix([[-2, -1, 0, 1], [-1, -1, 1, -2]])
+    (c1, m1, s1), (c2, m2, s2) = _row_action_invariants(v1), _row_action_invariants(v2)
+    assert (c1, m1) == (c2, m2) and s1 != s2
+    searches = count_calls(reconstruction, "_det_adjugate")
+    assert fan_matrix_equivalence(v1, v2) is None
+    assert searches == []
+    assert permutation_fan_matrix_equivalence(v1, v2) is None
+
+
+def test_equivalence_search_that_finds_no_witness_answers_none(count_calls):
+    # a reduced fan matrix and the same with column 2 negated: contents,
+    # |minors| and column signatures all agree, so only the search decides
+    from torifactor import reconstruction
+
+    v1 = IntMatrix([[0, 0, 2, 2, 1, -1], [0, 1, -3, -3, -3, 0], [1, 0, -5, -4, -3, 1]])
+    v2 = IntMatrix([[0, 0, -2, 2, 1, -1], [0, 1, 3, -3, -3, 0], [1, 0, 5, -4, -3, 1]])
+    assert _row_action_invariants(v1) == _row_action_invariants(v2)
+    matchings = count_calls(reconstruction, "_column_matching")
+    assert fan_matrix_equivalence(v1, v2) is None
+    # integral candidates for R were found, and none moves v1 onto v2
+    assert len(matchings) > 0
+    assert permutation_fan_matrix_equivalence(v1, v2) is None
+
+
 def _outcome(equivalence, v1, v2):
     """The whole witness as lists, ``None``, or the precondition message."""
     try:
