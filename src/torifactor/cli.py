@@ -81,7 +81,7 @@ def _decode_int(x: Any) -> int:
 
 
 def _encode_int(x: int) -> Any:
-    if abs(x) < _BIG:
+    if -_BIG < x < _BIG:
         return x
     try:
         return str(x)
@@ -156,14 +156,14 @@ def _encode(value: Any) -> Any:
     """The JSON value of a result: matrices and torsion matrices as objects,
     integers by the 53-bit rule, tuples as lists, and a result record as an
     object of its fields."""
-    if isinstance(value, IntMatrix):
-        return encode_matrix(value)
-    if isinstance(value, TorsionMatrix):
-        return encode_torsion(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return _encode_int(value)
     if isinstance(value, (list, tuple)):
         return [_encode(x) for x in value]
+    if isinstance(value, IntMatrix):
+        return encode_matrix(value)
+    if isinstance(value, TorsionMatrix):
+        return encode_torsion(value)
     if isinstance(value, dict):
         return {key: _encode(x) for key, x in value.items()}
     if is_dataclass(value):

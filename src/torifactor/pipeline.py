@@ -140,7 +140,7 @@ def verify_result(res: PipelineResult) -> None:
     ``picard_basis``; each check below rests on ``Q``, ``V`` and the result.
 
     * Index sets.  Each fan's family must be the complements of its cones,
-      every set of ``r`` columns.
+      and each distinct set must hold ``r`` columns.
     * Cartier bases.  Each ``C = [C_top; B']`` must be square with bottom
       block ``B' = V``, and ``|det C| = index |det beta|``.  With ``V Q^T = 0``
       and ``F Q^T = I`` checked first (``F`` the free-part generators),
@@ -187,8 +187,6 @@ def verify_result(res: PipelineResult) -> None:
     for fa in res.fans:
         if fa.index_sets != picard_index_sets(fa.fan):
             raise PreconditionError("index sets are not the complements of the fan's cones")
-        if any(len(idx) != r for idx in fa.index_sets.sets):
-            raise PreconditionError(f"index sets must hold r = {r} columns")
         pd = fa.picard
         if not fa.cartier.is_square():
             raise ShapeError("determinant requires a square matrix")
@@ -205,6 +203,8 @@ def verify_result(res: PipelineResult) -> None:
     with _shared_tables():
         tabled, _ = _picard_table(q)
         for idx, rows in rows_by_set.items():
+            if len(idx) != r:
+                raise PreconditionError(f"index set {idx} does not hold r = {r} columns")
             cols = [q_cols[j] for j in idx]
             d = abs(_det_rows([list(c) for c in cols]))
             if d == 0:

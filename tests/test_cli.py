@@ -331,18 +331,21 @@ def test_parser_is_built_once_and_runs_do_not_see_each_others_arguments(capsys, 
     assert len(json.loads(outputs[1])["fans"]) == 3
 
 
-# every command on both worked examples, with the stdout each printed when
-# recorded: JSON and plain, nulls, booleans, and entries beyond 53 bits
+# every command on both worked examples, with the exit code, stdout and stderr
+# of each run when recorded: JSON and plain, nulls, booleans, integers beyond
+# 53 bits in and outside matrices, and payloads with several faults, of which
+# the one checked first is reported
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["name"] for case in GOLDEN])
-def test_stdout_is_byte_identical_to_the_recorded_output(monkeypatch, capsys, case):
+def test_output_is_byte_identical_to_the_recorded_output(monkeypatch, capsys, case):
+    monkeypatch.delenv("TORIFACTOR_MAX_PERM", raising=False)
+    monkeypatch.delenv("TORIFACTOR_MAX_PARTIAL_FANS", raising=False)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(case["payload"])))
-    assert run(case["args"]) == 0
+    assert run(case["args"]) == case["code"]
     captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out == case["stdout"]
+    assert (captured.out, captured.err) == (case["stdout"], case["stderr"])
 
 
 def test_recorded_outputs_cover_every_command():

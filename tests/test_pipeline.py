@@ -395,7 +395,7 @@ def test_verification_rejects_the_complements_of_a_cone_of_the_wrong_size():
     fan = Fan(fa.fan.matrix, cones[:-1] + ((0,) + cones[-1],))
     assert 0 not in cones[-1]
     forged = replace(fa, fan=fan, index_sets=picard_index_sets(fan))
-    with pytest.raises(PreconditionError, match="r = 2 columns"):
+    with pytest.raises(PreconditionError, match="does not hold r = 2 columns"):
         verify_result(replace(res, fans=(forged,) + res.fans[1:]))
 
 
