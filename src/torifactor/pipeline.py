@@ -139,14 +139,14 @@ def verify_result(res: PipelineResult) -> None:
     No value is taken on trust from the table that ``analyze`` shares with
     ``picard_basis``; each check below rests on ``Q``, ``V`` and the result.
 
-    * Index sets.  Each fan's family must be the complements of its cones,
-      and each distinct set must hold ``r`` columns.
     * Cartier bases.  Each ``C = [C_top; B']`` must be square with bottom
       block ``B' = V``, and ``|det C| = index |det beta|``.  With ``V Q^T = 0``
       and ``F Q^T = I`` checked first (``F`` the free-part generators),
       ``|det C| = |det(C_top Q^T)| |det [F; V]|``: extend ``Q^T`` to a
       unimodular ``W`` and expand ``C W`` and ``[F; V] W`` by blocks.  So one
       m x m determinant serves the call, and each fan takes an r x r one.
+    * Index sets.  Each fan's family must be the complements of its cones,
+      and each distinct set must hold ``r`` columns.
     * Weight blocks.  For each distinct index set ``I`` of the fans,
       ``d = |det Q_I|`` is taken afresh and must be nonzero.  The dual rows
       ``H`` of ``I`` come from ``picard_basis``'s table, or from
@@ -185,8 +185,6 @@ def verify_result(res: PipelineResult) -> None:
     det_fv = abs(det(free.vstack(v)))
     rows_by_set: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     for fa in res.fans:
-        if fa.index_sets != picard_index_sets(fa.fan):
-            raise PreconditionError("index sets are not the complements of the fan's cones")
         pd = fa.picard
         if not fa.cartier.is_square():
             raise ShapeError("determinant requires a square matrix")
@@ -199,8 +197,11 @@ def verify_result(res: PipelineResult) -> None:
         for idx in fa.index_sets.sets:
             rows_by_set.setdefault(idx, set()).update(pd.B)
     q_cols = tuple(zip(*q_rows))
-    # outside a block, one for this call: the cofactor tables are built once
+    # outside a block, one for this call: each cone's complement is taken once,
+    # and the cofactor tables are built once
     with _shared_tables():
+        if any(fa.index_sets != picard_index_sets(fa.fan) for fa in res.fans):
+            raise PreconditionError("index sets are not the complements of the fan's cones")
         tabled, _ = _picard_table(q)
         for idx, rows in rows_by_set.items():
             if len(idx) != r:
