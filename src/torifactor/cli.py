@@ -15,9 +15,9 @@ mathematical precondition (the failed classification conditions are
 named), a search that reached its cap, or a result entry with
 more digits than that limit allows in a string (the message names the limit;
 it is left as the interpreter sets it).  TORIFACTOR_MAX_PERM caps the
-equivalence search by candidate bases: the ordered column tuples of the
-second matrix, with matching minor invariants, that could be the image of
-one fixed basis of columns of the first.  TORIFACTOR_MAX_PARTIAL_FANS caps
+equivalence search by candidate bases: the ordered tuples of columns of the
+first matrix, with matching minor invariants, that could map onto the first
+basis of columns of the second.  TORIFACTOR_MAX_PARTIAL_FANS caps
 the fan search of ``fans``, ``picard``, ``cartier`` and ``pipeline`` by the
 partial fans it pushes.  Only this front end reads them; the library takes
 the caps as the ``max_permutations`` argument of ``fan_matrix_equivalence``

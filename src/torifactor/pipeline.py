@@ -145,8 +145,9 @@ def verify_result(res: PipelineResult) -> None:
       ``|det C| = |det(C_top Q^T)| |det [F; V]|``: extend ``Q^T`` to a
       unimodular ``W`` and expand ``C W`` and ``[F; V] W`` by blocks.  So one
       m x m determinant serves the call, and each fan takes an r x r one.
-    * Index sets.  Each fan's family must be the complements of its cones,
-      and each distinct set must hold ``r`` columns.
+    * Index sets.  Each fan's family must list the complements of its cones,
+      one per cone, each complement taken once per call; each distinct set
+      must hold ``r`` columns.
     * Weight blocks.  For each distinct index set ``I`` of the fans,
       ``d = |det Q_I|`` is taken afresh and must be nonzero.  The dual rows
       ``H`` of ``I`` come from ``picard_basis``'s table, or from
@@ -184,6 +185,7 @@ def verify_result(res: PipelineResult) -> None:
     v_rows, q_rows = tuple(v), tuple(q)
     det_fv = abs(det(free.vstack(v)))
     rows_by_set: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    complements: dict[tuple[int, ...], tuple[int, ...]] = {}
     for fa in res.fans:
         pd = fa.picard
         if not fa.cartier.is_square():
@@ -194,14 +196,18 @@ def verify_result(res: PipelineResult) -> None:
         top = [[sum(map(mul, c, qk)) for qk in q_rows] for c in c_rows[:r]]
         if abs(_det_rows(top)) * det_fv != pd.index * det_beta:
             raise PreconditionError("Cartier determinant factorization failed")
-        for idx in fa.index_sets.sets:
+        family = []
+        for cone in fa.fan.maximal_cones:
+            if cone not in complements:
+                complements[cone] = tuple(j for j in range(v.cols) if j not in cone)
+            family.append(complements[cone])
+        if fa.index_sets.sets != tuple(family):
+            raise PreconditionError("index sets are not the complements of the fan's cones")
+        for idx in family:
             rows_by_set.setdefault(idx, set()).update(pd.B)
     q_cols = tuple(zip(*q_rows))
-    # outside a block, one for this call: each cone's complement is taken once,
-    # and the cofactor tables are built once
+    # outside a block, one for this call: the cofactor tables are built once
     with _shared_tables():
-        if any(fa.index_sets != picard_index_sets(fa.fan) for fa in res.fans):
-            raise PreconditionError("index sets are not the complements of the fan's cones")
         tabled, _ = _picard_table(q)
         for idx, rows in rows_by_set.items():
             if len(idx) != r:

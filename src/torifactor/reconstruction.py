@@ -6,10 +6,10 @@ carrying it onto a fan matrix of the quotient is rebuilt from the HNF of a
 small relation system; ``reconstruct`` returns all three, verified, as one
 ``Reconstruction``.  Equivalence of fan matrices (simultaneous unimodular
 row action and column permutation) is decided without an HNF: invariants
-of the row action (column contents, the multiset of |maximal minor| and a
-per-column minor signature) reject most inequivalent pairs at once, and
-otherwise R is fixed by where one basis of columns goes, so only the
-candidate images of that basis are tried.
+of the row action (column contents and a per-column minor signature) reject
+most inequivalent pairs at once, and otherwise R is fixed by where the first
+basis of the second matrix comes from, so only the candidate preimages of
+that basis are tried, in lexicographic order, up to the first that fits.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .intmat import (
 from .covering import TorsionMatrix
 from .gale import _minors, gale_dual, require_W
 from .lattices import Lattice
-from .normal_forms import hnf
+from .normal_forms import hnf, unimodular_inverse
 
 
 @dataclass(frozen=True)
@@ -118,68 +118,58 @@ def fan_matrix_equivalence(
 ) -> Optional[tuple[IntMatrix, IntMatrix]]:
     """Witness (R, S) with ``R @ v1 @ S == v2``, or ``None`` if inequivalent.
 
-    Column contents, the multiset of ``|maximal minor|`` and each column's
-    signature (content, sorted ``|det|`` of the n-subsets containing it) do
-    not change under the row action, so a mismatch answers ``None`` with no
-    search.  Otherwise R is fixed by where one nonsingular n-subset ``c`` of
-    ``v1`` goes: each ordered n-tuple ``t`` of ``v2`` columns with the same
-    signatures and ``|det v2_t| = |det v1_c|`` is a candidate base, giving
-    ``R = v2_t @ adj(v1_c) / det(v1_c)`` when the division is exact, and R is
-    kept when the columns of ``R @ v1`` are those of ``v2`` as a multiset.
-    S is the lexicographically smallest permutation over all such R, equal
-    columns going smallest source to smallest target, so the witness is the
-    first one a search over all column permutations in lexicographic order
-    would accept.  ``max_permutations`` (at least 1; ``None``: no cap) caps
-    the candidate bases tried; exceeding it raises ``SearchLimitExceeded``.
+    Column contents and each column's signature (content, sorted ``|det|`` of
+    the n-subsets containing it) do not change under the row action, so a
+    mismatch answers ``None`` with no search.  Otherwise R is fixed by the
+    ``v1`` columns that map onto ``g``, the lexicographically first basis of
+    ``v2``.  The candidate bases are the n-tuples ``t`` of distinct ``v1``
+    columns with the signatures of ``g`` and ``|det v1_t| = |det v2_g|``, in
+    lexicographic order; the first with an integral
+    ``R^-1 = v1_t @ adj(v2_g) / det(v2_g)`` that carries the columns of ``v2``
+    onto those of ``v1`` is returned, each column taking the smallest free
+    ``v1`` column equal to its image.  As ``g`` is greedy, each ``v2`` column
+    lies in the span of the ``g`` columns before it, so the images of ``g``
+    fix a witness's permutation position by position: the first witness found
+    is the one a search over all column permutations in lexicographic order
+    would accept first.  ``max_permutations`` (at least 1; ``None``: no cap)
+    caps the candidate bases tried; exceeding it raises ``SearchLimitExceeded``.
     """
     max_permutations = _search_cap(max_permutations, "max_permutations")
     if v1.shape != v2.shape:
         raise ShapeError("fan matrices must have equal shape")
     n, m = v1.shape
-    cols1 = [v1.col(j) for j in range(m)]
-    cols2 = [v2.col(j) for j in range(m)]
+    cols1, cols2 = ([v.col(j) for j in range(m)] for v in (v1, v2))
     if sorted(map(vector_content, cols1)) != sorted(map(vector_content, cols2)):
         return None
     minors1, minors2 = ({c: abs(d) for c, d in _minors(v).items()} for v in (v1, v2))
-    if not any(minors2.values()):
+    g = next((c for c, d in minors2.items() if d), None)
+    if g is None:
         raise PreconditionError("fan matrices must have full row rank")
-    if sorted(minors1.values()) != sorted(minors2.values()):
-        return None
     sig1, sig2 = _column_signatures(cols1, minors1), _column_signatures(cols2, minors2)
     if sorted(sig1) != sorted(sig2):
         return None
     by_signature: dict[tuple, list[int]] = {}
-    for j, sig in enumerate(sig2):
-        by_signature.setdefault(sig, []).append(j)
-    c = min(
-        (c for c, d in minors1.items() if d),
-        key=lambda c: prod(len(by_signature[sig1[j]]) for j in c),
-    )
-    d, adj = _det_adjugate(v1.select_cols(c))
     positions: dict[tuple[int, ...], list[int]] = {}
-    for j, col in enumerate(cols2):
+    for j, (sig, col) in enumerate(zip(sig1, cols1)):
+        by_signature.setdefault(sig, []).append(j)
         positions.setdefault(col, []).append(j)
-    best: Optional[tuple[list[int], IntMatrix]] = None
-    tried = 0
-    for t in product(*(by_signature[sig1[j]] for j in c)):
-        if len(set(t)) < n or minors2[tuple(sorted(t))] != abs(d):
-            continue
-        tried += 1
+    d, adj = _det_adjugate(v2.select_cols(g))
+    tuples = product(*(by_signature[sig2[j]] for j in g))
+    bases = (t for t in tuples if len(set(t)) == n and minors1[tuple(sorted(t))] == abs(d))
+    for tried, t in enumerate(bases, 1):
         if max_permutations is not None and tried > max_permutations:
             raise SearchLimitExceeded(
                 f"equivalence search exceeded {max_permutations} candidate bases"
             )
-        scaled = v2.select_cols(t) @ adj
+        scaled = v1.select_cols(t) @ adj
         if any(x % d for row in scaled for x in row):
             continue
-        r = IntMatrix([[x // d for x in row] for row in scaled])
-        perm = _column_matching(r @ v1, positions)
-        if perm is not None and (best is None or perm < best[0]):
-            best = (perm, r)
-    if best is None:
-        return None
-    r, s = best[1], IntMatrix.permutation(best[0])
-    return (r, s) if r @ v1 @ s == v2 else None
+        r_inv = IntMatrix([[x // d for x in row] for row in scaled])
+        perm = _column_matching(r_inv @ v2, positions)
+        if perm is not None:
+            r, s = unimodular_inverse(r_inv), IntMatrix.permutation(perm)
+            return (r, s) if r @ v1 @ s == v2 else None
+    return None
 
 
 def _column_signatures(
@@ -194,14 +184,14 @@ def _column_signatures(
 
 
 def _column_matching(moved: IntMatrix, positions: dict) -> Optional[list[int]]:
-    """Smallest ``perm`` with column ``perm[j]`` of ``moved`` at position ``j``
-    of ``v2`` (``positions``: column to its ascending positions), or ``None``
-    when the column multisets differ."""
-    perm = [0] * moved.cols
+    """Smallest ``perm`` with column ``perm[j]`` of ``v1`` equal to column ``j``
+    of ``moved`` (``positions``: column of ``v1`` to its ascending indices), or
+    ``None`` when the column multisets differ."""
     free = {col: iter(js) for col, js in positions.items()}
-    for i in range(moved.cols):
-        j = next(free.get(moved.col(i), iter(())), None)
-        if j is None:
+    perm = []
+    for j in range(moved.cols):
+        i = next(free.get(moved.col(j), iter(())), None)
+        if i is None:
             return None
-        perm[j] = i
+        perm.append(i)
     return perm

@@ -234,10 +234,10 @@ INEQUIVALENT = {
     "second": {"data": [[1, 1, -1], [0, 2, -1]]},
 }
 
-# equivalent, with equal minor invariants; four candidate bases for R
+# equivalent, with equal minor invariants; the witness is the third candidate base
 CAPPED = {
-    "first": {"data": [[1, 0, -1, -1], [0, 1, -1, -2]]},
-    "second": {"data": [[0, 1, -1, -1], [1, 0, -1, -2]]},
+    "first": {"data": [[1, 0, -1, 0, 1], [0, 1, 0, -1, 1]]},
+    "second": {"data": [[1, 0, -1, 0, 1], [1, -1, 0, 1, 0]]},
 }
 
 

@@ -384,6 +384,23 @@ def test_verification_rejects_a_forged_index_set(index_set):
         verify_result(replace(res, fans=(forged,) + res.fans[1:]))
 
 
+@pytest.mark.parametrize("family", ["dropped", "extra"])
+def test_verification_rejects_a_family_of_the_wrong_length(family):
+    # one set per cone: the first fan's family without its last set, or with
+    # its first set once more
+    from dataclasses import replace
+
+    from torifactor import PicardIndexFamily
+
+    res = analyze(EX2_V)
+    fa = res.fans[0]
+    sets = fa.index_sets.sets
+    sets = sets[:-1] if family == "dropped" else sets + sets[:1]
+    forged = replace(fa, index_sets=PicardIndexFamily(sets))
+    with pytest.raises(PreconditionError, match="complements of the fan's cones"):
+        verify_result(replace(res, fans=(forged,) + res.fans[1:]))
+
+
 def test_verification_rejects_the_complements_of_a_cone_of_the_wrong_size():
     from dataclasses import replace
 

@@ -193,12 +193,30 @@ def test_equivalence_content_pruning():
 
 
 def test_equivalence_search_cap():
-    v1 = IntMatrix([[1, 0, -1, -1], [0, 1, -1, -2]])
-    # columns of v1 swapped in front: the identity permutation cannot match
-    v2 = IntMatrix([[0, 1, -1, -1], [1, 0, -1, -2]])
+    v1 = IntMatrix([[1, 0, -1, 0, 1], [0, 1, 0, -1, 1]])
+    # v1 with its columns reversed; the smallest witness swaps the rows and
+    # takes the first basis (0, 1) of v2 from columns (4, 2), the third
+    # candidate base
+    v2 = IntMatrix([[1, 0, -1, 0, 1], [1, -1, 0, 1, 0]])
     assert fan_matrix_equivalence(v1, v2, max_permutations=30) is not None
-    with pytest.raises(SearchLimitExceeded):
-        fan_matrix_equivalence(v1, v2, max_permutations=1)
+    for cap in (1, 2):
+        with pytest.raises(SearchLimitExceeded):
+            fan_matrix_equivalence(v1, v2, max_permutations=cap)
+
+
+def _cross_polytope(n):
+    """The fan matrix with columns e_0, -e_0, ..., e_(n-1), -e_(n-1)."""
+    return IntMatrix([[(k == 2 * i) - (k == 2 * i + 1) for k in range(2 * n)] for i in range(n)])
+
+
+def test_equivalence_returns_the_first_witness_of_a_cross_polytope():
+    # 2^6 6! automorphisms; the first candidate base already fits
+    v1 = _cross_polytope(6)
+    rows = [row[::-1] for row in v1.tolist()[::-1]]
+    rows[0] = [a + b for a, b in zip(rows[0], rows[1])]
+    v2 = IntMatrix(rows)
+    r, s = fan_matrix_equivalence(v1, v2, max_permutations=1)
+    assert r @ v1 @ s == v2
 
 
 def test_minor_multisets_reject_without_search():
@@ -275,12 +293,14 @@ def _assert_matches_permutation_oracle(v1, v2):
     )
 
 
-# nontrivial automorphisms (P1 x P1, the hexagon), repeated columns (the rest)
+# nontrivial automorphisms (P1 x P1, the hexagon, (P1)^3 last), repeated
+# columns (the others)
 SYMMETRIC = (
     IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]]),
     IntMatrix([[1, 0, -1, -1, 0, 1], [0, 1, 1, 0, -1, -1]]),
     IntMatrix([[1, 0, 1, -1, -1], [0, 1, 1, -1, -1]]),
     IntMatrix([[1, 0, 0, -1, -1, 0], [0, 1, 0, -1, -1, 1], [0, 0, 1, -1, -1, 0]]),
+    _cross_polytope(3),
 )
 
 
