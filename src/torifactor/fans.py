@@ -4,10 +4,11 @@ Maximal cones are size-n sets of column indices (0-based) with nonsingular
 column blocks.  Every cone test reads the signs of the maximal minors of
 ``V``, one table per ``V`` (``gale._minors``): the candidate cones are the
 n-subsets with a nonzero minor; each (n+1)-subset of rank n carries one linear
-relation whose coefficients are signed minors (Cramer's rule), and these are the
-signed circuits of ``V``.  Two cones meet in their common face iff no circuit
-has its positive part in the first cone and its negative part in the second
-(De Loera, Rambau, Santos, *Triangulations*, 2010, Section 4.1); one conflict
+relation whose coefficients are signed minors (Cramer's rule), and these are
+the signed circuits of ``V``, one table per ``V`` as well
+(``gale._circuits``).  Two cones meet in their common face iff no circuit has
+its positive part in the first cone and its negative part in the second (De
+Loera, Rambau, Santos, *Triangulations*, 2010, Section 4.1); one conflict
 bitmask per candidate cone, built once from the circuits, holds the candidates
 it does not meet so.  A collection is a complete fan when its cones meet
 pairwise in common faces and every facet lies on exactly two cones.  The
@@ -38,7 +39,7 @@ from .intmat import (
     _search_cap,
     _shared_tables,
 )
-from .gale import _minors, require_F
+from .gale import _circuits, _minors, require_F
 
 Cone = tuple[int, ...]
 
@@ -75,30 +76,6 @@ class FanValidation:
 
     def __bool__(self) -> bool:
         return self.valid
-
-
-def _circuits(v: IntMatrix) -> set[tuple[int, int]]:
-    """Signed circuits of the columns of ``v`` as ``(positive, negative)``
-    bitmasks, in both orientations.
-
-    For sorted columns ``s`` of size n+1, Cramer's rule gives the relation
-    ``sum_k (-1)^k det V_{s - s_k} v_{s_k} = 0``, the only one on ``s`` when
-    nonzero, so its support is a circuit.  Every circuit arises so, because a
-    circuit minus one element extends to a basis.
-    """
-    minors = _minors(v)
-    circuits = set()
-    for s in combinations(range(v.cols), v.rows + 1):
-        pos = neg = 0
-        for k, j in enumerate(s):
-            x = minors[s[:k] + s[k + 1 :]]
-            if x and (x > 0) == (k % 2 == 0):
-                pos |= 1 << j
-            elif x:
-                neg |= 1 << j
-        if pos | neg:
-            circuits.update(((pos, neg), (neg, pos)))
-    return circuits
 
 
 def _conflicts(masks: Sequence[int], circuits: Iterable[tuple[int, int]]) -> list[int]:

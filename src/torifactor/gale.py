@@ -11,7 +11,8 @@ Every cone test on a fan matrix ``V`` reads one table of its maximal minors,
 when ``r >= n``, otherwise from the r x r minors of the saturated kernel
 ``Q`` of ``V``, the one ``gale_dual`` returns, with one n x n minor of ``V``
 to fix their common factor.  A kernel of rank other than r means ``V`` has
-rank below n, and then every minor is 0.
+rank below n, and then every minor is 0.  Its signed circuits, ``_circuits``,
+are read off that table once per ``V``, for F (b) and for the fan search.
 
 ``classify_W`` reads two weight conditions on the integer kernel ``K`` of
 ``Q`` as fan conditions; the rational row space of ``Q`` is ``{x : K x = 0}``:
@@ -84,12 +85,20 @@ def _kernel(a: IntMatrix) -> Lattice:
 def positive_span_is_full(v: IntMatrix) -> bool:
     """Exact test that the columns of ``v`` positively span all of R^n.
 
-    The positive hull is full iff ``v`` has full row rank and no hyperplane
-    spanned by n-1 of the columns has all columns on one closed side: the
-    cocircuit table is nonempty and each of its rows has both signs.
+    They do iff every column lies on a positive circuit, one whose relation has
+    all coefficients positive.  If so, ``v`` has rank n and the sum of those
+    relations has all coefficients positive, so each ``-v_j`` is a positive
+    combination of the columns (Gordan's alternative); conversely, spanning
+    columns have such a relation, and its conformal decomposition into
+    circuits covers every column with positive ones.  A zero column is a
+    positive circuit of its own; if ``v`` has rank below n it has no
+    circuits, and the test fails.
     """
-    rows = _cocircuits(v).values()
-    return bool(rows) and all(min(row) < 0 < max(row) for row in rows)
+    covered = 0
+    for pos, neg in _circuits(v):
+        if not neg:
+            covered |= pos
+    return covered == (1 << v.cols) - 1
 
 
 def _minors(v: IntMatrix) -> dict[tuple[int, ...], int]:
@@ -139,23 +148,34 @@ def _minor_table(v: IntMatrix) -> dict[tuple[int, ...], int]:
     return {c: lam * d for c, d in table.items()}
 
 
-def _cocircuits(v: IntMatrix) -> dict[tuple[int, ...], list[int]]:
-    """For each (n-1)-subset ``h`` of columns spanning a hyperplane, the row
-    ``det[V_h | v_j]`` over all columns ``j``, whose signs are the sides of the
-    columns: ``(-1)^(n-1-i) det V_c`` for ``h = c - c_i`` and ``j = c_i``."""
-    n, m = v.shape
-    rows: dict[tuple[int, ...], list[int]] = {}
-    for c, d in _minors(v).items():
-        if d:
-            sign_d = d if n % 2 else -d  # (-1)^(n-1-i) d at i = 0, flipping with i
-            for i, j in enumerate(c):
-                h = c[:i] + c[i + 1 :]
-                row = rows.get(h)
-                if row is None:
-                    row = rows[h] = [0] * m
-                row[j] = sign_d
-                sign_d = -sign_d
-    return rows
+def _circuits(v: IntMatrix) -> frozenset[tuple[int, int]]:
+    """Signed circuits of the columns of ``v`` as ``(positive, negative)``
+    bitmasks, in both orientations; built once per ``v`` inside a
+    ``_shared_tables`` block."""
+    return _cached(v, "circuits", lambda: _circuit_table(v))
+
+
+def _circuit_table(v: IntMatrix) -> frozenset[tuple[int, int]]:
+    """The table of ``_circuits``, read off ``_minors``.
+
+    For sorted columns ``s`` of size n+1, Cramer's rule gives the relation
+    ``sum_k (-1)^k det V_{s - s_k} v_{s_k} = 0``, the only one on ``s`` when
+    nonzero, so its support is a circuit.  Every circuit arises so, because a
+    circuit minus one element extends to a basis.
+    """
+    minors = _minors(v)
+    circuits = set()
+    for s in combinations(range(v.cols), v.rows + 1):
+        pos = neg = 0
+        for k, j in enumerate(s):
+            x = minors[s[:k] + s[k + 1 :]]
+            if x and (x > 0) == (k % 2 == 0):
+                pos |= 1 << j
+            elif x:
+                neg |= 1 << j
+        if pos | neg:
+            circuits.update(((pos, neg), (neg, pos)))
+    return frozenset(circuits)
 
 
 def classify_F(v: IntMatrix) -> FMatrixReport:

@@ -71,12 +71,12 @@ def analyze(
     block of ``U_Q``, a row action away from ``covering_decomposition``'s row
     HNF: for ``V = (1 -1)``, ``V_hat = (-1 1)`` and ``beta = (-1)`` here.
     One ``_shared_tables`` block, dropped on return, serves the whole call:
-    ``V`` is classified and its maximal minors computed once, for the validation
-    and the fan enumeration, each cone's complement once, for every
-    ``picard_index_sets`` call, the cofactor tables of ``Q`` once, and off them
-    the ``(det Q_I, adj Q_I)`` of each distinct ``I`` once, with the dual HNF
-    rows that every ``picard_basis`` call folds and that ``verify_result``
-    certifies, each ``I`` checked once.  The fans come in
+    ``V`` is classified and its maximal minors and signed circuits computed
+    once, for the validation and the fan enumeration, each cone's complement
+    once, for every ``picard_index_sets`` call, the cofactor tables of ``Q``
+    once, and off them the ``(det Q_I, adj Q_I)`` of each distinct ``I`` once,
+    with the dual HNF rows that every ``picard_basis`` call folds and that
+    ``verify_result`` certifies, each ``I`` checked once.  The fans come in
     sorted order, so consecutive index families share long prefixes: the table
     keeps the fold states of the last family, and each ``picard_basis`` call
     folds only the index sets after the common prefix.  No fan inverts a matrix

@@ -89,9 +89,11 @@ def reconstruct(p: QuotientPresentation, v_hat: Optional[IntMatrix] = None) -> R
         k = (v_hat @ residues).vstack(IntMatrix.diagonal(list(p.gamma.moduli)))
         res = hnf(k)
         beta = res.U.bottom_rows(n).select_cols(range(n))
-        if det(beta) == 0:
+        det_beta = det(beta)
+        if det_beta == 0:
             raise PreconditionError("degenerate torsion data produced a singular factor")
-        subgroup_order = prod(p.gamma.moduli) // abs(det(res.H.top_rows(p.gamma.rows)))
+        order = prod(p.gamma.moduli)
+        subgroup_order = order // abs(det(res.H.top_rows(p.gamma.rows)))
     v = beta @ v_hat
     if not (v @ p.Q.transpose()).is_zero():
         raise PreconditionError("reconstructed matrix is not orthogonal to the weights")
@@ -100,13 +102,12 @@ def reconstruct(p: QuotientPresentation, v_hat: Optional[IntMatrix] = None) -> R
         for j, tau in enumerate(p.gamma.moduli):
             if any(rel[i, j] % tau != 0 for i in range(rel.rows)):
                 raise PreconditionError("torsion congruences fail on the reconstruction")
-        order = prod(p.gamma.moduli)
         if subgroup_order != order:
             raise PreconditionError(
                 f"the residue pairing generates {_int_text(subgroup_order)} "
                 f"of the {_int_text(order)} torsion classes"
             )
-        if abs(det(beta)) != subgroup_order:
+        if abs(det_beta) != subgroup_order:
             raise PreconditionError("factor determinant disagrees with the subgroup order")
     return Reconstruction(v_hat, k, beta, v)
 

@@ -21,8 +21,8 @@ from torifactor import (
     unimodular_inverse,
     vector_content,
 )
-from torifactor.fans import _circuits, _conflicts
-from torifactor.gale import _minors
+from torifactor.fans import _conflicts
+from torifactor.gale import _circuits, _minors
 from torifactor.intmat import _det_adjugate
 from torifactor.normal_forms import _identity_block_transform
 

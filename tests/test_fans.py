@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 import pytest
 import sympy
@@ -12,6 +11,7 @@ from torifactor import (
     PreconditionError,
     SearchLimitExceeded,
     ShapeError,
+    classify_F,
     det,
     enumerate_fans,
     fans_correspond,
@@ -33,8 +33,9 @@ from _randgen import (
     tuple_facet_tables,
     tuple_table_search,
 )
-from torifactor.fans import _circuits, _conflicts, _facet_tables, _mask
-from torifactor.gale import _cocircuits, _minors
+from torifactor.fans import _conflicts, _facet_tables, _mask
+from torifactor.gale import _circuits, _minors
+from torifactor.intmat import _shared_tables
 
 
 def _cone_contains(v, cone, point):
@@ -342,6 +343,19 @@ def test_circuits_of_the_examples_are_the_minimal_dependent_sets():
         _assert_circuits_match_brute_force(v)
 
 
+def test_classify_F_builds_the_circuit_table_that_the_fan_search_reads(count_calls):
+    from torifactor import gale
+
+    tables = count_calls(gale, "_circuit_table", everywhere=False)
+    for v in (EX1_V, EX2_V):
+        tables.clear()
+        with _shared_tables():
+            classify_F(v)
+            assert tables == [(v,)]
+            enumerate_fans(v)
+            assert tables == [(v,)]
+
+
 @given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
 def test_enumerate_fans_matches_oracle_enumeration(shape, seed):
     v = random_reduced_f_matrix(random.Random(seed), *shape)
@@ -360,34 +374,6 @@ def test_enumerate_fans_matches_oracle_enumeration_on_tall_shapes(shape, seed):
 def test_enumerate_fans_matches_oracle_enumeration_on_examples():
     for v in (EX1_V, EX2_V):
         assert tuple(f.maximal_cones for f in enumerate_fans(v)) == oracle_enumerate_fans(v)
-
-
-def _assert_cocircuits_match_sympy(v):
-    """``_cocircuits`` has one row per (n-1)-subset spanning a hyperplane, zero
-    on the subset, nonzero, and equal to the sympy determinants of ``[V_h | v_j]``."""
-    n, m = v.shape
-    rows = _cocircuits(v)
-    spanning = {
-        h
-        for h in combinations(range(m), n - 1)
-        if sympy.Matrix(n, len(h), lambda i, k: v[i, h[k]]).rank() == n - 1
-    }
-    assert set(rows) == spanning
-    for h, row in rows.items():
-        assert any(row) and all(row[j] == 0 for j in h)
-        for j in range(m):
-            block = sympy.Matrix([[v[i, k] for k in h] + [v[i, j]] for i in range(n)])
-            assert row[j] == block.det()
-
-
-def test_cocircuits_of_the_second_example_are_the_hyperplane_determinants():
-    _assert_cocircuits_match_sympy(EX2_V)
-    assert len(_cocircuits(EX2_V)) == comb(EX2_V.cols, EX2_V.rows - 1)
-
-
-@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
-def test_cocircuits_are_the_hyperplane_determinants(shape, seed):
-    _assert_cocircuits_match_sympy(random_reduced_f_matrix(random.Random(seed), *shape))
 
 
 @given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))

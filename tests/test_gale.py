@@ -265,6 +265,19 @@ def test_positive_span_in_dimension_one():
     assert not positive_span_is_full(IntMatrix([[0, 0]]))
 
 
+def test_positive_span_in_dimension_two():
+    # a zero column is a positive circuit of its own
+    assert positive_span_is_full(IntMatrix([[1, 0, -1, 0], [0, 1, -1, 0]]))
+    # spanning through two antipodal pairs, each a positive circuit
+    assert positive_span_is_full(IntMatrix([[1, -1, 0, 0], [0, 0, 1, -1]]))
+    # every column in one open half-plane
+    assert not positive_span_is_full(IntMatrix([[1, 0, 1], [0, 1, 1]]))
+    # rank 1: no circuits
+    assert not positive_span_is_full(IntMatrix([[1, -1, 0], [0, 0, 0]]))
+    # e_1 lies on no positive circuit
+    assert not positive_span_is_full(IntMatrix([[1, -1, 0], [0, 0, 1]]))
+
+
 @st.composite
 def small_integer_matrices(draw, wide=True):
     """Integer matrices of at most 4 rows and 6 columns; some have a row that

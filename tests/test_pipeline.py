@@ -124,15 +124,16 @@ def test_analyze_classifies_the_fan_matrix_once(count_calls):
     assert weights == []
 
 
-def test_analyze_builds_the_cocircuits_once(count_calls):
-    # the positive-span test reads the cocircuits; the fan search does not
+def test_analyze_builds_the_circuits_once(count_calls):
+    # the positive-span test of the validation builds the circuits, and the fan
+    # search reads the same table
     from torifactor import gale
 
-    cocircuits = count_calls(gale, "_cocircuits")
+    tables = count_calls(gale, "_circuit_table", everywhere=False)
     for v in (EX1_V, EX2_V):
-        cocircuits.clear()
+        tables.clear()
         analyze(v)
-        assert cocircuits == [(v,)]
+        assert tables == [(v,)]
 
 
 def test_analyze_calls_each_public_step(count_calls):
