@@ -4,8 +4,9 @@ Matrices travel as ``{"rows": r, "cols": c, "data": [[...], ...]}`` with
 entries given as integers, or as strings once they exceed 53-bit magnitude
 so that no JSON reader can lose precision.  Torsion matrices additionally
 carry ``"moduli"``.  Column and fan indices are 0-based throughout.  Each
-command prints its result record by field name, and every integer in the
-output, a matrix entry or not, goes through the same 53-bit string rule.
+command prints its result record (a ``Record`` of the library) by the names
+in its ``_fields``, and every integer in the output, a matrix entry or not,
+goes through the same 53-bit string rule.
 
 Exit codes: 0 success, 1 malformed input (including a file that is not
 UTF-8, a JSON number beyond the interpreter's int-to-string digit limit, and
@@ -31,11 +32,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields, is_dataclass
 from functools import lru_cache
 from typing import Any, Optional
 
-from .intmat import IntMatrix, PreconditionError, SearchLimitExceeded, ShapeError
+from .intmat import IntMatrix, PreconditionError, Record, SearchLimitExceeded, ShapeError
 from .covering import (
     CoveringData,
     TorsionMatrix,
@@ -50,6 +50,7 @@ from .pipeline import PipelineResult, analyze
 from .reconstruction import QuotientPresentation, fan_matrix_equivalence, reconstruct
 
 _BIG = 1 << 53
+_PLAIN_INT = frozenset((int,))
 MAX_PERM_ENV = "TORIFACTOR_MAX_PERM"
 MAX_PARTIAL_FANS_ENV = "TORIFACTOR_MAX_PARTIAL_FANS"
 
@@ -90,6 +91,12 @@ def _encode_int(x: int) -> Any:
             "a result entry exceeds the interpreter's limit of "
             f"{sys.get_int_max_str_digits()} digits for integer string conversion"
         ) from exc
+
+
+def _encode_ints(xs: Any) -> list:
+    """The ints of ``xs`` by the 53-bit rule, in one pass that calls
+    ``_encode_int`` only on those beyond 53 bits."""
+    return [x if -_BIG < x < _BIG else _encode_int(x) for x in xs]
 
 
 def decode_matrix(obj: Any, what: str = "matrix") -> IntMatrix:
@@ -134,31 +141,34 @@ def encode_matrix(m: IntMatrix) -> dict:
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "data": [[_encode_int(x) for x in row] for row in m],
+        "data": [_encode_ints(row) for row in m],
     }
 
 
 def encode_torsion(t: TorsionMatrix) -> dict:
     return {
-        "moduli": [_encode_int(x) for x in t.moduli],
+        "moduli": _encode_ints(t.moduli),
         "rows": t.rows,
         "cols": t.cols,
-        "data": [[_encode_int(x) for x in row] for row in t.entries],
+        "data": [_encode_ints(row) for row in t.entries],
     }
 
 
-def _fields(record: Any) -> dict:
+def _fields(record: Record) -> dict:
     """The fields of a result record by name."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
+    return {name: getattr(record, name) for name in record._fields}
 
 
 def _encode(value: Any) -> Any:
     """The JSON value of a result: matrices and torsion matrices as objects,
     integers by the 53-bit rule, tuples as lists, and a result record as an
-    object of its fields."""
+    object of its fields.  A list or tuple of plain ints, such as a cone or an
+    index set, goes through ``_encode_ints`` in one call, as a matrix row does."""
     if isinstance(value, int) and not isinstance(value, bool):
         return _encode_int(value)
     if isinstance(value, (list, tuple)):
+        if _PLAIN_INT.issuperset(map(type, value)):  # every item an int, not a bool
+            return _encode_ints(value)
         return [_encode(x) for x in value]
     if isinstance(value, IntMatrix):
         return encode_matrix(value)
@@ -166,7 +176,7 @@ def _encode(value: Any) -> Any:
         return encode_torsion(value)
     if isinstance(value, dict):
         return {key: _encode(x) for key, x in value.items()}
-    if is_dataclass(value):
+    if isinstance(value, Record):
         return _encode(_fields(value))
     return value
 

@@ -10,13 +10,13 @@ residue matrix describing the torsion part of the divisor class map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
 
 from .intmat import (
     IntMatrix,
     PreconditionError,
+    Record,
     ShapeError,
     _det_adjugate,
     _int_list_text,
@@ -29,8 +29,7 @@ from .lattices import Lattice
 from .normal_forms import _identity_block_transform, snf, unimodular_inverse
 
 
-@dataclass(frozen=True)
-class CoveringData:
+class CoveringData(Record):
     """Aligned covering decomposition of a reduced fan matrix.
 
     Invariants: ``beta @ V_hat == V``; ``Delta == mu @ beta @ nu`` diagonal

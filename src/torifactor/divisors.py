@@ -7,7 +7,6 @@ basis fixed by the HNF transform of the transposed weight matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm, prod
 from operator import mul
 from typing import Iterator, Optional
@@ -15,6 +14,7 @@ from typing import Iterator, Optional
 from .intmat import (
     IntMatrix,
     PreconditionError,
+    Record,
     ShapeError,
     _cached,
     _int_tuple,
@@ -32,8 +32,7 @@ from .normal_forms import (
 )
 
 
-@dataclass(frozen=True)
-class ClassGroupData:
+class ClassGroupData(Record):
     """Divisor class group presentation: free rank, torsion, generator rows."""
 
     rank: int
@@ -42,8 +41,7 @@ class ClassGroupData:
     torsion_generator_rows: Optional[IntMatrix]
 
 
-@dataclass(frozen=True)
-class PicardData:
+class PicardData(Record):
     """Basis of the Picard lattice inside the free part of the class group."""
 
     B: IntMatrix

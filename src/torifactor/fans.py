@@ -24,7 +24,6 @@ lexicographic order of the facet tuples.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -32,6 +31,7 @@ from typing import Iterable, Optional, Sequence
 from .intmat import (
     IntMatrix,
     PreconditionError,
+    Record,
     SearchLimitExceeded,
     ShapeError,
     _cached,
@@ -44,8 +44,7 @@ from .gale import _circuits, _minors, require_F
 Cone = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """Maximal cones of a complete simplicial fan over a fan matrix."""
 
     matrix: IntMatrix
@@ -62,15 +61,13 @@ class Fan:
         return tuple(sorted(used))
 
 
-@dataclass(frozen=True)
-class PicardIndexFamily:
+class PicardIndexFamily(Record):
     """Complements of the maximal cones; one size-r index set per cone."""
 
     sets: tuple[Cone, ...]
 
 
-@dataclass(frozen=True)
-class FanValidation:
+class FanValidation(Record):
     valid: bool
     problems: tuple[str, ...]
 

@@ -30,12 +30,12 @@ are read off that table once per ``V``, for F (b) and for the fan search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .intmat import (
     IntMatrix,
     PreconditionError,
+    Record,
     ShapeError,
     _cached,
     _det_rows,
@@ -47,16 +47,14 @@ from .lattices import Lattice, kernel_saturation
 from .normal_forms import _identity_block_transform
 
 
-@dataclass(frozen=True)
-class FMatrixReport:
+class FMatrixReport(Record):
     is_F: bool
     is_CF: bool
     is_reduced: bool
     failed_conditions: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class WMatrixReport:
+class WMatrixReport(Record):
     is_W: bool
     failed_conditions: tuple[str, ...]
 

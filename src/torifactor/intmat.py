@@ -23,6 +23,83 @@ class SearchLimitExceeded(RuntimeError):
     equivalence, or partial fans of the fan enumeration."""
 
 
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base of the immutable result records, with frozen-dataclass semantics.
+
+    A subclass declares its fields as class annotations, read in order into
+    ``_fields``.  It is built from positional or keyword fields, and runs its
+    ``__post_init__``, if any, on them.  A record equals only a record of
+    the same class with equal fields, hashes as its field tuple, prints as
+    ``Name(field=value, ...)`` and refuses assignment and deletion.
+    ``_replace(**changes)`` builds a changed copy through the constructor.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if args or len(kwargs) != len(names):
+            if kwargs or len(args) != len(names):
+                args = self._bind(args, kwargs)
+            for name, value in zip(names, args):
+                _setattr(self, name, value)
+        else:  # all by keyword
+            try:
+                for name in names:
+                    _setattr(self, name, kwargs[name])
+            except KeyError:
+                self._bind(args, kwargs)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """The field values in order, from positional and keyword fields."""
+        names = self._fields
+        rest = names[len(args) :]
+        wrong = []
+        if len(args) > len(names):
+            wrong.append(f"{len(args)} positional for {len(names)} fields")
+        for key in kwargs:
+            if key not in rest:
+                wrong.append(f"{'repeated' if key in names else 'unexpected'} field {key!r}")
+        wrong += [f"missing field {name!r}" for name in rest if name not in kwargs]
+        if wrong:  # from None: no KeyError context from the keyword path of __init__
+            raise TypeError(f"{type(self).__qualname__}: {', '.join(wrong)}") from None
+        return args + tuple([kwargs[name] for name in rest])
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes) -> "Record":
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class IntMatrix:
     """Immutable row-major matrix of Python integers.
 

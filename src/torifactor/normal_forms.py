@@ -12,20 +12,17 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .intmat import IntMatrix, PreconditionError, _cached, _det_adjugate
+from .intmat import IntMatrix, PreconditionError, Record, _cached, _det_adjugate
 
 
-@dataclass(frozen=True)
-class HnfResult:
+class HnfResult(Record):
     H: IntMatrix
     U: IntMatrix
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     D: IntMatrix
     U_left: IntMatrix
     U_right: IntMatrix

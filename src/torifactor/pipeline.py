@@ -8,11 +8,10 @@ in its bottom rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, _int_text, _int_tuple
+from .intmat import IntMatrix, PreconditionError, Record, ShapeError, _int_text, _int_tuple
 from .intmat import _det_rows, _search_cap, _shared_tables, det
 from .covering import (
     CoveringData,
@@ -36,8 +35,7 @@ from .fans import Fan, PicardIndexFamily, enumerate_fans, picard_index_sets
 from .gale import gale_dual, require_F
 
 
-@dataclass(frozen=True)
-class FanAnalysis:
+class FanAnalysis(Record):
     """Per-fan divisor data."""
 
     fan: Fan
@@ -46,8 +44,7 @@ class FanAnalysis:
     cartier: IntMatrix
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(Record):
     V: IntMatrix
     Q: IntMatrix
     U_Q: IntMatrix

@@ -14,7 +14,6 @@ that basis are tried, in lexicographic order, up to the first that fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from typing import Optional
@@ -22,6 +21,7 @@ from typing import Optional
 from .intmat import (
     IntMatrix,
     PreconditionError,
+    Record,
     SearchLimitExceeded,
     ShapeError,
     _det_adjugate,
@@ -36,8 +36,7 @@ from .lattices import Lattice
 from .normal_forms import hnf, unimodular_inverse
 
 
-@dataclass(frozen=True)
-class QuotientPresentation:
+class QuotientPresentation(Record):
     """Weight matrix and torsion matrix presenting a variety as a quotient."""
 
     Q: IntMatrix
@@ -49,8 +48,7 @@ class QuotientPresentation:
             raise ShapeError("torsion matrix width must match the weight matrix")
 
 
-@dataclass(frozen=True)
-class Reconstruction:
+class Reconstruction(Record):
     """A fan matrix ``V == beta @ V_hat`` of a quotient, rebuilt from its presentation.
 
     ``V_hat`` is a Gale dual of the weights; ``K`` is the relation system,

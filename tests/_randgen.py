@@ -57,10 +57,18 @@ SMALL_FAN_SHAPES = tuple(
 )
 
 
+# draws of random_cf_matrix before it gives up; the tier-1 suite needs at most 18
+MAX_CF_DRAWS = 1000
+
+
 def random_cf_matrix(rng, n, r):
     """Reduced fan matrix with full column lattice: unit columns plus
-    strictly negative columns, in a random basis and column order."""
-    while True:
+    strictly negative columns, in a random basis and column order.
+
+    Raises ``SearchLimitExceeded``, naming the shape, when ``MAX_CF_DRAWS``
+    draws in a row are not reduced fan matrices, as for (n, r) = (1, 2),
+    which has none."""
+    for _ in range(MAX_CF_DRAWS):
         cols = [tuple(1 if i == k else 0 for i in range(n)) for k in range(n)]
         for _ in range(r):
             cols.append(tuple(-rng.randint(1, 3) for _ in range(n)))
@@ -69,6 +77,9 @@ def random_cf_matrix(rng, n, r):
         rep = classify_F(v)
         if rep.is_F and rep.is_CF and rep.is_reduced:
             return v
+    raise SearchLimitExceeded(
+        f"no reduced fan matrix of shape (n, r) = ({n}, {r}) in {MAX_CF_DRAWS} draws"
+    )
 
 
 def random_reduced_f_matrix(rng, n, r, torsion_bias=0.7):

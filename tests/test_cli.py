@@ -170,6 +170,21 @@ def test_big_integer_round_trip():
     assert decode_matrix(encode_matrix(m)) == m
 
 
+def test_encoder_takes_each_list_of_ints_in_one_call(count_calls):
+    # the second example's pipeline result holds no integer beyond 53 bits, so
+    # only the scalar fields index and delta_sigma of each fan reach
+    # _encode_int; cones, index sets and matrix rows are taken a list at a time
+    from torifactor import cli
+
+    value = cli._run_pipeline(EX2, cli.build_parser().parse_args(["pipeline"]))
+    single = count_calls(cli, "_encode_int", everywhere=False)
+    calls = count_calls(cli, "_encode", everywhere=False)
+    assert cli._encode(value)["fans"][0]["fan"][0] == list(value["fans"][0]["fan"][0])
+    scalars = [(x,) for fa in value["fans"] for x in (fa["index"], fa["delta_sigma"])]
+    assert single == scalars
+    assert [args for args in calls if type(args[0]) is int] == scalars
+
+
 def test_batch_inputs_preserve_order(tmp_path):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"

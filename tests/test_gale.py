@@ -9,6 +9,7 @@ from torifactor import (
     IntMatrix,
     Lattice,
     PreconditionError,
+    SearchLimitExceeded,
     ShapeError,
     classify_F,
     classify_W,
@@ -20,7 +21,9 @@ from torifactor import (
 from torifactor.gale import _minors
 
 from _exampledata import EX1_Q, EX1_V, EX1_VHAT, EX2_Q, EX2_V, EX2_VHAT
+import _randgen
 from _randgen import (
+    MAX_CF_DRAWS,
     SMALL_FAN_SHAPES,
     minor_gcd,
     oracle_classify_W,
@@ -240,6 +243,15 @@ def test_cf_matrix_generator_sanity():
         v = random_cf_matrix(rng, n, r)
         rep = classify_F(v)
         assert rep.is_F and rep.is_CF and rep.is_reduced
+
+
+@pytest.mark.parametrize("generator", [random_cf_matrix, random_reduced_f_matrix])
+def test_generators_give_up_on_a_shape_without_reduced_fan_matrices(count_calls, generator):
+    # three columns in dimension 1 repeat a direction, so (1, 2) has none
+    draws = count_calls(_randgen, "classify_F", everywhere=False)
+    with pytest.raises(SearchLimitExceeded, match=r"shape \(n, r\) = \(1, 2\) in 1000 draws"):
+        generator(random.Random(0), 1, 2)
+    assert len(draws) == MAX_CF_DRAWS
 
 
 def test_double_dual_is_CF_for_non_reduced_input():
