@@ -7,6 +7,7 @@ basis fixed by the HNF transform of the transposed weight matrix.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from math import lcm, prod
 from operator import mul
 from typing import Iterator, Optional
@@ -100,33 +101,55 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
     gives its HNF.  They are not reduced mod ``delta``: a pivot equal to
     ``delta`` would become 0.
 
-    Each index set must hold r distinct column indices.  Inside a
-    ``_shared_tables`` block, such as one ``analyze`` call, the table keeps for
-    ``q`` the dual rows of each distinct ``I`` (read off the cofactor tables of
-    ``q`` and reduced once, by ``_dual_rows``), so the length, distinctness and
-    range of ``I`` are checked once too, and the fold states after each index
-    set of the previous family.  The next family folds only its index sets
-    after the longest common prefix with that one.  Outside a block nothing
-    outlives the call, and the cofactor tables are built once for it.
+    Each index set must hold r distinct column indices; a family that is a
+    tuple of tuples of exact ints is taken as it is, any other iterable is read
+    once and converted set by set.  Inside a ``_shared_tables`` block, such as
+    one ``analyze`` call, the table keeps for ``q`` the dual rows of each
+    distinct ``I`` (read off the cofactor tables of ``q`` and reduced once, by
+    ``_dual_rows``), so the length, distinctness and range of ``I`` are checked
+    once too, and the fold states after each index set of the previous family.
+    The next family folds only its index sets after the longest common prefix
+    with that one.  The final state, reduced above its pivots, is the row HNF
+    of ``delta Pic^*``, so ``delta`` and its rows name the lattice: the table
+    keeps the record of each such key, and a family that ends on a known key
+    returns that same ``PicardData`` without solving for ``B`` again.  Outside
+    a block nothing outlives the call, and the cofactor tables are built once
+    for it.
     """
     r, m = q.shape
-    sets = []
+    sets = index_family.sets
     # outside a block, one for this call: the cofactor tables are built once
     with _shared_tables():
         blocks, folds = _picard_table(q)
-        for idx in index_family.sets:
-            idx = _int_tuple(idx, "index set entries")
-            if idx not in blocks:
-                if len(idx) != r:
-                    raise ShapeError("index set size must equal the weight-matrix rank")
-                if len(set(idx)) != r or not all(0 <= j < m for j in idx):
-                    raise ShapeError(f"index set {idx} is not {r} distinct columns in 0..{m - 1}")
-                blocks[idx] = _dual_rows(q, idx)
-            sets.append(idx)
+        records = _cached(q, "picard records", dict)
+        # a tuple of tuples of exact ints is read as it is (bools are converted)
+        exact = (
+            type(sets) is tuple
+            and {*map(type, sets)} == {tuple}
+            and {*map(type, chain.from_iterable(sets))} == {int}
+        )
+        if not exact:
+            try:
+                sets = map(_int_tuple, sets, repeat("index set entries"))
+            except TypeError:
+                raise ShapeError("index family must be an iterable of index sets") from None
+        if not exact or not all(map(blocks.__contains__, sets)):
+            listed = []
+            for idx in sets:
+                if idx not in blocks:
+                    if len(idx) != r:
+                        raise ShapeError("index set size must equal the weight-matrix rank")
+                    if len(set(idx)) != r or not all(0 <= j < m for j in idx):
+                        raise ShapeError(
+                            f"index set {idx} is not {r} distinct columns in 0..{m - 1}"
+                        )
+                    blocks[idx] = _dual_rows(q, idx)
+                listed.append(idx)
+            sets = listed
     if not sets:
         raise PreconditionError("empty index family")
-    shared = 0
-    while shared < min(len(folds), len(sets)) and folds[shared][0] == sets[shared]:
+    shared, bound = 0, min(len(folds), len(sets))
+    while shared < bound and folds[shared][0] == sets[shared]:
         shared += 1
     del folds[shared:]
     if folds:
@@ -145,15 +168,20 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
         delta = grown
         _hnf_fold(w, ([delta // d * x for x in reversed(row)] for row in rows), delta)
         folds.append((idx, delta, w))
-    # reduced in place, the stored state still spans the same lattice
+    # reduced in place, the stored state still spans the same lattice, and is
+    # the row HNF of delta Pic^*: with delta it names the record
     _hnf_reduce(w)
-    basis = [x[::-1] for x in _scaled_inverse_columns(w, delta)]
-    basis.reverse()
-    _hnf_reduce(basis)
-    det_m = prod(row[k] for k, row in enumerate(w))
-    return PicardData(
-        B=IntMatrix._of(tuple(map(tuple, basis))), index=delta**r // det_m, delta_sigma=delta
-    )
+    key = (delta, tuple(map(tuple, w)))
+    pd = records.get(key)
+    if pd is None:
+        basis = [x[::-1] for x in _scaled_inverse_columns(w, delta)]
+        basis.reverse()
+        _hnf_reduce(basis)
+        det_m = prod(row[k] for k, row in enumerate(w))
+        pd = records[key] = PicardData(
+            B=IntMatrix._of(tuple(map(tuple, basis))), index=delta**r // det_m, delta_sigma=delta
+        )
+    return pd
 
 
 def _picard_table(q: IntMatrix) -> tuple[dict, list]:
@@ -239,18 +267,22 @@ def cartier_basis(b: IntMatrix, u_q: IntMatrix, beta: IntMatrix) -> IntMatrix:
     bottom block reproduces the fan matrix.  With ``beta`` the identity this is
     the Cartier basis of the covering.  The bottom block does not depend on
     ``b``, so inside a ``_shared_tables`` block it is computed once per
-    ``u_q`` and ``beta``, not once per fan.
+    ``u_q`` and ``beta``, not once per fan; and the basis is computed once per
+    ``b`` object, so the fans whose ``picard_basis`` returned one shared
+    ``PicardData`` share one Cartier matrix too.  Entries are keyed by object,
+    so no call hashes a matrix.
     """
     if not b.is_square() or not beta.is_square():
         raise ShapeError("b and beta must be square")
     if not u_q.is_square() or u_q.rows != b.rows + beta.rows:
         raise ShapeError("transform size must equal rank + dimension")
-    top, bottom = _cached(
+    # the entry holds beta, so its id names no other matrix while the table lives
+    _, top, bottom = _cached(
         u_q,
-        ("cartier blocks", beta),
-        lambda: (u_q.top_rows(b.rows), beta @ u_q.bottom_rows(beta.rows)),
+        ("cartier blocks", id(beta)),
+        lambda: (beta, u_q.top_rows(b.rows), beta @ u_q.bottom_rows(beta.rows)),
     )
-    return (b @ top).vstack(bottom)
+    return _cached(b, ("cartier basis", id(u_q), id(beta)), lambda: (b @ top).vstack(bottom))
 
 
 def weil_inclusion(u_q: IntMatrix, beta: IntMatrix) -> IntMatrix:

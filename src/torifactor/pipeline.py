@@ -8,11 +8,12 @@ in its bottom rows.
 
 from __future__ import annotations
 
+from math import prod
 from operator import mul
 from typing import Optional
 
 from .intmat import IntMatrix, PreconditionError, Record, ShapeError, _int_text, _int_tuple
-from .intmat import _det_rows, _search_cap, _shared_tables, det
+from .intmat import _laplace_minors, _search_cap, _shared_tables, det
 from .covering import (
     CoveringData,
     TorsionMatrix,
@@ -31,7 +32,7 @@ from .divisors import (
     picard_basis,
     weight_transform,
 )
-from .fans import Fan, PicardIndexFamily, enumerate_fans, picard_index_sets
+from .fans import Fan, PicardIndexFamily, _mask, enumerate_fans, picard_index_sets
 from .gale import gale_dual, require_F
 
 
@@ -78,9 +79,11 @@ def analyze(
     keeps the fold states of the last family, and each ``picard_basis`` call
     folds only the index sets after the common prefix.  No fan inverts a matrix
     or runs a second HNF: the fold state is triangular, solved by back
-    substitution, and its reversed solution is already triangular.  The
-    fan-independent bottom block of the Cartier bases is computed once as
-    well, and so is the one m x m determinant that ``verify_result`` takes.
+    substitution, and its reversed solution is already triangular.  The fans
+    whose folds end on one Picard lattice share one ``PicardData``, solved
+    once, and one Cartier basis, multiplied once; the fan-independent bottom
+    block of the Cartier bases is computed once as well, and so is the one
+    m x m determinant that ``verify_result`` takes.
     """
     if fan_index is not None:
         (fan_index,) = _int_tuple((fan_index,), "fan index")
@@ -137,20 +140,28 @@ def verify_result(res: PipelineResult) -> None:
     ``picard_basis``; each check below rests on ``Q``, ``V`` and the result.
 
     * Cartier bases.  Each ``C = [C_top; B']`` must be square with bottom
-      block ``B' = V``, and ``|det C| = index |det beta|``.  With ``V Q^T = 0``
-      and ``F Q^T = I`` checked first (``F`` the free-part generators),
-      ``|det C| = |det(C_top Q^T)| |det [F; V]|``: extend ``Q^T`` to a
-      unimodular ``W`` and expand ``C W`` and ``[F; V] W`` by blocks.  So one
-      m x m determinant serves the call, and each fan takes an r x r one.
+      block ``B' = V``, ``C_top Q^T`` must equal ``B``, ``B`` must be upper
+      triangular, and ``|prod diag B| |det [F; V]| = index |det beta|``.  With
+      ``V Q^T = 0`` and ``F Q^T = I`` checked first (``F`` the free-part
+      generators), ``|det C| = |det(C_top Q^T)| |det [F; V]|``: extend ``Q^T``
+      to a unimodular ``W`` and expand ``C W`` and ``[F; V] W`` by blocks.  For
+      ``C = blockdiag(B, beta) U_Q`` the top block is ``B F``, so
+      ``C_top Q^T = B F Q^T = B``, and a triangular ``B`` has determinant
+      ``prod diag B``.  So the three checks give ``|det C| = index |det beta|``
+      and more; the call takes one m x m determinant and no r x r one.  Fans
+      that hold the same Cartier and ``B`` objects and index are checked
+      once; the result holds those objects for the call, so their ids stay
+      theirs.
     * Index sets.  Each fan's family must list the complements of its cones,
       one per cone, each complement taken once per call; each distinct set
       must hold ``r`` columns.
     * Weight blocks.  For each distinct index set ``I`` of the fans,
-      ``d = |det Q_I|`` is taken afresh and must be nonzero.  The dual rows
-      ``H`` of ``I`` come from ``picard_basis``'s table, or from
+      ``d = |det Q_I|`` is read off one table of the r x r minors of ``Q``
+      (``_laplace_minors``), taken afresh for the call, and must be nonzero.
+      The dual rows ``H`` of ``I`` come from ``picard_basis``'s table, or from
       ``_dual_rows`` outside one (on cofactor tables of ``Q`` built once for
-      the call), and are certified: strictly increasing
-      pivot columns, positive pivots, ``prod pivots * d^(r - |H|) = d^(r-1)``
+      the call), and are certified: strictly increasing pivot columns,
+      positive pivots, ``prod pivots * d^(r - |H|) = d^(r-1)``
       and ``h Q_I == 0 mod d`` for each row ``h``.  Then ``H`` and the
       ``d e_k`` span ``L = {x : x Q_I == 0 mod d} = rowspan(adj Q_I)``: they
       lie in ``L``, and ``H`` with the ``d e_k`` at the columns that are no
@@ -158,7 +169,8 @@ def verify_result(res: PipelineResult) -> None:
       rows span a sublattice of ``L`` of index ``d^(r-1)``, the index of ``L``.  A Picard row ``b`` lies
       in ``Q_I Z^r`` iff ``x b == 0 mod d`` for every ``x`` in ``L``, so it is
       tested against the rows of ``H`` alone, once for each distinct pair of
-      ``I`` and a row of a fan that has ``I``.
+      ``I`` and a row of a fan that has ``I``; the sets of the fans are pooled
+      per distinct ``B`` object first.
     """
     v, q = res.V, res.Q
     if not (q @ v.transpose()).is_zero():
@@ -181,18 +193,28 @@ def verify_result(res: PipelineResult) -> None:
         _check_torsion_congruences(res.gamma, v, res.class_group.torsion_generator_rows)
     v_rows, q_rows = tuple(v), tuple(q)
     det_fv = abs(det(free.vstack(v)))
-    rows_by_set: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    certified: set[tuple[int, int, int]] = set()
+    sets_by_basis: dict[int, tuple[IntMatrix, set[tuple[int, ...]]]] = {}
     complements: dict[tuple[int, ...], tuple[int, ...]] = {}
     for fa in res.fans:
         pd = fa.picard
-        if not fa.cartier.is_square():
-            raise ShapeError("determinant requires a square matrix")
-        c_rows = tuple(fa.cartier)
-        if c_rows[-v.rows :] != v_rows:
-            raise PreconditionError("Cartier basis does not end in the fan matrix")
-        top = [[sum(map(mul, c, qk)) for qk in q_rows] for c in c_rows[:r]]
-        if abs(_det_rows(top)) * det_fv != pd.index * det_beta:
-            raise PreconditionError("Cartier determinant factorization failed")
+        b = pd.B
+        # the result holds these objects for the call, so their ids stay theirs
+        key = (id(fa.cartier), id(b), pd.index)
+        if key not in certified:
+            if not fa.cartier.is_square():
+                raise ShapeError("determinant requires a square matrix")
+            c_rows = tuple(fa.cartier)
+            if c_rows[-v.rows :] != v_rows:
+                raise PreconditionError("Cartier basis does not end in the fan matrix")
+            top = tuple(tuple(sum(map(mul, c, qk)) for qk in q_rows) for c in c_rows[:r])
+            if (
+                top != tuple(b)
+                or any(row[:k] != (0,) * k for k, row in enumerate(top))
+                or abs(prod(row[k] for k, row in enumerate(top))) * det_fv != pd.index * det_beta
+            ):
+                raise PreconditionError("Cartier determinant factorization failed")
+            certified.add(key)
         family = []
         for cone in fa.fan.maximal_cones:
             if cone not in complements:
@@ -200,19 +222,23 @@ def verify_result(res: PipelineResult) -> None:
             family.append(complements[cone])
         if fa.index_sets.sets != tuple(family):
             raise PreconditionError("index sets are not the complements of the fan's cones")
-        for idx in family:
-            rows_by_set.setdefault(idx, set()).update(pd.B)
+        sets_by_basis.setdefault(id(b), (b, set()))[1].update(family)
+    rows_by_set: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for b, sets in sets_by_basis.values():
+        for idx in sets:
+            rows_by_set.setdefault(idx, set()).update(b)
     q_cols = tuple(zip(*q_rows))
+    minors = _laplace_minors(q_rows, v.cols)
     # outside a block, one for this call: the cofactor tables are built once
     with _shared_tables():
         tabled, _ = _picard_table(q)
         for idx, rows in rows_by_set.items():
             if len(idx) != r:
                 raise PreconditionError(f"index set {idx} does not hold r = {r} columns")
-            cols = [q_cols[j] for j in idx]
-            d = abs(_det_rows([list(c) for c in cols]))
+            d = abs(minors[_mask(idx)])
             if d == 0:
                 raise PreconditionError(f"singular weight block at columns {idx}")
+            cols = [q_cols[j] for j in idx]
             h = tabled[idx][1] if idx in tabled else _dual_rows(q, idx)[1]
             if not _spans_block_duals(h, cols, d):
                 raise PreconditionError("weight block adjugate identity failed")

@@ -387,6 +387,25 @@ def test_picard_basis_rejects_malformed_index_sets(sets):
         picard_basis(q, PicardIndexFamily(sets))
 
 
+def test_picard_basis_rejects_a_family_that_is_not_iterable():
+    q = gale_dual(IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]]))
+    for sets in (None, 3):
+        with pytest.raises(ShapeError, match="iterable of index sets"):
+            picard_basis(q, PicardIndexFamily(sets))
+
+
+def test_picard_basis_reads_a_generator_of_index_sets():
+    # the family is read once: the check for a tuple of int tuples consumes nothing
+    q = gale_dual(IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]]))
+    sets = ((0, 1), (2, 1), (3, 0))
+    want = picard_basis(q, PicardIndexFamily(sets))
+    assert picard_basis(q, PicardIndexFamily(iter(sets))) == want
+    assert picard_basis(q, PicardIndexFamily(list(s) for s in sets)) == want
+    with _shared_tables():
+        assert picard_basis(q, PicardIndexFamily(sets)) == want
+        assert picard_basis(q, PicardIndexFamily(s for s in sets)) == want
+
+
 def test_picard_basis_reads_index_sets_as_integers():
     q = gale_dual(IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]]))
     family = PicardIndexFamily(((0, 1), (2, 1)))

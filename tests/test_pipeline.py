@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 from operator import mul
 
 import pytest
@@ -18,7 +19,7 @@ from torifactor import (
     verify_result,
 )
 
-from _exampledata import EX1_V, EX2_V
+from _exampledata import EX1_V, EX2_V, SHARED_PICARD, SHARED_V
 from _randgen import (
     SMALL_FAN_SHAPES,
     pick_fan_shape,
@@ -346,6 +347,61 @@ def test_verification_rejects_a_cartier_basis_with_a_doubled_top_row():
         forged = fa._replace(cartier=IntMatrix(rows))
         with pytest.raises(PreconditionError, match="Cartier determinant factorization failed"):
             verify_result(res._replace(fans=res.fans[:-1] + (forged,)))
+
+
+def test_fans_with_one_picard_lattice_share_their_records(count_calls):
+    from torifactor import PicardIndexFamily, divisors, picard_basis
+
+    assert SHARED_V == random_reduced_f_matrix(random.Random(1), 3, 3)
+    finishes = count_calls(divisors, "_scaled_inverse_columns")
+    res = analyze(SHARED_V)
+    # one finished record per distinct lattice, not one per fan
+    assert len(res.fans) == 4 and len(finishes) == 2
+    for k, fa in enumerate(res.fans):
+        pd = fa.picard
+        assert (pd.B.tolist(), pd.index, pd.delta_sigma) == SHARED_PICARD[k // 2]
+        assert pd == picard_basis(res.Q, PicardIndexFamily(fa.index_sets.sets))
+    for fa, fb in combinations(res.fans, 2):
+        same = fa.picard == fb.picard
+        assert (fa.picard is fb.picard) == same
+        assert (fa.cartier is fb.cartier) == same
+
+
+def _forge_fan_one(res, kind):
+    """Fan 1 of ``SHARED_V``'s result, which shares its records with fan 0,
+    forged: a doubled Cartier top row, a ``B`` that is not ``C_top Q^T``, a
+    ``B`` that is not upper triangular (with the Cartier basis built from it),
+    or twice the index."""
+    from torifactor import cartier_basis
+
+    fa = res.fans[1]
+    if kind == "doubled index":
+        return fa._replace(picard=fa.picard._replace(index=2 * fa.picard.index))
+    if kind == "doubled top row":
+        rows = fa.cartier.tolist()
+        rows[0] = [2 * x for x in rows[0]]
+        return fa._replace(cartier=IntMatrix(rows))
+    rows = fa.picard.B.tolist()
+    if kind == "not C_top Q^T":
+        rows[0][1] += 1  # still triangular, same diagonal and index
+        return fa._replace(picard=fa.picard._replace(B=IntMatrix(rows)))
+    rows[-1][0] = 1  # same diagonal and index, below the diagonal
+    b = IntMatrix(rows)
+    return fa._replace(
+        picard=fa.picard._replace(B=b), cartier=cartier_basis(b, res.U_Q, res.covering.beta)
+    )
+
+
+@pytest.mark.parametrize(
+    "kind", ["doubled top row", "not C_top Q^T", "not triangular", "doubled index"]
+)
+def test_verification_rejects_a_forged_fan_that_shared_its_records(kind):
+    res = analyze(SHARED_V)
+    fa, fb = res.fans[:2]
+    assert fa.picard is fb.picard and fa.cartier is fb.cartier
+    forged = _forge_fan_one(res, kind)
+    with pytest.raises(PreconditionError, match="Cartier determinant factorization failed"):
+        verify_result(res._replace(fans=(fa, forged) + res.fans[2:]))
 
 
 def test_verification_checks_the_cartier_bottom_block_before_the_determinant():
