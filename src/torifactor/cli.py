@@ -20,7 +20,8 @@ equivalence search by candidate bases: the ordered tuples of columns of the
 first matrix, with matching minor invariants, that could map onto the first
 basis of columns of the second.  TORIFACTOR_MAX_PARTIAL_FANS caps
 the fan search of ``fans``, ``picard``, ``cartier`` and ``pipeline`` by the
-partial fans it pushes.  Only this front end reads them; the library takes
+partial fans it pushes; with ``--fan K``, up to the root of fan K, where the
+search stops.  Only this front end reads them; the library takes
 the caps as the ``max_permutations`` argument of ``fan_matrix_equivalence``
 and the ``max_partial_fans`` argument of ``enumerate_fans`` and ``analyze``.
 """

@@ -12,13 +12,13 @@ Loera, Rambau, Santos, *Triangulations*, 2010, Section 4.1); one conflict
 bitmask per candidate cone, built once from the circuits, holds the candidates
 it does not meet so.  A collection is a complete fan when its cones meet
 pairwise in common faces and every facet lies on exactly two cones.  The
-enumeration roots one search at each candidate and admits only later ones, so
-a fan is reached from its smallest cone only; it closes open facets one at a
-time from a table built once, and a partial fan is four bitmasks: its cones,
-the facets on one of them, the facets on two, and the rays used.  The table
-numbers the facets in lexicographic order with no facet tuple built: a facet
-is a bit-reversed column mask, and the descending order of those masks is the
-lexicographic order of the facet tuples.
+enumeration roots one search at each candidate, in ascending order, and admits
+only later ones, so a fan is reached from its smallest cone only; it closes
+open facets one at a time from a table built once, and a partial fan is four
+bitmasks: its cones, the facets on one of them, the facets on two, and the
+rays used.  The table numbers the facets in lexicographic order with no facet
+tuple built: a facet is a bit-reversed column mask, and the descending order
+of those masks is the lexicographic order of the facet tuples.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 from functools import cache
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .intmat import (
     IntMatrix,
@@ -194,15 +194,25 @@ def enumerate_fans(v: IntMatrix, max_partial_fans: Optional[int] = None) -> tupl
     """All complete simplicial fans whose rays are exactly the columns of ``v``.
 
     Candidate cones are the nonsingular size-n column subsets, in
-    lexicographic order.  A search from each candidate admits only later
-    candidates and resolves unpaired facets one at a time, lowest first; a
-    collection with every facet paired and all rays used is a complete fan.
-    The search is exhaustive and reaches each fan once, from its smallest cone.
-    ``max_partial_fans`` (at least 1; ``None``: no cap) caps the partial fans
-    pushed, the starting cones included; exceeding it raises
-    ``SearchLimitExceeded``.
+    lexicographic order.  The search roots at each candidate in turn, in
+    ascending order, admits only later candidates and resolves unpaired
+    facets one at a time, lowest first; a collection with every facet paired
+    and all rays used is a complete fan.  The search is exhaustive and reaches
+    each fan once, from its smallest cone, so the fans of one root, sorted,
+    follow those of every earlier root.  ``max_partial_fans`` (at least 1;
+    ``None``: no cap) caps the partial fans pushed, each root counted when
+    its search starts; exceeding it raises ``SearchLimitExceeded``.
     """
     max_partial_fans = _search_cap(max_partial_fans, "max_partial_fans")
+    return tuple(fan for fans in _fans_by_root(v, max_partial_fans) for fan in fans)
+
+
+def _fans_by_root(v: IntMatrix, max_partial_fans: Optional[int]) -> Iterator[list[Fan]]:
+    """The sorted fans of each root of ``enumerate_fans``'s search, root by root
+    in ascending order, for a cap already checked by ``_search_cap``.  The
+    pushed count runs on across the roots, so a caller that stops after a
+    root has paid for the partial fans of that root and of the earlier ones
+    only."""
     with _shared_tables():
         require_F(v)
         candidates = [c for c, d in _minors(v).items() if d]
@@ -212,30 +222,32 @@ def enumerate_fans(v: IntMatrix, max_partial_fans: Optional[int] = None) -> tupl
     facet_masks, by_facet = _facet_tables(candidates, v.cols)
 
     all_rays = (1 << v.cols) - 1
-    found: set[int] = set()
-    # depth-first over partial fans (chosen cones, facets on one chosen cone,
-    # facets on two, rays used), with an explicit stack: a recursive closure
-    # would form a reference cycle that keeps these tables alive until a full gc
-    stack = [(1 << k, facet_masks[k], 0, masks[k]) for k in range(len(candidates))]
-    pushed = len(stack)
-    while stack:
-        if max_partial_fans is not None and pushed > max_partial_fans:
-            raise SearchLimitExceeded(f"fan search exceeded {max_partial_fans} partial fans")
-        chosen, once, twice, rays = stack.pop()
-        if not once:
-            if rays == all_rays:
-                found.add(chosen)
-            continue
-        # the root is the smallest chosen cone: no cone below it may join
-        blocked = chosen | ((chosen & -chosen) - 1)
-        for k in by_facet[(once & -once).bit_length() - 1]:
-            f = facet_masks[k]
-            if blocked >> k & 1 or f & twice or conflict[k] & chosen:
+    pushed = 0
+    for root in range(len(candidates)):
+        found: list[int] = []
+        # depth-first over partial fans (chosen cones, facets on one chosen cone,
+        # facets on two, rays used), with an explicit stack: a recursive closure
+        # would form a reference cycle that keeps these tables alive until a full gc
+        stack = [(1 << root, facet_masks[root], 0, masks[root])]
+        pushed += 1
+        while stack:
+            if max_partial_fans is not None and pushed > max_partial_fans:
+                raise SearchLimitExceeded(f"fan search exceeded {max_partial_fans} partial fans")
+            chosen, once, twice, rays = stack.pop()
+            if not once:
+                if rays == all_rays:
+                    found.append(chosen)
                 continue
-            stack.append((chosen | 1 << k, once ^ f, twice | once & f, rays | masks[k]))
-            pushed += 1
-    fans = sorted(tuple(candidates[k] for k in _bits(chosen)) for chosen in found)
-    return tuple(Fan(v, cones) for cones in fans)
+            # the root is the smallest chosen cone: neither it nor a cone below
+            # it may join; every other chosen cone has a facet on two cones
+            for k in by_facet[(once & -once).bit_length() - 1]:
+                f = facet_masks[k]
+                if k <= root or f & twice or conflict[k] & chosen:
+                    continue
+                stack.append((chosen | 1 << k, once ^ f, twice | once & f, rays | masks[k]))
+                pushed += 1
+        fans = sorted(tuple(candidates[k] for k in _bits(chosen)) for chosen in found)
+        yield [Fan(v, cones) for cones in fans]
 
 
 def _facet_tables(candidates: Sequence[Cone], m: int) -> tuple[list[int], list[list[int]]]:

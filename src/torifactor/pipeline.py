@@ -32,7 +32,8 @@ from .divisors import (
     picard_basis,
     weight_transform,
 )
-from .fans import Fan, PicardIndexFamily, _mask, enumerate_fans, picard_index_sets
+from .fans import Fan, PicardIndexFamily, _fans_by_root, _mask, enumerate_fans
+from .fans import picard_index_sets
 from .gale import gale_dual, require_F
 
 
@@ -64,10 +65,16 @@ def analyze(
     """Run the whole pipeline on a reduced fan matrix.
 
     ``fan_index`` restricts the per-fan stage to one fan of the deterministic
-    enumeration; by default every fan is processed.  ``max_partial_fans``
-    caps the fan search as in ``enumerate_fans``.  ``V_hat`` is the lower
-    block of ``U_Q``, a row action away from ``covering_decomposition``'s row
-    HNF: for ``V = (1 -1)``, ``V_hat = (-1 1)`` and ``beta = (-1)`` here.
+    enumeration; by default every fan is processed.  The fan search runs its
+    roots in ascending order, and the fans of a root sort before those of
+    every later root, so for ``fan_index=k`` it stops after the root that
+    brings the fan count past ``k`` and builds the fans of the roots searched
+    only; a negative ``k``, or one past the last fan, runs every root, so the
+    message counts every fan.  ``max_partial_fans`` caps the fan search as in
+    ``enumerate_fans``, by the partial fans pushed up to where it stops.
+    ``V_hat`` is the lower block of ``U_Q``, a row action away from
+    ``covering_decomposition``'s row HNF: for ``V = (1 -1)``,
+    ``V_hat = (-1 1)`` and ``beta = (-1)`` here.
     One ``_shared_tables`` block, dropped on return, serves the whole call:
     ``V`` is classified and its maximal minors and signed circuits computed
     once, for the validation and the fan enumeration, each cone's complement
@@ -104,15 +111,19 @@ def analyze(
             free_generators=u_q.top_rows(r),
             torsion_generator_rows=gens,
         )
-        all_fans = enumerate_fans(v, max_partial_fans=max_partial_fans)
-        if fan_index is not None:
-            if not 0 <= fan_index < len(all_fans):
-                raise PreconditionError(
-                    f"fan index {_int_text(fan_index)} out of range (found {len(all_fans)} fans)"
-                )
-            selected = (all_fans[fan_index],)
+        if fan_index is None:
+            selected = enumerate_fans(v, max_partial_fans=max_partial_fans)
         else:
-            selected = all_fans
+            found: list[Fan] = []
+            for fans in _fans_by_root(v, max_partial_fans):
+                found += fans
+                if 0 <= fan_index < len(found):
+                    break
+            else:
+                raise PreconditionError(
+                    f"fan index {_int_text(fan_index)} out of range (found {len(found)} fans)"
+                )
+            selected = (found[fan_index],)
         analyses = []
         for fan in selected:
             family = picard_index_sets(fan)

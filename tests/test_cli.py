@@ -288,19 +288,26 @@ def test_bad_partial_fan_cap_is_an_input_error(monkeypatch, capsys, command, val
     assert "TORIFACTOR_MAX_PARTIAL_FANS" in captured.err
 
 
-# the fan search pushes 41 partial fans on the second example
-@pytest.mark.parametrize("command", ["fans", "picard", "cartier", "pipeline"])
-def test_partial_fan_cap_exits_2_once_reached(monkeypatch, capsys, command):
-    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", "41")
+# the fan search pushes 41 partial fans on the second example; --fan 0 stops
+# it after the first root, which has found the first fan by 8 partial fans
+@pytest.mark.parametrize(
+    "command, pushed",
+    [("fans", 41), ("picard", 8), ("cartier", 8), ("pipeline", 8)],
+    ids=["fans", "picard", "cartier", "pipeline"],
+)
+def test_partial_fan_cap_exits_2_once_reached(monkeypatch, capsys, command, pushed):
+    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", str(pushed))
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EX2)))
     assert run([command, "--fan", "0"]) == 0
     assert capsys.readouterr().err == ""
-    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", "40")
+    monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", str(pushed - 1))
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EX2)))
     assert run([command, "--fan", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("torifactor: search limit reached: fan search exceeded 40")
+    assert captured.err.startswith(
+        f"torifactor: search limit reached: fan search exceeded {pushed - 1}"
+    )
 
 
 @pytest.mark.parametrize("command", ["cover", "torsion", "gamma"])

@@ -26,6 +26,7 @@ from _randgen import (
     random_reduced_f_matrix,
     random_unimodular,
     rational_membership,
+    tuple_table_search,
 )
 
 
@@ -138,17 +139,19 @@ def test_analyze_builds_the_circuits_once(count_calls):
 
 
 def test_analyze_calls_each_public_step(count_calls):
-    # the calls analyze makes itself; enumerate_fans validates V once more
+    # the calls analyze makes itself; the fan search validates V once more.
+    # All fans come from enumerate_fans, one fan from the search root by root
     from torifactor import pipeline
 
-    steps = ("require_F", "enumerate_fans", "picard_basis", "verify_result")
+    steps = ("require_F", "enumerate_fans", "_fans_by_root", "picard_basis", "verify_result")
     calls = {name: count_calls(pipeline, name, everywhere=False) for name in steps}
     for fan_index, verify in ((None, True), (None, False), (1, True)):
         for seen in calls.values():
             seen.clear()
         res = analyze(EX2_V, fan_index=fan_index, verify=verify)
         assert calls["require_F"] == [(EX2_V,)]
-        assert calls["enumerate_fans"] == [(EX2_V,)]
+        assert calls["enumerate_fans"] == ([(EX2_V,)] if fan_index is None else [])
+        assert calls["_fans_by_root"] == ([] if fan_index is None else [(EX2_V, None)])
         assert [family for _, family in calls["picard_basis"]] == [fa.index_sets for fa in res.fans]
         assert calls["verify_result"] == ([(res,)] if verify else [])
 
@@ -308,11 +311,36 @@ def test_verification_rechecks_every_table_entry(monkeypatch):
 
 
 def test_analyze_passes_the_partial_fan_cap_to_the_search():
-    # the search pushes 41 partial fans on the second example (tests/test_fans.py)
-    res = analyze(EX2_V, fan_index=0, max_partial_fans=41)
+    # the search pushes 41 partial fans on the second example (tests/test_fans.py);
+    # fan 0 stops it after the first root, at 8
+    res = analyze(EX2_V, fan_index=0, max_partial_fans=8)
     assert res.fans[0].fan == analyze(EX2_V, fan_index=0).fans[0].fan
+    with pytest.raises(SearchLimitExceeded, match="exceeded 7 partial fans"):
+        analyze(EX2_V, fan_index=0, max_partial_fans=7)
+    assert len(analyze(EX2_V, max_partial_fans=41).fans) == 3
     with pytest.raises(SearchLimitExceeded, match="exceeded 40 partial fans"):
         analyze(EX2_V, max_partial_fans=40)
+
+
+@pytest.mark.parametrize("fan_index", [-1, 3])
+def test_an_index_outside_the_fans_exhausts_the_search(fan_index):
+    # a negative index, or one past the last fan, runs every root, so the
+    # message counts every fan and the cap counts the whole search
+    with pytest.raises(PreconditionError, match=rf"fan index {fan_index} out of range \(found 3 fans\)"):
+        analyze(EX2_V, fan_index=fan_index, max_partial_fans=41)
+    with pytest.raises(SearchLimitExceeded, match="exceeded 40 partial fans"):
+        analyze(EX2_V, fan_index=fan_index, max_partial_fans=40)
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_one_fan_analysis_takes_the_fan_of_the_whole_enumeration(shape, seed):
+    # the one-fan search stops after the root of fan k, so the whole search's
+    # pushed count (tuple_table_search) is a cap it never reaches
+    v = random_reduced_f_matrix(random.Random(seed), *shape)
+    fans = enumerate_fans(v)
+    _, pushed = tuple_table_search(v)
+    for k in range(len(fans)):
+        assert analyze(v, fan_index=k, max_partial_fans=pushed).fans[0].fan == fans[k]
 
 
 SEARCHES = {
@@ -512,3 +540,61 @@ def test_analyze_takes_no_modular_hnf_and_no_m_by_m_determinant_per_fan(count_ca
             # one dual-row HNF per distinct index set, and one m x m determinant in all
             assert len(hnfs) == len(distinct)
             assert sum(len(a) == v.cols for (a,) in dets) == 1
+
+
+def _bumped(matrix):
+    rows = matrix.tolist()
+    rows[0][0] += 1
+    return IntMatrix(rows)
+
+
+def _forge_covering(res, **changes):
+    return res._replace(covering=res.covering._replace(**changes))
+
+
+# one forgery per identity that verify_result checks before the fans; each
+# breaks its identity and none checked before it
+IDENTITY_FORGERIES = [
+    pytest.param(
+        lambda res: res._replace(Q=_bumped(res.Q)),
+        "weights are not orthogonal to the fan matrix",
+        id="orthogonality",
+    ),
+    pytest.param(
+        lambda res: _forge_covering(res, V_hat=_bumped(res.covering.V_hat)),
+        "covering factorization failed",
+        id="covering factorization",
+    ),
+    pytest.param(
+        lambda res: _forge_covering(res, Delta=_bumped(res.covering.Delta)),
+        "diagonal form identity failed",
+        id="diagonal form",
+    ),
+    pytest.param(
+        lambda res: _forge_covering(res, V_aligned=_bumped(res.covering.V_aligned)),
+        "alignment identity failed",
+        id="alignment",
+    ),
+    pytest.param(
+        lambda res: _forge_covering(res, torsion_invariants=(3, 30)),
+        "factor determinant disagrees with the torsion order",
+        id="torsion order",
+    ),
+    pytest.param(
+        lambda res: res._replace(
+            class_group=res.class_group._replace(
+                free_generators=_bumped(res.class_group.free_generators)
+            )
+        ),
+        "free-part generator identity failed",
+        id="free part",
+    ),
+]
+
+
+@pytest.mark.parametrize("forge, message", IDENTITY_FORGERIES)
+def test_verification_rejects_a_forged_identity(forge, message):
+    res = analyze(EX2_V)
+    assert res.covering.torsion_invariants == (3, 15)
+    with pytest.raises(PreconditionError, match=message):
+        verify_result(forge(res))
