@@ -326,7 +326,8 @@ def test_analyze_passes_the_partial_fan_cap_to_the_search():
 def test_an_index_outside_the_fans_exhausts_the_search(fan_index):
     # a negative index, or one past the last fan, runs every root, so the
     # message counts every fan and the cap counts the whole search
-    with pytest.raises(PreconditionError, match=rf"fan index {fan_index} out of range \(found 3 fans\)"):
+    message = rf"fan index {fan_index} out of range \(found 3 fans\)"
+    with pytest.raises(PreconditionError, match=message):
         analyze(EX2_V, fan_index=fan_index, max_partial_fans=41)
     with pytest.raises(SearchLimitExceeded, match="exceeded 40 partial fans"):
         analyze(EX2_V, fan_index=fan_index, max_partial_fans=40)
