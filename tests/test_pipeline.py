@@ -1,7 +1,9 @@
+import json
 import random
 from collections import Counter
 from itertools import combinations
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -342,6 +344,21 @@ def test_one_fan_analysis_takes_the_fan_of_the_whole_enumeration(shape, seed):
     _, pushed = tuple_table_search(v)
     for k in range(len(fans)):
         assert analyze(v, fan_index=k, max_partial_fans=pushed).fans[0].fan == fans[k]
+
+
+# the benchmark's tall-enum ladder, whose jobs ask for fan 0 only: the fan
+# count recorded for each instance is checked here against the whole search
+TALL_LADDER = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "expected.json").read_text()
+)["ladders"]["tall-enum"]
+
+
+@pytest.mark.parametrize("entry", TALL_LADDER, ids=[e["label"] for e in TALL_LADDER])
+def test_tall_ladder_fan_counts_match_the_benchmark_record(entry):
+    v = random_reduced_f_matrix(random.Random(entry["label"]), *entry["shape"])
+    fans = enumerate_fans(v)
+    assert len(fans) == entry["fans"]
+    assert analyze(v, fan_index=0).fans[0].fan == fans[0]
 
 
 SEARCHES = {
