@@ -6,7 +6,7 @@ Cartier bases per fan, and conversely rebuilds a fan matrix from quotient
 data (weight matrix plus torsion matrix).  All arithmetic is exact.
 """
 
-from .intmat import IntMatrix, PreconditionError, ShapeError, det, vector_content
+from .intmat import IntMatrix, PreconditionError, ShapeError, det, shared_tables, vector_content
 from .lattices import Lattice, kernel_saturation
 from .normal_forms import (
     HnfResult,
@@ -72,6 +72,7 @@ __all__ = [
     "ShapeError",
     "PreconditionError",
     "det",
+    "shared_tables",
     "rank",
     "vector_content",
     "kernel_saturation",

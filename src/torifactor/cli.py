@@ -37,6 +37,7 @@ from functools import lru_cache
 from typing import Any, Optional
 
 from .intmat import IntMatrix, PreconditionError, Record, SearchLimitExceeded, ShapeError
+from .intmat import shared_tables
 from .covering import (
     CoveringData,
     TorsionMatrix,
@@ -295,12 +296,14 @@ def _witness(v1: IntMatrix, v2: IntMatrix) -> dict:
 def _run_reconstruct(payload: dict, args: argparse.Namespace) -> dict:
     q = decode_matrix(_need(payload, "weights"), "weights")
     gamma = decode_torsion(_need(payload, "torsion"))
-    pres = QuotientPresentation(q, gamma)
-    v_hat = decode_matrix(payload["covering"], "covering") if "covering" in payload else None
-    rec = reconstruct(pres, v_hat)
-    out = {"V_hat": rec.V_hat, "K": rec.K, "beta": rec.beta, "fan_matrix": rec.V}
-    if "reference" in payload:
-        out["equivalence"] = _witness(decode_matrix(payload["reference"], "reference"), rec.V)
+    # one table for the job: the HNF of Q^T that classify_W takes also gives gale_dual(Q)
+    with shared_tables():
+        pres = QuotientPresentation(q, gamma)
+        v_hat = decode_matrix(payload["covering"], "covering") if "covering" in payload else None
+        rec = reconstruct(pres, v_hat)
+        out = {"V_hat": rec.V_hat, "K": rec.K, "beta": rec.beta, "fan_matrix": rec.V}
+        if "reference" in payload:
+            out["equivalence"] = _witness(decode_matrix(payload["reference"], "reference"), rec.V)
     return out
 
 

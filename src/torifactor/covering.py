@@ -21,8 +21,8 @@ from .intmat import (
     _det_adjugate,
     _int_list_text,
     _int_tuple,
-    _shared_tables,
     det,
+    shared_tables,
 )
 from .gale import gale_dual, require_F
 from .lattices import Lattice
@@ -143,7 +143,7 @@ def universal_covering(v: IntMatrix) -> IntMatrix:
     lattice of ``v`` and its column lattice is all of Z^n.  The validation and
     the first dual share the kernel of ``v``.
     """
-    with _shared_tables():
+    with shared_tables():
         require_F(v, reduced=True)
         return gale_dual(gale_dual(v))
 

@@ -20,7 +20,7 @@ from .intmat import (
     _cached,
     _int_tuple,
     _laplace_minors,
-    _shared_tables,
+    shared_tables,
 )
 from .fans import PicardIndexFamily, _mask
 from .gale import require_W
@@ -103,7 +103,7 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
 
     Each index set must hold r distinct column indices; a family that is a
     tuple of tuples of exact ints is taken as it is, any other iterable is read
-    once and converted set by set.  Inside a ``_shared_tables`` block, such as
+    once and converted set by set.  Inside a ``shared_tables`` block, such as
     one ``analyze`` call, the table keeps for ``q`` the dual rows of each
     distinct ``I`` (read off the cofactor tables of ``q`` and reduced once, by
     ``_dual_rows``), so the length, distinctness and range of ``I`` are checked
@@ -119,7 +119,7 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
     r, m = q.shape
     sets = index_family.sets
     # outside a block, one for this call: the cofactor tables are built once
-    with _shared_tables():
+    with shared_tables():
         blocks, folds = _picard_table(q)
         records = _cached(q, "picard records", dict)
         # a tuple of tuples of exact ints is read as it is (bools are converted)
@@ -236,7 +236,7 @@ def _weight_block(
 def _cofactor_tables(q: IntMatrix) -> list[dict[int, int]]:
     """For each row b of ``q``, the (r-1)-minors of ``q`` without row b, keyed
     by column bitmask (``_laplace_minors``); built once per ``q`` inside a
-    ``_shared_tables`` block."""
+    ``shared_tables`` block."""
 
     def build():
         rows = tuple(q)
@@ -266,7 +266,7 @@ def cartier_basis(b: IntMatrix, u_q: IntMatrix, beta: IntMatrix) -> IntMatrix:
     block expresses the Picard basis in the prime-divisor coordinates, the
     bottom block reproduces the fan matrix.  With ``beta`` the identity this is
     the Cartier basis of the covering.  The bottom block does not depend on
-    ``b``, so inside a ``_shared_tables`` block it is computed once per
+    ``b``, so inside a ``shared_tables`` block it is computed once per
     ``u_q`` and ``beta``, not once per fan; and the basis is computed once per
     ``b`` object, so the fans whose ``picard_basis`` returned one shared
     ``PicardData`` share one Cartier matrix too.  Entries are keyed by object,

@@ -37,7 +37,7 @@ from .intmat import (
     _cached,
     _int_tuple,
     _search_cap,
-    _shared_tables,
+    shared_tables,
 )
 from .gale import _circuits, _minors, require_F
 
@@ -157,7 +157,7 @@ def validate_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> FanValidation:
         problems.append("duplicate maximal cones")
     if problems:
         return FanValidation(False, tuple(problems))
-    with _shared_tables():
+    with shared_tables():
         minors, circuits = _minors(v), _circuits(v)
     for c in cone_list:
         if not minors[c]:
@@ -213,7 +213,7 @@ def _fans_by_root(v: IntMatrix, max_partial_fans: Optional[int]) -> Iterator[lis
     pushed count runs on across the roots, so a caller that stops after a
     root has paid for the partial fans of that root and of the earlier ones
     only."""
-    with _shared_tables():
+    with shared_tables():
         require_F(v)
         candidates = [c for c, d in _minors(v).items() if d]
         circuits = _circuits(v)
@@ -274,7 +274,7 @@ def _facet_tables(candidates: Sequence[Cone], m: int) -> tuple[list[int], list[l
 
 def picard_index_sets(fan: Fan) -> PicardIndexFamily:
     """Size-r complements of the maximal cones, in cone order.  Inside a
-    ``_shared_tables`` block each cone's complement is computed once per
+    ``shared_tables`` block each cone's complement is computed once per
     fan matrix, for all its fans; outside one, once per call."""
     m = fan.matrix.cols
     complements = _cached(fan.matrix, "complements", dict)

@@ -7,12 +7,18 @@ a matrix.  Both notions are invariant under the choice of lattice basis, so
 the predicates below accept any representative.
 
 Every cone test on a fan matrix ``V`` reads one table of its maximal minors,
-``_minors``, built from the smaller side of the Gale pair: on ``V`` itself
-when ``r >= n``, otherwise from the r x r minors of the saturated kernel
-``Q`` of ``V``, the one ``gale_dual`` returns, with one n x n minor of ``V``
-to fix their common factor.  A kernel of rank other than r means ``V`` has
-rank below n, and then every minor is 0.  Its signed circuits, ``_circuits``,
-are read off that table once per ``V``, for F (b) and for the fan search.
+``_minors``, built from the side of the Gale pair that costs less: on ``V``
+itself, or from the r x r minors of the saturated kernel ``Q`` of ``V``, the
+one ``gale_dual`` returns, with one n x n minor of ``V`` to fix their common
+factor.  With ``m = n + r`` columns, let ``L(k) = sum_(t<=k) t C(m, t)``, the
+multiplications of the Laplace minors on k rows.  The ``V`` side costs
+``L(n)``; the kernel side costs ``L(r)``, plus ``m^2 n`` for the HNF of
+``V^T`` with its m x m transform unless the open ``shared_tables`` block
+already holds that kernel, as ``analyze`` arranges.  The kernel side is read
+when ``r < n`` and the kernel is held, or when it costs less.  A kernel of
+rank other than r means ``V`` has rank below n, and then every minor is 0.
+Its signed circuits, ``_circuits``, are read off that table once per ``V``,
+for F (b) and for the fan search.
 
 ``classify_W`` reads two weight conditions on the integer kernel ``K`` of
 ``Q`` as fan conditions; the rational row space of ``Q`` is ``{x : K x = 0}``:
@@ -31,6 +37,7 @@ are read off that table once per ``V``, for F (b) and for the fan search.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from .intmat import (
     IntMatrix,
@@ -39,8 +46,9 @@ from .intmat import (
     ShapeError,
     _cached,
     _det_rows,
+    _held,
     _laplace_minors,
-    _shared_tables,
+    shared_tables,
     vector_content,
 )
 from .lattices import Lattice, kernel_saturation
@@ -64,7 +72,7 @@ def gale_dual(a: IntMatrix) -> IntMatrix:
 
     The result G satisfies G @ a^T == 0 and its rows span the full lattice of
     integer relations among the columns of ``a``; ``a`` has full row rank iff
-    that kernel has rank ``cols - rows``.  Inside a ``_shared_tables`` block the
+    that kernel has rank ``cols - rows``.  Inside a ``shared_tables`` block the
     kernel is the one ``_minors`` reads.
     """
     ker = _kernel(a)
@@ -76,7 +84,7 @@ def gale_dual(a: IntMatrix) -> IntMatrix:
 
 
 def _kernel(a: IntMatrix) -> Lattice:
-    """``kernel_saturation(a)``, once per ``a`` inside a ``_shared_tables`` block."""
+    """``kernel_saturation(a)``, once per ``a`` inside a ``shared_tables`` block."""
     return _cached(a, "kernel", lambda: kernel_saturation(a))
 
 
@@ -102,31 +110,41 @@ def positive_span_is_full(v: IntMatrix) -> bool:
 def _minors(v: IntMatrix) -> dict[tuple[int, ...], int]:
     """``det V_c`` of every n-subset ``c`` of columns, keyed by the sorted
     subset in lexicographic order; built once per ``v`` inside a
-    ``_shared_tables`` block.  Every cone test on ``v`` is read off it."""
+    ``shared_tables`` block.  Every cone test on ``v`` is read off it."""
     return _cached(v, "minors", lambda: _minor_table(v))
 
 
 def _minor_table(v: IntMatrix) -> dict[tuple[int, ...], int]:
-    """The table of ``_minors``, from the smaller side of the Gale pair, with
-    all minors of one side taken by ``_laplace_minors`` on plain rows: level t
-    holds the t x t minors of the first t rows, each expanded along row t from
-    the level before.
+    """The table of ``_minors``, from the side of the Gale pair that costs
+    less, with all minors of one side taken by ``_laplace_minors`` on plain
+    rows: level t holds the t x t minors of the first t rows, each expanded
+    along row t from the level before.
 
-    For ``m = n + r`` columns with ``r >= n`` the n x n minors of ``V`` are the
-    table.  For ``r < n`` the saturated kernel ``Q`` of ``V`` is read first
-    (``_kernel``, shared with ``gale_dual``).  If its rank is not r, ``V`` has
-    rank below n and every minor is 0, with no determinant taken.  Otherwise
-    the r x r minors of ``Q`` give them all: for every n-subset ``c`` with
-    complement ``cbar``, ``det V_c = lam (-1)^(sum c + n(n-1)/2) det Q_cbar``
-    with ``|lam| = |det beta|`` (Bjorner-Las Vergnas-Sturmfels-White-Ziegler,
-    Oriented Matroids, 3.4), and one n x n ``det V_c``, at the first ``c``
-    whose ``det Q_cbar`` is nonzero, fixes ``lam`` by an exact division.
-    Taking complements reverses the lexicographic order of the subsets, so
-    the r-subsets are walked in that order and their list reversed.
+    For ``m = n + r`` columns, ``_laplace_cost(m, k)`` counts the
+    multiplications on k rows.  The n x n minors of ``V`` cost
+    ``_laplace_cost(m, n)``; the r x r minors of its saturated kernel ``Q``
+    (``_kernel``, shared with ``gale_dual``) cost ``_laplace_cost(m, r)``,
+    plus ``m^2 n`` for the HNF of ``V^T`` with its m x m transform when the
+    open ``shared_tables`` block does not hold ``Q`` yet.  The kernel side
+    is taken when ``r < n`` and either ``Q`` is held or that sum is smaller;
+    so ``r >= n`` and small ``n`` read ``V``, tall matrices read ``Q``.
+
+    On the kernel side, if the rank of ``Q`` is not r, ``V`` has rank below n
+    and every minor is 0, with no determinant taken.  Otherwise the r x r
+    minors of ``Q`` give them all: for every n-subset ``c`` with complement
+    ``cbar``, ``det V_c = lam (-1)^(sum c + n(n-1)/2) det Q_cbar``
+    (Bjorner-Las Vergnas-Sturmfels-White-Ziegler, Oriented Matroids, 3.4),
+    and one n x n ``det V_c``, at the first ``c`` whose ``det Q_cbar`` is
+    nonzero, fixes ``lam``.  That division is exact: ``V = beta B`` for a
+    basis ``B`` of the saturated row lattice of ``V``, whose maximal minors
+    are those of ``Q``, its orthogonal saturated lattice, up to that sign
+    and one unit, so ``lam = +-det beta``.  Taking complements reverses the
+    lexicographic order of the subsets, so the r-subsets are walked in that
+    order and their list reversed.
     """
     n, m = v.shape
     r = m - n
-    if r >= n:
+    if r >= n or not (_held(v, "kernel") or _laplace_cost(m, r) + m * m * n < _laplace_cost(m, n)):
         return dict(zip(combinations(range(m), n), _laplace_minors(tuple(v), m).values()))
     ker = _kernel(v)
     if ker.rank != r:
@@ -140,16 +158,20 @@ def _minor_table(v: IntMatrix) -> dict[tuple[int, ...], int]:
     signed.reverse()
     table = dict(zip(combinations(range(m), n), signed))
     c, d = next((c, d) for c, d in table.items() if d)
-    lam, rest = divmod(_det_rows([[row[j] for j in c] for row in v]), d)
-    if rest:
-        raise PreconditionError("maximal minors of a Gale pair are not proportional")
+    lam = _det_rows([[row[j] for j in c] for row in v]) // d
     return {c: lam * d for c, d in table.items()}
+
+
+def _laplace_cost(m: int, k: int) -> int:
+    """Multiplications of ``_laplace_minors`` on k rows and m columns: level t
+    expands each of its ``C(m, t)`` minors along t entries."""
+    return sum(t * comb(m, t) for t in range(1, k + 1))
 
 
 def _circuits(v: IntMatrix) -> frozenset[tuple[int, int]]:
     """Signed circuits of the columns of ``v`` as ``(positive, negative)``
     bitmasks, in both orientations; built once per ``v`` inside a
-    ``_shared_tables`` block."""
+    ``shared_tables`` block."""
     return _cached(v, "circuits", lambda: _circuit_table(v))
 
 
@@ -182,7 +204,7 @@ def classify_F(v: IntMatrix) -> FMatrixReport:
     if n >= m:
         raise ShapeError("a fan matrix must have more columns than rows")
     failed = []
-    with _shared_tables():
+    with shared_tables():
         minors = _minors(v).values()
         # v has rank n iff some n-subset of its columns is nonsingular
         if not any(minors):
@@ -227,7 +249,7 @@ def classify_W(q: IntMatrix) -> WMatrixReport:
     if r >= m:
         raise ShapeError("a weight matrix must have more columns than rows")
     failed = []
-    with _shared_tables():
+    with shared_tables():
         # one HNF of q^T gives both; r < m, so the kernel is never zero, and it
         # is gale_dual(q) when q has full rank
         ker = kernel_saturation(q)
@@ -239,7 +261,7 @@ def classify_W(q: IntMatrix) -> WMatrixReport:
         failed.append("b")
     kernel = ker.basis_matrix()
     row_lattice = Lattice.from_matrix(q)
-    with _shared_tables():
+    with shared_tables():
         if saturated:
             # the kernel of K is the saturation of the row lattice of q, which (b) gives
             _cached(kernel, "kernel", lambda: row_lattice)
@@ -257,7 +279,7 @@ def classify_W(q: IntMatrix) -> WMatrixReport:
 
 def require_F(v: IntMatrix, reduced: bool = False) -> FMatrixReport:
     """Raise ``PreconditionError`` unless ``v`` is an F-matrix (and reduced);
-    inside a ``_shared_tables`` block ``v`` is classified once."""
+    inside a ``shared_tables`` block ``v`` is classified once."""
     report = _cached(v, "F report", lambda: classify_F(v))
     if not report.is_F:
         raise PreconditionError(

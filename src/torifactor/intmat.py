@@ -394,15 +394,19 @@ def _det_adjugate_rows(
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
-# (id(m), key) -> (m, value) in the outermost open ``_shared_tables`` block;
+# (id(m), key) -> (m, value) in the outermost open ``shared_tables`` block;
 # holding m keeps its id from being reused while the block is open
 _TABLES: ContextVar[Optional[dict]] = ContextVar("torifactor_tables", default=None)
 
 
 @contextmanager
-def _shared_tables():
-    """Block of one call in which ``_cached`` keeps its values; nested blocks
-    share the outermost table, which is dropped when that block exits."""
+def shared_tables():
+    """Block in which every library call computes each table of a matrix
+    object once: its kernel, maximal minors, circuits, classification and
+    the like, kept by ``_cached``.  Matrices are keyed by identity and held
+    while the block is open; nested blocks share the outermost table, which
+    is dropped when that block exits.  ``analyze`` runs in one; a caller that
+    passes the same matrices to several calls can open one around them."""
     token = _TABLES.set({}) if _TABLES.get() is None else None
     try:
         yield
@@ -413,13 +417,19 @@ def _shared_tables():
 
 def _cached(m, key, compute):
     """``compute()``, once per matrix object ``m`` and ``key`` inside a
-    ``_shared_tables`` block; outside any block it simply computes."""
+    ``shared_tables`` block; outside any block it simply computes."""
     tables = _TABLES.get()
     if tables is None:
         return compute()
     if (id(m), key) not in tables:
         tables[id(m), key] = (m, compute())
     return tables[id(m), key][1]
+
+
+def _held(m, key) -> bool:
+    """Whether the open ``shared_tables`` block already holds ``key`` for ``m``."""
+    tables = _TABLES.get()
+    return tables is not None and (id(m), key) in tables
 
 
 def _int_text(x: int) -> str:

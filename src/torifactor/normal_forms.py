@@ -266,6 +266,6 @@ def _identity_block_transform(a: IntMatrix) -> Optional[IntMatrix]:
 
 
 def _transposed_hnf(a: IntMatrix) -> HnfResult:
-    """``hnf(a^T)``, once per ``a`` inside a ``_shared_tables`` block: the
+    """``hnf(a^T)``, once per ``a`` inside a ``shared_tables`` block: the
     kernel of ``a`` and the ``[I; 0]`` test read the same form."""
     return _cached(a, "transposed hnf", lambda: hnf(a.transpose()))

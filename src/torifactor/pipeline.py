@@ -13,7 +13,7 @@ from operator import mul
 from typing import Optional
 
 from .intmat import IntMatrix, PreconditionError, Record, ShapeError, _int_text, _int_tuple
-from .intmat import _laplace_minors, _search_cap, _shared_tables, det
+from .intmat import _laplace_minors, _search_cap, det, shared_tables
 from .covering import (
     CoveringData,
     TorsionMatrix,
@@ -34,7 +34,7 @@ from .divisors import (
 )
 from .fans import Fan, PicardIndexFamily, _fans_by_root, _mask, enumerate_fans
 from .fans import picard_index_sets
-from .gale import gale_dual, require_F
+from .gale import _kernel, gale_dual, require_F
 
 
 class FanAnalysis(Record):
@@ -75,9 +75,10 @@ def analyze(
     ``V_hat`` is the lower block of ``U_Q``, a row action away from
     ``covering_decomposition``'s row HNF: for ``V = (1 -1)``,
     ``V_hat = (-1 1)`` and ``beta = (-1)`` here.
-    One ``_shared_tables`` block, dropped on return, serves the whole call:
-    ``V`` is classified and its maximal minors and signed circuits computed
-    once, for the validation and the fan enumeration, each cone's complement
+    One ``shared_tables`` block, dropped on return, serves the whole call:
+    the kernel of ``V`` is taken once, for ``gale_dual`` and, when r < n, for
+    the minor table; ``V`` is classified and its maximal minors and signed
+    circuits computed once, for the validation and the fan enumeration, each cone's complement
     once, for every ``picard_index_sets`` call, the cofactor tables of ``Q``
     once, and off them the ``(det Q_I, adj Q_I)`` of each distinct ``I`` once,
     with the dual HNF rows that every ``picard_basis`` call folds and that
@@ -95,7 +96,10 @@ def analyze(
     if fan_index is not None:
         (fan_index,) = _int_tuple((fan_index,), "fan index")
     max_partial_fans = _search_cap(max_partial_fans, "max_partial_fans")
-    with _shared_tables():
+    with shared_tables():
+        # held before the check, the kernel that gale_dual needs is the side
+        # the minor table reads
+        _kernel(v)
         require_F(v, reduced=True)
         q = gale_dual(v)
         u_q = weight_transform(q)
@@ -241,7 +245,7 @@ def verify_result(res: PipelineResult) -> None:
     q_cols = tuple(zip(*q_rows))
     minors = _laplace_minors(q_rows, v.cols)
     # outside a block, one for this call: the cofactor tables are built once
-    with _shared_tables():
+    with shared_tables():
         tabled, _ = _picard_table(q)
         for idx, rows in rows_by_set.items():
             if len(idx) != r:

@@ -163,7 +163,7 @@ def fan_matrix_equivalence(
         scaled = v1.select_cols(t) @ adj
         if any(x % d for row in scaled for x in row):
             continue
-        r_inv = IntMatrix([[x // d for x in row] for row in scaled])
+        r_inv = IntMatrix._of(tuple(tuple(x // d for x in row) for row in scaled))
         perm = _column_matching(r_inv @ v2, positions)
         if perm is not None:
             r, s = unimodular_inverse(r_inv), IntMatrix.permutation(perm)

@@ -437,6 +437,28 @@ def test_reconstruct_with_covering_computes_few_gale_duals(count_calls, capsys, 
     assert len(calls) <= 2
 
 
+@pytest.mark.parametrize("covering", [False, True])
+def test_reconstruct_job_takes_the_hnf_of_q_transpose_once(count_calls, capsys, tmp_path, covering):
+    # the presentation's weight check, gale_dual(Q) and the witness share one table
+    from torifactor import normal_forms
+
+    calls = count_calls(normal_forms, "hnf")
+    q = [[1, 1, 1, 1]]
+    payload = {
+        "weights": {"data": q},
+        "torsion": {"moduli": [5], "data": [[1, 2, 3, 4]]},
+        "reference": {"data": EX1["matrix"]["data"]},
+    }
+    if covering:
+        payload["covering"] = {"data": [[1, 0, 1, -2], [0, 1, -3, 2], [0, 0, 1, -1]]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(payload))
+    assert run(["reconstruct", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["equivalence"]["equivalent"] is True
+    q_transpose = IntMatrix(q).transpose()
+    assert [args for args in calls if args == (q_transpose,)] == [(q_transpose,)]
+
+
 def run_in_process(command, payload):
     """Exit code and stderr of one CLI job read from a swapped-in stdin;
     an exception the CLI does not handle propagates."""

@@ -29,7 +29,7 @@ from torifactor import (
 
 from torifactor import divisors
 from torifactor.divisors import _weight_block
-from torifactor.intmat import _det_adjugate, _det_adjugate_rows, _laplace_minors, _shared_tables
+from torifactor.intmat import _det_adjugate, _det_adjugate_rows, _laplace_minors, shared_tables
 
 from _exampledata import (
     EX1_CX,
@@ -169,7 +169,7 @@ def test_cartier_basis_second_example():
 def _assert_cartier_is_the_block_diagonal_product(v):
     res = analyze(v, verify=False)
     # one table for every fan and both factors: the cached bottom block is keyed by beta
-    with _shared_tables():
+    with shared_tables():
         for fa in res.fans:
             b = fa.picard.B
             for beta in (res.covering.beta, IntMatrix.identity(v.rows)):
@@ -294,7 +294,7 @@ def test_picard_basis_with_one_shared_table_across_fans_matches_picard_basis(sha
             # outside a table, one build of the cofactor tables (one per row of q) per call
             assert len(builds) == q.rows
         builds.clear()
-        with _shared_tables():
+        with shared_tables():
             for family, pd in zip(families, alone):
                 shared = picard_basis(q, family)
                 assert shared == pd == chained_picard_basis(q, family)
@@ -310,7 +310,7 @@ def test_weight_blocks_from_the_cofactor_tables_match_the_adjugate(r, n, seed):
     # singular blocks occur; r = 1 and r > n included
     rng = random.Random(seed)
     q = random_matrix(rng, r, r + n, bound=2)
-    with _shared_tables():
+    with shared_tables():
         for idx in combinations(range(q.cols), r):
             want = _det_adjugate_rows([[row[j] for j in idx] for row in q])
             assert _weight_block(q, idx) == want
@@ -337,7 +337,7 @@ def test_picard_basis_sweep_in_any_fan_order_matches_fresh_calls(shape, seed):
     shuffled = list(range(len(families)))
     rng.shuffle(shuffled)
     for order in (range(len(families)), reversed(range(len(families))), shuffled):
-        with _shared_tables():
+        with shared_tables():
             for k in order:
                 assert picard_basis(q, families[k]) == alone[k]
 
@@ -353,7 +353,7 @@ def test_picard_sweep_rescales_the_fold_state_when_delta_grows_in_the_prefix(cou
         running[k] = math.lcm(running[k - 1], running[k])
     assert running == [29, 203, 2639, 65975, 527800, 5805800]
     folds = count_calls(divisors, "_hnf_fold", everywhere=False)
-    with _shared_tables():
+    with shared_tables():
         pds = [picard_basis(EX2_Q, family) for family in families[:2]]
         assert len(folds) == len(families[0].sets) + len(first)  # fan 1 shares nothing with fan 0
         folds.clear()
@@ -369,7 +369,7 @@ def test_picard_sweep_rescales_the_fold_state_when_delta_grows_in_the_prefix(cou
 
 def test_picard_basis_in_a_table_still_rejects_a_non_integer_equal_to_a_checked_set():
     q = gale_dual(IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]]))
-    with _shared_tables():
+    with shared_tables():
         picard_basis(q, PicardIndexFamily(((0, 1),)))
         with pytest.raises(ShapeError, match="must be integers"):
             picard_basis(q, PicardIndexFamily(((0, 1.0),)))
@@ -401,7 +401,7 @@ def test_picard_basis_reads_a_generator_of_index_sets():
     want = picard_basis(q, PicardIndexFamily(sets))
     assert picard_basis(q, PicardIndexFamily(iter(sets))) == want
     assert picard_basis(q, PicardIndexFamily(list(s) for s in sets)) == want
-    with _shared_tables():
+    with shared_tables():
         assert picard_basis(q, PicardIndexFamily(sets)) == want
         assert picard_basis(q, PicardIndexFamily(s for s in sets)) == want
 
@@ -442,7 +442,7 @@ def test_picard_basis_matches_the_lattice_oracles(shape, seed):
     # with r = 1 the Picard lattice is delta Z, so B = [[delta]] has its pivot at delta
     v = random_reduced_f_matrix(random.Random(seed), *shape)
     q = gale_dual(v)
-    with _shared_tables():
+    with shared_tables():
         for fan in enumerate_fans(v):
             family = picard_index_sets(fan)
             pd = picard_basis(q, family)

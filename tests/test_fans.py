@@ -35,7 +35,7 @@ from _randgen import (
 )
 from torifactor.fans import _conflicts, _facet_tables, _mask
 from torifactor.gale import _circuits, _minors
-from torifactor.intmat import _shared_tables
+from torifactor.intmat import shared_tables
 
 
 def _cone_contains(v, cone, point):
@@ -186,14 +186,14 @@ def test_picard_index_sets_are_complements():
 
 
 def test_picard_index_sets_take_each_complement_once_inside_a_table():
-    from torifactor.intmat import _TABLES, _shared_tables
+    from torifactor.intmat import _TABLES, shared_tables
 
     fans = enumerate_fans(EX2_V)
     direct = [
         tuple(tuple(j for j in range(EX2_V.cols) if j not in c) for c in f.maximal_cones)
         for f in fans
     ]
-    with _shared_tables():
+    with shared_tables():
         families = [picard_index_sets(f) for f in fans + fans]
     assert [f.sets for f in families] == direct * 2
     # one complement per distinct cone, shared by every fan that has the cone
@@ -349,7 +349,7 @@ def test_classify_F_builds_the_circuit_table_that_the_fan_search_reads(count_cal
     tables = count_calls(gale, "_circuit_table", everywhere=False)
     for v in (EX1_V, EX2_V):
         tables.clear()
-        with _shared_tables():
+        with shared_tables():
             classify_F(v)
             assert tables == [(v,)]
             enumerate_fans(v)

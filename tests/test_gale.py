@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 from unittest import mock
 
 import pytest
@@ -17,8 +18,9 @@ from torifactor import (
     gale_dual,
     positive_span_is_full,
     require_W,
+    shared_tables,
 )
-from torifactor.gale import _minors
+from torifactor.gale import _kernel, _minors
 
 from _exampledata import EX1_Q, EX1_V, EX1_VHAT, EX2_Q, EX2_V, EX2_VHAT
 import _randgen
@@ -200,19 +202,44 @@ def test_classify_F_takes_no_hnf_when_r_is_at_least_n(count_calls):
     assert calls == []
 
 
-def test_classify_F_takes_one_kernel_when_r_is_below_n(count_calls):
-    # the minors come from the saturated kernel of V, read once
+def _reads_kernel_side(n, r):
+    """Whether a standalone minor table of an n x (n + r) matrix reads the
+    kernel: L(k) = sum_(t<=k) t C(m, t) Laplace products on k rows, plus the
+    m^2 n of the HNF of V^T on the kernel side."""
+    m = n + r
+
+    def laplace(k):
+        return sum(t * comb(m, t) for t in range(1, k + 1))
+
+    return r < n and laplace(r) + m * m * n < laplace(n)
+
+
+# the rule reads V on the first three shapes and the kernel on the last five
+SIDE_SHAPES = ((2, 1), (3, 2), (4, 3), (5, 3), (6, 3), (7, 3), (8, 2), (10, 2))
+
+
+def test_side_rule_reads_V_for_small_n_and_the_kernel_for_tall_matrices():
+    assert [_reads_kernel_side(*shape) for shape in SIDE_SHAPES] == [False] * 3 + [True] * 5
+
+
+def test_classify_F_takes_a_kernel_only_on_the_kernel_side(count_calls):
+    # the worked examples read V; a tall matrix reads its saturated kernel, once
     from torifactor import lattices
 
     kernels = count_calls(lattices, "kernel_saturation")
-    for v in (EX1_V, EX2_V, EX1_VHAT):
+    rng = random.Random(9)
+    tall = [random_reduced_f_matrix(rng, *shape) for shape in ((7, 3), (8, 2), (10, 2))]
+    for v in (EX1_V, EX2_V, EX1_VHAT, *tall):
         kernels.clear()
         assert classify_F(v).is_F
-        assert kernels == [(v,)]
+        assert kernels == ([(v,)] if _reads_kernel_side(v.rows, v.cols - v.rows) else [])
+        assert (v in tall) == bool(kernels)
 
 
 @pytest.mark.parametrize("seed_shape", [None, (6, 3), (4, 4)])
 def test_analyze_takes_four_hnf_as_gale_dual_reuses_the_minor_kernel(count_calls, seed_shape):
+    # the kernel is held before the fan-matrix check, so the minor table and
+    # gale_dual read one HNF of V^T, also where a standalone table reads V
     from torifactor import normal_forms
     from torifactor.pipeline import analyze
 
@@ -225,6 +252,7 @@ def test_analyze_takes_four_hnf_as_gale_dual_reuses_the_minor_kernel(count_calls
         calls.clear()
         analyze(v)
         assert len(calls) == 4
+        assert [args for args in calls if args == (v.transpose(),)] == [(v.transpose(),)]
 
 
 def test_weight_duality_on_random_instances():
@@ -362,7 +390,12 @@ def test_classify_W_takes_one_kernel_when_b_holds():
     # rows than its corank, as for EX2_Q with a row scaled
     for q in (EX1_Q, EX2_Q, IntMatrix([[1, -1, 0], [0, 0, 1]])):
         assert _classify_W_counting_kernels(q) == (classify_W(q), 1)
+    # with (b) failing, the minor table of K follows the side rule: the 4 x 6
+    # K of EX2_Q reads its own minors, the 8 x 10 K of a tall dual its kernel
     report, kernels = _classify_W_counting_kernels(_scale_row_0(EX2_Q, 2))
+    assert (report.failed_conditions, kernels) == (("b",), 1)
+    tall = gale_dual(random_reduced_f_matrix(random.Random(4), 8, 2))
+    report, kernels = _classify_W_counting_kernels(_scale_row_0(tall, 2))
     assert (report.failed_conditions, kernels) == (("b",), 2)
 
 
@@ -387,7 +420,7 @@ def test_classify_W_reports_and_kernel_counts_on_random_weight_matrices(shape, s
     assert report.failed_conditions == oracle_classify_W(q)
     saturated = "b" not in report.failed_conditions
     assert saturated == (scale == 1)
-    assert kernels == (1 if saturated or r >= n else 2)
+    assert kernels == (1 if saturated or not _reads_kernel_side(n, r) else 2)
 
 
 @pytest.mark.parametrize(
@@ -421,14 +454,48 @@ def test_minor_table_of_a_rank_deficient_matrix_is_zero_with_no_determinant(coun
     from torifactor import gale
 
     dets = count_calls(gale, "_det_rows", everywhere=False)
-    # row 2 is twice row 0 plus row 1
+    # row 2 is twice row 0 plus row 1; with its kernel held, the tall matrix
+    # reads the kernel side, whose rank 3 > r = 2 gives every minor as 0
     tall = IntMatrix([[1, 2, 0, -1, 3], [0, 1, 1, 2, -2], [2, 5, 1, 0, 4]])
-    assert list(_minors(tall).items()) == _oracle_minors(tall)
+    with shared_tables():
+        assert _kernel(tall).rank == 3
+        assert list(_minors(tall).items()) == _oracle_minors(tall)
     assert set(_minors(tall).values()) == {0}
     assert dets == []
     wide = IntMatrix([[1, -2, 3, 0], [-2, 4, -6, 0]])
     assert list(_minors(wide).items()) == _oracle_minors(wide)
     assert set(_minors(wide).values()) == {0}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", SIDE_SHAPES + ((1, 1), (2, 2), (2, 3), (3, 4)))
+def test_minor_table_is_the_same_from_both_sides(count_calls, shape, seed):
+    # standalone the table reads the side the rule picks; inside a table that
+    # holds the kernel it reads the kernel whenever r < n; both give the n x n
+    # determinants, also under a row action, with a row scaled and with rank below n
+    from torifactor import gale
+
+    laplace = count_calls(gale, "_laplace_minors", everywhere=False)
+    rng = random.Random(seed)
+    n, r = shape
+    v = random_unimodular(rng, n) @ random_reduced_f_matrix(rng, n, r)
+    rows = [list(row) for row in v]
+    scaled = IntMatrix([[3 * x for x in rows[0]]] + rows[1:])
+    coefficients = [rng.randint(-2, 2) for _ in rows[:-1]]
+    combination = [sum(a * row[j] for a, row in zip(coefficients, rows)) for j in range(n + r)]
+    deficient = IntMatrix(rows[:-1] + [combination])
+    for w in (v, scaled, deficient):
+        oracle = _oracle_minors(w)
+        laplace.clear()
+        assert list(_minors(w).items()) == oracle
+        with shared_tables():
+            _kernel(w)
+            assert list(_minors(w).items()) == oracle
+        read_rows = [len(args[0]) for args in laplace]
+        kernel_rows = [r] * (w is not deficient)
+        outside = kernel_rows if _reads_kernel_side(n, r) else [n]
+        inside = kernel_rows if r < n else [n]
+        assert read_rows == outside + inside
 
 
 def test_positive_span_of_a_square_matrix_reads_an_empty_kernel_minor():

@@ -14,7 +14,7 @@ from torifactor.intmat import (
     _det_rows,
     _int_text,
     _laplace_minors,
-    _shared_tables,
+    shared_tables,
 )
 
 from _exampledata import EX2_Q, EX2_V, REID_BETA
@@ -231,8 +231,8 @@ def test_cached_values_live_for_the_outermost_block():
 
     a, b = IntMatrix([[1, 2]]), IntMatrix([[1, 2]])
     assert _cached(a, "k", lambda: compute(1)) == _cached(a, "k", lambda: compute(2)) - 1
-    with _shared_tables():
-        with _shared_tables():
+    with shared_tables():
+        with shared_tables():
             assert _cached(a, "k", lambda: compute(3)) == 3
         # the inner block shares the outer table; equal matrices do not share entries
         assert _cached(a, "k", lambda: compute(4)) == 3

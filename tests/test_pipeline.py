@@ -111,6 +111,39 @@ def test_pipeline_verification_random():
         assert res.class_group.torsion == res.covering.torsion_invariants
 
 
+# the fans of the worked examples, in enumeration order
+EX1_FANS = [((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))]
+EX2_FANS = [
+    (
+        (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 1, 4, 5),
+        (0, 2, 3, 4), (0, 3, 4, 5), (1, 2, 3, 4), (1, 3, 4, 5),
+    ),
+    (
+        (0, 1, 2, 4), (0, 1, 2, 5), (0, 1, 4, 5), (0, 2, 3, 4), (0, 2, 3, 5),
+        (0, 3, 4, 5), (1, 2, 3, 4), (1, 2, 3, 5), (1, 3, 4, 5),
+    ),
+    (
+        (0, 1, 2, 4), (0, 1, 2, 5), (0, 1, 4, 5), (0, 2, 3, 4),
+        (0, 2, 3, 5), (0, 3, 4, 5), (1, 2, 4, 5), (2, 3, 4, 5),
+    ),
+]
+
+
+def test_analyze_lists_the_worked_examples_fans_off_the_gale_dual(count_calls):
+    # r < n on both: analyze reads the minor table off the kernel that gale_dual
+    # takes, a standalone enumerate_fans off V, and both list the same fans
+    from torifactor import gale
+
+    laplace = count_calls(gale, "_laplace_minors", everywhere=False)
+    for v, want in ((EX1_V, EX1_FANS), (EX2_V, EX2_FANS)):
+        laplace.clear()
+        assert [fa.fan.maximal_cones for fa in analyze(v).fans] == want
+        assert [len(args[0]) for args in laplace] == [v.cols - v.rows]
+        laplace.clear()
+        assert [fan.maximal_cones for fan in enumerate_fans(v)] == want
+        assert [len(args[0]) for args in laplace] == [v.rows]
+
+
 def test_analyze_classifies_the_fan_matrix_once(count_calls):
     # the validation builds the table of maximal minors and the fan enumeration
     # reuses it

@@ -15,8 +15,10 @@ from torifactor import (
     fan_matrix_equivalence,
     gale_dual,
     reconstruct,
+    shared_tables,
     torsion_matrix,
 )
+from torifactor.gale import _kernel
 
 from _exampledata import (
     EX1_Q,
@@ -341,6 +343,27 @@ def test_equivalence_witness_matches_permutation_oracle(kind, shape, seed):
             v1 = v1.hstack(v1.select_cols([rng.randrange(v1.cols)]))
         v2 = random_reduced_f_matrix(rng, n, r) if kind == "pair" else _disguise(rng, v1)
     _assert_matches_permutation_oracle(v1, v2)
+
+
+@given(
+    st.sampled_from(["copy", "pair", "repeated column"]),
+    st.sampled_from(SMALL_FAN_SHAPES),
+    st.integers(0, 2**32),
+)
+def test_equivalence_witness_from_held_kernels_matches_permutation_oracle(kind, shape, seed):
+    # standalone these minor tables read V; with both kernels held they read
+    # the kernels when r < n, and the first witness is the same either way
+    rng = random.Random(seed)
+    n, r = shape
+    v1 = random_reduced_f_matrix(rng, n, r)
+    if kind == "repeated column":
+        v1 = v1.hstack(v1.select_cols([rng.randrange(v1.cols)]))
+    v2 = random_reduced_f_matrix(rng, n, r) if kind == "pair" else _disguise(rng, v1)
+    with shared_tables():
+        _kernel(v1)
+        _kernel(v2)
+        held = _outcome(fan_matrix_equivalence, v1, v2)
+    assert held == _outcome(permutation_fan_matrix_equivalence, v1, v2)
 
 
 def test_round_trip_on_worked_examples():
