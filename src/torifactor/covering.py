@@ -18,7 +18,6 @@ from .intmat import (
     PreconditionError,
     Record,
     ShapeError,
-    _det_adjugate,
     _int_list_text,
     _int_tuple,
     det,
@@ -26,16 +25,18 @@ from .intmat import (
 )
 from .gale import gale_dual, require_F
 from .lattices import Lattice
-from .normal_forms import _identity_block_transform, snf, unimodular_inverse
+from .normal_forms import _identity_block_transform, snf
 
 
 class CoveringData(Record):
     """Aligned covering decomposition of a reduced fan matrix.
 
     Invariants: ``beta @ V_hat == V``; ``Delta == mu @ beta @ nu`` diagonal
-    with a divisor chain; ``V_aligned == mu @ V``; ``V_hat_aligned`` equals
-    ``nu^{-1} @ V_hat``; ``V_aligned == Delta @ V_hat_aligned``; the torsion
-    invariants are the diagonal entries of ``Delta`` exceeding 1.
+    with a divisor chain; ``V_aligned == mu @ V``; ``nu @ V_hat_aligned ==
+    V_hat``; ``V_aligned == Delta @ V_hat_aligned``; the torsion invariants
+    are the diagonal entries of ``Delta`` exceeding 1.  The first three give
+    ``mu V == Delta nu^-1 V_hat``, so ``V_hat_aligned`` is ``V_aligned`` with
+    row i divided exactly by ``Delta_ii``, and no inverse is taken.
     """
 
     V_hat: IntMatrix
@@ -151,22 +152,31 @@ def universal_covering(v: IntMatrix) -> IntMatrix:
 def beta_factor(v: IntMatrix, v_hat: IntMatrix) -> IntMatrix:
     """The unique integer matrix with ``beta @ v_hat == v``.
 
-    ``v_hat`` has full row rank, so its Gram matrix ``G = v_hat @ v_hat^T`` is
-    nonsingular and the only candidate is ``v @ v_hat^T @ G^-1``.  One
-    fraction-free pass gives ``(d, A) = (det G, adj G)``, and ``beta`` is
-    ``v @ v_hat^T @ A`` divided exactly by ``d``.  A remainder, or a product
-    ``beta @ v_hat`` other than ``v``, means that the row lattice of ``v`` is
-    not contained in that of ``v_hat``.
+    One fraction-free Gauss-Jordan pass (Bareiss) over ``[v_hat^T | v^T]``
+    leaves ``p I | p beta^T`` in its n pivot rows and zeros below them.  Fewer
+    pivots mean that ``v_hat`` has rank below n; a nonzero row below them, or
+    a remainder on dividing by ``p``, that the row lattice of ``v`` is not in
+    that of ``v_hat``; a singular ``beta``, that ``v`` has rank below n.
     """
     if v.shape != v_hat.shape:
         raise ShapeError("fan matrices must have equal shape")
-    d, adj = _det_adjugate(v_hat @ v_hat.transpose())
-    if d == 0:
-        raise PreconditionError("both matrices must have full row rank")
-    scaled = v @ v_hat.transpose() @ adj
-    if any(x % d for row in scaled for x in row):
+    n = v.rows
+    a = [list(x + y) for x, y in zip(zip(*v_hat), zip(*v))]
+    p = 1
+    for k in range(n):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            raise PreconditionError("both matrices must have full row rank")
+        a[k], a[piv] = a[piv], a[k]
+        top, prev = a[k], p
+        p = top[k]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+    if any(any(row[n:]) for row in a[n:]) or any(x % p for row in a[:n] for x in row[n:]):
         raise PreconditionError("row lattice of v is not contained in that of v_hat")
-    beta = IntMatrix([[x // d for x in row] for row in scaled])
+    beta = IntMatrix._of(tuple(zip(*([x // p for x in row[n:]] for row in a[:n]))))
     if beta @ v_hat != v:
         raise PreconditionError("no integer factor maps v_hat onto v")
     if det(beta) == 0:
@@ -197,35 +207,29 @@ def _covering_decomposition(v: IntMatrix, v_hat: IntMatrix) -> CoveringData:
     beta = beta_factor(v, v_hat)
     res = snf(beta)
     delta, mu, nu = res.D, res.U_left, res.U_right
-    v_aligned = mu @ v
-    v_hat_aligned = unimodular_inverse(nu) @ v_hat
-
     n = v.rows
     diag = [delta[i, i] for i in range(n)]
     s = sum(1 for c in diag if c > 1)
     if s and any(c != 1 for c in diag[: n - s]):
         raise PreconditionError("unexpected invariant order in the diagonal form")
-
-    # sign-normalize the generator rows to lead with a positive entry: with
-    # E = diag(+-1), E @ E == I and E @ Delta @ E == Delta, so replacing mu by
-    # E @ mu and nu by nu @ E keeps every stated identity intact.
-    signs = [1] * n
+    v_aligned, mu_rows, nu_cols = list(mu @ v), list(mu), list(zip(*nu))
+    hat = [tuple(x // c for x in row) for c, row in zip(diag, v_aligned)]
+    # sign-normalize the generator rows to lead with a positive entry: negating
+    # row i of mu and column i of nu keeps every stated identity intact
     for i in range(n - s, n):
-        if next((x for x in v_hat_aligned.row(i) if x != 0), 0) < 0:
-            signs[i] = -1
-    if -1 in signs:
-        e = IntMatrix.diagonal(signs)
-        v_aligned, v_hat_aligned, mu, nu = e @ v_aligned, e @ v_hat_aligned, e @ mu, nu @ e
-
-    if v_aligned != delta @ v_hat_aligned:
+        if next((x for x in hat[i] if x), 0) < 0:
+            for t in (v_aligned, hat, mu_rows, nu_cols):
+                t[i] = tuple(-x for x in t[i])
+    nu, v_hat_aligned = IntMatrix._of(tuple(zip(*nu_cols))), IntMatrix._of(tuple(hat))
+    if nu @ v_hat_aligned != v_hat:
         raise PreconditionError("alignment identity failed")
     return CoveringData(
         V_hat=v_hat,
         beta=beta,
         Delta=delta,
-        mu=mu,
+        mu=IntMatrix._of(tuple(mu_rows)),
         nu=nu,
-        V_aligned=v_aligned,
+        V_aligned=IntMatrix._of(tuple(v_aligned)),
         V_hat_aligned=v_hat_aligned,
         torsion_invariants=tuple(c for c in diag if c > 1),
     )

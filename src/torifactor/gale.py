@@ -7,18 +7,9 @@ a matrix.  Both notions are invariant under the choice of lattice basis, so
 the predicates below accept any representative.
 
 Every cone test on a fan matrix ``V`` reads one table of its maximal minors,
-``_minors``, built from the side of the Gale pair that costs less: on ``V``
-itself, or from the r x r minors of the saturated kernel ``Q`` of ``V``, the
-one ``gale_dual`` returns, with one n x n minor of ``V`` to fix their common
-factor.  With ``m = n + r`` columns, let ``L(k) = sum_(t<=k) t C(m, t)``, the
-multiplications of the Laplace minors on k rows.  The ``V`` side costs
-``L(n)``; the kernel side costs ``L(r)``, plus ``m^2 n`` for the HNF of
-``V^T`` with its m x m transform unless the open ``shared_tables`` block
-already holds that kernel, as ``analyze`` arranges.  The kernel side is read
-when ``r < n`` and the kernel is held, or when it costs less.  A kernel of
-rank other than r means ``V`` has rank below n, and then every minor is 0.
-Its signed circuits, ``_circuits``, are read off that table once per ``V``,
-for F (b) and for the fan search.
+``_minors``, built from the side of the Gale pair that costs less
+(``_minor_table``).  Its signed circuits, ``_circuits``, are read off that
+table once per ``V``, for F (b) and for the fan search.
 
 ``classify_W`` reads two weight conditions on the integer kernel ``K`` of
 ``Q`` as fan conditions; the rational row space of ``Q`` is ``{x : K x = 0}``:

@@ -72,9 +72,7 @@ def analyze(
     only; a negative ``k``, or one past the last fan, runs every root, so the
     message counts every fan.  ``max_partial_fans`` caps the fan search as in
     ``enumerate_fans``, by the partial fans pushed up to where it stops.
-    ``V_hat`` is the lower block of ``U_Q``, a row action away from
-    ``covering_decomposition``'s row HNF: for ``V = (1 -1)``,
-    ``V_hat = (-1 1)`` and ``beta = (-1)`` here.
+    ``V_hat`` is the lower block of ``U_Q`` (see ``covering_decomposition``).
     One ``shared_tables`` block, dropped on return, serves the whole call:
     the kernel of ``V`` is taken once, for ``gale_dual`` and, when r < n, for
     the minor table; ``V`` is classified and its maximal minors and signed
@@ -82,16 +80,12 @@ def analyze(
     once, for every ``picard_index_sets`` call, the cofactor tables of ``Q``
     once, and off them the ``(det Q_I, adj Q_I)`` of each distinct ``I`` once,
     with the dual HNF rows that every ``picard_basis`` call folds and that
-    ``verify_result`` certifies, each ``I`` checked once.  The fans come in
-    sorted order, so consecutive index families share long prefixes: the table
-    keeps the fold states of the last family, and each ``picard_basis`` call
-    folds only the index sets after the common prefix.  No fan inverts a matrix
-    or runs a second HNF: the fold state is triangular, solved by back
-    substitution, and its reversed solution is already triangular.  The fans
-    whose folds end on one Picard lattice share one ``PicardData``, solved
-    once, and one Cartier basis, multiplied once; the fan-independent bottom
-    block of the Cartier bases is computed once as well, and so is the one
-    m x m determinant that ``verify_result`` takes.
+    ``verify_result`` certifies, each ``I`` checked once; ``picard_basis``
+    says how consecutive fans share their folds and Picard records.  The fans
+    whose folds end on one Picard lattice share one Cartier basis, multiplied
+    once; the fan-independent bottom block of the Cartier bases is computed
+    once as well, and so is the one m x m determinant that ``verify_result``
+    takes.
     """
     if fan_index is not None:
         (fan_index,) = _int_tuple((fan_index,), "fan index")
@@ -193,10 +187,15 @@ def verify_result(res: PipelineResult) -> None:
     cd = res.covering
     if cd.beta @ cd.V_hat != v:
         raise PreconditionError("covering factorization failed")
-    if cd.mu @ cd.beta @ cd.nu != cd.Delta:
+    diag = [x for i, row in enumerate(cd.Delta) for j, x in enumerate(row) if i == j]
+    if cd.mu @ cd.beta @ cd.nu != cd.Delta or cd.Delta != IntMatrix.diagonal(diag):
         raise PreconditionError("diagonal form identity failed")
-    if cd.V_aligned != cd.Delta @ cd.V_hat_aligned:
+    # with Delta diagonal, Delta @ V_hat_aligned scales row i by Delta_ii
+    scaled = tuple(tuple(c * x for x in row) for c, row in zip(diag, cd.V_hat_aligned))
+    if cd.V_hat_aligned.rows != len(diag) or tuple(cd.V_aligned) != scaled:
         raise PreconditionError("alignment identity failed")
+    if cd.mu @ v != cd.V_aligned:
+        raise PreconditionError("aligned fan matrix identity failed")
     det_beta = abs(det(cd.beta))
     if det_beta != torsion_order(cd):
         raise PreconditionError("factor determinant disagrees with the torsion order")

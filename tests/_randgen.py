@@ -6,6 +6,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from torifactor import (
+    CoveringData,
     IntMatrix,
     Lattice,
     PicardData,
@@ -18,6 +19,7 @@ from torifactor import (
     hnf,
     kernel_saturation,
     rank,
+    snf,
     unimodular_inverse,
     vector_content,
 )
@@ -352,6 +354,32 @@ def hnf_beta_factor(v: IntMatrix, v_hat: IntMatrix) -> IntMatrix:
     if beta @ v_hat != v:
         raise PreconditionError("no integer factor maps v_hat onto v")
     return beta
+
+
+def inverse_covering_decomposition(v: IntMatrix, v_hat: IntMatrix) -> CoveringData:
+    """The aligned covering of ``covering_decomposition(v, v_hat)``, built the
+    roundabout way: ``beta`` from the two HNFs, ``V_hat_aligned`` as
+    ``nu^-1 @ v_hat`` through a matrix inverse, and the sign flips of the
+    torsion rows as products with ``E = diag(+-1)``: ``E @ E == I`` and
+    ``E @ Delta @ E == Delta``, so ``E @ mu`` and ``nu @ E`` keep every identity."""
+    beta = hnf_beta_factor(v, v_hat)
+    res = snf(beta)
+    delta, mu, nu = res.D, res.U_left, res.U_right
+    v_hat_aligned = unimodular_inverse(nu) @ v_hat
+    diag = [delta[i, i] for i in range(v.rows)]
+    e = IntMatrix.diagonal(
+        [-1 if c > 1 and next(x for x in row if x) < 0 else 1 for c, row in zip(diag, v_hat_aligned)]
+    )
+    return CoveringData(
+        V_hat=v_hat,
+        beta=beta,
+        Delta=delta,
+        mu=e @ mu,
+        nu=nu @ e,
+        V_aligned=e @ mu @ v,
+        V_hat_aligned=e @ v_hat_aligned,
+        torsion_invariants=tuple(c for c in diag if c > 1),
+    )
 
 
 def _normalize_constraint(w: Sequence[int]) -> tuple[int, ...]:

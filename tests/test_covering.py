@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torifactor import (
+    CoveringData,
     IntMatrix,
     Lattice,
     PreconditionError,
@@ -51,6 +52,7 @@ from _exampledata import (
 from _randgen import (
     SMALL_FAN_SHAPES,
     hnf_beta_factor,
+    inverse_covering_decomposition,
     is_divisor_of_beta,
     pick_fan_shape,
     random_matrix,
@@ -126,19 +128,24 @@ def test_beta_factor_triangular_intermediates_match_worked_example():
 
 def test_beta_factor_rejects_non_contained_lattice():
     # the row lattice of the first argument must lie inside that of the second
+    outside = "row lattice of v is not contained in that of v_hat"
     v = IntMatrix([[1, 0, 0], [0, 1, 0]])
     w = IntMatrix([[2, 0, 0], [0, 2, 0]])
-    with pytest.raises(PreconditionError):
+    # inside the rational span, but beta = I/2: a remainder on dividing by p
+    with pytest.raises(PreconditionError, match=outside):
         beta_factor(v, w)
-    with pytest.raises(PreconditionError):
+    # outside the rational span: a nonzero row below the pivot rows
+    with pytest.raises(PreconditionError, match=outside):
         beta_factor(IntMatrix([[1, 0, 0], [0, 0, 1]]), IntMatrix([[1, 0, 0], [0, 1, 0]]))
 
 
-
 def test_beta_factor_rejects_rank_deficient_input():
-    with pytest.raises(PreconditionError):
+    rank = "both matrices must have full row rank"
+    # v of rank 1 inside the span of v_hat: beta is singular
+    with pytest.raises(PreconditionError, match=rank):
         beta_factor(IntMatrix([[1, 0, -1], [2, 0, -2]]), IntMatrix([[1, 0, -1], [0, 1, -1]]))
-    with pytest.raises(PreconditionError):
+    # v_hat of rank 1: the elimination finds one pivot, not two
+    with pytest.raises(PreconditionError, match=rank):
         beta_factor(IntMatrix([[1, 0, -1], [0, 1, -1]]), IntMatrix([[1, 1, -1], [1, 1, -1]]))
 
 
@@ -179,6 +186,47 @@ def test_beta_factor_takes_no_hnf(count_calls):
     assert beta_factor(EX2_V, EX2_VHAT) == EX2_BETA
     assert calls == []
     assert ranks == []
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_covering_decomposition_matches_the_inverse_oracle(shape, seed):
+    rng = random.Random(seed)
+    n, r = shape
+    v = random_reduced_f_matrix(rng, n, r)
+    v_hat = universal_covering(v)
+    for w in (v_hat, random_unimodular(rng, n) @ v_hat):
+        cd, want = covering_decomposition(v, w), inverse_covering_decomposition(v, w)
+        for name in CoveringData._fields:
+            assert getattr(cd, name) == getattr(want, name), name
+
+
+def test_covering_oracle_inputs_meet_rows_with_and_without_sign_flips():
+    # inputs drawn as in the oracle test: nu differs from the Smith transform
+    # exactly when a torsion row was negated
+    rng = random.Random(65)
+    flipped = set()
+    for _ in range(40):
+        n, r = rng.choice(SMALL_FAN_SHAPES)
+        v = random_reduced_f_matrix(rng, n, r)
+        v_hat = universal_covering(v)
+        for w in (v_hat, random_unimodular(rng, n) @ v_hat):
+            cd = covering_decomposition(v, w)
+            if cd.torsion_invariants:
+                flipped.add(cd.nu != snf(cd.beta).U_right)
+    assert flipped == {False, True}
+
+
+def test_covering_decomposition_takes_no_inverse_and_no_adjugate(count_calls):
+    from torifactor import covering, intmat, normal_forms
+
+    inverses = count_calls(normal_forms, "unimodular_inverse")
+    adjugates = count_calls(intmat, "_det_adjugate")
+    for v, v_hat in ((EX1_V, EX1_VHAT), (EX2_V, EX2_VHAT)):
+        cd = covering._covering_decomposition(v, v_hat)
+        assert cd.V_aligned == cd.mu @ v
+    assert inverses == []
+    assert adjugates == []
+
 
 def test_covering_decomposition_first_example():
     cd = covering_decomposition(EX1_V)

@@ -603,6 +603,24 @@ def _forge_covering(res, **changes):
     return res._replace(covering=res.covering._replace(**changes))
 
 
+def _forged_aligned_pair(cd):
+    # row 0 of V_hat_aligned replaced by the sum of rows 0 and 1, and V_aligned
+    # rebuilt to match; Delta_00 = Delta_11 = 1, so only V_aligned == mu @ V fails
+    rows = cd.V_hat_aligned.tolist()
+    rows[0] = [a + b for a, b in zip(rows[0], rows[1])]
+    hat = IntMatrix(rows)
+    return cd._replace(V_hat_aligned=hat, V_aligned=cd.Delta @ hat)
+
+
+def _off_diagonal_form(cd):
+    # nu @ E and Delta @ E for E = I + e_01 keep mu @ beta @ nu == Delta and the
+    # diagonal of Delta, so the row scaling of V_hat_aligned still matches
+    e = IntMatrix.identity(cd.nu.rows).tolist()
+    e[0][1] = 1
+    e = IntMatrix(e)
+    return cd._replace(nu=cd.nu @ e, Delta=cd.Delta @ e)
+
+
 # one forgery per identity that verify_result checks before the fans; each
 # breaks its identity and none checked before it
 IDENTITY_FORGERIES = [
@@ -625,6 +643,23 @@ IDENTITY_FORGERIES = [
         lambda res: _forge_covering(res, V_aligned=_bumped(res.covering.V_aligned)),
         "alignment identity failed",
         id="alignment",
+    ),
+    pytest.param(
+        lambda res: res._replace(covering=_off_diagonal_form(res.covering)),
+        "diagonal form identity failed",
+        id="off-diagonal form",
+    ),
+    pytest.param(
+        lambda res: _forge_covering(
+            res, V_hat_aligned=res.covering.V_hat_aligned.vstack(res.covering.V_hat_aligned)
+        ),
+        "alignment identity failed",
+        id="alignment row count",
+    ),
+    pytest.param(
+        lambda res: res._replace(covering=_forged_aligned_pair(res.covering)),
+        "aligned fan matrix identity failed",
+        id="aligned pair",
     ),
     pytest.param(
         lambda res: _forge_covering(res, torsion_invariants=(3, 30)),
