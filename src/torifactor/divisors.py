@@ -68,14 +68,11 @@ def free_part_generators(q: IntMatrix) -> ClassGroupData:
     """Rows expressing a basis of the free part of the class group.
 
     The upper block of the HNF transform of ``q^T``; satisfies
-    ``q @ rows^T == identity``.
+    ``q @ rows^T == identity`` by the ``[I; 0]`` check of ``weight_transform``.
     """
     require_W(q)
     r = q.rows
-    u_q = weight_transform(q)
-    gens = u_q.top_rows(r)
-    if q @ gens.transpose() != IntMatrix.identity(r):
-        raise PreconditionError("generator identity failed")
+    gens = weight_transform(q).top_rows(r)
     return ClassGroupData(rank=r, torsion=(), free_generators=gens, torsion_generator_rows=None)
 
 
@@ -193,7 +190,8 @@ def _picard_table(q: IntMatrix) -> tuple[dict, list]:
 
 def _scaled_inverse_columns(m: list[list[int]], delta: int) -> Iterator[list[int]]:
     """The columns of ``delta m^{-1}`` for an upper triangular ``m``, by back
-    substitution in ``m x = delta e_j``; ``PreconditionError`` unless every
+    substitution in ``m x = delta e_j``.  The rows of ``m`` span a lattice
+    that contains ``delta Z^r``, so ``delta m^{-1}`` is integral and every
     division is exact.  Column ``j`` is zero below row ``j`` and has
     ``delta / m_jj`` in row ``j``, so the columns form an upper triangular
     matrix; ``picard_basis`` reads them reversed as the rows of one."""
@@ -203,9 +201,7 @@ def _scaled_inverse_columns(m: list[list[int]], delta: int) -> Iterator[list[int
         for i in range(j, -1, -1):
             mi = m[i]
             s = delta if i == j else 0
-            x[i], rest = divmod(s - sum(map(mul, mi[i + 1 : j + 1], x[i + 1 : j + 1])), mi[i])
-            if rest:
-                raise PreconditionError("Picard lattice is not integral")
+            x[i] = (s - sum(map(mul, mi[i + 1 : j + 1], x[i + 1 : j + 1]))) // mi[i]
         yield x
 
 

@@ -17,7 +17,6 @@ from .intmat import _laplace_minors, _search_cap, det, shared_tables
 from .covering import (
     CoveringData,
     TorsionMatrix,
-    _check_torsion_congruences,
     _covering_decomposition,
     torsion_generators,
     torsion_matrix,
@@ -199,12 +198,27 @@ def verify_result(res: PipelineResult) -> None:
     det_beta = abs(det(cd.beta))
     if det_beta != torsion_order(cd):
         raise PreconditionError("factor determinant disagrees with the torsion order")
+    invariants = tuple(c for c in diag if c > 1)
+    if (
+        any(c < 1 for c in diag)
+        or any(b % a for a, b in zip(diag, diag[1:]))
+        or cd.torsion_invariants != invariants
+        or res.class_group.torsion != invariants
+    ):
+        raise PreconditionError("torsion invariants disagree with the diagonal form")
     free = res.class_group.free_generators
     r = q.rows
     if q @ free.transpose() != IntMatrix.identity(r):
         raise PreconditionError("free-part generator identity failed")
     if res.gamma.rows:
-        _check_torsion_congruences(res.gamma, v, res.class_group.torsion_generator_rows)
+        g = res.gamma.to_int_matrix()
+        against_fan = g @ v.transpose()
+        against_gens = g @ res.class_group.torsion_generator_rows.transpose()
+        for k, tau in enumerate(res.gamma.moduli):
+            if any(x % tau for x in against_fan.row(k)):
+                raise PreconditionError("torsion matrix does not annihilate the fan rows")
+            if any((x - int(j == k)) % tau for j, x in enumerate(against_gens.row(k))):
+                raise PreconditionError("torsion matrix does not normalize the generators")
     v_rows, q_rows = tuple(v), tuple(q)
     det_fv = abs(det(free.vstack(v)))
     certified: set[tuple[int, int, int]] = set()

@@ -70,10 +70,14 @@ def reconstruct(p: QuotientPresentation, v_hat: Optional[IntMatrix] = None) -> R
     ``beta`` depend on that choice, and ``beta`` is determined only up to
     left unimodular action.  One HNF of ``K`` gives ``beta`` (lower rows of
     the transform) and the order of the subgroup the residue pairing
-    generates (upper block of the form).  Raises ``PreconditionError``
-    unless ``V`` is orthogonal to the weights, meets the torsion
-    congruences, the pairing generates all of ``Z/moduli`` and
-    ``|det beta|`` equals its order.
+    generates (upper block of the form).  Those lower rows are a basis of
+    ``{z : z @ K == 0}``, and as diag(moduli) is nonsingular, projecting
+    them onto the first ``n`` coordinates loses nothing: the rows of ``beta``
+    are a basis of the kernel of the pairing map ``Z^n -> sum Z/moduli``.
+    So ``V @ Gamma^T == 0`` modulo the moduli, ``V @ Q^T == beta @ V_hat @
+    Q^T == 0`` and ``|det beta|`` is the subgroup order.  Raises
+    ``PreconditionError`` unless the pairing generates all of ``Z/moduli``,
+    so that ``|det beta|`` is the product of the moduli.
     """
     dual = gale_dual(p.Q)
     if v_hat is None:
@@ -81,33 +85,20 @@ def reconstruct(p: QuotientPresentation, v_hat: Optional[IntMatrix] = None) -> R
     elif Lattice.from_matrix(v_hat) != Lattice.from_matrix(dual):
         raise PreconditionError("supplied covering matrix is not a Gale dual of Q")
     n = v_hat.rows
-    k, beta, subgroup_order = None, IntMatrix.identity(n), 1
+    k, beta = None, IntMatrix.identity(n)
     if p.gamma.rows:
         residues = p.gamma.to_int_matrix().transpose()
         k = (v_hat @ residues).vstack(IntMatrix.diagonal(list(p.gamma.moduli)))
         res = hnf(k)
         beta = res.U.bottom_rows(n).select_cols(range(n))
-        det_beta = det(beta)
-        if det_beta == 0:
-            raise PreconditionError("degenerate torsion data produced a singular factor")
         order = prod(p.gamma.moduli)
         subgroup_order = order // abs(det(res.H.top_rows(p.gamma.rows)))
-    v = beta @ v_hat
-    if not (v @ p.Q.transpose()).is_zero():
-        raise PreconditionError("reconstructed matrix is not orthogonal to the weights")
-    if p.gamma.rows:
-        rel = v @ residues
-        for j, tau in enumerate(p.gamma.moduli):
-            if any(rel[i, j] % tau != 0 for i in range(rel.rows)):
-                raise PreconditionError("torsion congruences fail on the reconstruction")
         if subgroup_order != order:
             raise PreconditionError(
                 f"the residue pairing generates {_int_text(subgroup_order)} "
                 f"of the {_int_text(order)} torsion classes"
             )
-        if abs(det_beta) != subgroup_order:
-            raise PreconditionError("factor determinant disagrees with the subgroup order")
-    return Reconstruction(v_hat, k, beta, v)
+    return Reconstruction(v_hat, k, beta, beta @ v_hat)
 
 
 def fan_matrix_equivalence(

@@ -276,7 +276,16 @@ def test_reached_permutation_cap_exits_2(monkeypatch, capsys):
     assert captured.err.startswith("torifactor:")
 
 
-@pytest.mark.parametrize("value", ["abc", "-3", "0", "\u0663"])
+@pytest.mark.parametrize(
+    "value",
+    [
+        "abc",
+        "-3",
+        "0",
+        "\u0663",
+        pytest.param("1" * (sys.get_int_max_str_digits() + 1), id="beyond the digit limit"),
+    ],
+)
 @pytest.mark.parametrize("command", ["fans", "pipeline"])
 def test_bad_partial_fan_cap_is_an_input_error(monkeypatch, capsys, command, value):
     monkeypatch.setenv("TORIFACTOR_MAX_PARTIAL_FANS", value)
@@ -539,6 +548,34 @@ def test_integer_strings_other_than_ascii_digits_are_input_errors(entry):
     code, err = run_in_process("hnf", {"matrix": {"data": [[entry, 1]]}})
     assert code == 1
     assert err.startswith("torifactor: input error: not an integer")
+
+
+# input errors raised past the JSON parse, each with its message
+INPUT_ERRORS = {
+    "string entry beyond the digit limit": (
+        "hnf",
+        {"matrix": {"data": [["1" * (sys.get_int_max_str_digits() + 1)]]}},
+        "not an integer: '111",
+    ),
+    "declared column count": (
+        "hnf",
+        {"matrix": {"cols": 3, "data": [[1, 2]]}},
+        "matrix: declared column count disagrees with data",
+    ),
+    "missing moduli": (
+        "reconstruct",
+        {"weights": {"data": [[1, 1, 1]]}, "torsion": {"data": [[1, 1, 1]]}},
+        "torsion: expected an object with a 'moduli' field",
+    ),
+    "top-level list": ("hnf", [EX1], "-: top-level JSON value must be an object"),
+}
+
+
+@pytest.mark.parametrize("command, payload, message", INPUT_ERRORS.values(), ids=INPUT_ERRORS)
+def test_input_errors_name_what_is_wrong(command, payload, message):
+    code, err = run_in_process(command, payload)
+    assert code == 1
+    assert err.startswith(f"torifactor: input error: {message}")
 
 
 def test_integer_strings_of_ascii_digits_decode():

@@ -382,6 +382,26 @@ def test_torsion_matrix_width_matches_entries():
         TorsionMatrix([5], [[]])
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TorsionMatrix([3, 3], [[1, 2], [1]]), ShapeError, "ragged rows"),
+        (lambda: TorsionMatrix([3], [[1, 2]], width=3), ShapeError, "width disagrees"),
+        (lambda: TorsionMatrix((), ()), ShapeError, "width required"),
+        (
+            lambda: TorsionMatrix((), (), width=2).to_int_matrix(),
+            ValueError,
+            "empty torsion matrix has no integer matrix form",
+        ),
+        (lambda: beta_factor(EX1_V, EX2_V), ShapeError, "fan matrices must have equal shape"),
+    ],
+    ids=["ragged", "width", "no width", "empty to_int_matrix", "beta_factor shapes"],
+)
+def test_torsion_data_rejects_inconsistent_shapes(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_is_divisor_of_beta():
     beta = IntMatrix.diagonal([1, 1, 5])
     assert is_divisor_of_beta(IntMatrix.identity(3), beta)

@@ -32,6 +32,7 @@ from torifactor.divisors import _weight_block
 from torifactor.intmat import _det_adjugate, _det_adjugate_rows, _laplace_minors, shared_tables
 
 from _exampledata import (
+    EX1_BETA,
     EX1_CX,
     EX1_Q,
     EX1_UQ,
@@ -385,6 +386,47 @@ def test_picard_basis_rejects_malformed_index_sets(sets):
     q = gale_dual(IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]]))
     with pytest.raises(ShapeError):
         picard_basis(q, PicardIndexFamily(sets))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: weight_transform(IntMatrix([[2, 0, -2]])),
+            PreconditionError,
+            "row lattice of the weight matrix is not saturated",
+        ),
+        (
+            lambda: picard_basis(EX1_Q, PicardIndexFamily(())),
+            PreconditionError,
+            "empty index family",
+        ),
+        (
+            lambda: cartier_basis(IntMatrix([[1, 0]]), EX1_UQ, EX1_BETA),
+            ShapeError,
+            "b and beta must be square",
+        ),
+        (
+            lambda: cartier_basis(IntMatrix.identity(2), EX1_UQ, EX1_BETA),
+            ShapeError,
+            "transform size must equal rank \\+ dimension",
+        ),
+        (
+            lambda: weil_inclusion(EX1_UQ, IntMatrix([[1, 0]])),
+            ShapeError,
+            "beta must be square",
+        ),
+        (
+            lambda: weil_inclusion(EX1_BETA, EX1_BETA),
+            ShapeError,
+            "transform must be square and larger than beta",
+        ),
+    ],
+    ids=["unsaturated weights", "empty family", "cartier b", "cartier u_q", "weil beta", "weil u_q"],
+)
+def test_divisor_maps_reject_inconsistent_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_picard_basis_rejects_a_family_that_is_not_iterable():

@@ -85,6 +85,11 @@ def test_gale_dual_rejects_rank_deficient():
         gale_dual(IntMatrix([[1, 2, 3], [2, 4, 6]]))
 
 
+def test_gale_dual_rejects_a_square_nonsingular_matrix():
+    with pytest.raises(PreconditionError, match="square full-rank matrix has trivial kernel"):
+        gale_dual(IntMatrix([[1, 1], [0, 2]]))
+
+
 def test_classify_first_example():
     rep = classify_F(EX1_V)
     assert rep.is_F and not rep.is_CF and rep.is_reduced

@@ -97,6 +97,27 @@ def test_block_diagonal_and_permutation():
     assert m @ s == IntMatrix([[30, 10, 20]])
 
 
+_SQUARE = IntMatrix([[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: IntMatrix.permutation([0, 0, 1]), ShapeError, "not a permutation of 0..n-1"),
+        (lambda: _SQUARE.col(2), IndexError, "^2$"),
+        (lambda: _SQUARE.col(-1), IndexError, "^-1$"),
+        (lambda: _SQUARE.vstack(IntMatrix([[1, 2, 3]])), ShapeError, "column counts differ"),
+        (lambda: _SQUARE.hstack(IntMatrix([[1]])), ShapeError, "row counts differ"),
+        (lambda: _SQUARE + IntMatrix([[1, 2]]), ShapeError, "shape mismatch"),
+        (lambda: _SQUARE - IntMatrix([[1], [2]]), ShapeError, "shape mismatch"),
+    ],
+    ids=["permutation", "col past the end", "negative col", "vstack", "hstack", "add", "sub"],
+)
+def test_shape_errors_name_the_mismatch(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_det_triangular():
     assert det(IntMatrix.diagonal([1, 1, 5])) == 5
     assert det(IntMatrix.identity(4)) == 1

@@ -59,6 +59,25 @@ def test_lattice_rejects_a_non_integer_ambient_dimension(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Lattice(0), ShapeError, "ambient dimension must be positive"),
+        (lambda: Lattice(2, [[1, 0, 0]]), ShapeError, "row length does not match ambient"),
+        (lambda: Lattice.zero(2).basis_matrix(), ValueError, "zero lattice has no basis matrix"),
+        (
+            lambda: Lattice.full(2).is_sublattice_of(Lattice.full(3)),
+            ShapeError,
+            "ambient dimensions differ",
+        ),
+    ],
+    ids=["ambient below 1", "row length", "zero basis matrix", "sublattice ambient"],
+)
+def test_lattice_rejects_inconsistent_shapes(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_zero_and_full_lattices():
     z = Lattice.zero(3)
     assert z.rank == 0

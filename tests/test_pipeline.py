@@ -13,6 +13,7 @@ from torifactor import (
     PreconditionError,
     SearchLimitExceeded,
     ShapeError,
+    TorsionMatrix,
     analyze,
     covering_decomposition,
     det,
@@ -539,6 +540,21 @@ def test_verification_rejects_the_complements_of_a_cone_of_the_wrong_size():
         verify_result(res._replace(fans=(forged,) + res.fans[1:]))
 
 
+def test_verification_rejects_a_fan_with_a_singular_weight_block():
+    # the last cone of SHARED_V's fan 0 replaced by (2, 4, 5), whose
+    # complement (0, 1, 3) indexes a singular block of Q; EX2_V has no
+    # singular block to use
+    from torifactor import Fan, picard_index_sets
+
+    res = analyze(SHARED_V)
+    fa = res.fans[0]
+    assert det(res.Q.select_cols((0, 1, 3))) == 0
+    fan = Fan(fa.fan.matrix, fa.fan.maximal_cones[:-1] + ((2, 4, 5),))
+    forged = fa._replace(fan=fan, index_sets=picard_index_sets(fan))
+    with pytest.raises(PreconditionError, match=r"singular weight block at columns \(0, 1, 3\)"):
+        verify_result(res._replace(fans=(forged,) + res.fans[1:]))
+
+
 # forged dual rows for the block of EX2_V at columns (1, 4), d = 8, whose true
 # rows are ((2, 3), (0, 4)): L = {x : x Q_I == 0 mod 8} has index 8
 FORGED_DUAL_ROWS = {
@@ -621,6 +637,33 @@ def _off_diagonal_form(cd):
     return cd._replace(nu=cd.nu @ e, Delta=cd.Delta @ e)
 
 
+def _swapped_invariants(cd):
+    # Delta = diag(1, 1, 3, 15) reordered as diag(1, 1, 15, 3) by the swap P of
+    # its last two rows, with mu, nu and both aligned matrices moved along:
+    # P mu beta nu P is diagonal and the invariants read (15, 3), but no
+    # divisor chain
+    swap = lambda m: m.select_rows([0, 1, 3, 2])
+    return cd._replace(
+        mu=swap(cd.mu),
+        nu=cd.nu.select_cols([0, 1, 3, 2]),
+        Delta=swap(cd.Delta).select_cols([0, 1, 3, 2]),
+        V_aligned=swap(cd.V_aligned),
+        V_hat_aligned=swap(cd.V_hat_aligned),
+        torsion_invariants=(15, 3),
+    )
+
+
+def _negated_unit(cd):
+    # row 0 of mu, Delta and V_aligned negated: every product identity holds,
+    # Delta_00 = -1, and the entries above 1 are still (3, 15)
+    neg = lambda m: IntMatrix([[-x for x in m.row(0)]] + m.tolist()[1:])
+    return cd._replace(mu=neg(cd.mu), Delta=neg(cd.Delta), V_aligned=neg(cd.V_aligned))
+
+
+def _forge_class_group(res, **changes):
+    return res._replace(class_group=res.class_group._replace(**changes))
+
+
 # one forgery per identity that verify_result checks before the fans; each
 # breaks its identity and none checked before it
 IDENTITY_FORGERIES = [
@@ -667,13 +710,60 @@ IDENTITY_FORGERIES = [
         id="torsion order",
     ),
     pytest.param(
-        lambda res: res._replace(
-            class_group=res.class_group._replace(
-                free_generators=_bumped(res.class_group.free_generators)
-            )
+        lambda res: _forge_covering(res, torsion_invariants=(5, 9)),
+        "torsion invariants disagree with the diagonal form",
+        id="invariants not the diagonal",
+    ),
+    pytest.param(
+        lambda res: _forge_covering(res, torsion_invariants=(9, 5)),
+        "torsion invariants disagree with the diagonal form",
+        id="invariants not a chain",
+    ),
+    pytest.param(
+        lambda res: _forge_covering(res, torsion_invariants=(45,)),
+        "torsion invariants disagree with the diagonal form",
+        id="invariants merged",
+    ),
+    pytest.param(
+        lambda res: _forge_class_group(res, torsion=(5, 9)),
+        "torsion invariants disagree with the diagonal form",
+        id="class group torsion",
+    ),
+    pytest.param(
+        lambda res: _forge_class_group(
+            res._replace(covering=_swapped_invariants(res.covering)), torsion=(15, 3)
+        ),
+        "torsion invariants disagree with the diagonal form",
+        id="diagonal not a chain",
+    ),
+    pytest.param(
+        lambda res: res._replace(covering=_negated_unit(res.covering)),
+        "torsion invariants disagree with the diagonal form",
+        id="negative diagonal entry",
+    ),
+    pytest.param(
+        lambda res: _forge_class_group(
+            res, free_generators=_bumped(res.class_group.free_generators)
         ),
         "free-part generator identity failed",
         id="free part",
+    ),
+    pytest.param(
+        lambda res: res._replace(
+            gamma=TorsionMatrix(res.gamma.moduli, _bumped(res.gamma.to_int_matrix()).tolist())
+        ),
+        "torsion matrix does not annihilate the fan rows",
+        id="torsion annihilation",
+    ),
+    pytest.param(
+        lambda res: _forge_class_group(
+            res,
+            torsion_generator_rows=IntMatrix(
+                [[2 * x for x in row] for row in res.class_group.torsion_generator_rows]
+            ),
+        ),
+        "torsion matrix does not normalize the generators",
+        id="torsion normalization",
     ),
 ]
 

@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from torifactor import (
     IntMatrix,
@@ -385,3 +386,30 @@ def test_factor_determinant_equals_pairing_subgroup_order():
     assert abs(det(beta)) == 45
     p2 = QuotientPresentation(EX1_Q, REID_GAMMA)
     assert abs(det(reconstruct(p2).beta)) == 5
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32), st.booleans())
+def test_reconstruction_meets_its_identities(shape, seed, moved):
+    # the identities that reconstruct holds by construction and does not
+    # check, checked here on plain lists: V == beta V_hat, V Q^T == 0,
+    # V Gamma^T == 0 mod the moduli and |det beta| == the product of the
+    # moduli, for the default covering and for one moved by a row action
+    import sympy
+
+    rng = random.Random(seed)
+    v = random_reduced_f_matrix(rng, *shape, torsion_bias=1.0)
+    gamma = torsion_matrix(covering_decomposition(v))
+    assume(gamma.rows)
+    q = gale_dual(v)
+    v_hat = random_unimodular(rng, v.rows) @ gale_dual(q) if moved else None
+    rec = reconstruct(QuotientPresentation(q, gamma), v_hat=v_hat)
+    beta, big_v = rec.beta.tolist(), rec.V.tolist()
+    assert big_v == _product(beta, rec.V_hat.tolist())
+    assert all(x == 0 for row in _product(big_v, list(zip(*q.tolist()))) for x in row)
+    pairing = _product(big_v, list(zip(*gamma.entries)))
+    assert all(x % tau == 0 for row in pairing for x, tau in zip(row, gamma.moduli))
+    assert abs(sympy.Matrix(beta).det()) == math.prod(gamma.moduli)
