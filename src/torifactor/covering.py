@@ -110,9 +110,6 @@ class TorsionMatrix:
     def cols(self) -> int:
         return self._width
 
-    def row(self, k: int) -> tuple[int, ...]:
-        return self._entries[k]
-
     def to_int_matrix(self) -> IntMatrix:
         if not self._entries:
             raise ValueError("empty torsion matrix has no integer matrix form")
@@ -240,7 +237,9 @@ def torsion_generators(cd: CoveringData) -> Optional[IntMatrix]:
     """Rows generating the torsion subgroup of the divisor class group.
 
     Row k is the corresponding aligned row of the fan matrix divided exactly
-    by its invariant; ``None`` when the class group is torsion free.
+    by its invariant; ``None`` when the class group is torsion free.  Trusts
+    ``cd`` from ``covering_decomposition`` or ``analyze``; ``verify_result``
+    certifies a hand-built one.
     """
     s = len(cd.torsion_invariants)
     return cd.V_hat_aligned.bottom_rows(s) if s else None
@@ -256,6 +255,8 @@ def torsion_matrix(cd: CoveringData) -> TorsionMatrix:
     nu^-1 V_hat == [A; G]`` extends to a unimodular matrix: the columns of
     ``A`` generate Z^(n-s), and ``G`` maps ``ker A`` onto Z^s.  So both
     transposed HNFs are ``[I; 0]``, and only their transforms are read.
+    Trusts ``cd`` from ``covering_decomposition`` or ``analyze``;
+    ``verify_result`` certifies a hand-built one.
     """
     n, m = cd.V_aligned.shape
     s = len(cd.torsion_invariants)

@@ -1,31 +1,27 @@
 """Enumeration and validation of the complete simplicial fans on a fan matrix.
 
 Maximal cones are size-n sets of column indices (0-based) with nonsingular
-column blocks.  Every cone test reads the signs of the maximal minors of
-``V``, one table per ``V`` (``gale._minors``): the candidate cones are the
-n-subsets with a nonzero minor; each (n+1)-subset of rank n carries one linear
-relation whose coefficients are signed minors (Cramer's rule), and these are
-the signed circuits of ``V``, one table per ``V`` as well
-(``gale._circuits``).  Two cones meet in their common face iff no circuit has
-its positive part in the first cone and its negative part in the second (De
-Loera, Rambau, Santos, *Triangulations*, 2010, Section 4.1); one conflict
-bitmask per candidate cone, built once from the circuits, holds the candidates
-it does not meet so.  A collection is a complete fan when its cones meet
-pairwise in common faces and every facet lies on exactly two cones.  The
+column blocks.  Every cone test reads the signs of the maximal minors of ``V``,
+one table per ``V`` (``gale._minors``): the candidate cones are the n-subsets
+with a nonzero minor, and the signed circuits of ``V``, one table per ``V`` as
+well (``gale._circuits``), are read off the minors by Cramer's rule.  Two cones
+meet in their common face iff no circuit has its positive part in the first
+cone and its negative part in the second (De Loera, Rambau, Santos,
+*Triangulations*, 2010, Section 4.1); one conflict bitmask per candidate cone,
+built once from the circuits, holds the candidates it does not meet so.  A
+collection is a complete fan when its cones meet pairwise in common faces,
+every facet lies on exactly two cones and every column is a ray; the search and
+``validate_fan`` read one set of tables per ``V`` (``_fan_tables``).  The
 enumeration roots one search at each candidate, in ascending order, and admits
 only later ones, so a fan is reached from its smallest cone only; it closes
-open facets one at a time from a table built once, and a partial fan is four
-bitmasks: its cones, the facets on one of them, the facets on two, and the
-rays used.  The table numbers the facets in lexicographic order with no facet
-tuple built: a facet is a bit-reversed column mask, and the descending order
-of those masks is the lexicographic order of the facet tuples.
+open facets one at a time, and a partial fan is four bitmasks: its cones, the
+facets on one of them, the facets on two, and the rays used.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import cache
-from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .intmat import (
@@ -50,15 +46,8 @@ class Fan(Record):
     matrix: IntMatrix
     maximal_cones: tuple[Cone, ...]
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.rows
-
     def rays_used(self) -> tuple[int, ...]:
-        used = set()
-        for cone in self.maximal_cones:
-            used.update(cone)
-        return tuple(sorted(used))
+        return tuple(sorted({j for cone in self.maximal_cones for j in cone}))
 
 
 class PicardIndexFamily(Record):
@@ -124,10 +113,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _facets(cone: Cone) -> list[Cone]:
-    return [tuple(x for x in cone if x != j) for j in cone]
-
-
 def _cone_list(cones: Iterable[Sequence[int]]) -> list[Cone]:
     """Each cone as a sorted tuple of integer column indices."""
     try:
@@ -137,11 +122,11 @@ def _cone_list(cones: Iterable[Sequence[int]]) -> list[Cone]:
 
 
 def validate_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> FanValidation:
-    """Check the maximal-cone collection against the fan invariants.
-
-    Reported problems: wrong cone size, out-of-range or repeated indices,
-    duplicate cones, singular column blocks, a cone pair that does not meet
-    along a common face, and facets not shared by exactly two cones.
+    """Check the maximal-cone collection against the fan invariants: valid
+    iff ``enumerate_fans`` finds the fan.  Problems: wrong cone size or
+    repeated indices, duplicate cones, singular column blocks, a cone pair not
+    meeting in a common face, facets not on exactly two cones, and columns
+    that are a ray of no cone; bad indices raise ``ShapeError``.
     """
     n, m = v.shape
     problems: list[str] = []
@@ -158,26 +143,30 @@ def validate_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> FanValidation:
     if problems:
         return FanValidation(False, tuple(problems))
     with shared_tables():
-        minors, circuits = _minors(v), _circuits(v)
+        candidates, masks, conflict, facet_masks, by_facet = _fan_tables(v)
+        index = _cached(v, "cone index", lambda: {c: k for k, c in enumerate(candidates)})
     for c in cone_list:
-        if not minors[c]:
+        if c not in index:
             problems.append(f"cone {c} is not simplicial (singular column block)")
     if problems:
         return FanValidation(False, tuple(problems))
-    candidates = [c for c, d in minors.items() if d]
-    conflict = _conflicts([_mask(c) for c in candidates], circuits)
-    index = {c: k for k, c in enumerate(candidates)}
-    distinct = sorted(cone_list)
-    for a, b in combinations(distinct, 2):
-        if conflict[index[a]] >> index[b] & 1:
-            problems.append(f"cones {a} and {b} do not meet in a common face")
-    facet_count: dict[Cone, int] = {}
-    for c in distinct:
-        for f in _facets(c):
-            facet_count[f] = facet_count.get(f, 0) + 1
-    for f, count in sorted(facet_count.items()):
-        if count != 2:
-            problems.append(f"facet {f} lies on {count} cone(s) instead of 2")
+    chosen = _mask(index[c] for c in cone_list)
+    rays = seen = twice = over = 0  # facets on 1+, 2+, 3+ chosen cones
+    for k in _bits(chosen):
+        for b in _bits(conflict[k] & chosen >> k + 1 << k + 1):
+            problems.append(f"cones {candidates[k]} and {candidates[b]} do not meet in a common face")
+        f = facet_masks[k]
+        over |= twice & f
+        twice |= seen & f
+        seen |= f
+        rays |= masks[k]
+    for i in _bits(seen & ~twice | over):
+        on = [k for k in by_facet[i] if chosen >> k & 1]
+        # by id, a cone's facets omit its columns from the last one down
+        c, p = candidates[on[0]], n - 1 - _bits(facet_masks[on[0]]).index(i)
+        problems.append(f"facet {c[:p] + c[p + 1:]} lies on {len(on)} cone(s) instead of 2")
+    for j in _bits(~rays & (1 << m) - 1):
+        problems.append(f"column {j} is a ray of no cone")
     return FanValidation(not problems, tuple(problems))
 
 
@@ -193,33 +182,24 @@ def make_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> Fan:
 def enumerate_fans(v: IntMatrix, max_partial_fans: Optional[int] = None) -> tuple[Fan, ...]:
     """All complete simplicial fans whose rays are exactly the columns of ``v``.
 
-    Candidate cones are the nonsingular size-n column subsets, in
-    lexicographic order.  The search roots at each candidate in turn, in
-    ascending order, admits only later candidates and resolves unpaired
-    facets one at a time, lowest first; a collection with every facet paired
-    and all rays used is a complete fan.  The search is exhaustive and reaches
-    each fan once, from its smallest cone, so the fans of one root, sorted,
-    follow those of every earlier root.  ``max_partial_fans`` (at least 1;
-    ``None``: no cap) caps the partial fans pushed, each root counted when
-    its search starts; exceeding it raises ``SearchLimitExceeded``.
+    The search (module docstring) is exhaustive and reaches each fan once, from
+    its smallest cone, so the sorted fans of a root follow those of every
+    earlier root.  ``max_partial_fans`` (at least 1; ``None``: no cap) caps the
+    partial fans pushed, each root counted when its search starts; exceeding it
+    raises ``SearchLimitExceeded``.
     """
     max_partial_fans = _search_cap(max_partial_fans, "max_partial_fans")
     return tuple(fan for fans in _fans_by_root(v, max_partial_fans) for fan in fans)
 
 
 def _fans_by_root(v: IntMatrix, max_partial_fans: Optional[int]) -> Iterator[list[Fan]]:
-    """The sorted fans of each root of ``enumerate_fans``'s search, root by root
-    in ascending order, for a cap already checked by ``_search_cap``.  The
-    pushed count runs on across the roots, so a caller that stops after a
-    root has paid for the partial fans of that root and of the earlier ones
-    only."""
+    """The sorted fans of each root of ``enumerate_fans``'s search, roots in
+    ascending order, for a cap already checked by ``_search_cap``.  The pushed
+    count runs on across the roots, so a caller that stops after a root pays
+    for that root and the earlier ones only."""
     with shared_tables():
         require_F(v)
-        candidates = [c for c, d in _minors(v).items() if d]
-        circuits = _circuits(v)
-    masks = [_mask(c) for c in candidates]
-    conflict = _conflicts(masks, circuits)
-    facet_masks, by_facet = _facet_tables(candidates, v.cols)
+        candidates, masks, conflict, facet_masks, by_facet = _fan_tables(v)
 
     all_rays = (1 << v.cols) - 1
     pushed = 0
@@ -248,6 +228,19 @@ def _fans_by_root(v: IntMatrix, max_partial_fans: Optional[int]) -> Iterator[lis
                 pushed += 1
         fans = sorted(tuple(candidates[k] for k in _bits(chosen)) for chosen in found)
         yield [Fan(v, cones) for cones in fans]
+
+
+def _fan_tables(v: IntMatrix) -> tuple:
+    """The tables of the fan search and ``validate_fan``, once per ``v`` in a
+    ``shared_tables`` block: the candidate cones in lexicographic order, their
+    column masks, conflict masks (``_conflicts``) and facet table."""
+
+    def build():
+        candidates = [c for c, d in _minors(v).items() if d]
+        masks = [_mask(c) for c in candidates]
+        return candidates, masks, _conflicts(masks, _circuits(v)), *_facet_tables(candidates, v.cols)
+
+    return _cached(v, "fan tables", build)
 
 
 def _facet_tables(candidates: Sequence[Cone], m: int) -> tuple[list[int], list[list[int]]]:

@@ -27,10 +27,6 @@ class SnfResult(Record):
     U_left: IntMatrix
     U_right: IntMatrix
 
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.D[i, i] for i in range(min(self.D.shape)))
-
 
 def hnf(a: IntMatrix) -> HnfResult:
     """Row Hermite normal form ``H`` of ``a`` with transform ``U @ a == H``."""

@@ -168,6 +168,128 @@ def test_make_fan_raises_on_invalid():
         make_fan(IntMatrix([[1, -1]]), [(0,)])
 
 
+# a complete fan on columns 0, 1, 2 that leaves column 3 unused; the only fan
+# whose rays are all four columns is ((0, 2), (0, 3), (1, 2), (1, 3))
+UNUSED_COLUMN_V = IntMatrix([[1, 0, -1, 1], [0, 1, -1, 1]])
+UNUSED_COLUMN_CONES = [(0, 1), (1, 2), (0, 2)]
+
+
+def test_validate_fan_reports_a_column_that_is_a_ray_of_no_cone():
+    # the truth value of a FanValidation is its validity, both ways
+    result = validate_fan(UNUSED_COLUMN_V, UNUSED_COLUMN_CONES)
+    assert not result
+    assert result.problems == ("column 3 is a ray of no cone",)
+    (fan,) = enumerate_fans(UNUSED_COLUMN_V)
+    assert fan.maximal_cones == ((0, 2), (0, 3), (1, 2), (1, 3))
+    assert validate_fan(UNUSED_COLUMN_V, fan.maximal_cones)
+
+
+def test_make_fan_rejects_a_fan_that_leaves_a_column_unused():
+    with pytest.raises(PreconditionError, match="column 3 is a ray of no cone"):
+        make_fan(UNUSED_COLUMN_V, UNUSED_COLUMN_CONES)
+
+
+# the first fan of the second worked example
+EX2_FAN0 = [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 1, 4, 5)]
+EX2_FAN0 += [(0, 2, 3, 4), (0, 3, 4, 5), (1, 2, 3, 4), (1, 3, 4, 5)]
+
+
+@pytest.mark.parametrize(
+    "cones, problems",
+    [
+        (
+            EX2_FAN0[:3] + EX2_FAN0[4:],
+            [f"facet {f} lies on 1 cone(s) instead of 2" for f in ((0, 1, 4), (0, 1, 5), (0, 4, 5), (1, 4, 5))],
+        ),
+        (
+            EX2_FAN0 + [(0, 1, 2, 5)],
+            [
+                "cones (0, 1, 2, 3) and (0, 1, 2, 5) do not meet in a common face",
+                "cones (0, 1, 2, 5) and (0, 1, 3, 5) do not meet in a common face",
+                "facet (0, 1, 2) lies on 3 cone(s) instead of 2",
+                "facet (0, 1, 5) lies on 3 cone(s) instead of 2",
+                "facet (0, 2, 5) lies on 1 cone(s) instead of 2",
+                "facet (1, 2, 5) lies on 1 cone(s) instead of 2",
+            ],
+        ),
+    ],
+    ids=["dropped", "added"],
+)
+def test_validate_fan_lists_pair_and_facet_problems_in_order(cones, problems):
+    # pairs in sorted order, then facets in lexicographic order with their counts
+    assert enumerate_fans(EX2_V)[0].maximal_cones == tuple(EX2_FAN0)
+    assert validate_fan(EX2_V, cones).problems == tuple(problems)
+
+
+@pytest.mark.parametrize(
+    "cones, problem",
+    [
+        ([], "no maximal cones given"),
+        ([(0, 1), (1, 2, 3)], "cone (0, 1) is not a set of 3 distinct indices"),
+        ([(0, 1, 1), (1, 2, 3)], "cone (0, 1, 1) is not a set of 3 distinct indices"),
+        ([(0, 1, 2, 3), (1, 2, 3)], "cone (0, 1, 2, 3) is not a set of 3 distinct indices"),
+    ],
+)
+def test_validate_fan_rejects_a_collection_that_is_not_n_subsets(cones, problem):
+    result = validate_fan(EX1_V, cones)
+    assert (result.valid, result.problems) == (False, (problem,))
+
+
+def _oracle_is_fan(v, cones, meets):
+    """Test-side fan check: distinct nonsingular cones (sympy determinants),
+    each pair meeting in a common face (``meets``), every facet on exactly two
+    cones, and every column a ray."""
+    n, m = v.shape
+    if len(set(cones)) != len(cones):
+        return False
+    if any(sympy.Matrix(v.select_cols(c).tolist()).det() == 0 for c in cones):
+        return False
+    facets = {}
+    for c in cones:
+        for k in range(n):
+            facets[c[:k] + c[k + 1 :]] = facets.get(c[:k] + c[k + 1 :], 0) + 1
+    return (
+        all(meets(a, b) for a, b in combinations(sorted(cones), 2))
+        and set(facets.values()) == {2}
+        and {j for c in cones for j in c} == set(range(m))
+    )
+
+
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+def test_validate_fan_accepts_exactly_what_the_test_side_oracle_accepts(shape, seed):
+    # each fan, and each fan with one cone dropped, added or replaced
+    rng = random.Random(seed)
+    v = random_reduced_f_matrix(rng, *shape)
+    subsets = list(combinations(range(v.cols), v.rows))
+    pairs = {}
+
+    def meets(a, b):
+        if (a, b) not in pairs:
+            pairs[a, b] = kernel_cones_meet_in_common_face(v, a, b)
+        return pairs[a, b]
+
+    fans = [list(f.maximal_cones) for f in enumerate_fans(v)]
+    found = {tuple(cones) for cones in fans}
+    collections = []
+    for cones in rng.sample(fans, min(3, len(fans))):
+        k = rng.randrange(len(cones))
+        collections += [
+            cones,
+            cones[:k] + cones[k + 1 :],
+            cones + [rng.choice(subsets)],
+            cones[:k] + [rng.choice(subsets)] + cones[k + 1 :],
+        ]
+    # complete fans that leave one column out: the fans of the other columns
+    kept = [j for j in range(v.cols) if j != rng.randrange(v.cols)]
+    if len(kept) > v.rows and classify_F(v.select_cols(kept)).is_F:
+        for fan in enumerate_fans(v.select_cols(kept))[:2]:
+            collections.append([tuple(kept[x] for x in cone) for cone in fan.maximal_cones])
+    for collection in collections:
+        valid = validate_fan(v, collection).valid
+        assert valid == _oracle_is_fan(v, collection, meets)
+        assert valid == (tuple(sorted(collection)) in found and len(set(collection)) == len(collection))
+
+
 def test_enumerate_rejects_non_f_matrix():
     with pytest.raises(PreconditionError):
         enumerate_fans(IntMatrix([[1, 0, 1], [0, 1, 1]]))
