@@ -7,7 +7,12 @@ Conventions used throughout the package:
   reduced into ``[0, pivot)`` and zero rows sit at the bottom.  ``H`` is the
   unique such form; ``U`` is unique only when ``A`` has full row rank.
 * SNF, two-sided action: ``U_left @ A @ U_right == D`` diagonal with
-  nonnegative entries, each dividing the next, zeros last.
+  nonnegative entries, each dividing the next, zeros last.  ``D`` is unique,
+  the transforms are not.  ``snf`` builds them from the row HNF above, of
+  ``D`` and of ``D^T`` in turn, and runs no elimination of its own.  On a
+  nonsingular ``A`` they are bounded by ``A^-1`` and ``|det A|``: the first
+  ``U_left`` is ``H A^-1``, with entries at most ``n max|adj A|``, and every
+  later pass reduces an HNF with entries at most ``|det A|``.
 """
 
 from __future__ import annotations
@@ -153,86 +158,48 @@ def _hnf_reduce(w: list[list[int]]) -> None:
 
 
 def snf(a: IntMatrix) -> SnfResult:
-    """Smith normal form of ``a`` with both unimodular transforms."""
+    """Smith normal form of ``a`` with both unimodular transforms.
+
+    Kannan-Bachem (SIAM J. Comput. 8, 1979; Cohen, GTM 138, §2.4.4): a row
+    HNF of ``d`` by ``_hnf_in_place`` carrying ``U_left``, then one of
+    ``d^T`` carrying ``U_right^T``, repeated until ``d`` is diagonal.  Where
+    a nonzero ``d_ii`` does not divide a later ``d_jj``, column j is added to
+    column i and the loop goes on; a row addition would be undone by the
+    next row HNF.
+
+    The loop ends: the first pivot is a positive integer that never grows,
+    since each HNF makes it the gcd of a column or row holding it.  Once it
+    divides its row and column, both are cleared and no later HNF touches
+    them, so the argument repeats on the rest; a column addition strictly
+    lowers its ``d_ii``.  The transforms stay small: the HNF transform of a
+    nonsingular matrix is unique, ``U_left = H a^-1`` after the first pass,
+    and every later pass acts on HNFs with entries at most ``|det a|``.
+    Zero rows and columns come last: the HNFs put the nonzero entries on
+    the first ``rank a`` diagonal places.
+    """
     m, n = a.shape
     d = a.tolist()
     left = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    right = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in right:
-            r[i], r[j] = r[j], r[i]
-
-    def row_sub(dst, src, q):
-        for k in range(n):
-            d[dst][k] -= q * d[src][k]
-        for k in range(m):
-            left[dst][k] -= q * left[src][k]
-
-    def col_sub(dst, src, q):
-        for r in d:
-            r[dst] -= q * r[src]
-        for r in right:
-            r[dst] -= q * r[src]
-
-    def min_entry(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(m, n):
-        pos = min_entry(t)
-        if pos is None:
-            break
-        if pos[0] != t:
-            swap_rows(t, pos[0])
-        if pos[1] != t:
-            swap_cols(t, pos[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    row_sub(i, t, d[i][t] // d[t][t])
-                    if d[i][t] != 0:
-                        swap_rows(i, t)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    col_sub(j, t, d[t][j] // d[t][t])
-                    if d[t][j] != 0:
-                        swap_cols(j, t)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the remaining block for the divisor chain
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % d[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_sub(t, offender, -1)
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            left[t] = [-x for x in left[t]]
-        t += 1
-    return SnfResult(*(IntMatrix._of(tuple(map(tuple, x))) for x in (d, left, right)))
+    right_t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    k = min(m, n)
+    while True:
+        _hnf_in_place(d, left)
+        d_t = [list(col) for col in zip(*d)]
+        _hnf_in_place(d_t, right_t)
+        d = [list(row) for row in zip(*d_t)]
+        if any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+            continue
+        fix = next(
+            ((i, j) for i in range(k) for j in range(i + 1, k) if d[i][i] and d[j][j] % d[i][i]),
+            None,
+        )
+        if fix is None:
+            return SnfResult(
+                *(IntMatrix._of(tuple(map(tuple, x))) for x in (d, left, zip(*right_t)))
+            )
+        i, j = fix
+        d[j][i] = d[j][j]
+        right_t[i] = [x + y for x, y in zip(right_t[i], right_t[j])]
 
 
 def unimodular_inverse(u: IntMatrix) -> IntMatrix:

@@ -11,6 +11,7 @@ from torifactor import (
     PreconditionError,
     ShapeError,
     TorsionMatrix,
+    analyze,
     beta_factor,
     classify_F,
     covering_decomposition,
@@ -214,6 +215,40 @@ def test_covering_oracle_inputs_meet_rows_with_and_without_sign_flips():
             if cd.torsion_invariants:
                 flipped.add(cd.nu != snf(cd.beta).U_right)
     assert flipped == {False, True}
+
+
+def _pairwise_row_action(v: IntMatrix, bits: int, rng) -> IntMatrix:
+    """``v`` with a ``bits``-bit multiple of every other row added to each row
+    in turn, so row i of the result has about ``(i + 1) * bits`` bits."""
+    rows = v.tolist()
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            if i != j:
+                c = rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix(rows)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [random_reduced_f_matrix(random.Random(2), 6, 3), EX2_V],
+    ids=["seed-2 (6, 3)", "EX2"],
+)
+def test_row_actions_keep_delta_and_bound_the_smith_transforms(v):
+    # snf reduces its transforms through the HNF, so the bit length of mu and
+    # nu follows that of beta, not the number of elimination steps: at 256
+    # bits, beta has 1537 (seed-2) and 1032 (EX2) bits and mu one or two more
+    def bits(m):
+        return max(abs(x).bit_length() for row in m for x in row)
+
+    base = analyze(v)
+    res = analyze(_pairwise_row_action(v, 256, random.Random(256)))
+    cd = res.covering
+    assert cd.Delta == base.covering.Delta
+    assert cd.torsion_invariants == base.covering.torsion_invariants
+    assert res.class_group.torsion == base.class_group.torsion
+    assert bits(cd.beta) > 1000
+    assert max(bits(cd.mu), bits(cd.nu)) <= 2 * bits(cd.beta) + 64
 
 
 def test_covering_decomposition_takes_no_inverse_and_no_adjugate(count_calls):

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from torifactor import IntMatrix, ShapeError, det, rank, vector_content
+from torifactor import IntMatrix, Lattice, ShapeError, TorsionMatrix, det, rank, vector_content
 from torifactor.intmat import (
     _TABLES,
     _cached,
@@ -116,6 +116,26 @@ _SQUARE = IntMatrix([[1, 2], [3, 4]])
 def test_shape_errors_name_the_mismatch(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "left, method, right, want",
+    [
+        (_SQUARE, "__eq__", [[1, 2], [3, 4]], NotImplemented),
+        (_SQUARE, "__add__", 1, NotImplemented),
+        (_SQUARE, "__sub__", 1, NotImplemented),
+        (_SQUARE, "__matmul__", [[1], [1]], NotImplemented),
+        (Lattice.from_matrix(_SQUARE), "__eq__", _SQUARE, NotImplemented),
+        (TorsionMatrix([2], [[1, 0]]), "__eq__", _SQUARE, NotImplemented),
+        (_SQUARE, "__sub__", IntMatrix([[1, 1], [5, 1]]), IntMatrix([[0, 1], [-2, 3]])),
+    ],
+    ids=["eq", "add", "sub", "matmul", "lattice eq", "torsion eq", "sub of matrices"],
+)
+def test_operator_dunders_on_foreign_and_matching_operands(left, method, right, want):
+    # NotImplemented on a foreign operand lets Python try the reflected
+    # operation, then fall back to identity for == and raise TypeError for
+    # the arithmetic
+    assert getattr(left, method)(right) == want
 
 
 def test_det_triangular():

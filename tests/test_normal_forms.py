@@ -88,6 +88,12 @@ def test_hnf_unique_under_unimodular_row_action():
 def test_snf_diagonal_examples():
     assert snf(IntMatrix.diagonal([1, 1, 5])).D == IntMatrix.diagonal([1, 1, 5])
     assert snf(IntMatrix.identity(4)).D == IntMatrix.identity(4)
+    # diagonal already, but no divisor chain: both HNFs leave these as they
+    # are, and only the column addition of the divisor-chain fix-up moves them
+    for a, want in (([5, 1], [1, 5]), ([4, 6], [2, 12])):
+        res = snf(IntMatrix.diagonal(a))
+        assert res.D == IntMatrix.diagonal(want)
+        assert res.U_left @ IntMatrix.diagonal(a) @ res.U_right == res.D
 
 
 def test_snf_of_covering_factor():
@@ -99,7 +105,7 @@ def test_snf_of_covering_factor():
 def test_snf_defining_properties_random():
     rng = random.Random(303)
     for _ in range(120):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         a = random_matrix(rng, rows, cols, bound=5)
         res = snf(a)
         assert res.U_left @ a @ res.U_right == res.D
