@@ -18,6 +18,7 @@ from .intmat import (
     PreconditionError,
     Record,
     ShapeError,
+    _bareiss_jordan,
     _int_list_text,
     _int_tuple,
     det,
@@ -149,30 +150,23 @@ def universal_covering(v: IntMatrix) -> IntMatrix:
 def beta_factor(v: IntMatrix, v_hat: IntMatrix) -> IntMatrix:
     """The unique integer matrix with ``beta @ v_hat == v``.
 
-    One fraction-free Gauss-Jordan pass (Bareiss) over ``[v_hat^T | v^T]``
-    leaves ``p I | p beta^T`` in its n pivot rows and zeros below them.  Fewer
-    pivots mean that ``v_hat`` has rank below n; a nonzero row below them, or
-    a remainder on dividing by ``p``, that the row lattice of ``v`` is not in
-    that of ``v_hat``; a singular ``beta``, that ``v`` has rank below n.  The
-    pass is invertible over Q and carries ``[v_hat^T | v^T]`` to ``[p I; 0 |
-    p beta^T; 0]``, so ``v^T == v_hat^T beta^T`` needs no re-check.
+    The Bareiss pass of the adjugate, ``_bareiss_jordan``, over ``[v_hat^T |
+    v^T]`` leaves ``p I | p beta^T`` in its n pivot rows and zeros below
+    them.  Fewer pivots mean that ``v_hat`` has rank below n; a nonzero row
+    below them, or a remainder on dividing by ``p``, that the row lattice of
+    ``v`` is not in that of ``v_hat``; a singular ``beta``, that ``v`` has
+    rank below n.  The pass is invertible over Q and carries ``[v_hat^T |
+    v^T]`` to ``[p I; 0 | p beta^T; 0]``, so ``v^T == v_hat^T beta^T`` needs
+    no re-check.
     """
     if v.shape != v_hat.shape:
         raise ShapeError("fan matrices must have equal shape")
     n = v.rows
     a = [list(x + y) for x, y in zip(zip(*v_hat), zip(*v))]
-    p = 1
-    for k in range(n):
-        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
-        if piv is None:
-            raise PreconditionError("both matrices must have full row rank")
-        a[k], a[piv] = a[piv], a[k]
-        top, prev = a[k], p
-        p = top[k]
-        for i, row in enumerate(a):
-            if i != k:
-                f = row[k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+    pivots = _bareiss_jordan(a, n)
+    if pivots is None:
+        raise PreconditionError("both matrices must have full row rank")
+    p = pivots[1]
     if any(any(row[n:]) for row in a[n:]) or any(x % p for row in a[:n] for x in row[n:]):
         raise PreconditionError("row lattice of v is not contained in that of v_hat")
     beta = IntMatrix._of(tuple(zip(*([x // p for x in row[n:]] for row in a[:n]))))

@@ -368,30 +368,42 @@ def _det_adjugate_rows(
     """``(det, adj)`` of the square matrix with rows ``rows``, the adjugate as
     a tuple of row tuples; ``(0, None)`` if singular.
 
-    One fraction-free Gauss-Jordan pass over ``[m | I]`` (Bareiss) leaves
-    ``p * I`` on the left and ``s * adj(m)`` on the right, where ``s`` is the
-    sign of the row swaps and ``p = s * det(m)``.  Every intermediate entry
-    is a minor of ``[m | I]``, so each division is exact.
+    ``_bareiss_jordan`` on ``[m | I]`` leaves ``p * I`` on the left and
+    ``s * adj(m)`` on the right, where ``s`` is the sign of the row swaps and
+    ``p = s * det(m)``.
     """
     n = len(rows)
     a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
+    pivots = _bareiss_jordan(a, n)
+    if pivots is None:
+        return 0, None
+    sign, p = pivots
+    return sign * p, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
+def _bareiss_jordan(a: list[list[int]], n: int) -> Optional[tuple[int, int]]:
+    """Fraction-free Gauss-Jordan pass (Bareiss) over the rows ``a`` in place:
+    pivot ``k`` is the first nonzero entry of column ``k`` in rows ``k`` on,
+    and every other row is cleared in that column, so the first ``n`` columns
+    end as ``p I`` over zero rows; each entry is a minor, each division exact.
+    ``(sign of the row swaps, p)``, or ``None`` for fewer than ``n`` pivots."""
     sign = 1
     prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
         if piv is None:
-            return 0, None
+            return None
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        pivot_row = a[k]
-        p = pivot_row[k]
-        for i in range(n):
+        top = a[k]
+        p = top[k]
+        for i, row in enumerate(a):
             if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+                f = row[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+    return sign, prev
 
 
 # (id(m), key) -> (m, value) in the outermost open ``shared_tables`` block;

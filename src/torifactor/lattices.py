@@ -24,11 +24,8 @@ class Lattice:
             raise ShapeError("ambient dimension must be positive")
         if any(len(r) != ambient for r in rows):
             raise ShapeError("row length does not match ambient dimension")
-        basis: tuple[tuple[int, ...], ...] = ()
-        nonzero = [r for r in rows if any(r)]
-        if nonzero:
-            _hnf_in_place(nonzero)
-            basis = tuple(tuple(r) for r in nonzero if any(r))
+        _hnf_in_place(rows, ambient)
+        basis = tuple(tuple(r) for r in rows if any(r))
         object.__setattr__(self, "_ambient", ambient)
         object.__setattr__(self, "_basis", basis)
 

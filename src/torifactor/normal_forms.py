@@ -8,8 +8,9 @@ Conventions used throughout the package:
   unique such form; ``U`` is unique only when ``A`` has full row rank.
 * SNF, two-sided action: ``U_left @ A @ U_right == D`` diagonal with
   nonnegative entries, each dividing the next, zeros last.  ``D`` is unique,
-  the transforms are not.  ``snf`` builds them from the row HNF above, of
-  ``D`` and of ``D^T`` in turn, and runs no elimination of its own.  On a
+  the transforms are not.  ``snf`` runs no elimination of its own: the one
+  row HNF routine, ``_hnf_in_place``, takes ``D`` and ``D^T`` in turn, with
+  ``U_left`` and ``U_right^T`` as their trailing columns.  On a
   nonsingular ``A`` they are bounded by ``A^-1`` and ``|det A|``: the first
   ``U_left`` is ``H A^-1``, with entries at most ``n max|adj A|``, and every
   later pass reduces an HNF with entries at most ``|det A|``.
@@ -35,74 +36,65 @@ class SnfResult(Record):
 
 def hnf(a: IntMatrix) -> HnfResult:
     """Row Hermite normal form ``H`` of ``a`` with transform ``U @ a == H``."""
-    m = a.rows
-    h = a.tolist()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    _hnf_in_place(h, u)
-    return HnfResult(IntMatrix._of(tuple(map(tuple, h))), IntMatrix._of(tuple(map(tuple, u))))
+    m, n = a.shape
+    rows = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a)]
+    _hnf_in_place(rows, n)
+    return HnfResult(*_split(rows, n))
+
+
+def _split(rows: list[list[int]], n: int) -> tuple[IntMatrix, IntMatrix]:
+    """The first ``n`` columns of ``rows`` and the columns after them."""
+    return (
+        IntMatrix._of(tuple(tuple(row[:n]) for row in rows)),
+        IntMatrix._of(tuple(tuple(row[n:]) for row in rows)),
+    )
 
 
 def rank(m: IntMatrix) -> int:
     """Rank over the rationals: the number of nonzero rows of the row HNF of
     ``m``, computed in place without a transform."""
     h = m.tolist()
-    _hnf_in_place(h)
+    _hnf_in_place(h, m.cols)
     return sum(1 for row in h if any(row))
 
 
-def _hnf_in_place(h: list[list[int]], u: Optional[list[list[int]]] = None) -> None:
-    """Bring the nonempty rows ``h`` to row HNF in place.
+def _hnf_in_place(rows: list[list[int]], n: int) -> None:
+    """Bring the first ``n`` columns of ``rows`` to row HNF in place.
 
-    Every row operation is applied to ``u`` as well when it is given, so an
-    identity ``u`` ends as the transform of ``hnf``.
+    The columns after ``n`` take every row operation and never steer the
+    pivoting, so ``[a | I]`` ends as ``[H | U]`` with ``U @ a == H``.  Each
+    column is pivoted on its entry of least absolute value, the lowest row
+    on ties, until the entries below it vanish.  Rows are replaced, never
+    changed in place, as in ``_hnf_fold``.
     """
-    m, n = len(h), len(h[0])
-
-    def swap(i, j):
-        h[i], h[j] = h[j], h[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def add_multiple(dst, src, q):
-        # row_dst -= q * row_src
-        hd, hs = h[dst], h[src]
-        for k in range(n):
-            hd[k] -= q * hs[k]
-        if u is not None:
-            ud, us = u[dst], u[src]
-            for k in range(m):
-                ud[k] -= q * us[k]
-
-    def negate(i):
-        h[i] = [-x for x in h[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
-    row = 0
+    m = len(rows)
+    r = 0
     for col in range(n):
-        if row == m:
+        if r == m:
             break
         while True:
-            nz = [i for i in range(row, m) if h[i][col] != 0]
+            nz = [(abs(rows[i][col]), i) for i in range(r, m) if rows[i][col]]
             if not nz:
                 break
-            best = min(nz, key=lambda i: (abs(h[i][col]), i))
-            if best != row:
-                swap(row, best)
+            i = min(nz)[1]
+            rows[r], rows[i] = rows[i], rows[r]
             if len(nz) == 1:
                 break
-            for i in range(row + 1, m):
-                if h[i][col] != 0:
-                    add_multiple(i, row, h[i][col] // h[row][col])
-        if h[row][col] == 0:
+            top = rows[r]
+            for i in range(r + 1, m):
+                q = rows[i][col] // top[col]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+        if not nz:
             continue
-        if h[row][col] < 0:
-            negate(row)
-        for i in range(row):
-            q = h[i][col] // h[row][col]
+        if rows[r][col] < 0:
+            rows[r] = [-x for x in rows[r]]
+        top = rows[r]
+        for i in range(r):
+            q = rows[i][col] // top[col]
             if q:
-                add_multiple(i, row, q)
-        row += 1
+                rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+        r += 1
 
 
 def _modular_hnf(rows: Iterable[Sequence[int]], r: int, delta: int) -> list[list[int]]:
@@ -161,8 +153,8 @@ def snf(a: IntMatrix) -> SnfResult:
     """Smith normal form of ``a`` with both unimodular transforms.
 
     Kannan-Bachem (SIAM J. Comput. 8, 1979; Cohen, GTM 138, §2.4.4): a row
-    HNF of ``d`` by ``_hnf_in_place`` carrying ``U_left``, then one of
-    ``d^T`` carrying ``U_right^T``, repeated until ``d`` is diagonal.  Where
+    HNF of ``[d | U_left]`` by ``_hnf_in_place``, then one of ``[d^T |
+    U_right^T]``, repeated until ``d`` is diagonal.  Where
     a nonzero ``d_ii`` does not divide a later ``d_jj``, column j is added to
     column i and the loop goes on; a row addition would be undone by the
     next row HNF.
@@ -178,25 +170,23 @@ def snf(a: IntMatrix) -> SnfResult:
     the first ``rank a`` diagonal places.
     """
     m, n = a.shape
-    d = a.tolist()
-    left = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    d = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a)]
     right_t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     k = min(m, n)
     while True:
-        _hnf_in_place(d, left)
-        d_t = [list(col) for col in zip(*d)]
-        _hnf_in_place(d_t, right_t)
-        d = [list(row) for row in zip(*d_t)]
-        if any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+        _hnf_in_place(d, n)
+        d_t = [list(col) + row for col, row in zip(zip(*d), right_t)]
+        _hnf_in_place(d_t, m)
+        right_t = [row[m:] for row in d_t]
+        d = [list(col) + row[n:] for col, row in zip(zip(*d_t), d)]
+        if any(x for i, row in enumerate(d) for j, x in enumerate(row[:n]) if i != j):
             continue
         fix = next(
             ((i, j) for i in range(k) for j in range(i + 1, k) if d[i][i] and d[j][j] % d[i][i]),
             None,
         )
         if fix is None:
-            return SnfResult(
-                *(IntMatrix._of(tuple(map(tuple, x))) for x in (d, left, zip(*right_t)))
-            )
+            return SnfResult(*_split(d, n), IntMatrix._of(tuple(zip(*right_t))))
         i, j = fix
         d[j][i] = d[j][j]
         right_t[i] = [x + y for x, y in zip(right_t[i], right_t[j])]

@@ -231,7 +231,7 @@ def verify_result(res: PipelineResult) -> None:
         key = (id(fa.cartier), id(b), pd.index)
         if key not in certified:
             if not fa.cartier.is_square():
-                raise ShapeError("determinant requires a square matrix")
+                raise ShapeError("Cartier basis is not square")
             c_rows = tuple(fa.cartier)
             if c_rows[-v.rows :] != v_rows:
                 raise PreconditionError("Cartier basis does not end in the fan matrix")

@@ -27,7 +27,6 @@ from .intmat import (
     _det_adjugate,
     _int_text,
     _search_cap,
-    det,
     vector_content,
 )
 from .covering import TorsionMatrix
@@ -70,10 +69,11 @@ def reconstruct(p: QuotientPresentation, v_hat: Optional[IntMatrix] = None) -> R
     ``beta`` depend on that choice, and ``beta`` is determined only up to
     left unimodular action.  One HNF of ``K`` gives ``beta`` (lower rows of
     the transform) and the order of the subgroup the residue pairing
-    generates (upper block of the form).  Those lower rows are a basis of
-    ``{z : z @ K == 0}``, and as diag(moduli) is nonsingular, projecting
-    them onto the first ``n`` coordinates loses nothing: the rows of ``beta``
-    are a basis of the kernel of the pairing map ``Z^n -> sum Z/moduli``.
+    generates (from the pivots of the form, on its diagonal as ``K`` has full
+    column rank).  Those lower rows are a basis of ``{z : z @ K == 0}``, and
+    as diag(moduli) is nonsingular, projecting them onto the first ``n``
+    coordinates loses nothing: the rows of ``beta`` are a basis of the
+    kernel of the pairing map ``Z^n -> sum Z/moduli``.
     So ``V @ Gamma^T == 0`` modulo the moduli, ``V @ Q^T == beta @ V_hat @
     Q^T == 0`` and ``|det beta|`` is the subgroup order.  Raises
     ``PreconditionError`` unless the pairing generates all of ``Z/moduli``,
@@ -92,7 +92,7 @@ def reconstruct(p: QuotientPresentation, v_hat: Optional[IntMatrix] = None) -> R
         res = hnf(k)
         beta = res.U.bottom_rows(n).select_cols(range(n))
         order = prod(p.gamma.moduli)
-        subgroup_order = order // abs(det(res.H.top_rows(p.gamma.rows)))
+        subgroup_order = order // prod(res.H[i, i] for i in range(p.gamma.rows))
         if subgroup_order != order:
             raise PreconditionError(
                 f"the residue pairing generates {_int_text(subgroup_order)} "

@@ -214,18 +214,27 @@ def test_pivot_columns():
 
 
 @given(
-    st.integers(1, 6).flatmap(
-        lambda m: st.integers(1, 5).flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(-20, 20), min_size=n, max_size=n), min_size=m, max_size=m
-            )
-        )
-    )
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
 )
-def test_transform_free_hnf_core_matches_hnf(rows):
-    h = [list(r) for r in rows]
-    _hnf_in_place(h)
-    assert IntMatrix(h) == hnf(IntMatrix(rows)).H
+def test_transform_free_hnf_core_matches_hnf(m, n, k, w, seed):
+    # a product through an inner dimension k is rank deficient whenever
+    # k < min(m, n); the trailing block b takes every row operation and
+    # steers none, so [a | b] ends as [H | U b], the U of hnf(a) included
+    # where it is not unique
+    rng = random.Random(seed)
+    a = random_matrix(rng, m, k, bound=4) @ random_matrix(rng, k, n, bound=4)
+    b = random_matrix(rng, m, w, bound=20)
+    res = hnf(a)
+    h = a.tolist()
+    _hnf_in_place(h, n)
+    assert IntMatrix(h) == res.H
+    rows = [list(x + y) for x, y in zip(a, b)]
+    _hnf_in_place(rows, n)
+    assert IntMatrix(rows) == res.H.hstack(res.U @ b)
 
 
 @given(
