@@ -2,8 +2,9 @@
 
 Maximal cones are size-n sets of column indices (0-based) with nonsingular
 column blocks.  Every cone test reads the signs of the maximal minors of ``V``,
-one table per ``V`` (``gale._minors``): the candidate cones are the n-subsets
-with a nonzero minor, and the signed circuits of ``V``, one table per ``V`` as
+one table per ``V`` (``gale._minors``), keyed by column bitmask: the candidate
+cones are the keys of the nonzero minors, kept as masks from that table to the
+search, and the signed circuits of ``V``, one table per ``V`` as
 well (``gale._circuits``), are read off the minors by Cramer's rule.  Two cones
 meet in their common face iff no circuit has its positive part in the first
 cone and its negative part in the second (De Loera, Rambau, Santos,
@@ -15,13 +16,16 @@ every facet lies on exactly two cones and every column is a ray; the search and
 enumeration roots one search at each candidate, in ascending order, and admits
 only later ones, so a fan is reached from its smallest cone only; it closes
 open facets one at a time, and a partial fan is four bitmasks: its cones, the
-facets on one of them, the facets on two, and the rays used.
+facets on one of them, the facets on two, and the rays used.  A fan found is
+the bitmask of its candidates; a ``Fan`` record, with its cones as column
+tuples, is built only for the fans a caller returns (``_fan_records``).
 """
 
 from __future__ import annotations
 
 import operator
-from functools import cache
+from functools import cache, cmp_to_key
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .intmat import (
@@ -94,13 +98,21 @@ def _conflicts(masks: Sequence[int], circuits: Iterable[tuple[int, int]]) -> lis
     conflict = [0] * len(masks)
     for pos, clash in clashes.items():
         if clash:
-            for k in _bits(containing(pos)):
-                conflict[k] |= clash
+            holding = containing(pos)
+            while holding:
+                low = holding & -holding
+                conflict[low.bit_length() - 1] |= clash
+                holding ^= low
     return conflict
 
 
 def _mask(columns: Iterable[int]) -> int:
     return sum(1 << j for j in columns)
+
+
+def _cone(mask: int) -> Cone:
+    """The columns of a column mask, as a sorted tuple."""
+    return tuple(_bits(mask))
 
 
 def _bits(mask: int) -> list[int]:
@@ -142,19 +154,22 @@ def validate_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> FanValidation:
         problems.append("duplicate maximal cones")
     if problems:
         return FanValidation(False, tuple(problems))
+    cone_masks = [_mask(c) for c in cone_list]
     with shared_tables():
-        candidates, masks, conflict, facet_masks, by_facet = _fan_tables(v)
-        index = _cached(v, "cone index", lambda: {c: k for k, c in enumerate(candidates)})
-    for c in cone_list:
-        if c not in index:
+        masks, conflict, facet_masks, by_facet = _fan_tables(v)
+        index = _cached(v, "cone index", lambda: {c: k for k, c in enumerate(masks)})
+    for c, mask in zip(cone_list, cone_masks):
+        if mask not in index:
             problems.append(f"cone {c} is not simplicial (singular column block)")
     if problems:
         return FanValidation(False, tuple(problems))
-    chosen = _mask(index[c] for c in cone_list)
+    chosen = _mask(index[mask] for mask in cone_masks)
     rays = seen = twice = over = 0  # facets on 1+, 2+, 3+ chosen cones
     for k in _bits(chosen):
         for b in _bits(conflict[k] & chosen >> k + 1 << k + 1):
-            problems.append(f"cones {candidates[k]} and {candidates[b]} do not meet in a common face")
+            problems.append(
+                f"cones {_cone(masks[k])} and {_cone(masks[b])} do not meet in a common face"
+            )
         f = facet_masks[k]
         over |= twice & f
         twice |= seen & f
@@ -163,7 +178,7 @@ def validate_fan(v: IntMatrix, cones: Iterable[Sequence[int]]) -> FanValidation:
     for i in _bits(seen & ~twice | over):
         on = [k for k in by_facet[i] if chosen >> k & 1]
         # by id, a cone's facets omit its columns from the last one down
-        c, p = candidates[on[0]], n - 1 - _bits(facet_masks[on[0]]).index(i)
+        c, p = _cone(masks[on[0]]), n - 1 - _bits(facet_masks[on[0]]).index(i)
         problems.append(f"facet {c[:p] + c[p + 1:]} lies on {len(on)} cone(s) instead of 2")
     for j in _bits(~rays & (1 << m) - 1):
         problems.append(f"column {j} is a ray of no cone")
@@ -189,21 +204,25 @@ def enumerate_fans(v: IntMatrix, max_partial_fans: Optional[int] = None) -> tupl
     raises ``SearchLimitExceeded``.
     """
     max_partial_fans = _search_cap(max_partial_fans, "max_partial_fans")
-    return tuple(fan for fans in _fans_by_root(v, max_partial_fans) for fan in fans)
+    with shared_tables():
+        found = [chosen for fans in _fans_by_root(v, max_partial_fans) for chosen in fans]
+        return _fan_records(v, found)
 
 
-def _fans_by_root(v: IntMatrix, max_partial_fans: Optional[int]) -> Iterator[list[Fan]]:
-    """The sorted fans of each root of ``enumerate_fans``'s search, roots in
-    ascending order, for a cap already checked by ``_search_cap``.  The pushed
-    count runs on across the roots, so a caller that stops after a root pays
-    for that root and the earlier ones only."""
+def _fans_by_root(v: IntMatrix, max_partial_fans: Optional[int]) -> Iterator[list[int]]:
+    """The fans of each root of ``enumerate_fans``'s search, roots in
+    ascending order, for a cap already checked by ``_search_cap``; a fan is
+    the bitmask of its cones' indices among the candidates of ``_fan_tables``,
+    and the fans of a root come in the order of their sorted ``Fan`` records
+    (``_fan_order``).  The pushed count runs on across the roots, so a caller
+    that stops after a root pays for that root and the earlier ones only."""
     with shared_tables():
         require_F(v)
-        candidates, masks, conflict, facet_masks, by_facet = _fan_tables(v)
+        masks, conflict, facet_masks, by_facet = _fan_tables(v)
 
     all_rays = (1 << v.cols) - 1
     pushed = 0
-    for root in range(len(candidates)):
+    for root in range(len(masks)):
         found: list[int] = []
         # depth-first over partial fans (chosen cones, facets on one chosen cone,
         # facets on two, rays used), with an explicit stack: a recursive closure
@@ -226,42 +245,73 @@ def _fans_by_root(v: IntMatrix, max_partial_fans: Optional[int]) -> Iterator[lis
                     continue
                 stack.append((chosen | 1 << k, once ^ f, twice | once & f, rays | masks[k]))
                 pushed += 1
-        fans = sorted(tuple(candidates[k] for k in _bits(chosen)) for chosen in found)
-        yield [Fan(v, cones) for cones in fans]
+        found.sort(key=_fan_order)
+        yield found
+
+
+def _lex_cmp(a: int, b: int) -> int:
+    """The order of two distinct sets of candidates, neither holding the
+    other, as sorted tuples: the one that holds the smallest candidate where
+    they differ comes first."""
+    low = (a ^ b) & -(a ^ b)
+    return -1 if a & low else 1
+
+
+# no fan of a root holds another, since both cover the space
+_fan_order = cmp_to_key(_lex_cmp)
+
+
+def _fan_records(v: IntMatrix, found: Iterable[int]) -> tuple[Fan, ...]:
+    """The ``Fan`` of each fan of ``_fans_by_root`` on ``v``, read off the fan
+    tables of the open ``shared_tables`` block: the candidates are in
+    lexicographic order, so a fan's cones come sorted; each candidate's column
+    tuple is taken once per call."""
+    masks = _fan_tables(v)[0]
+    cones: dict[int, Cone] = {}
+    fans = []
+    for chosen in found:
+        fan = []
+        while chosen:
+            low = chosen & -chosen
+            cone = cones.get(low)
+            if cone is None:
+                cone = cones[low] = _cone(masks[low.bit_length() - 1])
+            fan.append(cone)
+            chosen ^= low
+        fans.append(Fan(v, tuple(fan)))
+    return tuple(fans)
 
 
 def _fan_tables(v: IntMatrix) -> tuple:
     """The tables of the fan search and ``validate_fan``, once per ``v`` in a
-    ``shared_tables`` block: the candidate cones in lexicographic order, their
-    column masks, conflict masks (``_conflicts``) and facet table."""
+    ``shared_tables`` block: the column masks of the candidate cones (the
+    keys of the nonzero minors of ``gale._minors``, in lexicographic order),
+    their conflict masks (``_conflicts``) and facet table."""
 
     def build():
-        candidates = [c for c, d in _minors(v).items() if d]
-        masks = [_mask(c) for c in candidates]
-        return candidates, masks, _conflicts(masks, _circuits(v)), *_facet_tables(candidates, v.cols)
+        masks = [c for c, d in _minors(v).items() if d]
+        return masks, _conflicts(masks, _circuits(v)), *_facet_tables(masks, v.rows, v.cols)
 
     return _cached(v, "fan tables", build)
 
 
-def _facet_tables(candidates: Sequence[Cone], m: int) -> tuple[list[int], list[list[int]]]:
-    """The facet table of the fan search: for each candidate cone the bitmask
-    of its facet ids, and for each facet id the candidates on it, in order.
-    The ids follow the descending order of the bit-reversed facet masks, column
-    j at bit m-1-j, which is the lexicographic order of the facet tuples: the
-    smallest column where two facets differ is the highest bit where they do."""
-    facets = []
-    for c in candidates:
-        bits = [1 << m - 1 - j for j in c]
-        cone = sum(bits)
-        facets.append([cone ^ b for b in bits])
-    facet_id = {f: i for i, f in enumerate(sorted({f for fs in facets for f in fs}, reverse=True))}
-    facet_masks = []
-    by_facet: list[list[int]] = [[] for _ in facet_id]
-    for k, cone_facets in enumerate(facets):
-        ids = [facet_id[f] for f in cone_facets]
-        facet_masks.append(sum(1 << i for i in ids))
-        for i in ids:
-            by_facet[i].append(k)
+def _facet_tables(masks: Sequence[int], n: int, m: int) -> tuple[list[int], list[list[int]]]:
+    """The facet table of the fan search: for each candidate cone, given by
+    its column mask, the bitmask of its facet ids, and for each facet id the
+    candidates on it, in order.  The ids follow the lexicographic order of
+    the facets as column subsets, the order ``combinations`` walks them in."""
+    on: dict[int, list[int]] = {}  # facet mask -> the candidates on it
+    for k, c in enumerate(masks):
+        rest = c
+        while rest:
+            low = rest & -rest
+            on.setdefault(c ^ low, []).append(k)
+            rest ^= low
+    by_facet = [on[f] for f in map(sum, combinations([1 << j for j in range(m)], n - 1)) if f in on]
+    facet_masks = [0] * len(masks)
+    for i, ks in enumerate(by_facet):
+        for k in ks:
+            facet_masks[k] |= 1 << i
     return facet_masks, by_facet
 
 

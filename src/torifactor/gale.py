@@ -7,9 +7,10 @@ a matrix.  Both notions are invariant under the choice of lattice basis, so
 the predicates below accept any representative.
 
 Every cone test on a fan matrix ``V`` reads one table of its maximal minors,
-``_minors``, built from the side of the Gale pair that costs less
-(``_minor_table``).  Its signed circuits, ``_circuits``, are read off that
-table once per ``V``, for F (b) and for the fan search.
+``_minors``, keyed by column bitmask and built from the side of the Gale pair
+that costs less (``_minor_table``).  Its signed circuits, ``_circuits``, are
+read off that table once per ``V``, for F (b) and for the fan search.  F (d)
+and W (f) hash the primitive columns, so no column pair is compared.
 
 ``classify_W`` reads two weight conditions on the integer kernel ``K`` of
 ``Q`` as fan conditions; the rational row space of ``Q`` is ``{x : K x = 0}``:
@@ -98,14 +99,15 @@ def positive_span_is_full(v: IntMatrix) -> bool:
     return covered == (1 << v.cols) - 1
 
 
-def _minors(v: IntMatrix) -> dict[tuple[int, ...], int]:
-    """``det V_c`` of every n-subset ``c`` of columns, keyed by the sorted
-    subset in lexicographic order; built once per ``v`` inside a
-    ``shared_tables`` block.  Every cone test on ``v`` is read off it."""
+def _minors(v: IntMatrix) -> dict[int, int]:
+    """``det V_c`` of every n-subset ``c`` of columns, keyed by the bitmask of
+    ``c``, as ``_laplace_minors`` keys them, in the lexicographic order of the
+    subsets; built once per ``v`` inside a ``shared_tables`` block.  Every cone
+    test on ``v`` is read off it, and the fan search keeps its keys."""
     return _cached(v, "minors", lambda: _minor_table(v))
 
 
-def _minor_table(v: IntMatrix) -> dict[tuple[int, ...], int]:
+def _minor_table(v: IntMatrix) -> dict[int, int]:
     """The table of ``_minors``, from the side of the Gale pair that costs
     less, with all minors of one side taken by ``_laplace_minors`` on plain
     rows: level t holds the t x t minors of the first t rows, each expanded
@@ -115,10 +117,12 @@ def _minor_table(v: IntMatrix) -> dict[tuple[int, ...], int]:
     multiplications on k rows.  The n x n minors of ``V`` cost
     ``_laplace_cost(m, n)``; the r x r minors of its saturated kernel ``Q``
     (``_kernel``, shared with ``gale_dual``) cost ``_laplace_cost(m, r)``,
-    plus ``m^2 n`` for the HNF of ``V^T`` with its m x m transform when the
-    open ``shared_tables`` block does not hold ``Q`` yet.  The kernel side
-    is taken when ``r < n`` and either ``Q`` is held or that sum is smaller;
-    so ``r >= n`` and small ``n`` read ``V``, tall matrices read ``Q``.
+    plus ``2 m^2 n`` for the HNF of ``V^T`` with its m x m transform when the
+    open ``shared_tables`` block does not hold ``Q`` yet.  The kernel side is
+    taken when ``r < n`` and either ``Q`` is held or that sum is smaller; so
+    ``r >= n`` and small ``n`` read ``V``, tall matrices read ``Q``.  The
+    weight 2 on the HNF is fitted to measured times: on the 21 shapes with
+    ``r < n`` measured, from (2, 1) to (10, 2), the rule picks the faster side.
 
     On the kernel side, if the rank of ``Q`` is not r, ``V`` has rank below n
     and every minor is 0, with no determinant taken.  Otherwise the r x r
@@ -129,27 +133,30 @@ def _minor_table(v: IntMatrix) -> dict[tuple[int, ...], int]:
     nonzero, fixes ``lam``.  That division is exact: ``V = beta B`` for a
     basis ``B`` of the saturated row lattice of ``V``, whose maximal minors
     are those of ``Q``, its orthogonal saturated lattice, up to that sign
-    and one unit, so ``lam = +-det beta``.  Taking complements reverses the
-    lexicographic order of the subsets, so the r-subsets are walked in that
-    order and their list reversed.
+    and one unit, so ``lam = +-det beta``.  The mask of ``c`` is
+    ``full ^ cbar``, and taking complements reverses the lexicographic order
+    of the subsets, so the table of ``Q`` is walked in reverse.
     """
     n, m = v.shape
     r = m - n
-    if r >= n or not (_held(v, "kernel") or _laplace_cost(m, r) + m * m * n < _laplace_cost(m, n)):
-        return dict(zip(combinations(range(m), n), _laplace_minors(tuple(v), m).values()))
+    kernel_cost = _laplace_cost(m, r) + 2 * m * m * n
+    if r >= n or not (_held(v, "kernel") or kernel_cost < _laplace_cost(m, n)):
+        return _laplace_minors(tuple(v), m)
     ker = _kernel(v)
     if ker.rank != r:
-        return dict.fromkeys(combinations(range(m), n), 0)
-    # (-1)^(sum c + n(n-1)/2), with sum c = m(m-1)/2 - sum cbar
+        return dict.fromkeys(map(sum, combinations([1 << j for j in range(m)], n)), 0)
+    full = (1 << m) - 1
+    # (-1)^(sum c + n(n-1)/2), with sum c = m(m-1)/2 - sum cbar, and sum cbar
+    # odd iff cbar holds an odd number of odd columns
     base = (m * (m - 1) // 2 + n * (n - 1) // 2) % 2
-    q_minors = _laplace_minors(ker.basis_rows, m).values()
-    signed = [
-        -d if (base + sum(cbar)) % 2 else d for cbar, d in zip(combinations(range(m), r), q_minors)
-    ]
-    signed.reverse()
-    table = dict(zip(combinations(range(m), n), signed))
+    odd = sum(1 << j for j in range(1, m, 2))
+    q_minors = _laplace_minors(ker.basis_rows, m)
+    table = {
+        full ^ cbar: -d if (base + (cbar & odd).bit_count()) % 2 else d
+        for cbar, d in reversed(q_minors.items())
+    }
     c, d = next((c, d) for c, d in table.items() if d)
-    lam = _det_rows([[row[j] for j in c] for row in v]) // d
+    lam = _det_rows([[x for j, x in enumerate(row) if c >> j & 1] for row in v]) // d
     return {c: lam * d for c, d in table.items()}
 
 
@@ -176,14 +183,18 @@ def _circuit_table(v: IntMatrix) -> frozenset[tuple[int, int]]:
     """
     minors = _minors(v)
     circuits = set()
-    for s in combinations(range(v.cols), v.rows + 1):
+    for s in combinations([1 << j for j in range(v.cols)], v.rows + 1):
+        full = sum(s)
         pos = neg = 0
-        for k, j in enumerate(s):
-            x = minors[s[:k] + s[k + 1 :]]
-            if x and (x > 0) == (k % 2 == 0):
-                pos |= 1 << j
-            elif x:
-                neg |= 1 << j
+        even = True
+        for bit in s:
+            x = minors[full ^ bit]
+            if x:
+                if (x > 0) == even:
+                    pos |= bit
+                else:
+                    neg |= bit
+            even = not even
         if pos | neg:
             circuits.update(((pos, neg), (neg, pos)))
     return frozenset(circuits)
@@ -217,16 +228,17 @@ def classify_F(v: IntMatrix) -> FMatrixReport:
 
 
 def _has_positively_proportional_pair(columns) -> bool:
-    for i in range(len(columns)):
-        for j in range(i + 1, len(columns)):
-            a, b = columns[i], columns[j]
-            if not any(a) or not any(b):
-                continue
-            collinear = all(
-                a[p] * b[q] == a[q] * b[p] for p in range(len(a)) for q in range(p + 1, len(a))
-            )
-            if collinear and sum(x * y for x, y in zip(a, b)) > 0:
+    """Whether two nonzero columns are positive multiples of each other: two
+    nonzero columns are so iff they have the same primitive vector, the column
+    divided by its content."""
+    seen = set()
+    for c in columns:
+        g = vector_content(c)
+        if g:
+            primitive = tuple(x // g for x in c)
+            if primitive in seen:
                 return True
+            seen.add(primitive)
     return False
 
 

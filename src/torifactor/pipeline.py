@@ -31,7 +31,7 @@ from .divisors import (
     picard_basis,
     weight_transform,
 )
-from .fans import Fan, PicardIndexFamily, _fans_by_root, _mask, enumerate_fans
+from .fans import Fan, PicardIndexFamily, _fan_records, _fans_by_root, _mask, enumerate_fans
 from .fans import picard_index_sets
 from .gale import _kernel, gale_dual, require_F
 
@@ -67,7 +67,7 @@ def analyze(
     enumeration; by default every fan is processed.  The fan search runs its
     roots in ascending order, and the fans of a root sort before those of
     every later root, so for ``fan_index=k`` it stops after the root that
-    brings the fan count past ``k`` and builds the fans of the roots searched
+    brings the fan count past ``k`` and builds the ``Fan`` record of fan k
     only; a negative ``k``, or one past the last fan, runs every root, so the
     message counts every fan.  ``max_partial_fans`` caps the fan search as in
     ``enumerate_fans``, by the partial fans pushed up to where it stops.
@@ -111,16 +111,16 @@ def analyze(
         if fan_index is None:
             selected = enumerate_fans(v, max_partial_fans=max_partial_fans)
         else:
-            found: list[Fan] = []
+            found = 0
             for fans in _fans_by_root(v, max_partial_fans):
-                found += fans
-                if 0 <= fan_index < len(found):
+                if 0 <= fan_index - found < len(fans):
                     break
+                found += len(fans)
             else:
                 raise PreconditionError(
-                    f"fan index {_int_text(fan_index)} out of range (found {len(found)} fans)"
+                    f"fan index {_int_text(fan_index)} out of range (found {found} fans)"
                 )
-            selected = (found[fan_index],)
+            selected = _fan_records(v, [fans[fan_index - found]])
         analyses = []
         for fan in selected:
             family = picard_index_sets(fan)

@@ -30,6 +30,7 @@ from .intmat import (
     vector_content,
 )
 from .covering import TorsionMatrix
+from .fans import _cone, _mask
 from .gale import _minors, gale_dual, require_W
 from .lattices import Lattice
 from .normal_forms import hnf, unimodular_inverse
@@ -132,9 +133,10 @@ def fan_matrix_equivalence(
     if sorted(map(vector_content, cols1)) != sorted(map(vector_content, cols2)):
         return None
     minors1, minors2 = ({c: abs(d) for c, d in _minors(v).items()} for v in (v1, v2))
-    g = next((c for c, d in minors2.items() if d), None)
-    if g is None:
+    first = next((c for c, d in minors2.items() if d), None)
+    if first is None:
         raise PreconditionError("fan matrices must have full row rank")
+    g = _cone(first)
     sig1, sig2 = _column_signatures(cols1, minors1), _column_signatures(cols2, minors2)
     if sorted(sig1) != sorted(sig2):
         return None
@@ -145,7 +147,7 @@ def fan_matrix_equivalence(
         positions.setdefault(col, []).append(j)
     d, adj = _det_adjugate(v2.select_cols(g))
     tuples = product(*(by_signature[sig2[j]] for j in g))
-    bases = (t for t in tuples if len(set(t)) == n and minors1[tuple(sorted(t))] == abs(d))
+    bases = (t for t in tuples if len(set(t)) == n and minors1[_mask(t)] == abs(d))
     for tried, t in enumerate(bases, 1):
         if max_permutations is not None and tried > max_permutations:
             raise SearchLimitExceeded(
@@ -162,15 +164,13 @@ def fan_matrix_equivalence(
     return None
 
 
-def _column_signatures(
-    cols: list[tuple[int, ...]], minors: dict[tuple[int, ...], int]
-) -> list[tuple]:
-    """Per column: its content and the sorted minors of the subsets containing it."""
-    dets: list[list[int]] = [[] for _ in cols]
-    for c, d in minors.items():
-        for j in c:
-            dets[j].append(d)
-    return [(vector_content(col), tuple(sorted(ds))) for col, ds in zip(cols, dets)]
+def _column_signatures(cols: list[tuple[int, ...]], minors: dict[int, int]) -> list[tuple]:
+    """Per column: its content and the sorted minors of the subsets containing
+    it, the minors keyed by column mask."""
+    return [
+        (vector_content(col), tuple(sorted(d for c, d in minors.items() if c >> j & 1)))
+        for j, col in enumerate(cols)
+    ]
 
 
 def _column_matching(moved: IntMatrix, positions: dict) -> Optional[list[int]]:

@@ -266,6 +266,23 @@ def facet_normal_candidates(v: IntMatrix):
             yield normal
 
 
+def pairwise_positively_proportional_pair(columns) -> bool:
+    """Whether two nonzero columns are positive multiples of each other, by
+    testing every pair: all 2 x 2 minors of the pair vanish and the dot
+    product is positive."""
+    for i in range(len(columns)):
+        for j in range(i + 1, len(columns)):
+            a, b = columns[i], columns[j]
+            if not any(a) or not any(b):
+                continue
+            collinear = all(
+                a[p] * b[q] == a[q] * b[p] for p in range(len(a)) for q in range(p + 1, len(a))
+            )
+            if collinear and sum(x * y for x, y in zip(a, b)) > 0:
+                return True
+    return False
+
+
 def oracle_positive_span_is_full(v: IntMatrix) -> bool:
     """Whether the columns of ``v`` positively span R^n: full rank, and no
     hyperplane spanned by n-1 columns has every column on one closed side."""
@@ -510,9 +527,11 @@ def tuple_facet_tables(candidates):
 def tuple_table_search(v: IntMatrix):
     """The sorted fans of ``enumerate_fans`` and the number of partial fans its
     search pushes, starting cones included, by the same depth-first search on
-    ``tuple_facet_tables``."""
-    candidates = [c for c, d in _minors(v).items() if d]
-    masks = [sum(1 << j for j in c) for c in candidates]
+    ``tuple_facet_tables``; the candidates are the column tuples of the nonzero
+    minors, sorted, whose masks must be the table's keys in its order."""
+    masks = [c for c, d in _minors(v).items() if d]
+    candidates = sorted(tuple(j for j in range(v.cols) if c >> j & 1) for c in masks)
+    assert masks == [sum(1 << j for j in c) for c in candidates]
     conflict = _conflicts(masks, _circuits(v))
     facet_masks, by_facet = tuple_facet_tables(candidates)
     stack = [(1 << k, facet_masks[k], 0, masks[k]) for k in range(len(candidates))]

@@ -33,7 +33,7 @@ from _randgen import (
     tuple_facet_tables,
     tuple_table_search,
 )
-from torifactor.fans import _conflicts, _facet_tables, _mask
+from torifactor.fans import _conflicts, _facet_tables
 from torifactor.gale import _circuits, _minors
 from torifactor.intmat import shared_tables
 
@@ -411,8 +411,9 @@ def test_simplicial_determinants_nonzero():
 @given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
 def test_coordinate_pair_test_matches_kernel_oracle(shape, seed):
     v = random_reduced_f_matrix(random.Random(seed), *shape)
-    candidates = [c for c, d in _minors(v).items() if d]
-    conflict = _conflicts([_mask(c) for c in candidates], _circuits(v))
+    masks = [c for c, d in _minors(v).items() if d]
+    candidates = [tuple(j for j in range(v.cols) if c >> j & 1) for c in masks]
+    conflict = _conflicts(masks, _circuits(v))
     assert len(conflict) == len(candidates)
     for a, row in enumerate(conflict):
         assert row >> len(candidates) == 0 and not row >> a & 1
@@ -533,11 +534,12 @@ def test_partial_fan_cap_counts_every_pushed_partial_fan(v, pushed):
 
 
 @given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
-def test_facet_tables_from_reversed_masks_match_the_tuple_tables(shape, seed):
+def test_facet_tables_from_column_masks_match_the_tuple_tables(shape, seed):
     # the same facet ids, by_facet lists and so search order: the same pushed count
     v = random_reduced_f_matrix(random.Random(seed), *shape)
-    candidates = [c for c, d in _minors(v).items() if d]
-    assert _facet_tables(candidates, v.cols) == tuple_facet_tables(candidates)
+    masks = [c for c, d in _minors(v).items() if d]
+    candidates = [tuple(j for j in range(v.cols) if c >> j & 1) for c in masks]
+    assert _facet_tables(masks, v.rows, v.cols) == tuple_facet_tables(candidates)
     fans, pushed = tuple_table_search(v)
     assert enumerate_fans(v, max_partial_fans=pushed) == enumerate_fans(v)
     assert tuple(f.maximal_cones for f in enumerate_fans(v)) == fans

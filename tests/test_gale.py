@@ -4,7 +4,7 @@ from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torifactor import (
     IntMatrix,
@@ -20,7 +20,7 @@ from torifactor import (
     require_W,
     shared_tables,
 )
-from torifactor.gale import _kernel, _minors
+from torifactor.gale import _has_positively_proportional_pair, _kernel, _minors
 
 from _exampledata import EX1_Q, EX1_V, EX1_VHAT, EX2_Q, EX2_V, EX2_VHAT
 import _randgen
@@ -30,6 +30,7 @@ from _randgen import (
     minor_gcd,
     oracle_classify_W,
     oracle_positive_span_is_full,
+    pairwise_positively_proportional_pair,
     pick_fan_shape,
     random_cf_matrix,
     random_matrix,
@@ -117,6 +118,32 @@ def test_classify_detects_proportional_columns():
     v = IntMatrix([[1, 2, -1], [1, 2, -1]])
     rep = classify_F(v)
     assert "d" in rep.failed_conditions
+
+
+@st.composite
+def _column_sets(draw):
+    """Columns of one length: multiples of a few base vectors by -3..3, so
+    zero, negated, scaled and repeated columns are common, and some columns
+    drawn freely."""
+    n = draw(st.integers(1, 4))
+    column = st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple)
+    bases = draw(st.lists(column, min_size=1, max_size=3))
+    multiple = st.tuples(st.sampled_from(bases), st.integers(-3, 3))
+    scaled = multiple.map(lambda bk: tuple(bk[1] * x for x in bk[0]))
+    return draw(st.lists(st.one_of(scaled, column), max_size=8))
+
+
+@settings(max_examples=400)
+@given(_column_sets())
+@example([(0, 0), (0, 0), (1, 2)])
+@example([(1, 2), (-1, -2)])
+@example([(1, 2), (-1, -2), (-3, -6)])
+@example([(2, -4, 6), (0, 0, 0), (3, -6, 9)])
+@example([(2, -4, 6), (-3, 6, -9), (2, -4, 7)])
+def test_hashed_proportional_pair_test_matches_the_pairwise_test(columns):
+    expected = pairwise_positively_proportional_pair(columns)
+    assert _has_positively_proportional_pair(columns) == expected
+    assert _has_positively_proportional_pair(columns[::-1]) == expected
 
 
 def test_classify_W_examples():
@@ -209,22 +236,46 @@ def test_classify_F_takes_no_hnf_when_r_is_at_least_n(count_calls):
 
 def _reads_kernel_side(n, r):
     """Whether a standalone minor table of an n x (n + r) matrix reads the
-    kernel: L(k) = sum_(t<=k) t C(m, t) Laplace products on k rows, plus the
-    m^2 n of the HNF of V^T on the kernel side."""
+    kernel: L(k) = sum_(t<=k) t C(m, t) Laplace products on k rows, plus
+    2 m^2 n for the HNF of V^T on the kernel side."""
     m = n + r
 
     def laplace(k):
         return sum(t * comb(m, t) for t in range(1, k + 1))
 
-    return r < n and laplace(r) + m * m * n < laplace(n)
+    return r < n and laplace(r) + 2 * m * m * n < laplace(n)
 
 
-# the rule reads V on the first three shapes and the kernel on the last five
+# the rule reads V on the first four shapes and the kernel on the last four
 SIDE_SHAPES = ((2, 1), (3, 2), (4, 3), (5, 3), (6, 3), (7, 3), (8, 2), (10, 2))
 
 
 def test_side_rule_reads_V_for_small_n_and_the_kernel_for_tall_matrices():
-    assert [_reads_kernel_side(*shape) for shape in SIDE_SHAPES] == [False] * 3 + [True] * 5
+    assert [_reads_kernel_side(*shape) for shape in SIDE_SHAPES] == [False] * 4 + [True] * 4
+
+
+# the rows each table reads, standalone and inside analyze; V is the faster
+# side standalone on (5, 2), (5, 3) and (6, 1), the kernel on (6, 2) and (7, 3)
+PINNED_SIDES = [((5, 2), 5), ((5, 3), 5), ((6, 1), 6), ((6, 2), 2), ((7, 3), 3)]
+
+
+@pytest.mark.parametrize("shape, standalone_rows", PINNED_SIDES, ids=lambda x: str(x))
+def test_standalone_tables_read_the_faster_side_and_analyze_reads_the_kernel(
+    count_calls, shape, standalone_rows
+):
+    from torifactor import gale
+    from torifactor.pipeline import analyze
+
+    laplace = count_calls(gale, "_laplace_minors", everywhere=False)
+    rng = random.Random(27)
+    n, r = shape
+    v = random_unimodular(rng, n) @ random_reduced_f_matrix(rng, n, r)
+    laplace.clear()
+    assert list(_minors(v).items()) == _oracle_minors(v)
+    assert [len(args[0]) for args in laplace] == [standalone_rows]
+    laplace.clear()
+    analyze(v, fan_index=0)
+    assert [len(args[0]) for args in laplace] == [r]
 
 
 def test_classify_F_takes_a_kernel_only_on_the_kernel_side(count_calls):
@@ -452,7 +503,11 @@ def test_minor_table_matches_column_determinants(shape, seed, scale):
 
 
 def _oracle_minors(v):
-    return [(c, det(v.select_cols(c))) for c in combinations(range(v.cols), v.rows)]
+    """``(mask of c, det V_c)`` for every n-subset ``c``, in lexicographic order."""
+    return [
+        (sum(1 << j for j in c), det(v.select_cols(c)))
+        for c in combinations(range(v.cols), v.rows)
+    ]
 
 
 def test_minor_table_of_a_rank_deficient_matrix_is_zero_with_no_determinant(count_calls):

@@ -192,6 +192,23 @@ def test_analyze_calls_each_public_step(count_calls):
         assert calls["verify_result"] == ([(res,)] if verify else [])
 
 
+def test_one_fan_analysis_builds_one_fan_record(count_calls):
+    # the search yields its fans as candidate masks: analyze(fan_index=k) builds
+    # the Fan of fan k alone, enumerate_fans one Fan per fan
+    from torifactor import fans as fans_module
+
+    records = count_calls(fans_module, "Fan", everywhere=False)
+    tall = random_reduced_f_matrix(random.Random("tall/7x3/0"), 7, 3)
+    for v in (EX1_V, EX2_V, SHARED_V, tall):
+        records.clear()
+        every_fan = enumerate_fans(v)
+        assert len(records) == len(every_fan)
+        for k in {0, len(every_fan) // 2, len(every_fan) - 1}:
+            records.clear()
+            assert analyze(v, fan_index=k, verify=False).fans[0].fan == every_fan[k]
+            assert records == [(v, every_fan[k].maximal_cones)]
+
+
 def test_no_shared_table_outlives_its_call(count_calls):
     from torifactor import gale, intmat
 
