@@ -7,7 +7,6 @@ basis fixed by the HNF transform of the transposed weight matrix.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
 from math import lcm, prod
 from operator import mul
 from typing import Iterator, Optional
@@ -98,13 +97,16 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
     gives its HNF.  They are not reduced mod ``delta``: a pivot equal to
     ``delta`` would become 0.
 
-    Each index set must hold r distinct column indices; a family that is a
-    tuple of tuples of exact ints is taken as it is, any other iterable is read
-    once and converted set by set.  Inside a ``shared_tables`` block, such as
-    one ``analyze`` call, the table keeps for ``q`` the dual rows of each
+    Each index set must hold r distinct column indices; a tuple of exact ints
+    is taken as it is, any other set is converted (``_checked_entries``), and
+    the family is read once.  Inside a ``shared_tables`` block, such as one
+    ``analyze`` call, one table entry for ``q`` keeps the dual rows of each
     distinct ``I`` (read off the cofactor tables of ``q`` and reduced once, by
     ``_dual_rows``), so the length, distinctness and range of ``I`` are checked
-    once too, and the fold states after each index set of the previous family.
+    once too; each tuple object so checked, by id, so a family of such objects,
+    as ``picard_index_sets`` hands out within the block, costs one lookup per
+    set and the fold, while a fresh tuple only equal to one takes the full
+    check; and the fold states after each index set of the previous family.
     The next family folds only its index sets after the longest common prefix
     with that one.  The final state, reduced above its pivots, is the row HNF
     of ``delta Pic^*``, so ``delta`` and its rows name the lattice: the table
@@ -113,50 +115,32 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
     a block nothing outlives the call, and the cofactor tables are built once
     for it.
     """
-    r, m = q.shape
+    r = q.rows
     sets = index_family.sets
     # outside a block, one for this call: the cofactor tables are built once
     with shared_tables():
-        blocks, folds = _picard_table(q)
-        records = _cached(q, "picard records", dict)
-        # a tuple of tuples of exact ints is read as it is (bools are converted)
-        exact = (
-            type(sets) is tuple
-            and {*map(type, sets)} == {tuple}
-            and {*map(type, chain.from_iterable(sets))} == {int}
-        )
-        if not exact:
-            try:
-                sets = map(_int_tuple, sets, repeat("index set entries"))
-            except TypeError:
-                raise ShapeError("index family must be an iterable of index sets") from None
-        if not exact or not all(map(blocks.__contains__, sets)):
-            listed = []
-            for idx in sets:
-                if idx not in blocks:
-                    if len(idx) != r:
-                        raise ShapeError("index set size must equal the weight-matrix rank")
-                    if len(set(idx)) != r or not all(0 <= j < m for j in idx):
-                        raise ShapeError(
-                            f"index set {idx} is not {r} distinct columns in 0..{m - 1}"
-                        )
-                    blocks[idx] = _dual_rows(q, idx)
-                listed.append(idx)
-            sets = listed
-    if not sets:
+        table = _picard_table(q)
+        entries = list(map(table[1].get, map(id, sets))) if type(sets) is tuple else None
+        if entries is None or not all(entries):
+            sets, entries = _checked_entries(q, sets, table)
+    folds, records = table[3], table[4]
+    if not entries:
         raise PreconditionError("empty index family")
-    shared, bound = 0, min(len(folds), len(sets))
-    while shared < bound and folds[shared][0] == sets[shared]:
+    # equal index sets share one entry object; a singular one never enters
+    # folds, so the (0, ()) that all singular sets share is never compared
+    shared, bound = 0, min(len(folds), len(entries))
+    while shared < bound and folds[shared][0] is entries[shared]:
         shared += 1
     del folds[shared:]
     if folds:
         _, delta, w = folds[-1]
     else:
         delta, w = 1, [[int(i == j) for j in range(r)] for i in range(r)]
-    for idx in sets[shared:]:
-        d, rows = blocks[idx]
+    for k in range(shared, len(entries)):
+        entry = entries[k]
+        d, rows = entry
         if d == 0:
-            raise PreconditionError(f"singular weight block at columns {idx}")
+            raise PreconditionError(f"singular weight block at columns {sets[k]}")
         grown = lcm(delta, d)
         # w is a triangular basis of L, which contains delta Z^r: c * w is one of
         # c * L, which contains grown Z^r
@@ -164,7 +148,7 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
         w = [[c * x for x in row] for row in w] if c != 1 else list(w)
         delta = grown
         _hnf_fold(w, ([delta // d * x for x in reversed(row)] for row in rows), delta)
-        folds.append((idx, delta, w))
+        folds.append((entry, delta, w))
     # reduced in place, the stored state still spans the same lattice, and is
     # the row HNF of delta Pic^*: with delta it names the record
     _hnf_reduce(w)
@@ -181,11 +165,50 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
     return pd
 
 
-def _picard_table(q: IntMatrix) -> tuple[dict, list]:
-    """``picard_basis``'s table for ``q``: the ``(|d_I|, dual rows)`` of each
-    checked ``I``, and the fold stack of the last family, ``folds[k] = (I_k,
-    delta_k, state after I_0 .. I_k)``; both fresh outside a table."""
-    return _cached(q, "picard sweep", lambda: ({}, []))
+def _picard_table(q: IntMatrix) -> tuple[dict, dict, list, list, dict]:
+    """``picard_basis``'s table for ``q``, fresh outside a block: ``blocks``,
+    the entry ``(|d_I|, dual rows)`` of each checked ``I``; ``seen``, the
+    entry of each checked tuple object by id, and ``held``, those objects, so
+    their ids stay theirs; the fold stack of the last family, ``folds[k] =
+    (entry of I_k, delta_k, state after I_0 .. I_k)``; and the ``PicardData``
+    of each final fold state."""
+    return _cached(q, "picard", lambda: ({}, {}, [], [], {}))
+
+
+def _checked_entries(q: IntMatrix, sets, table) -> tuple[list, list]:
+    """``picard_basis``'s check of a family ``sets``, read once: each index
+    set as an exact int tuple, and its ``blocks`` entry.  A tuple object in
+    ``seen`` is taken as it is; any other set is checked, a tuple of exact
+    ints by one type scan and anything else converted by ``_int_tuple``, and
+    a new set gets its entry.  Only a tuple of exact ints enters ``seen``, so
+    a fresh tuple equal to a checked one that holds a bool or a float is
+    still converted or rejected."""
+    r, m = q.shape
+    blocks, seen, held = table[0], table[1], table[2]
+    try:
+        sets = iter(sets)
+    except TypeError:
+        raise ShapeError("index family must be an iterable of index sets") from None
+    keys, entries = [], []
+    for key in sets:
+        entry = seen.get(id(key))
+        if entry is None:
+            exact = type(key) is tuple and all(type(j) is int for j in key)
+            if not exact:
+                key = _int_tuple(key, "index set entries")
+            entry = blocks.get(key)
+            if entry is None:
+                if len(key) != r:
+                    raise ShapeError("index set size must equal the weight-matrix rank")
+                if len(set(key)) != r or not all(0 <= j < m for j in key):
+                    raise ShapeError(f"index set {key} is not {r} distinct columns in 0..{m - 1}")
+                entry = blocks[key] = _dual_rows(q, key)
+            if exact:
+                seen[id(key)] = entry
+                held.append(key)
+        keys.append(key)
+        entries.append(entry)
+    return keys, entries
 
 
 def _scaled_inverse_columns(m: list[list[int]], delta: int) -> Iterator[list[int]]:
@@ -263,10 +286,8 @@ def cartier_basis(b: IntMatrix, u_q: IntMatrix, beta: IntMatrix) -> IntMatrix:
     bottom block reproduces the fan matrix.  With ``beta`` the identity this is
     the Cartier basis of the covering.  The bottom block does not depend on
     ``b``, so inside a ``shared_tables`` block it is computed once per
-    ``u_q`` and ``beta``, not once per fan; and the basis is computed once per
-    ``b`` object, so the fans whose ``picard_basis`` returned one shared
-    ``PicardData`` share one Cartier matrix too.  Entries are keyed by object,
-    so no call hashes a matrix.
+    ``u_q`` and ``beta`` object, not once per fan, and no call hashes a
+    matrix.
     """
     if not b.is_square() or not beta.is_square():
         raise ShapeError("b and beta must be square")
@@ -278,7 +299,7 @@ def cartier_basis(b: IntMatrix, u_q: IntMatrix, beta: IntMatrix) -> IntMatrix:
         ("cartier blocks", id(beta)),
         lambda: (beta, u_q.top_rows(b.rows), beta @ u_q.bottom_rows(beta.rows)),
     )
-    return _cached(b, ("cartier basis", id(u_q), id(beta)), lambda: (b @ top).vstack(bottom))
+    return (b @ top).vstack(bottom)
 
 
 def weil_inclusion(u_q: IntMatrix, beta: IntMatrix) -> IntMatrix:

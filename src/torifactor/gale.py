@@ -151,13 +151,17 @@ def _minor_table(v: IntMatrix) -> dict[int, int]:
     base = (m * (m - 1) // 2 + n * (n - 1) // 2) % 2
     odd = sum(1 << j for j in range(1, m, 2))
     q_minors = _laplace_minors(ker.basis_rows, m)
-    table = {
-        full ^ cbar: -d if (base + (cbar & odd).bit_count()) % 2 else d
+    cbar, d = next((cbar, d) for cbar, d in reversed(q_minors.items()) if d)
+    c = full ^ cbar
+    lam = _det_rows([[x for j, x in enumerate(row) if c >> j & 1] for row in v]) // d
+    if (base + (cbar & odd).bit_count()) % 2:
+        lam = -lam
+    # lam with the complement sign folded in, by the parity of cbar
+    signed = (lam, -lam)
+    return {
+        full ^ cbar: signed[(base + (cbar & odd).bit_count()) % 2] * d
         for cbar, d in reversed(q_minors.items())
     }
-    c, d = next((c, d) for c, d in table.items() if d)
-    lam = _det_rows([[x for j, x in enumerate(row) if c >> j & 1] for row in v]) // d
-    return {c: lam * d for c, d in table.items()}
 
 
 def _laplace_cost(m: int, k: int) -> int:

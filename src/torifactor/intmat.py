@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import operator
-from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import combinations
 from math import gcd
@@ -411,20 +410,25 @@ def _bareiss_jordan(a: list[list[int]], n: int) -> Optional[tuple[int, int]]:
 _TABLES: ContextVar[Optional[dict]] = ContextVar("torifactor_tables", default=None)
 
 
-@contextmanager
-def shared_tables():
+class shared_tables:
     """Block in which every library call computes each table of a matrix
     object once: its kernel, maximal minors, circuits, classification and
     the like, kept by ``_cached``.  Matrices are keyed by identity and held
     while the block is open; nested blocks share the outermost table, which
-    is dropped when that block exits.  ``analyze`` runs in one; a caller that
-    passes the same matrices to several calls can open one around them."""
-    token = _TABLES.set({}) if _TABLES.get() is None else None
-    try:
-        yield
-    finally:
-        if token is not None:
-            _TABLES.reset(token)
+    is dropped when that block exits, also on an exception.  ``analyze`` runs
+    in one; a caller that passes the same matrices to several calls can open
+    one around them.  Every ``picard_basis`` call enters one, so it is a
+    slotted class, not a generator: an inner block only reads the open
+    table on entry and does nothing on exit."""
+
+    __slots__ = ("_token",)
+
+    def __enter__(self) -> None:
+        self._token = _TABLES.set({}) if _TABLES.get() is None else None
+
+    def __exit__(self, *exc) -> None:
+        if self._token is not None:
+            _TABLES.reset(self._token)
 
 
 def _cached(m, key, compute):

@@ -79,12 +79,13 @@ def analyze(
     once, for every ``picard_index_sets`` call, the cofactor tables of ``Q``
     once, and off them the ``(det Q_I, adj Q_I)`` of each distinct ``I`` once,
     with the dual HNF rows that every ``picard_basis`` call folds and that
-    ``verify_result`` certifies, each ``I`` checked once; ``picard_basis``
-    says how consecutive fans share their folds and Picard records.  The fans
-    whose folds end on one Picard lattice share one Cartier basis, multiplied
-    once; the fan-independent bottom block of the Cartier bases is computed
-    once as well, and so is the one m x m determinant that ``verify_result``
-    takes.
+    ``verify_result`` certifies, each ``I`` checked once, and each index-set
+    tuple that ``picard_index_sets`` hands out checked on its first call only;
+    ``picard_basis`` says how consecutive fans share their folds and Picard
+    records.  ``cartier_basis`` runs once per distinct ``PicardData``, so the
+    fans whose folds end on one Picard lattice share one Cartier basis; the
+    fan-independent bottom block of the Cartier bases is computed once as
+    well, and so is the one m x m determinant that ``verify_result`` takes.
     """
     if fan_index is not None:
         (fan_index,) = _int_tuple((fan_index,), "fan index")
@@ -122,10 +123,14 @@ def analyze(
                 )
             selected = _fan_records(v, [fans[fan_index - found]])
         analyses = []
+        cartiers: dict[int, IntMatrix] = {}  # id(PicardData) -> its Cartier basis
         for fan in selected:
             family = picard_index_sets(fan)
             pd = picard_basis(q, family)
-            cx = cartier_basis(pd.B, u_q, cd.beta)
+            # analyses holds pd, so its id stays its own for the call
+            cx = cartiers.get(id(pd))
+            if cx is None:
+                cx = cartiers[id(pd)] = cartier_basis(pd.B, u_q, cd.beta)
             analyses.append(FanAnalysis(fan=fan, index_sets=family, picard=pd, cartier=cx))
         result = PipelineResult(
             V=v,
@@ -177,8 +182,9 @@ def verify_result(res: PipelineResult) -> None:
       rows span a sublattice of ``L`` of index ``d^(r-1)``, the index of ``L``.  A Picard row ``b`` lies
       in ``Q_I Z^r`` iff ``x b == 0 mod d`` for every ``x`` in ``L``, so it is
       tested against the rows of ``H`` alone, once for each distinct pair of
-      ``I`` and a row of a fan that has ``I``; the sets of the fans are pooled
-      per distinct ``B`` object first.
+      ``I`` and a row of a fan that has ``I``.  Each distinct row of a ``B``
+      is one bit, each ``B`` object the mask of its rows, computed once, and
+      the rows of each ``I`` the OR of the masks of its fans.
     """
     v, q = res.V, res.Q
     if not (q @ v.transpose()).is_zero():
@@ -222,8 +228,13 @@ def verify_result(res: PipelineResult) -> None:
     v_rows, q_rows = tuple(v), tuple(q)
     det_fv = abs(det(free.vstack(v)))
     certified: set[tuple[int, int, int]] = set()
-    sets_by_basis: dict[int, tuple[IntMatrix, set[tuple[int, ...]]]] = {}
-    complements: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # each distinct row of a B is one bit; pooled[k] holds the rows of every B
+    # whose fans have the index set sets[k], the complement of cone k
+    row_bits: dict[tuple[int, ...], int] = {}
+    basis_bits: dict[int, int] = {}  # id(B) -> the bits of its rows
+    slots: dict[tuple[int, ...], int] = {}  # cone -> k
+    sets: list[tuple[int, ...]] = []
+    pooled: list[int] = []
     for fa in res.fans:
         pd = fa.picard
         b = pd.B
@@ -243,24 +254,33 @@ def verify_result(res: PipelineResult) -> None:
             ):
                 raise PreconditionError("Cartier determinant factorization failed")
             certified.add(key)
+        bits = basis_bits.get(id(b))
+        if bits is None:
+            bits = 0
+            for row in b:
+                bit = row_bits.get(row)
+                if bit is None:
+                    bit = row_bits[row] = 1 << len(row_bits)
+                bits |= bit
+            basis_bits[id(b)] = bits
         family = []
         for cone in fa.fan.maximal_cones:
-            if cone not in complements:
-                complements[cone] = tuple(j for j in range(v.cols) if j not in cone)
-            family.append(complements[cone])
+            k = slots.get(cone)
+            if k is None:
+                k = slots[cone] = len(sets)
+                sets.append(tuple(j for j in range(v.cols) if j not in cone))
+                pooled.append(0)
+            pooled[k] |= bits
+            family.append(sets[k])
         if fa.index_sets.sets != tuple(family):
             raise PreconditionError("index sets are not the complements of the fan's cones")
-        sets_by_basis.setdefault(id(b), (b, set()))[1].update(family)
-    rows_by_set: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for b, sets in sets_by_basis.values():
-        for idx in sets:
-            rows_by_set.setdefault(idx, set()).update(b)
+    distinct_rows = list(row_bits)
     q_cols = tuple(zip(*q_rows))
     minors = _laplace_minors(q_rows, v.cols)
     # outside a block, one for this call: the cofactor tables are built once
     with shared_tables():
-        tabled, _ = _picard_table(q)
-        for idx, rows in rows_by_set.items():
+        tabled = _picard_table(q)[0]
+        for idx, bits in zip(sets, pooled):
             if len(idx) != r:
                 raise PreconditionError(f"index set {idx} does not hold r = {r} columns")
             d = abs(minors[_mask(idx)])
@@ -271,6 +291,7 @@ def verify_result(res: PipelineResult) -> None:
             if not _spans_block_duals(h, cols, d):
                 raise PreconditionError("weight block adjugate identity failed")
             # b lies in Q_I Z^r iff h b == 0 mod d for each h in H
+            rows = [b for b, bit in zip(distinct_rows, bin(bits)[:1:-1]) if bit == "1"]
             if any(sum(map(mul, hrow, b)) % d for hrow in h for b in rows):
                 raise PreconditionError("Picard basis escapes a weight block lattice")
 

@@ -378,6 +378,37 @@ def test_picard_basis_in_a_table_still_rejects_a_non_integer_equal_to_a_checked_
             picard_basis(q, PicardIndexFamily(((0, 1), (0, 1.0))))
 
 
+def test_picard_basis_takes_each_checked_index_set_object_as_it_is(count_calls):
+    # picard_index_sets hands out one tuple object per cone; in an open block
+    # picard_basis checks each object once, and a fresh tuple that is only
+    # equal to a checked one takes the full check every time
+    families = [picard_index_sets(fan) for fan in enumerate_fans(EX2_V)]
+    want = [picard_basis(EX2_Q, family) for family in families]
+    first = families[0].sets
+    k = next(k for k, idx in enumerate(first) if 1 in idx)
+
+    def fresh(one):
+        idx = tuple(one if j == 1 else j for j in first[k])
+        return PicardIndexFamily(first[:k] + (idx,) + first[k + 1 :])
+
+    with shared_tables():
+        families = [picard_index_sets(fan) for fan in enumerate_fans(EX2_V)]
+        assert [picard_basis(EX2_Q, family) for family in families] == want
+        checked = count_calls(divisors, "_checked_entries", everywhere=False)
+        converted = count_calls(divisors, "_int_tuple", everywhere=False)
+        assert [picard_basis(EX2_Q, family) for family in families] == want
+        assert checked == []
+        # a bool is converted, on every call: the fresh tuple never counts as checked
+        for calls in (1, 2):
+            family = fresh(True)
+            assert picard_basis(EX2_Q, family) == want[0]
+            assert len(converted) == calls and converted[-1][0] is family.sets[k]
+        with pytest.raises(ShapeError, match="must be integers"):
+            picard_basis(EX2_Q, fresh(1.0))
+        assert len(checked) == 3
+    assert picard_basis(EX2_Q, fresh(True)) == want[0]
+
+
 @pytest.mark.parametrize(
     "sets",
     [((-1, 0),), ((1, 99),), ((1.0, 2),), ((1, 1),), ((0, 1), (0,)), ((0, 1), 3)],

@@ -284,6 +284,28 @@ def test_cached_values_live_for_the_outermost_block():
     assert computed == [1, 2, 3, 5, 6, 7]
 
 
+def test_nested_blocks_share_one_table_that_an_exception_drops():
+    with shared_tables():
+        outer = _TABLES.get()
+        assert outer == {}
+        with shared_tables():
+            assert _TABLES.get() is outer
+        assert _TABLES.get() is outer
+        # an exception out of an inner block leaves the outer table open
+        with pytest.raises(KeyError):
+            with shared_tables():
+                raise KeyError
+        assert _TABLES.get() is outer
+    assert _TABLES.get() is None
+    # and one out of the outermost block drops the table
+    with pytest.raises(KeyError):
+        with shared_tables():
+            with shared_tables():
+                _cached(EX2_V, "k", dict)
+                raise KeyError
+    assert _TABLES.get() is None
+
+
 def test_int_text_counts_the_digits_beyond_the_conversion_limit():
     limit = sys.get_int_max_str_digits()
     assert _int_text(-123) == "-123"

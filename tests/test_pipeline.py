@@ -6,7 +6,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from torifactor import (
     IntMatrix,
@@ -464,6 +464,49 @@ def test_fans_with_one_picard_lattice_share_their_records(count_calls):
         assert (fa.cartier is fb.cartier) == same
 
 
+@given(st.sampled_from(SMALL_FAN_SHAPES), st.integers(0, 2**32))
+@example((3, 3), 1)  # SHARED_V, whose four fans hold two Picard records
+def test_analyze_matches_standalone_divisor_calls(shape, seed):
+    # each standalone call runs outside any shared_tables block
+    from torifactor import cartier_basis, intmat, picard_basis, picard_index_sets
+
+    res = analyze(random_reduced_f_matrix(random.Random(seed), *shape))
+    assert intmat._TABLES.get() is None
+    cartiers = {}
+    for fa in res.fans:
+        family = picard_index_sets(fa.fan)
+        assert fa.index_sets == family
+        assert fa.picard == picard_basis(res.Q, family)
+        assert fa.cartier == cartier_basis(fa.picard.B, res.U_Q, res.covering.beta)
+        # fans that share a PicardData share one Cartier object
+        assert cartiers.setdefault(id(fa.picard), fa.cartier) is fa.cartier
+
+
+def test_verification_rejects_a_forged_row_in_one_of_two_bases_that_share_an_index_set():
+    # fans 0 and 3 of SHARED_V have different B and share the index set
+    # (0, 2, 4); row 0 of fan 3's B, with 3 added to its entry 1, leaves that
+    # block lattice alone.  The rows of a set are pooled over every B whose
+    # fans have it, and the forged row must still be tested
+    from torifactor import Lattice, cartier_basis
+
+    res = analyze(SHARED_V)
+    fa, fb = res.fans[0], res.fans[3]
+    idx = (0, 2, 4)
+    assert fa.picard.B != fb.picard.B
+    assert idx in fa.index_sets.sets and idx in fb.index_sets.sets
+    rows = fb.picard.B.tolist()
+    rows[0][1] += 3
+    b = IntMatrix(rows)
+    pic = Lattice.from_matrix(b)
+    blocks = {i: Lattice.from_matrix(res.Q.select_cols(i).transpose()) for i in fb.index_sets.sets}
+    assert [i for i, block in blocks.items() if not pic.is_sublattice_of(block)] == [idx]
+    forged = fb._replace(
+        picard=fb.picard._replace(B=b), cartier=cartier_basis(b, res.U_Q, res.covering.beta)
+    )
+    with pytest.raises(PreconditionError, match="escapes a weight block lattice"):
+        verify_result(res._replace(fans=res.fans[:3] + (forged,)))
+
+
 def _forge_fan_one(res, kind):
     """Fan 1 of ``SHARED_V``'s result, which shares its records with fan 0,
     forged: a doubled Cartier top row, a ``B`` that is not ``C_top Q^T``, a
@@ -596,7 +639,7 @@ def test_verification_rechecks_every_dual_row_table_entry(monkeypatch, forgery):
     verify = pipeline.verify_result
 
     def plant_then_verify(res):
-        blocks, _ = divisors._picard_table(res.Q)
+        blocks = divisors._picard_table(res.Q)[0]
         assert blocks[idx] == (8, ((2, 3), (0, 4)))
         cols = [res.Q.col(j) for j in idx]
         outside = [any(sum(map(mul, h, c)) % 8 for c in cols) for h in forged]
