@@ -15,10 +15,13 @@ every facet lies on exactly two cones and every column is a ray; the search and
 ``validate_fan`` read one set of tables per ``V`` (``_fan_tables``).  The
 enumeration roots one search at each candidate, in ascending order, and admits
 only later ones, so a fan is reached from its smallest cone only; it closes
-open facets one at a time, and a partial fan is four bitmasks: its cones, the
-facets on one of them, the facets on two, and the rays used.  A fan found is
-the bitmask of its candidates; a ``Fan`` record, with its cones as column
-tuples, is built only for the fans a caller returns (``_fan_records``).
+open facets one at a time, the lowest candidate first, and a partial fan is
+four bitmasks: its cones, the facets on one of them, the facets on two, and
+the rays used.  A fan found is the bitmask of its candidates; a ``Fan``
+record, with its cones as column tuples, is built only for the fans a caller
+returns (``_fan_records``).  A search for fan k alone is branch and bound: a
+root holds the smallest fans it needs and drops a partial fan whose every
+completion sorts after the largest fan held (``_sorts_after`` has the proof).
 """
 
 from __future__ import annotations
@@ -209,21 +212,34 @@ def enumerate_fans(v: IntMatrix, max_partial_fans: Optional[int] = None) -> tupl
         return _fan_records(v, found)
 
 
-def _fans_by_root(v: IntMatrix, max_partial_fans: Optional[int]) -> Iterator[list[int]]:
+def _fans_by_root(
+    v: IntMatrix, max_partial_fans: Optional[int], fan_index: Optional[int] = None
+) -> Iterator[list[int]]:
     """The fans of each root of ``enumerate_fans``'s search, roots in
     ascending order, for a cap already checked by ``_search_cap``; a fan is
     the bitmask of its cones' indices among the candidates of ``_fan_tables``,
     and the fans of a root come in the order of their sorted ``Fan`` records
     (``_fan_order``).  The pushed count runs on across the roots, so a caller
-    that stops after a root pays for that root and the earlier ones only."""
+    that stops after a root pays for that root and the earlier ones only.
+
+    With ``fan_index=k`` (k >= 0), each root holds only the ``need`` smallest
+    fans found so far, ``need = k + 1 -`` (the fans of the earlier roots), and
+    drops a partial fan that cannot complete to a fan sorting before the
+    largest one held, ``b`` (``_sorts_after``); a root that holds ``need``
+    fans yields them and ends the search, so its last fan is fan k.  A root
+    with fewer fans is never cut, and neither is any root for a negative or
+    no ``k``, so an out-of-range index still counts every fan and push.
+    """
     with shared_tables():
         require_F(v)
         masks, conflict, facet_masks, by_facet = _fan_tables(v)
 
     all_rays = (1 << v.cols) - 1
+    need = 0 if fan_index is None else fan_index + 1
     pushed = 0
     for root in range(len(masks)):
         found: list[int] = []
+        bound = 0  # b, once need fans are held
         # depth-first over partial fans (chosen cones, facets on one chosen cone,
         # facets on two, rays used), with an explicit stack: a recursive closure
         # would form a reference cycle that keeps these tables alive until a full gc
@@ -233,12 +249,19 @@ def _fans_by_root(v: IntMatrix, max_partial_fans: Optional[int]) -> Iterator[lis
             if max_partial_fans is not None and pushed > max_partial_fans:
                 raise SearchLimitExceeded(f"fan search exceeded {max_partial_fans} partial fans")
             chosen, once, twice, rays = stack.pop()
+            if bound and _sorts_after(chosen, bound, root, conflict):
+                continue
             if not once:
                 if rays == all_rays:
                     found.append(chosen)
+                    if len(found) >= need > 0:
+                        found.sort(key=_fan_order)
+                        del found[need:]
+                        bound = found[-1]
                 continue
             # the root is the smallest chosen cone: neither it nor a cone below
-            # it may join; every other chosen cone has a facet on two cones
+            # it may join; every other chosen cone has a facet on two cones.
+            # Pushed in descending order, the lowest candidate pops first
             for k in by_facet[(once & -once).bit_length() - 1]:
                 f = facet_masks[k]
                 if k <= root or f & twice or conflict[k] & chosen:
@@ -247,6 +270,36 @@ def _fans_by_root(v: IntMatrix, max_partial_fans: Optional[int]) -> Iterator[lis
                 pushed += 1
         found.sort(key=_fan_order)
         yield found
+        if bound:
+            return
+        need -= len(found)
+
+
+def _sorts_after(chosen: int, b: int, root: int, conflict: Sequence[int]) -> bool:
+    """Whether the partial fan ``chosen`` of ``root``'s search may be dropped:
+    true only if every fan that completes it sorts after the fan ``b``.
+
+    Let ``y`` be the lowest candidate in ``b`` but not in ``chosen``, and
+    ``x`` the lowest in ``chosen`` but not in ``b``.  If ``x`` is absent or
+    ``y < x``, then ``b`` and ``chosen`` hold the same candidates below ``y``.
+    A completion adds joinable candidates only: above the root, outside
+    ``chosen`` and outside the conflict masks of its cones.  If neither ``y``
+    nor a candidate below ``y`` missing from ``b`` is joinable, a completion
+    agrees with ``b`` below ``y`` and lacks ``y``, which ``b`` holds, so it
+    sorts after ``b``.  The conflict masks of ``chosen`` are read only here,
+    and only while some such candidate is left.
+    """
+    diff = chosen ^ b
+    y = diff & -diff
+    if not y & b:
+        return False
+    # y, and the candidates below y that b lacks (so chosen lacks them too), above the root
+    rescue = (y | (y - 1) & ~b) >> root + 1 << root + 1
+    while rescue and chosen:
+        low = chosen & -chosen
+        rescue &= ~conflict[low.bit_length() - 1]
+        chosen ^= low
+    return not rescue
 
 
 def _lex_cmp(a: int, b: int) -> int:
@@ -286,11 +339,13 @@ def _fan_tables(v: IntMatrix) -> tuple:
     """The tables of the fan search and ``validate_fan``, once per ``v`` in a
     ``shared_tables`` block: the column masks of the candidate cones (the
     keys of the nonzero minors of ``gale._minors``, in lexicographic order),
-    their conflict masks (``_conflicts``) and facet table."""
+    their conflict masks (``_conflicts``) and facet table, with each facet's
+    candidates in descending order, the order the search pushes them."""
 
     def build():
         masks = [c for c, d in _minors(v).items() if d]
-        return masks, _conflicts(masks, _circuits(v)), *_facet_tables(masks, v.rows, v.cols)
+        facet_masks, by_facet = _facet_tables(masks, v.rows, v.cols)
+        return masks, _conflicts(masks, _circuits(v)), facet_masks, [ks[::-1] for ks in by_facet]
 
     return _cached(v, "fan tables", build)
 

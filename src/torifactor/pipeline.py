@@ -68,9 +68,13 @@ def analyze(
     roots in ascending order, and the fans of a root sort before those of
     every later root, so for ``fan_index=k`` it stops after the root that
     brings the fan count past ``k`` and builds the ``Fan`` record of fan k
-    only; a negative ``k``, or one past the last fan, runs every root, so the
-    message counts every fan.  ``max_partial_fans`` caps the fan search as in
-    ``enumerate_fans``, by the partial fans pushed up to where it stops.
+    only.  Inside that root it holds only the smallest fans it needs and drops
+    each partial fan whose every completion sorts after the largest of them
+    (``fans._sorts_after`` has the proof); a root with fewer fans than it
+    needs is searched whole.  A negative ``k``, or one past the last fan, runs
+    every root uncut, so the message counts every fan.  ``max_partial_fans``
+    caps the fan search as in ``enumerate_fans``, by the partial fans pushed
+    up to where it stops.
     ``V_hat`` is the lower block of ``U_Q`` (see ``covering_decomposition``).
     One ``shared_tables`` block, dropped on return, serves the whole call:
     the kernel of ``V`` is taken once, for ``gale_dual`` and, when r < n, for
@@ -113,7 +117,7 @@ def analyze(
             selected = enumerate_fans(v, max_partial_fans=max_partial_fans)
         else:
             found = 0
-            for fans in _fans_by_root(v, max_partial_fans):
+            for fans in _fans_by_root(v, max_partial_fans, fan_index):
                 if 0 <= fan_index - found < len(fans):
                     break
                 found += len(fans)

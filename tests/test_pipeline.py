@@ -21,6 +21,7 @@ from torifactor import (
     fan_matrix_equivalence,
     verify_result,
 )
+from torifactor.fans import _fans_by_root
 
 from _exampledata import EX1_V, EX2_V, SHARED_PICARD, SHARED_V
 from _randgen import (
@@ -176,7 +177,8 @@ def test_analyze_builds_the_circuits_once(count_calls):
 
 def test_analyze_calls_each_public_step(count_calls):
     # the calls analyze makes itself; the fan search validates V once more.
-    # All fans come from enumerate_fans, one fan from the search root by root
+    # All fans come from enumerate_fans, one fan from the search root by root,
+    # which takes the index to bound its search
     from torifactor import pipeline
 
     steps = ("require_F", "enumerate_fans", "_fans_by_root", "picard_basis", "verify_result")
@@ -187,7 +189,7 @@ def test_analyze_calls_each_public_step(count_calls):
         res = analyze(EX2_V, fan_index=fan_index, verify=verify)
         assert calls["require_F"] == [(EX2_V,)]
         assert calls["enumerate_fans"] == ([(EX2_V,)] if fan_index is None else [])
-        assert calls["_fans_by_root"] == ([] if fan_index is None else [(EX2_V, None)])
+        assert calls["_fans_by_root"] == ([] if fan_index is None else [(EX2_V, None, fan_index)])
         assert [family for _, family in calls["picard_basis"]] == [fa.index_sets for fa in res.fans]
         assert calls["verify_result"] == ([(res,)] if verify else [])
 
@@ -395,6 +397,39 @@ def test_one_fan_analysis_takes_the_fan_of_the_whole_enumeration(shape, seed):
     _, pushed = tuple_table_search(v)
     for k in range(len(fans)):
         assert analyze(v, fan_index=k, max_partial_fans=pushed).fans[0].fan == fans[k]
+
+
+# a tall-enum ladder instance with 75 fans, 32 of them at the first root
+TALL_7X3_0 = random_reduced_f_matrix(random.Random("tall/7x3/0"), 7, 3)
+
+
+def test_one_fan_analysis_of_a_32_fan_root_takes_fan_k_of_the_enumeration():
+    # fans 0..31 come from a cut search of the first root, fan 32 from the
+    # whole first root and a cut search of the second
+    v = TALL_7X3_0
+    fans = enumerate_fans(v)
+    assert len(fans) == 75
+    assert len(next(_fans_by_root(v, None))) == 32
+    for k in range(33):
+        assert analyze(v, fan_index=k, verify=False).fans[0].fan == fans[k]
+    with pytest.raises(PreconditionError, match=r"fan index 75 out of range \(found 75 fans\)"):
+        analyze(v, fan_index=75, verify=False)
+
+
+def test_one_fan_search_drops_partial_fans_that_sort_after_fan_k():
+    # the whole first root pushes 601 partial fans; for fan 0 the search drops
+    # those that cannot complete to a fan sorting before the smallest fan found
+    # so far, and pushes 34.  The cut reads which candidates exist and conflict,
+    # which a row action keeps, so the row-action images push 34 as well
+    rng = random.Random(35)
+    images = [random_unimodular(rng, 7) @ TALL_7X3_0 for _ in range(2)]
+    assert TALL_7X3_0 not in images
+    cones = enumerate_fans(TALL_7X3_0)[0].maximal_cones
+    for w in [TALL_7X3_0, *images]:
+        assert analyze(w, fan_index=0, max_partial_fans=60).fans[0].fan.maximal_cones == cones
+        analyze(w, fan_index=0, max_partial_fans=34, verify=False)
+        with pytest.raises(SearchLimitExceeded, match="exceeded 33 partial fans"):
+            analyze(w, fan_index=0, max_partial_fans=33, verify=False)
 
 
 # the benchmark's tall-enum ladder, whose jobs ask for fan 0 only: the fan
