@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import lcm, prod
 from operator import mul
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .intmat import (
     IntMatrix,
@@ -21,7 +21,7 @@ from .intmat import (
     _laplace_minors,
     shared_tables,
 )
-from .fans import PicardIndexFamily, _mask
+from .fans import PicardIndexFamily, _cone, _mask
 from .gale import require_W
 from .normal_forms import (
     _hnf_fold,
@@ -97,50 +97,58 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
     gives its HNF.  They are not reduced mod ``delta``: a pivot equal to
     ``delta`` would become 0.
 
-    Each index set must hold r distinct column indices; a tuple of exact ints
-    is taken as it is, any other set is converted (``_checked_entries``), and
-    the family is read once.  Inside a ``shared_tables`` block, such as one
-    ``analyze`` call, one table entry for ``q`` keeps the dual rows of each
-    distinct ``I`` (read off the cofactor tables of ``q`` and reduced once, by
-    ``_dual_rows``), so the length, distinctness and range of ``I`` are checked
-    once too; each tuple object so checked, by id, so a family of such objects,
-    as ``picard_index_sets`` hands out within the block, costs one lookup per
-    set and the fold, while a fresh tuple only equal to one takes the full
-    check; and the fold states after each index set of the previous family.
-    The next family folds only its index sets after the longest common prefix
-    with that one.  The final state, reduced above its pivots, is the row HNF
-    of ``delta Pic^*``, so ``delta`` and its rows name the lattice: the table
-    keeps the record of each such key, and a family that ends on a known key
-    returns that same ``PicardData`` without solving for ``B`` again.  Outside
-    a block nothing outlives the call, and the cofactor tables are built once
-    for it.
+    Every call checks every index set: r distinct column indices in range,
+    each an exact int or converted to one.  The sets, as column masks, then
+    go to ``_picard_fold``, which ``analyze`` calls directly.
     """
-    r = q.rows
-    sets = index_family.sets
+    r, m = q.shape
+    try:
+        sets = iter(index_family.sets)
+    except TypeError:
+        raise ShapeError("index family must be an iterable of index sets") from None
+    masks = []
+    for idx in sets:
+        if type(idx) is not tuple or not all(type(j) is int for j in idx):
+            idx = _int_tuple(idx, "index set entries")
+        if len(idx) != r:
+            raise ShapeError("index set size must equal the weight-matrix rank")
+        if len(set(idx)) != r or not all(0 <= j < m for j in idx):
+            raise ShapeError(f"index set {idx} is not {r} distinct columns in 0..{m - 1}")
+        masks.append(_mask(idx))
     # outside a block, one for this call: the cofactor tables are built once
     with shared_tables():
-        table = _picard_table(q)
-        entries = list(map(table[1].get, map(id, sets))) if type(sets) is tuple else None
-        if entries is None or not all(entries):
-            sets, entries = _checked_entries(q, sets, table)
-    folds, records = table[3], table[4]
-    if not entries:
+        return _picard_fold(q, masks)
+
+
+def _picard_fold(q: IntMatrix, masks: Sequence[int]) -> PicardData:
+    """``picard_basis`` of index sets given as checked column masks, on the
+    table of ``q`` in the open ``shared_tables`` block (``_picard_table``).
+    Each distinct mask's dual rows are read off the cofactor tables of ``q``
+    and reduced once (``_dual_rows``).  The fold stack holds the states
+    after each set of the previous family, so a family folds only its sets
+    after the longest common prefix with that one.  The final state, reduced
+    above its pivots, is the row HNF of ``delta Pic^*``: with ``delta`` it
+    names the lattice, and a family that ends on a known one returns that
+    same ``PicardData``."""
+    r = q.rows
+    blocks, folds, records = _picard_table(q)
+    if not masks:
         raise PreconditionError("empty index family")
-    # equal index sets share one entry object; a singular one never enters
-    # folds, so the (0, ()) that all singular sets share is never compared
-    shared, bound = 0, min(len(folds), len(entries))
-    while shared < bound and folds[shared][0] is entries[shared]:
+    shared, bound = 0, min(len(folds), len(masks))
+    while shared < bound and folds[shared][0] == masks[shared]:
         shared += 1
     del folds[shared:]
     if folds:
         _, delta, w = folds[-1]
     else:
         delta, w = 1, [[int(i == j) for j in range(r)] for i in range(r)]
-    for k in range(shared, len(entries)):
-        entry = entries[k]
+    for mask in masks[shared:]:
+        entry = blocks.get(mask)
+        if entry is None:
+            entry = blocks[mask] = _dual_rows(q, _cone(mask))
         d, rows = entry
         if d == 0:
-            raise PreconditionError(f"singular weight block at columns {sets[k]}")
+            raise PreconditionError(f"singular weight block at columns {_cone(mask)}")
         grown = lcm(delta, d)
         # w is a triangular basis of L, which contains delta Z^r: c * w is one of
         # c * L, which contains grown Z^r
@@ -148,7 +156,7 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
         w = [[c * x for x in row] for row in w] if c != 1 else list(w)
         delta = grown
         _hnf_fold(w, ([delta // d * x for x in reversed(row)] for row in rows), delta)
-        folds.append((entry, delta, w))
+        folds.append((mask, delta, w))
     # reduced in place, the stored state still spans the same lattice, and is
     # the row HNF of delta Pic^*: with delta it names the record
     _hnf_reduce(w)
@@ -165,50 +173,13 @@ def picard_basis(q: IntMatrix, index_family: PicardIndexFamily) -> PicardData:
     return pd
 
 
-def _picard_table(q: IntMatrix) -> tuple[dict, dict, list, list, dict]:
-    """``picard_basis``'s table for ``q``, fresh outside a block: ``blocks``,
-    the entry ``(|d_I|, dual rows)`` of each checked ``I``; ``seen``, the
-    entry of each checked tuple object by id, and ``held``, those objects, so
-    their ids stay theirs; the fold stack of the last family, ``folds[k] =
-    (entry of I_k, delta_k, state after I_0 .. I_k)``; and the ``PicardData``
-    of each final fold state."""
-    return _cached(q, "picard", lambda: ({}, {}, [], [], {}))
-
-
-def _checked_entries(q: IntMatrix, sets, table) -> tuple[list, list]:
-    """``picard_basis``'s check of a family ``sets``, read once: each index
-    set as an exact int tuple, and its ``blocks`` entry.  A tuple object in
-    ``seen`` is taken as it is; any other set is checked, a tuple of exact
-    ints by one type scan and anything else converted by ``_int_tuple``, and
-    a new set gets its entry.  Only a tuple of exact ints enters ``seen``, so
-    a fresh tuple equal to a checked one that holds a bool or a float is
-    still converted or rejected."""
-    r, m = q.shape
-    blocks, seen, held = table[0], table[1], table[2]
-    try:
-        sets = iter(sets)
-    except TypeError:
-        raise ShapeError("index family must be an iterable of index sets") from None
-    keys, entries = [], []
-    for key in sets:
-        entry = seen.get(id(key))
-        if entry is None:
-            exact = type(key) is tuple and all(type(j) is int for j in key)
-            if not exact:
-                key = _int_tuple(key, "index set entries")
-            entry = blocks.get(key)
-            if entry is None:
-                if len(key) != r:
-                    raise ShapeError("index set size must equal the weight-matrix rank")
-                if len(set(key)) != r or not all(0 <= j < m for j in key):
-                    raise ShapeError(f"index set {key} is not {r} distinct columns in 0..{m - 1}")
-                entry = blocks[key] = _dual_rows(q, key)
-            if exact:
-                seen[id(key)] = entry
-                held.append(key)
-        keys.append(key)
-        entries.append(entry)
-    return keys, entries
+def _picard_table(q: IntMatrix) -> tuple[dict, list, dict]:
+    """``_picard_fold``'s table for ``q``, fresh outside a block: ``blocks``,
+    the entry ``(|d_I|, dual rows)`` of each index set ``I`` by column mask;
+    the fold stack of the last family, ``folds[k] = (mask of I_k, delta_k,
+    state after I_0 .. I_k)``; and the ``PicardData`` of each final fold
+    state."""
+    return _cached(q, "picard", lambda: ({}, [], {}))
 
 
 def _scaled_inverse_columns(m: list[list[int]], delta: int) -> Iterator[list[int]]:
@@ -217,7 +188,7 @@ def _scaled_inverse_columns(m: list[list[int]], delta: int) -> Iterator[list[int
     that contains ``delta Z^r``, so ``delta m^{-1}`` is integral and every
     division is exact.  Column ``j`` is zero below row ``j`` and has
     ``delta / m_jj`` in row ``j``, so the columns form an upper triangular
-    matrix; ``picard_basis`` reads them reversed as the rows of one."""
+    matrix; ``_picard_fold`` reads them reversed as the rows of one."""
     r = len(m)
     for j in range(r):
         x = [0] * r
@@ -267,7 +238,7 @@ def _cofactor_tables(q: IntMatrix) -> list[dict[int, int]]:
 def _dual_rows(q: IntMatrix, idx: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``(|d_I|, rows)``: the rows of the HNF of the row lattice of ``adj Q_I``,
     which contains ``|d_I| Z^r``, other than the ``|d_I| e_k``; ``(0, ())`` if
-    ``Q_I`` is singular.  ``picard_basis`` keeps them in its table entry for ``q``."""
+    ``Q_I`` is singular.  ``_picard_fold`` keeps them in its table entry for ``q``."""
     d, adj = _weight_block(q, idx)
     if d == 0:
         return 0, ()

@@ -317,22 +317,39 @@ _fan_order = cmp_to_key(_lex_cmp)
 def _fan_records(v: IntMatrix, found: Iterable[int]) -> tuple[Fan, ...]:
     """The ``Fan`` of each fan of ``_fans_by_root`` on ``v``, read off the fan
     tables of the open ``shared_tables`` block: the candidates are in
-    lexicographic order, so a fan's cones come sorted; each candidate's column
-    tuple is taken once per call."""
+    lexicographic order, so a fan's cones come sorted.  A table per ``v`` in
+    the block holds each candidate's cone, complement and complement mask,
+    built once, and one walk over a fan's bits reads all three.  The
+    ``PicardIndexFamily`` and the complement masks of the fans returned are
+    left in the block (``_fan_families``) for ``analyze``."""
     masks = _fan_tables(v)[0]
-    cones: dict[int, Cone] = {}
-    fans = []
+    full = (1 << v.cols) - 1
+    table = _cached(v, "candidate records", dict)  # candidate bit -> (cone, complement, its mask)
+    fans, families, complements = [], [], []
     for chosen in found:
-        fan = []
+        held = []
         while chosen:
             low = chosen & -chosen
-            cone = cones.get(low)
-            if cone is None:
-                cone = cones[low] = _cone(masks[low.bit_length() - 1])
-            fan.append(cone)
+            entry = table.get(low)
+            if entry is None:
+                mask = masks[low.bit_length() - 1]
+                comp = full ^ mask
+                entry = table[low] = (_cone(mask), _cone(comp), comp)
+            held.append(entry)
             chosen ^= low
-        fans.append(Fan(v, tuple(fan)))
+        cones, sets, comps = zip(*held)
+        fans.append(Fan(v, cones))
+        families.append(PicardIndexFamily(sets))
+        complements.append(comps)
+    _fan_families(v)[:] = families, complements
     return tuple(fans)
+
+
+def _fan_families(v: IntMatrix) -> list:
+    """``[families, masks]``: the ``PicardIndexFamily`` and the complement
+    masks of each fan that the last ``_fan_records`` call on ``v`` in the open
+    ``shared_tables`` block returned, in order."""
+    return _cached(v, "fan families", list)
 
 
 def _fan_tables(v: IntMatrix) -> tuple:

@@ -26,13 +26,13 @@ from .divisors import (
     ClassGroupData,
     PicardData,
     _dual_rows,
+    _picard_fold,
     _picard_table,
     cartier_basis,
-    picard_basis,
     weight_transform,
 )
-from .fans import Fan, PicardIndexFamily, _fan_records, _fans_by_root, _mask, enumerate_fans
-from .fans import picard_index_sets
+from .fans import Fan, PicardIndexFamily, _fan_families, _fan_records, _fans_by_root, _mask
+from .fans import enumerate_fans
 from .gale import _kernel, gale_dual, require_F
 
 
@@ -79,17 +79,13 @@ def analyze(
     One ``shared_tables`` block, dropped on return, serves the whole call:
     the kernel of ``V`` is taken once, for ``gale_dual`` and, when r < n, for
     the minor table; ``V`` is classified and its maximal minors and signed
-    circuits computed once, for the validation and the fan enumeration, each cone's complement
-    once, for every ``picard_index_sets`` call, the cofactor tables of ``Q``
-    once, and off them the ``(det Q_I, adj Q_I)`` of each distinct ``I`` once,
-    with the dual HNF rows that every ``picard_basis`` call folds and that
-    ``verify_result`` certifies, each ``I`` checked once, and each index-set
-    tuple that ``picard_index_sets`` hands out checked on its first call only;
-    ``picard_basis`` says how consecutive fans share their folds and Picard
-    records.  ``cartier_basis`` runs once per distinct ``PicardData``, so the
-    fans whose folds end on one Picard lattice share one Cartier basis; the
-    fan-independent bottom block of the Cartier bases is computed once as
-    well, and so is the one m x m determinant that ``verify_result`` takes.
+    circuits computed once, for the validation and the fan search.  The
+    per-fan stage runs on candidate cones: ``fans._fan_records`` builds each
+    candidate's tuples and complement mask once, and ``divisors._picard_fold``
+    folds each fan's complement masks (it says what the fans share).
+    ``cartier_basis`` runs once per distinct ``PicardData``; its fan-independent
+    bottom block and the one m x m determinant of ``verify_result`` are
+    computed once as well.
     """
     if fan_index is not None:
         (fan_index,) = _int_tuple((fan_index,), "fan index")
@@ -126,11 +122,12 @@ def analyze(
                     f"fan index {_int_text(fan_index)} out of range (found {found} fans)"
                 )
             selected = _fan_records(v, [fans[fan_index - found]])
+        # the fan stage's call leaves its fans' families and complement masks
+        families, complements = _fan_families(v)
         analyses = []
         cartiers: dict[int, IntMatrix] = {}  # id(PicardData) -> its Cartier basis
-        for fan in selected:
-            family = picard_index_sets(fan)
-            pd = picard_basis(q, family)
+        for fan, family, masks in zip(selected, families, complements, strict=True):
+            pd = _picard_fold(q, masks)
             # analyses holds pd, so its id stays its own for the call
             cx = cartiers.get(id(pd))
             if cx is None:
@@ -153,8 +150,9 @@ def analyze(
 def verify_result(res: PipelineResult) -> None:
     """Re-check every cross-module identity of a pipeline result.
 
-    No value is taken on trust from the table that ``analyze`` shares with
-    ``picard_basis``; each check below rests on ``Q``, ``V`` and the result.
+    No value is taken on trust from the Picard table that ``analyze`` fills
+    (``divisors._picard_table``); each check below rests on ``Q``, ``V`` and
+    the result, and the index sets are rebuilt from each fan's cones.
 
     * Cartier bases.  Each ``C = [C_top; B']`` must be square with bottom
       block ``B' = V``, ``C_top Q^T`` must equal ``B``, ``B`` must be upper
@@ -175,7 +173,7 @@ def verify_result(res: PipelineResult) -> None:
     * Weight blocks.  For each distinct index set ``I`` of the fans,
       ``d = |det Q_I|`` is read off one table of the r x r minors of ``Q``
       (``_laplace_minors``), taken afresh for the call, and must be nonzero.
-      The dual rows ``H`` of ``I`` come from ``picard_basis``'s table, or from
+      The dual rows ``H`` of ``I`` come from the Picard table, or from
       ``_dual_rows`` outside one (on cofactor tables of ``Q`` built once for
       the call), and are certified: strictly increasing pivot columns,
       positive pivots, ``prod pivots * d^(r - |H|) = d^(r-1)``
@@ -287,11 +285,12 @@ def verify_result(res: PipelineResult) -> None:
         for idx, bits in zip(sets, pooled):
             if len(idx) != r:
                 raise PreconditionError(f"index set {idx} does not hold r = {r} columns")
-            d = abs(minors[_mask(idx)])
+            mask = _mask(idx)
+            d = abs(minors[mask])
             if d == 0:
                 raise PreconditionError(f"singular weight block at columns {idx}")
             cols = [q_cols[j] for j in idx]
-            h = tabled[idx][1] if idx in tabled else _dual_rows(q, idx)[1]
+            h = tabled[mask][1] if mask in tabled else _dual_rows(q, idx)[1]
             if not _spans_block_duals(h, cols, d):
                 raise PreconditionError("weight block adjugate identity failed")
             # b lies in Q_I Z^r iff h b == 0 mod d for each h in H

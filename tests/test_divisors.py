@@ -378,34 +378,45 @@ def test_picard_basis_in_a_table_still_rejects_a_non_integer_equal_to_a_checked_
             picard_basis(q, PicardIndexFamily(((0, 1), (0, 1.0))))
 
 
-def test_picard_basis_takes_each_checked_index_set_object_as_it_is(count_calls):
-    # picard_index_sets hands out one tuple object per cone; in an open block
-    # picard_basis checks each object once, and a fresh tuple that is only
-    # equal to a checked one takes the full check every time
+def test_picard_basis_checks_every_index_set_on_every_call(count_calls):
+    # analyze folds the complement masks of its fans in the private core; the
+    # public picard_basis checks and converts every set of every call, also
+    # in a block where an equal exact family was folded before
     families = [picard_index_sets(fan) for fan in enumerate_fans(EX2_V)]
     want = [picard_basis(EX2_Q, family) for family in families]
     first = families[0].sets
     k = next(k for k, idx in enumerate(first) if 1 in idx)
 
-    def fresh(one):
-        idx = tuple(one if j == 1 else j for j in first[k])
+    def with_set(idx):
         return PicardIndexFamily(first[:k] + (idx,) + first[k + 1 :])
 
+    def fresh(one):
+        return with_set(tuple(one if j == 1 else j for j in first[k]))
+
     with shared_tables():
-        families = [picard_index_sets(fan) for fan in enumerate_fans(EX2_V)]
-        assert [picard_basis(EX2_Q, family) for family in families] == want
-        checked = count_calls(divisors, "_checked_entries", everywhere=False)
+        held = [picard_basis(EX2_Q, family) for family in families]
+        assert held == want
         converted = count_calls(divisors, "_int_tuple", everywhere=False)
-        assert [picard_basis(EX2_Q, family) for family in families] == want
-        assert checked == []
-        # a bool is converted, on every call: the fresh tuple never counts as checked
-        for calls in (1, 2):
-            family = fresh(True)
-            assert picard_basis(EX2_Q, family) == want[0]
-            assert len(converted) == calls and converted[-1][0] is family.sets[k]
+        folds = count_calls(divisors, "_picard_fold", everywhere=False)
         with pytest.raises(ShapeError, match="must be integers"):
             picard_basis(EX2_Q, fresh(1.0))
-        assert len(checked) == 3
+        # a bool is converted, on every call, and folds as the exact family does
+        converted.clear()
+        for calls in (1, 2):
+            family = fresh(True)
+            assert picard_basis(EX2_Q, family) is held[0]
+            assert len(converted) == calls and converted[-1][0] is family.sets[k]
+        masks = tuple(sum(1 << j for j in idx) for idx in first)
+        assert [tuple(m) for _, m in folds] == [masks, masks]
+        for idx, message in (
+            (first[k][:-1], "size must equal the weight-matrix rank"),
+            ((first[k][0],) * 2, "is not 2 distinct columns in 0..5"),
+            ((first[k][0], 6), "is not 2 distinct columns in 0..5"),
+            ((-1, first[k][0]), "is not 2 distinct columns in 0..5"),
+        ):
+            with pytest.raises(ShapeError, match=message):
+                picard_basis(EX2_Q, with_set(idx))
+        assert len(folds) == 2
     assert picard_basis(EX2_Q, fresh(True)) == want[0]
 
 

@@ -178,11 +178,14 @@ def test_analyze_builds_the_circuits_once(count_calls):
 def test_analyze_calls_each_public_step(count_calls):
     # the calls analyze makes itself; the fan search validates V once more.
     # All fans come from enumerate_fans, one fan from the search root by root,
-    # which takes the index to bound its search
-    from torifactor import pipeline
+    # which takes the index to bound its search.  The per-fan stage folds each
+    # fan's complement masks, in cone order, in the private core of divisors,
+    # and calls neither picard_index_sets nor the public picard_basis
+    from torifactor import divisors, fans, pipeline
 
-    steps = ("require_F", "enumerate_fans", "_fans_by_root", "picard_basis", "verify_result")
+    steps = ("require_F", "enumerate_fans", "_fans_by_root", "_picard_fold", "verify_result")
     calls = {name: count_calls(pipeline, name, everywhere=False) for name in steps}
+    public = [count_calls(divisors, "picard_basis"), count_calls(fans, "picard_index_sets")]
     for fan_index, verify in ((None, True), (None, False), (1, True)):
         for seen in calls.values():
             seen.clear()
@@ -190,8 +193,11 @@ def test_analyze_calls_each_public_step(count_calls):
         assert calls["require_F"] == [(EX2_V,)]
         assert calls["enumerate_fans"] == ([(EX2_V,)] if fan_index is None else [])
         assert calls["_fans_by_root"] == ([] if fan_index is None else [(EX2_V, None, fan_index)])
-        assert [family for _, family in calls["picard_basis"]] == [fa.index_sets for fa in res.fans]
+        assert [masks for _, masks in calls["_picard_fold"]] == [
+            tuple(sum(1 << j for j in idx) for idx in fa.index_sets.sets) for fa in res.fans
+        ]
         assert calls["verify_result"] == ([(res,)] if verify else [])
+        assert public == [[], []]
 
 
 def test_one_fan_analysis_builds_one_fan_record(count_calls):
@@ -325,13 +331,15 @@ def test_verification_rejects_a_forged_basis_on_the_last_fan(monkeypatch):
     forged = picard_basis(q, PicardIndexFamily(tuple(i for i in last if i != idx)))
     assert block_lattices_left(forged) == [idx]
     calls = []
+    fold = pipeline._picard_fold
 
-    def forge_last(q, family):
-        calls.append(family)
-        pd = picard_basis(q, family)
+    # analyze folds each fan's complement masks in its private core
+    def forge_last(q, masks):
+        calls.append(masks)
+        pd = fold(q, masks)
         return forged if len(calls) % len(families) == 0 else pd
 
-    monkeypatch.setattr(pipeline, "picard_basis", forge_last)
+    monkeypatch.setattr(pipeline, "_picard_fold", forge_last)
     with pytest.raises(PreconditionError, match="escapes a weight block lattice"):
         analyze(EX2_V)
     res = analyze(EX2_V, verify=False)
@@ -344,21 +352,21 @@ def test_verification_rechecks_every_table_entry(monkeypatch):
     # a sign error in the cofactor tables of Q, the table of row 0 negated,
     # leaves every det Q_I as it is and negates column 0 of every adj Q_I:
     # plant it in analyze's shared table, under the key _weight_block reads,
-    # before the first Picard basis, which then folds the wrong dual rows
+    # before the first Picard fold, which then folds the wrong dual rows
     from torifactor import pipeline
     from torifactor.intmat import _cached, _laplace_minors
 
-    picard = pipeline.picard_basis
+    fold = pipeline._picard_fold
 
-    def plant_then_solve(q, family):
+    def plant_then_solve(q, masks):
         rows = tuple(q)
         tables = [_laplace_minors(rows[:b] + rows[b + 1 :], q.cols) for b in range(q.rows)]
         tables[0] = {cols: -minor for cols, minor in tables[0].items()}
         _cached(q, "cofactor tables", lambda: tables)
-        return picard(q, family)
+        return fold(q, masks)
 
     true = analyze(EX2_V)
-    monkeypatch.setattr(pipeline, "picard_basis", plant_then_solve)
+    monkeypatch.setattr(pipeline, "_picard_fold", plant_then_solve)
     forged = analyze(EX2_V, verify=False)
     assert [fa.picard for fa in forged.fans] != [fa.picard for fa in true.fans]
     with pytest.raises(PreconditionError, match="adjugate identity failed"):
@@ -666,8 +674,8 @@ FORGED_DUAL_ROWS = {
 @pytest.mark.parametrize("forgery", FORGED_DUAL_ROWS)
 def test_verification_rechecks_every_dual_row_table_entry(monkeypatch, forgery):
     # plant forged dual rows in analyze's shared table, in the entry that
-    # picard_basis filled and verify_result reads, after the Picard bases are
-    # built from the true ones
+    # the Picard fold filled and verify_result reads, keyed by column mask,
+    # after the Picard bases are built from the true ones
     from torifactor import divisors, pipeline
 
     idx, forged = (1, 4), FORGED_DUAL_ROWS[forgery]
@@ -675,16 +683,47 @@ def test_verification_rechecks_every_dual_row_table_entry(monkeypatch, forgery):
 
     def plant_then_verify(res):
         blocks = divisors._picard_table(res.Q)[0]
-        assert blocks[idx] == (8, ((2, 3), (0, 4)))
+        key = sum(1 << j for j in idx)  # the table's key: the column mask of idx
+        assert blocks[key] == (8, ((2, 3), (0, 4)))
         cols = [res.Q.col(j) for j in idx]
         outside = [any(sum(map(mul, h, c)) % 8 for c in cols) for h in forged]
         assert any(outside) == (forgery == "outside")
-        blocks[idx] = (8, forged)
+        blocks[key] = (8, forged)
         verify(res)
 
     monkeypatch.setattr(pipeline, "verify_result", plant_then_verify)
     with pytest.raises(PreconditionError, match="weight block adjugate identity failed"):
         analyze(EX2_V)
+
+
+# the second worked example, the four fans of SHARED_V and a 43-fan (4, 4) instance
+ONE_PASS_INSTANCES = {
+    "EX2_V": EX2_V,
+    "SHARED_V": SHARED_V,
+    "4x4/0": random_reduced_f_matrix(random.Random(0), 4, 4),
+}
+
+
+@pytest.mark.parametrize("name", ONE_PASS_INSTANCES)
+def test_analyze_takes_each_candidate_and_each_complement_once(count_calls, name):
+    # the per-fan stage runs on candidate cones: the cone and complement
+    # tuples of each candidate are built once, and the dual rows of each
+    # distinct complement are taken once, for every fan that holds it and for
+    # verify_result
+    from torifactor import divisors, fans as fans_module
+
+    v = ONE_PASS_INSTANCES[name]
+    duals = count_calls(divisors, "_dual_rows")
+    tuples = count_calls(fans_module, "_cone", everywhere=False)
+    res = analyze(v)
+    assert len(res.fans) == {"EX2_V": 3, "SHARED_V": 4, "4x4/0": 43}[name]
+    cones = {cone for fa in res.fans for cone in fa.fan.maximal_cones}
+    complements = {idx for fa in res.fans for idx in fa.index_sets.sets}
+    assert len(complements) == len(cones) < sum(len(fa.index_sets.sets) for fa in res.fans)
+    assert sorted(idx for _, idx in duals) == sorted(complements)
+    full = (1 << v.cols) - 1
+    masks = [sum(1 << j for j in cone) for cone in cones]
+    assert sorted(mask for (mask,) in tuples) == sorted(masks + [full ^ mask for mask in masks])
 
 
 def test_analyze_takes_no_modular_hnf_and_no_m_by_m_determinant_per_fan(count_calls):
