@@ -318,38 +318,22 @@ def _fan_records(v: IntMatrix, found: Iterable[int]) -> tuple[Fan, ...]:
     """The ``Fan`` of each fan of ``_fans_by_root`` on ``v``, read off the fan
     tables of the open ``shared_tables`` block: the candidates are in
     lexicographic order, so a fan's cones come sorted.  A table per ``v`` in
-    the block holds each candidate's cone, complement and complement mask,
-    built once, and one walk over a fan's bits reads all three.  The
-    ``PicardIndexFamily`` and the complement masks of the fans returned are
-    left in the block (``_fan_families``) for ``analyze``."""
+    the block holds each candidate's cone tuple, built once, so the fans that
+    share a candidate share its tuple."""
     masks = _fan_tables(v)[0]
-    full = (1 << v.cols) - 1
-    table = _cached(v, "candidate records", dict)  # candidate bit -> (cone, complement, its mask)
-    fans, families, complements = [], [], []
+    table = _cached(v, "candidate cones", dict)  # candidate bit -> its cone
+    fans = []
     for chosen in found:
-        held = []
+        cones = []
         while chosen:
             low = chosen & -chosen
-            entry = table.get(low)
-            if entry is None:
-                mask = masks[low.bit_length() - 1]
-                comp = full ^ mask
-                entry = table[low] = (_cone(mask), _cone(comp), comp)
-            held.append(entry)
+            cone = table.get(low)
+            if cone is None:
+                cone = table[low] = _cone(masks[low.bit_length() - 1])
+            cones.append(cone)
             chosen ^= low
-        cones, sets, comps = zip(*held)
-        fans.append(Fan(v, cones))
-        families.append(PicardIndexFamily(sets))
-        complements.append(comps)
-    _fan_families(v)[:] = families, complements
+        fans.append(Fan(v, tuple(cones)))
     return tuple(fans)
-
-
-def _fan_families(v: IntMatrix) -> list:
-    """``[families, masks]``: the ``PicardIndexFamily`` and the complement
-    masks of each fan that the last ``_fan_records`` call on ``v`` in the open
-    ``shared_tables`` block returned, in order."""
-    return _cached(v, "fan families", list)
 
 
 def _fan_tables(v: IntMatrix) -> tuple:
@@ -387,19 +371,27 @@ def _facet_tables(masks: Sequence[int], n: int, m: int) -> tuple[list[int], list
     return facet_masks, by_facet
 
 
-def picard_index_sets(fan: Fan) -> PicardIndexFamily:
-    """Size-r complements of the maximal cones, in cone order.  Inside a
-    ``shared_tables`` block each cone's complement is computed once per
+def _complements(fan: Fan) -> list[tuple[Cone, int]]:
+    """The complement of each maximal cone of ``fan``, in cone order, as the
+    sorted tuple of the columns outside the cone and as their column mask.
+    Inside a ``shared_tables`` block each cone's entry is computed once per
     fan matrix, for all its fans; outside one, once per call."""
     m = fan.matrix.cols
-    complements = _cached(fan.matrix, "complements", dict)
-    sets = []
+    table = _cached(fan.matrix, "complements", dict)  # cone -> (complement, its mask)
+    entries = []
     for cone in fan.maximal_cones:
-        comp = complements.get(cone)
-        if comp is None:
-            comp = complements[cone] = tuple(j for j in range(m) if j not in cone)
-        sets.append(comp)
-    return PicardIndexFamily(tuple(sets))
+        entry = table.get(cone)
+        if entry is None:
+            comp = tuple(j for j in range(m) if j not in cone)
+            entry = table[cone] = (comp, _mask(comp))
+        entries.append(entry)
+    return entries
+
+
+def picard_index_sets(fan: Fan) -> PicardIndexFamily:
+    """Size-r complements of the maximal cones, in cone order
+    (``_complements``)."""
+    return PicardIndexFamily(tuple(comp for comp, _ in _complements(fan)))
 
 
 def fans_correspond(first: Fan, second: Fan, column_map: Sequence[int]) -> bool:

@@ -31,8 +31,8 @@ from .divisors import (
     cartier_basis,
     weight_transform,
 )
-from .fans import Fan, PicardIndexFamily, _fan_families, _fan_records, _fans_by_root, _mask
-from .fans import enumerate_fans
+from .fans import Fan, PicardIndexFamily, _complements, _cone, _fan_records, _fans_by_root
+from .fans import enumerate_fans, picard_index_sets
 from .gale import _kernel, gale_dual, require_F
 
 
@@ -40,9 +40,13 @@ class FanAnalysis(Record):
     """Per-fan divisor data."""
 
     fan: Fan
-    index_sets: PicardIndexFamily
     picard: PicardData
     cartier: IntMatrix
+
+    @property
+    def index_sets(self) -> PicardIndexFamily:
+        """The complements of the fan's maximal cones (``picard_index_sets``)."""
+        return picard_index_sets(self.fan)
 
 
 class PipelineResult(Record):
@@ -81,8 +85,10 @@ def analyze(
     the minor table; ``V`` is classified and its maximal minors and signed
     circuits computed once, for the validation and the fan search.  The
     per-fan stage runs on candidate cones: ``fans._fan_records`` builds each
-    candidate's tuples and complement mask once, and ``divisors._picard_fold``
-    folds each fan's complement masks (it says what the fans share).
+    candidate's cone tuple once, ``fans._complements`` each cone's complement
+    mask once, and ``divisors._picard_fold`` folds each fan's complement masks
+    (it says what the fans share).  No family is stored: a ``FanAnalysis``
+    reads its index sets off its cones.
     ``cartier_basis`` runs once per distinct ``PicardData``; its fan-independent
     bottom block and the one m x m determinant of ``verify_result`` are
     computed once as well.
@@ -122,17 +128,15 @@ def analyze(
                     f"fan index {_int_text(fan_index)} out of range (found {found} fans)"
                 )
             selected = _fan_records(v, [fans[fan_index - found]])
-        # the fan stage's call leaves its fans' families and complement masks
-        families, complements = _fan_families(v)
         analyses = []
         cartiers: dict[int, IntMatrix] = {}  # id(PicardData) -> its Cartier basis
-        for fan, family, masks in zip(selected, families, complements, strict=True):
-            pd = _picard_fold(q, masks)
+        for fan in selected:
+            pd = _picard_fold(q, [mask for _, mask in _complements(fan)])
             # analyses holds pd, so its id stays its own for the call
             cx = cartiers.get(id(pd))
             if cx is None:
                 cx = cartiers[id(pd)] = cartier_basis(pd.B, u_q, cd.beta)
-            analyses.append(FanAnalysis(fan=fan, index_sets=family, picard=pd, cartier=cx))
+            analyses.append(FanAnalysis(fan=fan, picard=pd, cartier=cx))
         result = PipelineResult(
             V=v,
             Q=q,
@@ -152,7 +156,8 @@ def verify_result(res: PipelineResult) -> None:
 
     No value is taken on trust from the Picard table that ``analyze`` fills
     (``divisors._picard_table``); each check below rests on ``Q``, ``V`` and
-    the result, and the index sets are rebuilt from each fan's cones.
+    the result, and the index sets are the complements of each fan's cones
+    (``fans._complements``, a function of the cones alone).
 
     * Cartier bases.  Each ``C = [C_top; B']`` must be square with bottom
       block ``B' = V``, ``C_top Q^T`` must equal ``B``, ``B`` must be upper
@@ -167,9 +172,8 @@ def verify_result(res: PipelineResult) -> None:
       that hold the same Cartier and ``B`` objects and index are checked
       once; the result holds those objects for the call, so their ids stay
       theirs.
-    * Index sets.  Each fan's family must list the complements of its cones,
-      one per cone, each complement taken once per call; each distinct set
-      must hold ``r`` columns.
+    * Index sets.  The rows of each fan's ``B`` are pooled by the complements
+      of its cones; each distinct complement must hold ``r`` columns of ``V``.
     * Weight blocks.  For each distinct index set ``I`` of the fans,
       ``d = |det Q_I|`` is read off one table of the r x r minors of ``Q``
       (``_laplace_minors``), taken afresh for the call, and must be nonzero.
@@ -230,13 +234,11 @@ def verify_result(res: PipelineResult) -> None:
     v_rows, q_rows = tuple(v), tuple(q)
     det_fv = abs(det(free.vstack(v)))
     certified: set[tuple[int, int, int]] = set()
-    # each distinct row of a B is one bit; pooled[k] holds the rows of every B
-    # whose fans have the index set sets[k], the complement of cone k
+    # each distinct row of a B is one bit; pooled[mask of I] holds the rows of
+    # every B whose fan has a cone with complement I
     row_bits: dict[tuple[int, ...], int] = {}
     basis_bits: dict[int, int] = {}  # id(B) -> the bits of its rows
-    slots: dict[tuple[int, ...], int] = {}  # cone -> k
-    sets: list[tuple[int, ...]] = []
-    pooled: list[int] = []
+    pooled: dict[int, int] = {}
     for fa in res.fans:
         pd = fa.picard
         b = pd.B
@@ -265,27 +267,19 @@ def verify_result(res: PipelineResult) -> None:
                     bit = row_bits[row] = 1 << len(row_bits)
                 bits |= bit
             basis_bits[id(b)] = bits
-        family = []
-        for cone in fa.fan.maximal_cones:
-            k = slots.get(cone)
-            if k is None:
-                k = slots[cone] = len(sets)
-                sets.append(tuple(j for j in range(v.cols) if j not in cone))
-                pooled.append(0)
-            pooled[k] |= bits
-            family.append(sets[k])
-        if fa.index_sets.sets != tuple(family):
-            raise PreconditionError("index sets are not the complements of the fan's cones")
+        for _, mask in _complements(fa.fan):
+            pooled[mask] = pooled.get(mask, 0) | bits
     distinct_rows = list(row_bits)
     q_cols = tuple(zip(*q_rows))
     minors = _laplace_minors(q_rows, v.cols)
     # outside a block, one for this call: the cofactor tables are built once
     with shared_tables():
         tabled = _picard_table(q)[0]
-        for idx, bits in zip(sets, pooled):
-            if len(idx) != r:
-                raise PreconditionError(f"index set {idx} does not hold r = {r} columns")
-            mask = _mask(idx)
+        for mask, bits in pooled.items():
+            idx = _cone(mask)
+            # a fan over another matrix may have complements outside V
+            if len(idx) != r or mask >> v.cols:
+                raise PreconditionError(f"index set {idx} does not hold r = {r} columns of V")
             d = abs(minors[mask])
             if d == 0:
                 raise PreconditionError(f"singular weight block at columns {idx}")

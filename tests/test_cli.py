@@ -297,6 +297,26 @@ def test_bad_partial_fan_cap_is_an_input_error(monkeypatch, capsys, command, val
     assert "TORIFACTOR_MAX_PARTIAL_FANS" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["pipeline", "--fan", "x"], "argument --fan: invalid int value: 'x'"),
+    ],
+    ids=["unknown command", "bad fan index"],
+)
+def test_bad_arguments_exit_1_with_one_error_line(capsys, argv, message):
+    # the parser's error exit (cli._Parser.error): one line on stderr, no usage
+    # text, and nothing on stdout
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv)
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"torifactor: error: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 # the fan search pushes 41 partial fans on the second example; --fan 0 stops
 # it after the first root, which has found the first fan by 8 partial fans
 @pytest.mark.parametrize(

@@ -180,7 +180,8 @@ def test_analyze_calls_each_public_step(count_calls):
     # All fans come from enumerate_fans, one fan from the search root by root,
     # which takes the index to bound its search.  The per-fan stage folds each
     # fan's complement masks, in cone order, in the private core of divisors,
-    # and calls neither picard_index_sets nor the public picard_basis
+    # and calls neither picard_index_sets nor the public picard_basis (which
+    # reading fa.index_sets would call, so the masks are taken off the cones)
     from torifactor import divisors, fans, pipeline
 
     steps = ("require_F", "enumerate_fans", "_fans_by_root", "_picard_fold", "verify_result")
@@ -193,8 +194,10 @@ def test_analyze_calls_each_public_step(count_calls):
         assert calls["require_F"] == [(EX2_V,)]
         assert calls["enumerate_fans"] == ([(EX2_V,)] if fan_index is None else [])
         assert calls["_fans_by_root"] == ([] if fan_index is None else [(EX2_V, None, fan_index)])
+        full = (1 << EX2_V.cols) - 1
         assert [masks for _, masks in calls["_picard_fold"]] == [
-            tuple(sum(1 << j for j in idx) for idx in fa.index_sets.sets) for fa in res.fans
+            [full ^ sum(1 << j for j in cone) for cone in fa.fan.maximal_cones]
+            for fa in res.fans
         ]
         assert calls["verify_result"] == ([(res,)] if verify else [])
         assert public == [[], []]
@@ -601,45 +604,32 @@ def test_verification_checks_the_cartier_bottom_block_before_the_determinant():
         verify_result(res._replace(fans=(fa._replace(cartier=fa.cartier.top_rows(5)),)))
 
 
-# the first fan's last index set replaced: too short, too long, and a
-# well-shaped set the family already holds
-@pytest.mark.parametrize("index_set", [(1,), (1, 2, 3), (3, 5)])
-def test_verification_rejects_a_forged_index_set(index_set):
-    from torifactor import PicardIndexFamily
-
-    res = analyze(EX2_V)
-    fa = res.fans[0]
-    assert index_set == (3, 5) or len(index_set) != res.Q.rows
-    forged = fa._replace(index_sets=PicardIndexFamily(fa.index_sets.sets[:-1] + (index_set,)))
-    with pytest.raises(PreconditionError, match="complements of the fan's cones"):
-        verify_result(res._replace(fans=(forged,) + res.fans[1:]))
-
-
-@pytest.mark.parametrize("family", ["dropped", "extra"])
-def test_verification_rejects_a_family_of_the_wrong_length(family):
-    # one set per cone: the first fan's family without its last set, or with
-    # its first set once more
-    from torifactor import PicardIndexFamily
-
-    res = analyze(EX2_V)
-    fa = res.fans[0]
-    sets = fa.index_sets.sets
-    sets = sets[:-1] if family == "dropped" else sets + sets[:1]
-    forged = fa._replace(index_sets=PicardIndexFamily(sets))
-    with pytest.raises(PreconditionError, match="complements of the fan's cones"):
-        verify_result(res._replace(fans=(forged,) + res.fans[1:]))
-
-
 def test_verification_rejects_the_complements_of_a_cone_of_the_wrong_size():
-    from torifactor import Fan, picard_index_sets
+    from torifactor import Fan
 
     res = analyze(EX2_V)
     fa = res.fans[0]
     cones = fa.fan.maximal_cones
     fan = Fan(fa.fan.matrix, cones[:-1] + ((0,) + cones[-1],))
     assert 0 not in cones[-1]
-    forged = fa._replace(fan=fan, index_sets=picard_index_sets(fan))
+    forged = fa._replace(fan=fan)
     with pytest.raises(PreconditionError, match="does not hold r = 2 columns"):
+        verify_result(res._replace(fans=(forged,) + res.fans[1:]))
+
+
+def test_verification_rejects_the_complements_of_a_fan_over_a_wider_matrix():
+    # fan 0 of EX2_V with its first cone replaced by (0, 1, 2, 3, 4), over V
+    # with a zero column appended: the complement (5, 6) holds r columns,
+    # one of them outside V
+    from torifactor import Fan
+
+    res = analyze(EX2_V)
+    fa = res.fans[0]
+    wide = IntMatrix([row + [0] for row in EX2_V.tolist()])
+    fan = Fan(wide, ((0, 1, 2, 3, 4),) + fa.fan.maximal_cones[1:])
+    forged = fa._replace(fan=fan)
+    message = r"index set \(5, 6\) does not hold r = 2 columns of V"
+    with pytest.raises(PreconditionError, match=message):
         verify_result(res._replace(fans=(forged,) + res.fans[1:]))
 
 
@@ -647,13 +637,13 @@ def test_verification_rejects_a_fan_with_a_singular_weight_block():
     # the last cone of SHARED_V's fan 0 replaced by (2, 4, 5), whose
     # complement (0, 1, 3) indexes a singular block of Q; EX2_V has no
     # singular block to use
-    from torifactor import Fan, picard_index_sets
+    from torifactor import Fan
 
     res = analyze(SHARED_V)
     fa = res.fans[0]
     assert det(res.Q.select_cols((0, 1, 3))) == 0
     fan = Fan(fa.fan.matrix, fa.fan.maximal_cones[:-1] + ((2, 4, 5),))
-    forged = fa._replace(fan=fan, index_sets=picard_index_sets(fan))
+    forged = fa._replace(fan=fan)
     with pytest.raises(PreconditionError, match=r"singular weight block at columns \(0, 1, 3\)"):
         verify_result(res._replace(fans=(forged,) + res.fans[1:]))
 
@@ -706,24 +696,42 @@ ONE_PASS_INSTANCES = {
 
 @pytest.mark.parametrize("name", ONE_PASS_INSTANCES)
 def test_analyze_takes_each_candidate_and_each_complement_once(count_calls, name):
-    # the per-fan stage runs on candidate cones: the cone and complement
-    # tuples of each candidate are built once, and the dual rows of each
-    # distinct complement are taken once, for every fan that holds it and for
-    # verify_result
+    # the per-fan stage runs on candidate cones: each candidate's cone tuple is
+    # built once, and each distinct cone's complement entry once per call
+    # (fans._complements builds the entry's mask with fans._mask), for the
+    # fold and for verify_result; the dual rows of each distinct complement
+    # are taken once, for every fan that holds it and for verify_result
     from torifactor import divisors, fans as fans_module
 
     v = ONE_PASS_INSTANCES[name]
     duals = count_calls(divisors, "_dual_rows")
     tuples = count_calls(fans_module, "_cone", everywhere=False)
+    entries = count_calls(fans_module, "_mask", everywhere=False)
+    for _ in range(2):
+        for seen in (duals, tuples, entries):
+            seen.clear()
+        res = analyze(v)
+        assert len(res.fans) == {"EX2_V": 3, "SHARED_V": 4, "4x4/0": 43}[name]
+        cones = {cone for fa in res.fans for cone in fa.fan.maximal_cones}
+        complements = [tuple(j for j in range(v.cols) if j not in cone) for cone in cones]
+        assert len(set(complements)) == len(cones)
+        assert len(cones) < sum(len(fa.fan.maximal_cones) for fa in res.fans)
+        assert sorted(comp for (comp,) in entries) == sorted(complements)
+        assert sorted(idx for _, idx in duals) == sorted(complements)
+        assert sorted(mask for (mask,) in tuples) == sorted(sum(1 << j for j in c) for c in cones)
+
+
+@pytest.mark.parametrize("name", ["EX1_V", *ONE_PASS_INSTANCES])
+def test_index_sets_are_the_complements_of_the_cones(name):
+    # FanAnalysis stores no family: index_sets is read off the fan's cones
+    v = {"EX1_V": EX1_V, **ONE_PASS_INSTANCES}[name]
     res = analyze(v)
-    assert len(res.fans) == {"EX2_V": 3, "SHARED_V": 4, "4x4/0": 43}[name]
-    cones = {cone for fa in res.fans for cone in fa.fan.maximal_cones}
-    complements = {idx for fa in res.fans for idx in fa.index_sets.sets}
-    assert len(complements) == len(cones) < sum(len(fa.index_sets.sets) for fa in res.fans)
-    assert sorted(idx for _, idx in duals) == sorted(complements)
-    full = (1 << v.cols) - 1
-    masks = [sum(1 << j for j in cone) for cone in cones]
-    assert sorted(mask for (mask,) in tuples) == sorted(masks + [full ^ mask for mask in masks])
+    assert len(res.fans) == {"EX1_V": 1, "EX2_V": 3, "SHARED_V": 4, "4x4/0": 43}[name]
+    for fa in res.fans:
+        want = tuple(
+            tuple(sorted(set(range(v.cols)) - set(cone))) for cone in fa.fan.maximal_cones
+        )
+        assert fa.index_sets.sets == want
 
 
 def test_analyze_takes_no_modular_hnf_and_no_m_by_m_determinant_per_fan(count_calls):

@@ -13,6 +13,7 @@ import pytest
 
 import torifactor
 from torifactor import (
+    FanAnalysis,
     FanValidation,
     HnfResult,
     IntMatrix,
@@ -168,11 +169,16 @@ def test_replace_keeps_the_type_and_checks_again():
         pres._replace(gamma=TorsionMatrix([5], [[1, 2, 3]]))
     with pytest.raises(TypeError, match="unexpected field 'C'"):
         pres._replace(C=EX1_Q)
+    # index_sets is read off the cones, not stored
+    fa = RECORDS["EX2"]["FanAnalysis"]
+    with pytest.raises(TypeError, match="unexpected field 'index_sets'"):
+        fa._replace(index_sets=fa.index_sets)
 
 
 def test_fields_are_the_annotations_in_order():
     assert HnfResult._fields == ("H", "U")
     assert PicardData._fields == ("B", "index", "delta_sigma")
+    assert FanAnalysis._fields == ("fan", "picard", "cartier")
     assert RECORDS["EX1"]["PipelineResult"]._fields == (
         "V", "Q", "U_Q", "covering", "gamma", "class_group", "fans"
     )
