@@ -31,7 +31,7 @@ from .divisors import (
     cartier_basis,
     weight_transform,
 )
-from .fans import Fan, PicardIndexFamily, _complements, _cone, _fan_records, _fans_by_root
+from .fans import Fan, PicardIndexFamily, _complements, _fan_records, _fans_by_root
 from .fans import enumerate_fans, picard_index_sets
 from .gale import _kernel, gale_dual, require_F
 
@@ -157,7 +157,10 @@ def verify_result(res: PipelineResult) -> None:
     No value is taken on trust from the Picard table that ``analyze`` fills
     (``divisors._picard_table``); each check below rests on ``Q``, ``V`` and
     the result, and the index sets are the complements of each fan's cones
-    (``fans._complements``, a function of the cones alone).
+    (``fans._complements``, a function of the cones alone).  Those come from
+    the same ``"complements"`` memo that ``analyze`` fills in its block, so a
+    fault there reaches both; the independent check of the complements is the
+    test ``test_index_sets_are_the_complements_of_the_cones``.
 
     * Cartier bases.  Each ``C = [C_top; B']`` must be square with bottom
       block ``B' = V``, ``C_top Q^T`` must equal ``B``, ``B`` must be upper
@@ -172,8 +175,9 @@ def verify_result(res: PipelineResult) -> None:
       that hold the same Cartier and ``B`` objects and index are checked
       once; the result holds those objects for the call, so their ids stay
       theirs.
-    * Index sets.  The rows of each fan's ``B`` are pooled by the complements
-      of its cones; each distinct complement must hold ``r`` columns of ``V``.
+    * Index sets.  Each fan's matrix must be ``V``.  The rows of each fan's
+      ``B`` are pooled by the complements of its cones; each distinct
+      complement must hold ``r`` columns.
     * Weight blocks.  For each distinct index set ``I`` of the fans,
       ``d = |det Q_I|`` is read off one table of the r x r minors of ``Q``
       (``_laplace_minors``), taken afresh for the call, and must be nonzero.
@@ -239,7 +243,10 @@ def verify_result(res: PipelineResult) -> None:
     row_bits: dict[tuple[int, ...], int] = {}
     basis_bits: dict[int, int] = {}  # id(B) -> the bits of its rows
     pooled: dict[int, int] = {}
+    index_sets: dict[int, tuple[int, ...]] = {}  # mask of I -> I
     for fa in res.fans:
+        if fa.fan.matrix != v:
+            raise PreconditionError("a fan's matrix is not V")
         pd = fa.picard
         b = pd.B
         # the result holds these objects for the call, so their ids stay theirs
@@ -267,8 +274,9 @@ def verify_result(res: PipelineResult) -> None:
                     bit = row_bits[row] = 1 << len(row_bits)
                 bits |= bit
             basis_bits[id(b)] = bits
-        for _, mask in _complements(fa.fan):
+        for idx, mask in _complements(fa.fan):
             pooled[mask] = pooled.get(mask, 0) | bits
+            index_sets[mask] = idx
     distinct_rows = list(row_bits)
     q_cols = tuple(zip(*q_rows))
     minors = _laplace_minors(q_rows, v.cols)
@@ -276,10 +284,9 @@ def verify_result(res: PipelineResult) -> None:
     with shared_tables():
         tabled = _picard_table(q)[0]
         for mask, bits in pooled.items():
-            idx = _cone(mask)
-            # a fan over another matrix may have complements outside V
-            if len(idx) != r or mask >> v.cols:
-                raise PreconditionError(f"index set {idx} does not hold r = {r} columns of V")
+            idx = index_sets[mask]
+            if len(idx) != r:
+                raise PreconditionError(f"index set {idx} does not hold r = {r} columns")
             d = abs(minors[mask])
             if d == 0:
                 raise PreconditionError(f"singular weight block at columns {idx}")

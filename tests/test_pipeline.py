@@ -617,19 +617,36 @@ def test_verification_rejects_the_complements_of_a_cone_of_the_wrong_size():
         verify_result(res._replace(fans=(forged,) + res.fans[1:]))
 
 
-def test_verification_rejects_the_complements_of_a_fan_over_a_wider_matrix():
-    # fan 0 of EX2_V with its first cone replaced by (0, 1, 2, 3, 4), over V
-    # with a zero column appended: the complement (5, 6) holds r columns,
-    # one of them outside V
+def _over_a_wider_matrix(cones):
+    # (0, 1, 2, 3, 4) in place of the first cone, over V with a zero column
+    # appended: the complement (5, 6) holds r columns, one of them outside V
+    wide = IntMatrix([row + [0] for row in EX2_V.tolist()])
+    return wide, ((0, 1, 2, 3, 4),) + cones[1:]
+
+
+def _over_a_narrower_matrix(cones):
+    # the cones through column 6, without it, over V without column 6: each
+    # complement is one of the fan's and holds r columns inside V
+    narrow = EX2_V.select_cols(range(EX2_V.cols - 1))
+    return narrow, tuple(c[:-1] for c in cones if c[-1] == EX2_V.cols - 1)
+
+
+def _over_a_scaled_matrix(cones):
+    return EX2_V * 2, cones
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [_over_a_wider_matrix, _over_a_narrower_matrix, _over_a_scaled_matrix],
+    ids=["wider", "narrower", "scaled"],
+)
+def test_verification_rejects_a_fan_over_another_matrix(forge):
     from torifactor import Fan
 
     res = analyze(EX2_V)
     fa = res.fans[0]
-    wide = IntMatrix([row + [0] for row in EX2_V.tolist()])
-    fan = Fan(wide, ((0, 1, 2, 3, 4),) + fa.fan.maximal_cones[1:])
-    forged = fa._replace(fan=fan)
-    message = r"index set \(5, 6\) does not hold r = 2 columns of V"
-    with pytest.raises(PreconditionError, match=message):
+    forged = fa._replace(fan=Fan(*forge(fa.fan.maximal_cones)))
+    with pytest.raises(PreconditionError, match="a fan's matrix is not V"):
         verify_result(res._replace(fans=(forged,) + res.fans[1:]))
 
 
