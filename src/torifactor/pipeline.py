@@ -244,44 +244,46 @@ def verify_result(res: PipelineResult) -> None:
     basis_bits: dict[int, int] = {}  # id(B) -> the bits of its rows
     pooled: dict[int, int] = {}
     index_sets: dict[int, tuple[int, ...]] = {}  # mask of I -> I
-    for fa in res.fans:
-        if fa.fan.matrix != v:
-            raise PreconditionError("a fan's matrix is not V")
-        pd = fa.picard
-        b = pd.B
-        # the result holds these objects for the call, so their ids stay theirs
-        key = (id(fa.cartier), id(b), pd.index)
-        if key not in certified:
-            if not fa.cartier.is_square():
-                raise ShapeError("Cartier basis is not square")
-            c_rows = tuple(fa.cartier)
-            if c_rows[-v.rows :] != v_rows:
-                raise PreconditionError("Cartier basis does not end in the fan matrix")
-            top = tuple(tuple(sum(map(mul, c, qk)) for qk in q_rows) for c in c_rows[:r])
-            if (
-                top != tuple(b)
-                or any(row[:k] != (0,) * k for k, row in enumerate(top))
-                or abs(prod(row[k] for k, row in enumerate(top))) * det_fv != pd.index * det_beta
-            ):
-                raise PreconditionError("Cartier determinant factorization failed")
-            certified.add(key)
-        bits = basis_bits.get(id(b))
-        if bits is None:
-            bits = 0
-            for row in b:
-                bit = row_bits.get(row)
-                if bit is None:
-                    bit = row_bits[row] = 1 << len(row_bits)
-                bits |= bit
-            basis_bits[id(b)] = bits
-        for idx, mask in _complements(fa.fan):
-            pooled[mask] = pooled.get(mask, 0) | bits
-            index_sets[mask] = idx
-    distinct_rows = list(row_bits)
-    q_cols = tuple(zip(*q_rows))
-    minors = _laplace_minors(q_rows, v.cols)
-    # outside a block, one for this call: the cofactor tables are built once
+    # outside a block, one for this call: each cone's complement and the
+    # cofactor tables are computed once
     with shared_tables():
+        for fa in res.fans:
+            if fa.fan.matrix != v:
+                raise PreconditionError("a fan's matrix is not V")
+            pd = fa.picard
+            b = pd.B
+            # the result holds these objects for the call, so their ids stay theirs
+            key = (id(fa.cartier), id(b), pd.index)
+            if key not in certified:
+                if not fa.cartier.is_square():
+                    raise ShapeError("Cartier basis is not square")
+                c_rows = tuple(fa.cartier)
+                if c_rows[-v.rows :] != v_rows:
+                    raise PreconditionError("Cartier basis does not end in the fan matrix")
+                top = tuple(tuple(sum(map(mul, c, qk)) for qk in q_rows) for c in c_rows[:r])
+                if (
+                    top != tuple(b)
+                    or any(row[:k] != (0,) * k for k, row in enumerate(top))
+                    or abs(prod(row[k] for k, row in enumerate(top))) * det_fv
+                    != pd.index * det_beta
+                ):
+                    raise PreconditionError("Cartier determinant factorization failed")
+                certified.add(key)
+            bits = basis_bits.get(id(b))
+            if bits is None:
+                bits = 0
+                for row in b:
+                    bit = row_bits.get(row)
+                    if bit is None:
+                        bit = row_bits[row] = 1 << len(row_bits)
+                    bits |= bit
+                basis_bits[id(b)] = bits
+            for idx, mask in _complements(fa.fan):
+                pooled[mask] = pooled.get(mask, 0) | bits
+                index_sets[mask] = idx
+        distinct_rows = list(row_bits)
+        q_cols = tuple(zip(*q_rows))
+        minors = _laplace_minors(q_rows, v.cols)
         tabled = _picard_table(q)[0]
         for mask, bits in pooled.items():
             idx = index_sets[mask]

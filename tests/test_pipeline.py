@@ -736,6 +736,10 @@ def test_analyze_takes_each_candidate_and_each_complement_once(count_calls, name
         assert sorted(comp for (comp,) in entries) == sorted(complements)
         assert sorted(idx for _, idx in duals) == sorted(complements)
         assert sorted(mask for (mask,) in tuples) == sorted(sum(1 << j for j in c) for c in cones)
+    # outside analyze's block, verify_result takes each complement once as well
+    entries.clear()
+    verify_result(res)
+    assert sorted(comp for (comp,) in entries) == sorted(complements)
 
 
 @pytest.mark.parametrize("name", ["EX1_V", *ONE_PASS_INSTANCES])
