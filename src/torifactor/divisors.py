@@ -145,7 +145,7 @@ def _picard_fold(q: IntMatrix, masks: Sequence[int]) -> PicardData:
     for mask in masks[shared:]:
         entry = blocks.get(mask)
         if entry is None:
-            entry = blocks[mask] = _dual_rows(q, _cone(mask))
+            entry = blocks[mask] = _dual_rows(q, mask)
         d, rows = entry
         if d == 0:
             raise PreconditionError(f"singular weight block at columns {_cone(mask)}")
@@ -200,27 +200,35 @@ def _scaled_inverse_columns(m: list[list[int]], delta: int) -> Iterator[list[int
 
 
 def _weight_block(
-    q: IntMatrix, idx: tuple[int, ...]
+    q: IntMatrix, mask: int
 ) -> tuple[int, Optional[tuple[tuple[int, ...], ...]]]:
-    """``(det Q_I, adj Q_I)`` of the columns ``idx`` of ``q``, taken in
-    ascending order, the adjugate as plain rows; ``(0, None)`` if singular.
+    """``(det Q_I, adj Q_I)`` of the columns of ``q`` in the column mask of
+    ``I``, taken in ascending order, the adjugate as plain rows; ``(0, None)``
+    if singular.
 
     Both are read off the cofactor tables of ``q`` (``_cofactor_tables``):
     with ``T_b`` the (r-1)-minors of ``q`` without row b,
     ``adj(Q_I)[a][b] = (-1)^(a+b) T_b[I - I_a]``, and ``det Q_I`` is the
     expansion along the last row, ``sum_a q[r-1][I_a] adj(Q_I)[a][r-1]``.  So
     no block is eliminated, and the blocks of one ``q`` share their minors.
+    The bits of the mask are walked once, lowest first: bit ``I_a`` gives the
+    key ``I - I_a`` of row a, and the signs of row a alternate from
+    ``(-1)^a``.
     """
-    idx = sorted(idx)
     tables = _cofactor_tables(q)
-    full = _mask(idx)
-    adj = tuple(
-        tuple(-t[full ^ 1 << j] if (a + b) % 2 else t[full ^ 1 << j] for b, t in enumerate(tables))
-        for a, j in enumerate(idx)
-    )
-    last = q.row(len(idx) - 1)
-    d = sum(last[j] * row[-1] for j, row in zip(idx, adj))
-    return (d, adj) if d else (0, None)
+    r = len(tables)
+    signs, flipped = ((1, -1) * r)[:r], ((-1, 1) * r)[:r]
+    last = q.row(r - 1)
+    adj, d, rest = [], 0, mask
+    while rest:
+        low = rest & -rest
+        key = mask ^ low
+        row = tuple(map(mul, signs, [t[key] for t in tables]))
+        d += last[low.bit_length() - 1] * row[-1]
+        adj.append(row)
+        signs, flipped = flipped, signs
+        rest ^= low
+    return (d, tuple(adj)) if d else (0, None)
 
 
 def _cofactor_tables(q: IntMatrix) -> list[dict[int, int]]:
@@ -235,11 +243,12 @@ def _cofactor_tables(q: IntMatrix) -> list[dict[int, int]]:
     return _cached(q, "cofactor tables", build)
 
 
-def _dual_rows(q: IntMatrix, idx: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``(|d_I|, rows)``: the rows of the HNF of the row lattice of ``adj Q_I``,
-    which contains ``|d_I| Z^r``, other than the ``|d_I| e_k``; ``(0, ())`` if
-    ``Q_I`` is singular.  ``_picard_fold`` keeps them in its table entry for ``q``."""
-    d, adj = _weight_block(q, idx)
+def _dual_rows(q: IntMatrix, mask: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(|d_I|, rows)`` for the column mask of ``I``: the rows of the HNF of
+    the row lattice of ``adj Q_I`` (``_weight_block``), which contains
+    ``|d_I| Z^r``, other than the ``|d_I| e_k``; ``(0, ())`` if ``Q_I`` is
+    singular.  ``_picard_fold`` keeps them in its table entry for ``q``."""
+    d, adj = _weight_block(q, mask)
     if d == 0:
         return 0, ()
     d = abs(d)

@@ -65,19 +65,29 @@ def gale_dual(a: IntMatrix) -> IntMatrix:
     The result G satisfies G @ a^T == 0 and its rows span the full lattice of
     integer relations among the columns of ``a``; ``a`` has full row rank iff
     that kernel has rank ``cols - rows``.  Inside a ``shared_tables`` block the
-    kernel is the one ``_minors`` reads.
+    kernel is the one ``_minors`` reads, and the result is one matrix object
+    per ``a``, the one whose ``_weight_minors`` the kernel side of
+    ``_minor_table`` takes.
     """
     ker = _kernel(a)
     if ker.rank != a.cols - a.rows:
         raise PreconditionError("gale_dual requires full row rank")
     if ker.rank == 0:
         raise PreconditionError("square full-rank matrix has trivial kernel")
-    return ker.basis_matrix()
+    return _cached(a, "gale dual", ker.basis_matrix)
 
 
 def _kernel(a: IntMatrix) -> Lattice:
     """``kernel_saturation(a)``, once per ``a`` inside a ``shared_tables`` block."""
     return _cached(a, "kernel", lambda: kernel_saturation(a))
+
+
+def _weight_minors(q: IntMatrix) -> dict[int, int]:
+    """The r x r minors of ``q``, keyed by column bitmask (``_laplace_minors``);
+    once per ``q`` inside a ``shared_tables`` block, so that ``analyze`` takes
+    one table of its Gale dual, for the kernel side of ``_minor_table`` and
+    for ``pipeline.verify_result``."""
+    return _cached(q, "weight minors", lambda: _laplace_minors(tuple(q), q.cols))
 
 
 def positive_span_is_full(v: IntMatrix) -> bool:
@@ -119,14 +129,17 @@ def _minor_table(v: IntMatrix) -> dict[int, int]:
     (``_kernel``, shared with ``gale_dual``) cost ``_laplace_cost(m, r)``,
     plus ``2 m^2 n`` for the HNF of ``V^T`` with its m x m transform when the
     open ``shared_tables`` block does not hold ``Q`` yet.  The kernel side is
-    taken when ``r < n`` and either ``Q`` is held or that sum is smaller; so
-    ``r >= n`` and small ``n`` read ``V``, tall matrices read ``Q``.  The
+    taken when ``0 < r < n`` and either ``Q`` is held or that sum is smaller;
+    so ``r >= n``, small ``n`` and a square ``V``, whose one minor is
+    ``det V``, read ``V``, tall matrices read ``Q``.  The
     weight 2 on the HNF is fitted to measured times: on the 21 shapes with
     ``r < n`` measured, from (2, 1) to (10, 2), the rule picks the faster side.
 
     On the kernel side, if the rank of ``Q`` is not r, ``V`` has rank below n
     and every minor is 0, with no determinant taken.  Otherwise the r x r
-    minors of ``Q`` give them all: for every n-subset ``c`` with complement
+    minors of ``Q`` give them all, from ``_weight_minors`` of the matrix that
+    ``gale_dual(V)`` returns in the same block, so ``analyze`` takes that
+    table once: for every n-subset ``c`` with complement
     ``cbar``, ``det V_c = lam (-1)^(sum c + n(n-1)/2) det Q_cbar``
     (Bjorner-Las Vergnas-Sturmfels-White-Ziegler, Oriented Matroids, 3.4),
     and one n x n ``det V_c``, at the first ``c`` whose ``det Q_cbar`` is
@@ -140,7 +153,7 @@ def _minor_table(v: IntMatrix) -> dict[int, int]:
     n, m = v.shape
     r = m - n
     kernel_cost = _laplace_cost(m, r) + 2 * m * m * n
-    if r >= n or not (_held(v, "kernel") or kernel_cost < _laplace_cost(m, n)):
+    if not 0 < r < n or not (_held(v, "kernel") or kernel_cost < _laplace_cost(m, n)):
         return _laplace_minors(tuple(v), m)
     ker = _kernel(v)
     if ker.rank != r:
@@ -150,7 +163,8 @@ def _minor_table(v: IntMatrix) -> dict[int, int]:
     # odd iff cbar holds an odd number of odd columns
     base = (m * (m - 1) // 2 + n * (n - 1) // 2) % 2
     odd = sum(1 << j for j in range(1, m, 2))
-    q_minors = _laplace_minors(ker.basis_rows, m)
+    # the rank is r > 0, so gale_dual raises nothing
+    q_minors = _weight_minors(gale_dual(v))
     cbar, d = next((cbar, d) for cbar, d in reversed(q_minors.items()) if d)
     c = full ^ cbar
     lam = _det_rows([[x for j, x in enumerate(row) if c >> j & 1] for row in v]) // d

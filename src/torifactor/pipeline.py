@@ -13,7 +13,7 @@ from operator import mul
 from typing import Optional
 
 from .intmat import IntMatrix, PreconditionError, Record, ShapeError, _int_text, _int_tuple
-from .intmat import _laplace_minors, _search_cap, det, shared_tables
+from .intmat import _search_cap, det, shared_tables
 from .covering import (
     CoveringData,
     TorsionMatrix,
@@ -31,9 +31,9 @@ from .divisors import (
     cartier_basis,
     weight_transform,
 )
-from .fans import Fan, PicardIndexFamily, _complements, _fan_records, _fans_by_root
+from .fans import Fan, PicardIndexFamily, _complements, _cone, _fan_records, _fans_by_root
 from .fans import enumerate_fans, picard_index_sets
-from .gale import _kernel, gale_dual, require_F
+from .gale import _kernel, _weight_minors, gale_dual, require_F
 
 
 class FanAnalysis(Record):
@@ -82,7 +82,8 @@ def analyze(
     ``V_hat`` is the lower block of ``U_Q`` (see ``covering_decomposition``).
     One ``shared_tables`` block, dropped on return, serves the whole call:
     the kernel of ``V`` is taken once, for ``gale_dual`` and, when r < n, for
-    the minor table; ``V`` is classified and its maximal minors and signed
+    the minor table, whose r x r minors of ``Q`` ``verify_result`` reads
+    again; ``V`` is classified and its maximal minors and signed
     circuits computed once, for the validation and the fan search.  The
     per-fan stage runs on candidate cones: ``fans._fan_records`` builds each
     candidate's cone tuple once, ``fans._complements`` each cone's complement
@@ -176,14 +177,19 @@ def verify_result(res: PipelineResult) -> None:
       once; the result holds those objects for the call, so their ids stay
       theirs.
     * Index sets.  Each fan's matrix must be ``V``.  The rows of each fan's
-      ``B`` are pooled by the complements of its cones; each distinct
+      ``B`` are pooled by the complements of its cones, as column masks; a
+      fan with a repeated mask lists a cone twice, and each distinct
       complement must hold ``r`` columns.
     * Weight blocks.  For each distinct index set ``I`` of the fans,
-      ``d = |det Q_I|`` is read off one table of the r x r minors of ``Q``
-      (``_laplace_minors``), taken afresh for the call, and must be nonzero.
+      ``d = |det Q_I|`` is read off the table of the r x r minors of ``Q``
+      (``gale._weight_minors``), and must be nonzero.  Inside ``analyze``
+      that table is the one its minors of ``V`` came from when r < n;
+      standalone the call takes its own.  The fold reads its ``d_I`` off the
+      cofactor tables instead, separate ``_laplace_minors`` calls, so ``d``
+      does not rest on the Picard table.
       The dual rows ``H`` of ``I`` come from the Picard table, or from
-      ``_dual_rows`` outside one (on cofactor tables of ``Q`` built once for
-      the call), and are certified: strictly increasing pivot columns,
+      ``_dual_rows`` of the mask outside one (on cofactor tables of ``Q``
+      built once for the call), and are certified: strictly increasing pivot columns,
       positive pivots, ``prod pivots * d^(r - |H|) = d^(r-1)``
       and ``h Q_I == 0 mod d`` for each row ``h``.  Then ``H`` and the
       ``d e_k`` span ``L = {x : x Q_I == 0 mod d} = rowspan(adj Q_I)``: they
@@ -243,7 +249,6 @@ def verify_result(res: PipelineResult) -> None:
     row_bits: dict[tuple[int, ...], int] = {}
     basis_bits: dict[int, int] = {}  # id(B) -> the bits of its rows
     pooled: dict[int, int] = {}
-    index_sets: dict[int, tuple[int, ...]] = {}  # mask of I -> I
     # outside a block, one for this call: each cone's complement and the
     # cofactor tables are computed once
     with shared_tables():
@@ -278,22 +283,23 @@ def verify_result(res: PipelineResult) -> None:
                         bit = row_bits[row] = 1 << len(row_bits)
                     bits |= bit
                 basis_bits[id(b)] = bits
-            for idx, mask in _complements(fa.fan):
+            masks = [mask for _, mask in _complements(fa.fan)]
+            if len(set(masks)) != len(masks):
+                raise PreconditionError("a fan lists a maximal cone twice")
+            for mask in masks:
                 pooled[mask] = pooled.get(mask, 0) | bits
-                index_sets[mask] = idx
         distinct_rows = list(row_bits)
         q_cols = tuple(zip(*q_rows))
-        minors = _laplace_minors(q_rows, v.cols)
+        minors = _weight_minors(q)
         tabled = _picard_table(q)[0]
         for mask, bits in pooled.items():
-            idx = index_sets[mask]
-            if len(idx) != r:
-                raise PreconditionError(f"index set {idx} does not hold r = {r} columns")
+            if mask.bit_count() != r:
+                raise PreconditionError(f"index set {_cone(mask)} does not hold r = {r} columns")
             d = abs(minors[mask])
             if d == 0:
-                raise PreconditionError(f"singular weight block at columns {idx}")
-            cols = [q_cols[j] for j in idx]
-            h = tabled[mask][1] if mask in tabled else _dual_rows(q, idx)[1]
+                raise PreconditionError(f"singular weight block at columns {_cone(mask)}")
+            cols = [c for j, c in enumerate(q_cols) if mask >> j & 1]
+            h = tabled[mask][1] if mask in tabled else _dual_rows(q, mask)[1]
             if not _spans_block_duals(h, cols, d):
                 raise PreconditionError("weight block adjugate identity failed")
             # b lies in Q_I Z^r iff h b == 0 mod d for each h in H

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 from collections import Counter
@@ -278,6 +279,33 @@ def test_verify_result_outside_a_table_builds_the_cofactor_tables_once(count_cal
         tables = count_calls(divisors, "_laplace_minors", everywhere=False)
         verify_result(res)
         assert len(tables) == res.Q.rows
+
+
+@pytest.mark.parametrize("name", ["EX1_V", "EX2_V", "tall/7x3/0"])
+def test_analyze_takes_one_table_of_the_r_by_r_minors_of_q(count_calls, name):
+    # r < n on all three: the kernel side of the minor table of V and
+    # verify_result read one table of the r x r minors of Q in analyze's
+    # block, keyed by the matrix that gale_dual returns there; a standalone
+    # verify_result takes its own
+    from torifactor import intmat
+
+    v = {"EX1_V": EX1_V, "EX2_V": EX2_V, "tall/7x3/0": TALL_7X3_0}[name]
+    laplace = count_calls(intmat, "_laplace_minors")
+    res = analyze(v, fan_index=0 if name == "tall/7x3/0" else None)
+    q_rows = tuple(res.Q)
+    assert [tuple(rows) for rows, _ in laplace].count(q_rows) == 1
+    laplace.clear()
+    verify_result(res)
+    assert [tuple(rows) for rows, _ in laplace].count(q_rows) == 1
+
+
+def test_gale_dual_is_one_matrix_per_fan_matrix_in_a_block():
+    from torifactor import gale_dual, shared_tables
+
+    with shared_tables():
+        assert gale_dual(EX2_V) is gale_dual(EX2_V)
+    assert gale_dual(EX2_V) is not gale_dual(EX2_V)
+    assert gale_dual(EX2_V) == gale_dual(EX2_V)
 
 
 def _invariants(res):
@@ -617,6 +645,92 @@ def test_verification_rejects_the_complements_of_a_cone_of_the_wrong_size():
         verify_result(res._replace(fans=(forged,) + res.fans[1:]))
 
 
+@pytest.mark.parametrize("where", ["first", "last", "reversed"])
+def test_verification_rejects_a_fan_with_a_repeated_cone(where):
+    # the repeat has the complement of the cone it repeats, so the pooled
+    # index sets alone would merge them
+    from torifactor import Fan
+
+    res = analyze(EX2_V)
+    fa = res.fans[0]
+    cones = fa.fan.maximal_cones
+    repeated = {
+        "first": cones[:1] + cones,
+        "last": cones + cones[-1:],
+        "reversed": cones + (cones[3][::-1],),
+    }[where]
+    forged = fa._replace(fan=Fan(fa.fan.matrix, repeated))
+    with pytest.raises(PreconditionError, match="a fan lists a maximal cone twice"):
+        verify_result(res._replace(fans=(forged,) + res.fans[1:]))
+
+
+def _escaping_basis(res, fa):
+    # B = I: Pic is a proper sublattice of Z^r whenever its index exceeds 1
+    from torifactor import PicardData, cartier_basis
+
+    assert fa.picard.index > 1
+    full = IntMatrix.identity(res.Q.rows)
+    return fa._replace(
+        picard=PicardData(B=full, index=1, delta_sigma=1),
+        cartier=cartier_basis(full, res.U_Q, res.covering.beta),
+    )
+
+
+def _singular_block(res, fa):
+    # the last cone replaced by the complement of the first singular block of Q
+    from torifactor import Fan
+
+    q = res.Q
+    idx = next(c for c in combinations(range(q.cols), q.rows) if det(q.select_cols(c)) == 0)
+    cone = tuple(j for j in range(q.cols) if j not in idx)
+    return fa._replace(fan=Fan(fa.fan.matrix, fa.fan.maximal_cones[:-1] + (cone,)))
+
+
+def _complement_of_the_wrong_size(res, fa):
+    # a column added to the last cone: its complement holds r - 1 columns
+    from torifactor import Fan
+
+    cones = fa.fan.maximal_cones
+    j = next(j for j in range(res.Q.cols) if j not in cones[-1])
+    return fa._replace(fan=Fan(fa.fan.matrix, cones[:-1] + (tuple(sorted(cones[-1] + (j,))),)))
+
+
+SHARING_CASES = [
+    ("EX2_V", _escaping_basis, "escapes a weight block lattice"),
+    ("EX2_V", _complement_of_the_wrong_size, "does not hold r = 2 columns"),
+    ("SHARED_V", _escaping_basis, "escapes a weight block lattice"),
+    ("SHARED_V", _singular_block, r"singular weight block at columns \(0, 1, 3\)"),
+    ("SHARED_V", _complement_of_the_wrong_size, "does not hold r = 3 columns"),
+    ("tall/7x3/0", _escaping_basis, "escapes a weight block lattice"),
+    ("tall/7x3/0", _singular_block, r"singular weight block at columns \(0, 6, 9\)"),
+    ("tall/7x3/0", _complement_of_the_wrong_size, "does not hold r = 3 columns"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, forge, message",
+    SHARING_CASES,
+    ids=[f"{name}-{forge.__name__.strip('_')}" for name, forge, _ in SHARING_CASES],
+)
+def test_sharing_analyze_tables_does_not_change_a_verdict(name, forge, message):
+    # verify_result in the caller's block, after analyze, reads the tables
+    # analyze built there (the r x r minors of Q, the Picard table); outside
+    # any block it takes its own.  EX2_V has no singular weight block to forge
+    from torifactor import shared_tables
+
+    v = {"EX2_V": EX2_V, "SHARED_V": SHARED_V, "tall/7x3/0": TALL_7X3_0}[name]
+    errors = []
+    for shared in (True, False):
+        with shared_tables() if shared else contextlib.nullcontext():
+            res = analyze(v, fan_index=0)
+            verify_result(res)
+            fa = res.fans[0]
+            with pytest.raises(PreconditionError, match=message) as err:
+                verify_result(res._replace(fans=(forge(res, fa),)))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
 def _over_a_wider_matrix(cones):
     # (0, 1, 2, 3, 4) in place of the first cone, over V with a zero column
     # appended: the complement (5, 6) holds r columns, one of them outside V
@@ -717,7 +831,8 @@ def test_analyze_takes_each_candidate_and_each_complement_once(count_calls, name
     # built once, and each distinct cone's complement entry once per call
     # (fans._complements builds the entry's mask with fans._mask), for the
     # fold and for verify_result; the dual rows of each distinct complement
-    # are taken once, for every fan that holds it and for verify_result
+    # are taken once, by its mask, for every fan that holds it and for
+    # verify_result
     from torifactor import divisors, fans as fans_module
 
     v = ONE_PASS_INSTANCES[name]
@@ -734,7 +849,9 @@ def test_analyze_takes_each_candidate_and_each_complement_once(count_calls, name
         assert len(set(complements)) == len(cones)
         assert len(cones) < sum(len(fa.fan.maximal_cones) for fa in res.fans)
         assert sorted(comp for (comp,) in entries) == sorted(complements)
-        assert sorted(idx for _, idx in duals) == sorted(complements)
+        full = (1 << v.cols) - 1
+        comp_masks = [full ^ sum(1 << j for j in c) for c in cones]
+        assert sorted(mask for _, mask in duals) == sorted(comp_masks)
         assert sorted(mask for (mask,) in tuples) == sorted(sum(1 << j for j in c) for c in cones)
     # outside analyze's block, verify_result takes each complement once as well
     entries.clear()
