@@ -19,6 +19,7 @@ from .intmat import (
     _cached,
     _int_tuple,
     _laplace_minors,
+    _memo_product,
     shared_tables,
 )
 from .fans import PicardIndexFamily, _cone, _mask
@@ -261,25 +262,32 @@ def cartier_basis(b: IntMatrix, u_q: IntMatrix, beta: IntMatrix) -> IntMatrix:
     """Basis of the locally principal divisors inside the Weil group.
 
     ``blockdiag(b, beta) @ u_q``, computed block by block as
-    ``b @ (top r rows of u_q)`` over ``beta @ (bottom n rows of u_q)``: the top
-    block expresses the Picard basis in the prime-divisor coordinates, the
-    bottom block reproduces the fan matrix.  With ``beta`` the identity this is
-    the Cartier basis of the covering.  The bottom block does not depend on
-    ``b``, so inside a ``shared_tables`` block it is computed once per
-    ``u_q`` and ``beta`` object, not once per fan, and no call hashes a
-    matrix.
+    ``b @ F`` over ``beta @ (bottom n rows of u_q)``, ``F`` the top r rows of
+    ``u_q``: the top block expresses the Picard basis in the prime-divisor
+    coordinates, the bottom block reproduces the fan matrix.  With ``beta``
+    the identity this is the Cartier basis of the covering.  Row k of the top
+    block is row k of ``b`` times ``F``.  Inside a ``shared_tables`` block one
+    entry per ``u_q`` and ``beta`` object holds the bottom block, which does
+    not depend on ``b``, and the product with ``F`` of each distinct row of a
+    ``b`` so far, so bases that share a row multiply it once.  No call hashes
+    a matrix; the rows of ``b`` are hashed.
     """
     if not b.is_square() or not beta.is_square():
         raise ShapeError("b and beta must be square")
     if not u_q.is_square() or u_q.rows != b.rows + beta.rows:
         raise ShapeError("transform size must equal rank + dimension")
     # the entry holds beta, so its id names no other matrix while the table lives
-    _, top, bottom = _cached(
+    _, f_cols, bottom, tops = _cached(
         u_q,
         ("cartier blocks", id(beta)),
-        lambda: (beta, u_q.top_rows(b.rows), beta @ u_q.bottom_rows(beta.rows)),
+        lambda: (
+            beta,
+            tuple(zip(*u_q.top_rows(b.rows))),
+            tuple(beta @ u_q.bottom_rows(beta.rows)),
+            {},  # row of a b -> that row times F
+        ),
     )
-    return (b @ top).vstack(bottom)
+    return IntMatrix._of(_memo_product(b, f_cols, tops) + bottom)
 
 
 def weil_inclusion(u_q: IntMatrix, beta: IntMatrix) -> IntMatrix:

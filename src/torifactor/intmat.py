@@ -217,10 +217,15 @@ class IntMatrix:
         return IntMatrix([[r[j] for j in indices] for r in self._rows])
 
     def top_rows(self, k: int) -> "IntMatrix":
-        return IntMatrix(self._rows[:k])
+        return IntMatrix._of(self._rows[: self._row_count(k)])
 
     def bottom_rows(self, k: int) -> "IntMatrix":
-        return IntMatrix(self._rows[self.rows - k :])
+        return IntMatrix._of(self._rows[len(self._rows) - self._row_count(k) :])
+
+    def _row_count(self, k: int) -> int:
+        if not 1 <= k <= len(self._rows):
+            raise ShapeError(f"cannot take {k} of {len(self._rows)} rows")
+        return k
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if other.cols != self.cols:
@@ -322,6 +327,26 @@ def _det_rows(a: list[list[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _row_times(row: Sequence[int], cols: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The row ``row`` times the matrix with columns ``cols``."""
+    return tuple([sum(map(operator.mul, row, c)) for c in cols])
+
+
+def _memo_product(
+    rows: Iterable[tuple[int, ...]], cols: Sequence[Sequence[int]], memo: dict
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``rows`` times the matrix with columns ``cols``.  ``memo``
+    maps each row seen with these ``cols`` to its product, so each distinct
+    row is multiplied once (``_row_times``) however many calls hold it."""
+    out = []
+    for row in rows:
+        p = memo.get(row)
+        if p is None:
+            p = memo[row] = _row_times(row, cols)
+        out.append(p)
+    return tuple(out)
 
 
 def _laplace_minors(rows: Sequence[Sequence[int]], m: int) -> dict[int, int]:

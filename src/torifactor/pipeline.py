@@ -13,7 +13,7 @@ from operator import mul
 from typing import Optional
 
 from .intmat import IntMatrix, PreconditionError, Record, ShapeError, _int_text, _int_tuple
-from .intmat import _search_cap, det, shared_tables
+from .intmat import _memo_product, _search_cap, det, shared_tables
 from .covering import (
     CoveringData,
     TorsionMatrix,
@@ -92,7 +92,8 @@ def analyze(
     reads its index sets off its cones.
     ``cartier_basis`` runs once per distinct ``PicardData``; its fan-independent
     bottom block and the one m x m determinant of ``verify_result`` are
-    computed once as well.
+    computed once as well, and each distinct row of a Picard basis is
+    multiplied by the free-part generators once, however many records hold it.
     """
     if fan_index is not None:
         (fan_index,) = _int_tuple((fan_index,), "fan index")
@@ -175,7 +176,9 @@ def verify_result(res: PipelineResult) -> None:
       and more; the call takes one m x m determinant and no r x r one.  Fans
       that hold the same Cartier and ``B`` objects and index are checked
       once; the result holds those objects for the call, so their ids stay
-      theirs.
+      theirs.  Each distinct row ``c`` of a ``C_top`` is multiplied by
+      ``Q^T`` once, in a memo of this call's own, not read from ``analyze``'s
+      table; every row of every checked record is still compared with ``B``.
     * Index sets.  Each fan's matrix must be ``V``.  The rows of each fan's
       ``B`` are pooled by the complements of its cones, as column masks; a
       fan with a repeated mask lists a cone twice, and each distinct
@@ -244,6 +247,7 @@ def verify_result(res: PipelineResult) -> None:
     v_rows, q_rows = tuple(v), tuple(q)
     det_fv = abs(det(free.vstack(v)))
     certified: set[tuple[int, int, int]] = set()
+    tops: dict[tuple[int, ...], tuple[int, ...]] = {}  # row c of a C_top -> c Q^T
     # each distinct row of a B is one bit; pooled[mask of I] holds the rows of
     # every B whose fan has a cone with complement I
     row_bits: dict[tuple[int, ...], int] = {}
@@ -265,7 +269,7 @@ def verify_result(res: PipelineResult) -> None:
                 c_rows = tuple(fa.cartier)
                 if c_rows[-v.rows :] != v_rows:
                     raise PreconditionError("Cartier basis does not end in the fan matrix")
-                top = tuple(tuple(sum(map(mul, c, qk)) for qk in q_rows) for c in c_rows[:r])
+                top = _memo_product(c_rows[:r], q_rows, tops)
                 if (
                     top != tuple(b)
                     or any(row[:k] != (0,) * k for k, row in enumerate(top))

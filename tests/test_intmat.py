@@ -36,6 +36,15 @@ def test_empty_slices_still_raise_shape_error():
             empty()
 
 
+@pytest.mark.parametrize("k", [-1, 4, 5])
+def test_row_slices_out_of_range_raise_shape_error(k):
+    # a slice past either end is never clipped to the rows there are
+    a = IntMatrix([[1, 2], [3, 4], [5, 6]])
+    for take in (a.top_rows, a.bottom_rows):
+        with pytest.raises(ShapeError, match=f"cannot take {k} of 3 rows"):
+            take(k)
+
+
 def _matrices(max_rows=4, max_cols=4):
     return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)).flatmap(
         lambda shape: st.lists(

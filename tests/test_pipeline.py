@@ -520,6 +520,26 @@ def test_verification_rejects_a_cartier_basis_with_a_doubled_top_row():
             verify_result(res._replace(fans=res.fans[:-1] + (forged,)))
 
 
+def test_verification_rejects_a_cartier_top_row_of_another_fan():
+    # EX2_V's fans 1 and 2 share a B row, so its 6 rows are 5 distinct; a top
+    # row of an earlier fan's C_X is in verify_result's row memo when fan k is
+    # checked, and the memo's product is that fan's B row, not fan k's
+    res = analyze(EX2_V)
+    r = res.Q.rows
+    tops = [tuple(fa.cartier)[:r] for fa in res.fans]
+    assert len({c for top in tops for c in top}) == 5
+    forgeries = 0
+    for k, fa in enumerate(res.fans):
+        for c in {c for top in tops[:k] for c in top} - set(tops[k]):
+            rows = fa.cartier.tolist()
+            rows[0] = list(c)
+            forged = fa._replace(cartier=IntMatrix(rows))
+            with pytest.raises(PreconditionError, match="Cartier determinant factorization failed"):
+                verify_result(res._replace(fans=res.fans[:k] + (forged,) + res.fans[k + 1 :]))
+            forgeries += 1
+    assert forgeries == 5
+
+
 def test_fans_with_one_picard_lattice_share_their_records(count_calls):
     from torifactor import PicardIndexFamily, divisors, picard_basis
 
@@ -857,6 +877,27 @@ def test_analyze_takes_each_candidate_and_each_complement_once(count_calls, name
     entries.clear()
     verify_result(res)
     assert sorted(comp for (comp,) in entries) == sorted(complements)
+
+
+@pytest.mark.parametrize("name", ["EX1_V", *ONE_PASS_INSTANCES])
+def test_cartier_rows_are_multiplied_once_per_distinct_row(count_calls, name):
+    # cartier_basis takes each distinct Picard row times F once in analyze's
+    # block, and verify_result each distinct C_top row times Q^T once per call
+    from torifactor import intmat
+
+    v = {"EX1_V": EX1_V, **ONE_PASS_INSTANCES}[name]
+    products = count_calls(intmat, "_row_times")
+    res = analyze(v)
+    r = res.Q.rows
+    picard_rows = {row for fa in res.fans for row in fa.picard.B}
+    top_rows = {c for fa in res.fans for c in tuple(fa.cartier)[:r]}
+    assert len(picard_rows) == {"EX1_V": 1, "EX2_V": 5, "SHARED_V": 6, "4x4/0": 48}[name]
+    assert sorted(row for row, _ in products if len(row) == r) == sorted(picard_rows)
+    assert sorted(row for row, _ in products if len(row) == v.cols) == sorted(top_rows)
+    assert len(products) == len(picard_rows) + len(top_rows)
+    products.clear()
+    verify_result(res)
+    assert sorted(row for row, _ in products) == sorted(top_rows)
 
 
 @pytest.mark.parametrize("name", ["EX1_V", *ONE_PASS_INSTANCES])
